@@ -18,7 +18,9 @@ cases, tiny batches — the shape where protocol overhead dominates):
 
 Asserted claims: the inproc regime's results are byte-identical to both
 process regimes, it spawns **zero** simulation processes, and its
-throughput is at least 1.5x the server stream's.
+throughput is at least 1.5x the server stream's.  A last row splits one
+in-process case into the library call (C loop plus ``ctypes``) and the
+decode of its packed result buffer, in microseconds per case.
 
 Each regime is timed ``ACCMOS_BENCH_INPROC_REPEATS`` times (default 3)
 and the best pass counts — scheduler noise only ever slows a run down.
@@ -39,8 +41,10 @@ import pytest
 
 from repro import SimulationOptions
 from repro.benchmarks import build_benchmark
+from repro.codegen.descriptor import descriptors_for
 from repro.codegen.driver import supports_shared_objects
 from repro.engines.accmos import compile_model
+from repro.inproc import encode_case_binary
 from repro.runner.servers import ServerPool
 from repro.schedule import preprocess
 from repro.stimuli import default_stimuli
@@ -126,6 +130,25 @@ def test_inproc_throughput():
         lambda: [model.run_inproc(cases) for cases in batches]
     )
 
+    # Where an in-process case's time goes: the library call (the C
+    # loop plus ctypes) against decoding its packed result buffer.
+    records = [
+        encode_case_binary(descriptors_for(prog, stimuli), steps=steps)
+        for cases in batches
+        for stimuli, _options in cases
+    ]
+    lib = model.load()
+    try:
+        start = time.perf_counter()
+        buffers = [lib.run_case(record) for record in records]
+        run_case_us = (time.perf_counter() - start) / n_cases * 1e6
+        start = time.perf_counter()
+        for buf in buffers:
+            model.decoder.decode(buf, prog, options)
+        decode_us = (time.perf_counter() - start) / n_cases * 1e6
+    finally:
+        lib.retire()
+
     # Byte-identity across all three regimes (spot-checked on one batch).
     for spawn_result, serve_result, inproc_result in zip(
         spawn_ref, serve_ref, inproc_ref
@@ -151,6 +174,8 @@ def test_inproc_throughput():
         f"  {'inproc':<18s} {inproc_rate:10.2f} "
         f"{f'{vs_spawn:.1f}x':>8s} {0:10d}",
         f"  inproc vs server-stream: {vs_serve:.1f}x",
+        f"  inproc per case: library call {run_case_us:.1f} us, "
+        f"result decode {decode_us:.1f} us",
     ]
     report_table("Inproc (shared library, packed binary cases)",
                  "\n".join(lines))
@@ -168,7 +193,9 @@ def test_inproc_throughput():
              "reuses": pool_stats["reuses"]},
             {"regime": "inproc", "cases_per_sec": inproc_rate,
              "processes": 0, "speedup_vs_serve": vs_serve,
-             "speedup_vs_spawn": vs_spawn},
+             "speedup_vs_spawn": vs_spawn,
+             "run_case_us_per_case": run_case_us,
+             "decode_us_per_case": decode_us},
         ],
         "cases/second",
     )

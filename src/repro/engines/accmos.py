@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Sequence, Union
@@ -53,12 +54,7 @@ from repro.codegen.driver import (
     parse_result,
 )
 from repro.engines.base import SimulationOptions, SimulationResult
-from repro.inproc.abi import (
-    decode_coverage,
-    decode_result,
-    encode_case_binary,
-    result_buffer_size,
-)
+from repro.inproc.abi import ResultDecoder, encode_case_binary
 from repro.inproc.library import LibraryFault, LoadedModel
 from repro.inproc.parallel import InstancePool, default_instance_pool
 from repro.instrument import build_plan
@@ -106,7 +102,10 @@ def _resolve_cache(cache):
 def _structural_fingerprint(options: SimulationOptions) -> tuple:
     """The option fields that shape the generated source (and therefore
     the compiled binary).  ``steps`` and ``time_budget`` are runtime
-    inputs of the reusable program and deliberately excluded."""
+    inputs of the reusable program and deliberately excluded.  Custom
+    diagnoses enter by the fields the C side sees (their Python
+    predicates only serve the interpreted engines), which keeps the
+    fingerprint hashable."""
     collect = options.collect
     diagnose = options.diagnose
     return (
@@ -114,7 +113,10 @@ def _structural_fingerprint(options: SimulationOptions) -> tuple:
         options.diagnostics,
         collect if isinstance(collect, str) else tuple(collect),
         diagnose if isinstance(diagnose, str) else tuple(diagnose),
-        tuple(options.custom),
+        tuple(
+            (diag.actor_path, diag.message, diag.c_predicate)
+            for diag in options.custom
+        ),
         options.halt_on,
         options.monitor_limit,
         options.checksum,
@@ -137,15 +139,13 @@ class CompiledModel:
     compiled: CompiledSimulation
     source: str
     generate_seconds: float
-    _fingerprint: tuple = field(default=(), repr=False)
+    source_lines: int
+    decoder: ResultDecoder = field(repr=False, compare=False)
+    _fingerprint: tuple = field(repr=False)
     _inproc_disabled: bool = field(default=False, repr=False, compare=False)
     _inproc_lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
-
-    def __post_init__(self):
-        if not self._fingerprint:
-            self._fingerprint = _structural_fingerprint(self.options)
 
     @property
     def cache_hit(self) -> bool:
@@ -350,12 +350,7 @@ class CompiledModel:
         wanting parallelism load one per thread.
         """
         shared = self.compiled.ensure_shared()
-        return LoadedModel(
-            shared,
-            result_size=result_buffer_size(
-                self.layout, self.plan, self.options
-            ),
-        )
+        return LoadedModel(shared, result_size=self.decoder.size)
 
     def _instance_key(self) -> str:
         """This model's key in the process-wide instance pool.
@@ -364,8 +359,7 @@ class CompiledModel:
         cache, so distinct handles over the same structure share warm
         instances."""
         return InstancePool.instance_key(
-            self.compiled.ensure_shared(),
-            result_buffer_size(self.layout, self.plan, self.options),
+            self.compiled.ensure_shared(), self.decoder.size
         )
 
     def _acquire_instance(self) -> "tuple[str, LoadedModel]":
@@ -398,14 +392,7 @@ class CompiledModel:
         buf = lib.run_case(record)
         execute_seconds = time.perf_counter() - t0
         t0 = time.perf_counter()
-        result = decode_result(
-            buf,
-            self.prog,
-            self.plan,
-            self.layout,
-            options,
-            engine="accmos",
-        )
+        result = self.decoder.decode(buf, self.prog, options, engine="accmos")
         parse_seconds = time.perf_counter() - t0
         outcome = self._finalize(
             result,
@@ -661,7 +648,8 @@ class CompiledModel:
 
         The guided-fuzz replay path: runs each case on the in-process
         library and slices just the coverage words out of the packed
-        result buffer (:func:`repro.inproc.abi.decode_coverage`),
+        result buffer (:meth:`ResultDecoder.decode_coverage
+        <repro.inproc.abi.ResultDecoder.decode_coverage>`),
         skipping output/diagnostic/monitor decoding entirely.  One entry
         per case, in order — a ``{Metric: Bitmap}`` dict, or ``None``
         for cases that timed out or when the model collects no
@@ -704,10 +692,7 @@ class CompiledModel:
                     if lib is not None:
                         try:
                             buf = lib.run_case(records[index])
-                            probes.append(decode_coverage(
-                                buf, self.layout, self.plan,
-                                normalized[index][0],
-                            ))
+                            probes.append(self.decoder.decode_coverage(buf))
                             telemetry.counter_inc("engine.inproc.probes")
                             continue
                         except LibraryFault as exc:
@@ -847,7 +832,7 @@ class CompiledModel:
             execute_seconds=execute_seconds,
             parse_seconds=parse_seconds,
             cache_hit=self.compiled.cache_hit,
-            source_lines=self.source.count("\n") + 1,
+            source_lines=self.source_lines,
             batch_size=batch_size,
             batch_index=index,
         )
@@ -908,6 +893,91 @@ class ModelServer:
         self._server.kill()
 
 
+@dataclass(frozen=True)
+class _Codegen:
+    """What instrumentation + codegen make of one (program, structural
+    options) pair: everything a :class:`CompiledModel` needs besides the
+    compiled artifact itself."""
+
+    plan: InstrumentationPlan
+    layout: ProgramLayout
+    source: str
+    source_lines: int
+    decoder: ResultDecoder
+
+
+class _CodegenMemo:
+    """Per-program codegen products, kept for the program's lifetime.
+
+    :class:`FlatProgram` is an unhashable dataclass, so entries are keyed
+    on ``id(prog)`` next to a weak reference to the program.  The
+    reference's callback drops the program's entries when it is
+    collected, so a recycled id never aliases a dead program's source,
+    and the memo never holds more than the live programs, at most
+    :attr:`PER_PROGRAM` option shapes each.  Only ``preprocess`` mutates
+    a program, so an entry never goes stale.
+    """
+
+    PER_PROGRAM = 8
+
+    def __init__(self) -> None:
+        # Reentrant: a collection triggered while the lock is held may
+        # run a weakref callback on the same thread.
+        self._lock = threading.RLock()
+        self._programs: "dict[int, tuple[weakref.ref, dict]]" = {}
+
+    def get(
+        self, prog: FlatProgram, fingerprint: tuple, build
+    ) -> "tuple[_Codegen, bool]":
+        """The entry for ``(prog, fingerprint)``, building it on a miss;
+        also returns whether it was a hit."""
+        key = id(prog)
+        with self._lock:
+            slot = self._programs.get(key)
+            if slot is None or slot[0]() is not prog:
+                ref = weakref.ref(prog, lambda ref: self._forget(key, ref))
+                slot = self._programs[key] = (ref, {})
+            entries = slot[1]
+            entry = entries.get(fingerprint)
+            if entry is not None:
+                return entry, True
+            entry = build()
+            if len(entries) >= self.PER_PROGRAM:
+                del entries[next(iter(entries))]
+            entries[fingerprint] = entry
+            return entry, False
+
+    def _forget(self, key: int, ref: weakref.ref) -> None:
+        with self._lock:
+            slot = self._programs.get(key)
+            if slot is not None and slot[0] is ref:
+                del self._programs[key]
+
+
+_CODEGEN_MEMO = _CodegenMemo()
+
+
+def _codegen(prog: FlatProgram, options: SimulationOptions) -> _Codegen:
+    with telemetry.span("instrument"):
+        plan = build_plan(
+            prog,
+            coverage=options.coverage,
+            diagnostics=options.diagnostics,
+            collect=options.collect,
+            diagnose=options.diagnose,
+            custom=options.custom,
+        )
+    with telemetry.span("codegen"):
+        source, layout = generate_reusable_c_program(prog, plan, options)
+        return _Codegen(
+            plan=plan,
+            layout=layout,
+            source=source,
+            source_lines=source.count("\n") + 1,
+            decoder=ResultDecoder(layout, plan, options),
+        )
+
+
 def compile_model(
     prog: FlatProgram,
     options: Optional[SimulationOptions] = None,
@@ -926,38 +996,47 @@ def compile_model(
     stimuli or step counts, every case of a campaign maps to the same
     cache key.
 
+    With the artifact cache in use, codegen runs once per program and
+    structural options: later calls reuse the generated source, layout
+    and result decoder (``generate_seconds`` is then 0).  They still go
+    through the cache lookup, so an evicted or damaged entry recompiles,
+    and each call returns a fresh :class:`CompiledModel` whose
+    in-process quarantine is its own.  ``cache=False`` and an explicit
+    ``workdir`` regenerate every time.
+
     ``artifact`` picks which form is compiled eagerly: ``"binary"``
     (executable) or ``"shared"`` (the in-process ``.so``); both share
     the cache key, and the other form materializes lazily on first use.
     """
     options = options if options is not None else SimulationOptions()
     cache = _resolve_cache(cache)
-    with telemetry.span("instrument"):
-        plan = build_plan(
-            prog,
-            coverage=options.coverage,
-            diagnostics=options.diagnostics,
-            collect=options.collect,
-            diagnose=options.diagnose,
-            custom=options.custom,
-        )
+    fingerprint = _structural_fingerprint(options)
     t0 = time.perf_counter()
-    with telemetry.span("codegen"):
-        source, layout = generate_reusable_c_program(prog, plan, options)
-    generate_seconds = time.perf_counter() - t0
+    hit = False
+    if cache is None or workdir is not None:
+        product = _codegen(prog, options)
+    else:
+        product, hit = _CODEGEN_MEMO.get(
+            prog, fingerprint, lambda: _codegen(prog, options)
+        )
+    generate_seconds = 0.0 if hit else time.perf_counter() - t0
     compiled = compile_c_program(
-        source, layout, workdir=workdir, cache=cache, artifact=artifact
+        product.source, product.layout,
+        workdir=workdir, cache=cache, artifact=artifact,
     )
     telemetry.observe("accmos.generate_seconds", generate_seconds)
     telemetry.observe("accmos.compile_seconds", compiled.compile_seconds)
     return CompiledModel(
         prog=prog,
-        plan=plan,
-        layout=layout,
+        plan=product.plan,
+        layout=product.layout,
         options=options,
         compiled=compiled,
-        source=source,
+        source=product.source,
         generate_seconds=generate_seconds,
+        source_lines=product.source_lines,
+        decoder=product.decoder,
+        _fingerprint=fingerprint,
     )
 
 

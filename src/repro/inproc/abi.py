@@ -21,7 +21,7 @@ Case record::
         int64   tab_len
         tab_len x (float64 | int64) table values
 
-Result buffer (size is :func:`result_buffer_size`, also exported by the
+Result buffer (size is :attr:`ResultDecoder.size`, also exported by the
 library as ``acc_lib_result_size()`` for the load-time handshake)::
 
     int64   steps_run
@@ -107,216 +107,224 @@ def encode_case_binary(
     return b"".join(parts)
 
 
-class _Cursor:
-    """Sequential 8-byte word reader with exhaustion checks."""
-
-    __slots__ = ("buf", "pos")
-
-    def __init__(self, buf: bytes) -> None:
-        self.buf = buf
-        self.pos = 0
-
-    def raw8(self) -> bytes:
-        end = self.pos + 8
-        if end > len(self.buf):
-            raise SimulationError("inproc result buffer truncated")
-        word = self.buf[self.pos : end]
-        self.pos = end
-        return word
-
-    def i64(self) -> int:
-        return _I64.unpack(self.raw8())[0]
-
-    def u64(self) -> int:
-        return _U64.unpack(self.raw8())[0]
-
-    def f64(self) -> float:
-        return _F64.unpack(self.raw8())[0]
-
-    def value(self, dtype) -> object:
-        """Decode one value word the way the C side encoded it."""
-        raw = self.raw8()
-        if dtype.is_float:
-            return _F64.unpack(raw)[0]
-        if dtype.is_signed:
-            return _I64.unpack(raw)[0]
-        return _U64.unpack(raw)[0]
+#: struct code per DESCRIPTOR_FIELDS kind.
+_SLOT_CODES = {"i": "q", "u": "Q", "f": "d"}
+_PORT_FIELDS = struct.Struct(
+    "<" + "".join(_SLOT_CODES[kind] for _a, _m, kind in DESCRIPTOR_FIELDS)
+)
+_CASE_HEADER = struct.Struct("<qddq")
 
 
 def decode_case_binary(data: bytes) -> dict:
     """Parse a case record back into plain Python (conformance tests)."""
-    cur = _Cursor(data)
+    pos = 0
+
+    def take(unpacker: struct.Struct) -> tuple:
+        nonlocal pos
+        if pos + unpacker.size > len(data):
+            raise SimulationError("inproc case record truncated")
+        values = unpacker.unpack_from(data, pos)
+        pos += unpacker.size
+        return values
+
+    steps, time_budget, deadline, n_ports = take(_CASE_HEADER)
     record = {
-        "steps": cur.i64(),
-        "time_budget": cur.f64(),
-        "deadline": cur.f64(),
+        "steps": steps,
+        "time_budget": time_budget,
+        "deadline": deadline,
         "ports": [],
     }
-    n_ports = cur.i64()
     for _ in range(n_ports):
-        port = {}
-        for attr, _member, kind in DESCRIPTOR_FIELDS:
-            if kind == "i":
-                port[attr] = cur.i64()
-            elif kind == "u":
-                port[attr] = cur.u64()
-            else:
-                port[attr] = cur.f64()
-        tab_len = cur.i64()
-        if port["table_is_float"]:
-            port["table"] = tuple(cur.f64() for _ in range(tab_len))
-        else:
-            port["table"] = tuple(cur.i64() for _ in range(tab_len))
+        port = {
+            attr: value
+            for (attr, _member, _kind), value in zip(
+                DESCRIPTOR_FIELDS, take(_PORT_FIELDS)
+            )
+        }
+        (tab_len,) = take(_I64)
+        if tab_len < 0:
+            raise SimulationError(f"negative table length {tab_len}")
+        code = "d" if port["table_is_float"] else "q"
+        port["table"] = take(struct.Struct(f"<{tab_len}{code}"))
         record["ports"].append(port)
-    if cur.pos != len(data):
+    if pos != len(data):
         raise SimulationError("trailing bytes after case record")
     return record
 
 
-_METRIC_ORDER = (Metric.ACTOR, Metric.CONDITION, Metric.DECISION, Metric.MCDC)
+def _value_code(dtype) -> str:
+    """The struct code of one value word, decoded the way the C side
+    encoded it: floats widened to double, integers sign- or
+    zero-extended to 64 bits."""
+    if dtype.is_float:
+        return "d"
+    return "q" if dtype.is_signed else "Q"
 
 
-def _metric_sizes(plan) -> list[tuple[Metric, int]]:
-    points = plan.points
-    return [
-        (Metric.ACTOR, points.n_actor),
-        (Metric.CONDITION, points.n_condition),
-        (Metric.DECISION, points.n_decision),
-        (Metric.MCDC, points.n_mcdc),
-    ]
+class ResultDecoder:
+    """The packed result layout of one program shape, compiled once.
 
-
-def result_buffer_size(layout, plan, options: SimulationOptions) -> int:
-    """Exact byte size of the packed result for this program shape.
-
-    Must agree word for word with the writer ``codegen.compose`` emits
-    (the generated ``ACC_LIB_RESULT_SIZE``); the load-time handshake
-    cross-checks the two.  Monitors reserve their full ``monitor_limit``
-    worth of samples — the written prefix is shorter when fewer fired.
+    Built per compiled unit (like
+    :class:`repro.codegen.driver.ParseTables` for the text protocol) and
+    reused for every case it runs.  Everything up to the monitors sits
+    at fixed offsets, so one :class:`struct.Struct` unpacks the header,
+    checksums, outputs, coverage words and diagnosis slots in a single
+    call; each monitor then costs one ``iter_unpack`` over its
+    ``(step, value)`` pairs.  :attr:`size` is the exact buffer size,
+    monitors reserving their full ``monitor_limit`` (the written prefix
+    is shorter when fewer fired).  It must agree word for word with the
+    writer ``codegen.compose`` emits (the generated
+    ``ACC_LIB_RESULT_SIZE``); the load-time handshake cross-checks the
+    two.
     """
-    n_out = len(layout.outports)
-    size = 8 * 4  # steps_run, halt_step, elapsed, flags
-    if options.checksum:
-        size += 8 * n_out
-    size += 8 * n_out  # output bits
-    if plan.coverage_enabled:
-        for _metric, n in _metric_sizes(plan):
-            size += 8 * ((n + 63) // 64)
-    size += 16 * len(layout.diag_slots)
-    mon_limit = max(1, options.monitor_limit)
-    size += len(layout.monitors) * (8 + 16 * mon_limit)
-    return size
 
-
-def decode_coverage(
-    buf: bytes,
-    layout,
-    plan,
-    options: SimulationOptions,
-) -> Optional[dict[Metric, Bitmap]]:
-    """Slice ONLY the coverage words out of a filled result buffer.
-
-    The cheap path for coverage probing (``repro corpus replay``): skips
-    output/diagnostic/monitor reconstruction entirely and seeks straight
-    to the coverage region, whose offset is fixed by the layout.  Returns
-    ``None`` when the program collects no coverage or when the per-case
-    deadline tripped (a truncated run's bitmap would under-report and
-    poison an accumulated map).
-    """
-    if not plan.coverage_enabled:
-        return None
-    flags = _U64.unpack_from(buf, 24)[0]
-    if flags & 1:  # deadline_exceeded
-        return None
-    n_out = len(layout.outports)
-    offset = 8 * 4  # steps_run, halt_step, elapsed, flags
-    if options.checksum:
-        offset += 8 * n_out
-    offset += 8 * n_out  # output bits
-    bitmaps: dict[Metric, Bitmap] = {}
-    for metric, n in _metric_sizes(plan):
-        n_words = (n + 63) // 64
-        words = list(struct.unpack_from(f"<{n_words}Q", buf, offset))
-        offset += 8 * n_words
-        bitmaps[metric] = Bitmap.from_words(n, words)
-    return bitmaps
-
-
-def decode_result(
-    buf: bytes,
-    prog,
-    plan,
-    layout,
-    options: SimulationOptions,
-    *,
-    engine: str = "accmos",
-) -> SimulationResult:
-    """Decode one filled result buffer into a :class:`SimulationResult`.
-
-    Mirrors :func:`repro.codegen.driver.parse_result` line for line —
-    same static-warning seeding, same coverage/diagnostic/monitor
-    reconstruction — so inproc results compare byte-identical to every
-    other rung's.
-    """
-    cur = _Cursor(buf)
-    steps_run = cur.i64()
-    halt_step = cur.i64()
-    elapsed = cur.f64()
-    flags = cur.u64()
-
-    checksums: dict[str, int] = {}
-    if options.checksum:
-        for name, _dtype in layout.outports:
-            checksums[name] = cur.u64()
-    outputs: dict[str, object] = {}
-    for name, dtype in layout.outports:
-        # Floats travel widened to double (like the text %a path).
-        value = cur.raw8()
-        if dtype.is_float:
-            outputs[name] = _F64.unpack(value)[0]
-        elif dtype.is_signed:
-            outputs[name] = _I64.unpack(value)[0]
-        else:
-            outputs[name] = _U64.unpack(value)[0]
-
-    coverage = None
-    if plan.coverage_enabled:
-        bitmaps: dict[Metric, Bitmap] = {}
-        for metric, n in _metric_sizes(plan):
-            words = [cur.u64() for _ in range((n + 63) // 64)]
-            bitmaps[metric] = Bitmap.from_words(n, words)
-        coverage = CoverageReport.from_bitmaps(plan.points, bitmaps)
-
-    log = DiagnosticLog()
-    for event in plan.static_warnings:
-        log.add_static(event.path, event.kind, event.message)
-    for slot in range(len(layout.diag_slots)):
-        first = cur.i64()
-        count = cur.u64()
-        if first >= 0:
-            path, kind, message = layout.diag_slots[slot]
-            log.set_aggregate(path, kind, first, count, message)
-
-    monitored: dict[str, list] = {mon.path: [] for mon in layout.monitors}
-    for mon in layout.monitors:
-        n = cur.u64()
-        for _ in range(n):
-            step = cur.i64()
-            monitored[mon.path].append((step, cur.value(mon.dtype)))
-
-    result = SimulationResult(
-        engine=engine,
-        model_name=prog.model.name,
-        steps_requested=options.steps,
-        steps_run=steps_run,
-        wall_time=elapsed,
-        outputs=outputs,
-        checksums=checksums,
-        coverage=coverage,
-        diagnostics=log.events(),
-        halted_at=None if halt_step < 0 else halt_step,
-        monitored=monitored,
+    __slots__ = (
+        "plan",
+        "size",
+        "_prefix",
+        "_out_names",
+        "_checksum_end",
+        "_outputs_end",
+        "_coverage",
+        "_diag_slots",
+        "_monitors",
+        "_monitor_limit",
     )
-    if flags & 1:
-        result.extra["deadline_exceeded"] = True
-    return result
+
+    def __init__(self, layout, plan, options: SimulationOptions) -> None:
+        self.plan = plan
+        n_out = len(layout.outports)
+        codes = ["qqdQ"]  # steps_run, halt_step, elapsed, flags
+        self._checksum_end = 4 + (n_out if options.checksum else 0)
+        codes.append("Q" * (self._checksum_end - 4))
+        codes.extend(_value_code(dtype) for _name, dtype in layout.outports)
+        self._out_names = [name for name, _dtype in layout.outports]
+        self._outputs_end = self._checksum_end + n_out
+        # (metric, points, first word index, end word index) per metric.
+        self._coverage: "list[tuple[Metric, int, int, int]]" = []
+        if plan.coverage_enabled:
+            points = plan.points
+            start = self._outputs_end
+            for metric, n in (
+                (Metric.ACTOR, points.n_actor),
+                (Metric.CONDITION, points.n_condition),
+                (Metric.DECISION, points.n_decision),
+                (Metric.MCDC, points.n_mcdc),
+            ):
+                n_words = (n + 63) // 64
+                self._coverage.append((metric, n, start, start + n_words))
+                start += n_words
+            codes.append("Q" * (start - self._outputs_end))
+        codes.append("qQ" * len(layout.diag_slots))
+        self._diag_slots = list(layout.diag_slots)
+        self._prefix = struct.Struct("<" + "".join(codes))
+        self._monitor_limit = max(1, options.monitor_limit)
+        self._monitors = [
+            (mon.path, struct.Struct("<q" + _value_code(mon.dtype)))
+            for mon in layout.monitors
+        ]
+        self.size = self._prefix.size + len(self._monitors) * (
+            8 + 16 * self._monitor_limit
+        )
+
+    def _unpack_prefix(self, buf: bytes) -> tuple:
+        if len(buf) < self._prefix.size:
+            raise SimulationError("inproc result buffer truncated")
+        return self._prefix.unpack_from(buf)
+
+    def decode(
+        self,
+        buf: bytes,
+        prog,
+        options: SimulationOptions,
+        *,
+        engine: str = "accmos",
+    ) -> SimulationResult:
+        """Decode one filled result buffer into a :class:`SimulationResult`.
+
+        The same static-warning seeding and coverage/diagnostic/monitor
+        reconstruction as :func:`repro.codegen.driver.parse_result`, so
+        in-process results compare byte-identical to every other rung's.
+        A buffer too short for the layout, or a monitor claiming more
+        samples than ``monitor_limit`` allows, raises
+        :class:`SimulationError`.
+        """
+        words = self._unpack_prefix(buf)
+        steps_run, halt_step, elapsed, flags = words[:4]
+        checksums = dict(zip(self._out_names, words[4 : self._checksum_end]))
+        outputs = dict(
+            zip(self._out_names, words[self._checksum_end : self._outputs_end])
+        )
+
+        coverage = None
+        if self._coverage:
+            bitmaps = {
+                metric: Bitmap.from_words(n, words[start:end])
+                for metric, n, start, end in self._coverage
+            }
+            coverage = CoverageReport.from_bitmaps(self.plan.points, bitmaps)
+
+        log = DiagnosticLog()
+        for event in self.plan.static_warnings:
+            log.add_static(event.path, event.kind, event.message)
+        base = len(words) - 2 * len(self._diag_slots)
+        for (path, kind, message), first, count in zip(
+            self._diag_slots, words[base::2], words[base + 1 :: 2]
+        ):
+            if first >= 0:
+                log.set_aggregate(path, kind, first, count, message)
+
+        monitored: dict[str, list] = {}
+        pos = self._prefix.size
+        for path, pair in self._monitors:
+            if pos + 8 > len(buf):
+                raise SimulationError("inproc result buffer truncated")
+            (n,) = _U64.unpack_from(buf, pos)
+            pos += 8
+            if n > self._monitor_limit:
+                raise SimulationError(
+                    f"inproc monitor {path!r} reports {n} samples, more "
+                    f"than its monitor_limit of {self._monitor_limit}"
+                )
+            end = pos + 16 * n
+            if end > len(buf):
+                raise SimulationError("inproc result buffer truncated")
+            monitored[path] = list(pair.iter_unpack(buf[pos:end]))
+            pos = end
+
+        result = SimulationResult(
+            engine=engine,
+            model_name=prog.model.name,
+            steps_requested=options.steps,
+            steps_run=steps_run,
+            wall_time=elapsed,
+            outputs=outputs,
+            checksums=checksums,
+            coverage=coverage,
+            diagnostics=log.events(),
+            halted_at=None if halt_step < 0 else halt_step,
+            monitored=monitored,
+        )
+        if flags & 1:
+            result.extra["deadline_exceeded"] = True
+        return result
+
+    def decode_coverage(self, buf: bytes) -> Optional[dict[Metric, Bitmap]]:
+        """Slice ONLY the coverage words out of a filled result buffer.
+
+        The cheap path for coverage probing (``repro corpus replay``):
+        skips output/diagnostic/monitor reconstruction and slices the
+        coverage words out of the fixed prefix.  Returns ``None``
+        when the program collects no coverage or when the per-case
+        deadline tripped (a truncated run's bitmap would under-report
+        and poison an accumulated map).
+        """
+        if not self._coverage:
+            return None
+        words = self._unpack_prefix(buf)
+        if words[3] & 1:  # flags: deadline_exceeded
+            return None
+        return {
+            metric: Bitmap.from_words(n, words[start:end])
+            for metric, n, start, end in self._coverage
+        }

@@ -63,6 +63,7 @@ def run_jobs_inproc_threads(
     jobs: "list[SimulationJob]",
     *,
     threads: int,
+    keys: "Optional[list[Optional[tuple]]]" = None,
     cache: "Union[ArtifactCache, None, bool]" = None,
     timeout_seconds: Optional[float] = None,
     retries: int = 1,
@@ -70,16 +71,22 @@ def run_jobs_inproc_threads(
     cost_model: Optional[CaseCostModel] = None,
     _sleep=time.sleep,
 ) -> "list[JobResult]":
-    """Execute every job; one :class:`JobResult` per job, in order."""
+    """Execute every job; one :class:`JobResult` per job, in order.
+
+    ``keys`` holds each job's :func:`~repro.runner.jobs.batch_key` when
+    the caller already has them (the streaming scheduler keys every job
+    once up front); without them each job is keyed here.
+    """
     if threads < 1:
         raise ValueError("threads must be at least 1")
     jobs = list(jobs)
+    if keys is None:
+        keys = [batch_key(job) for job in jobs]
     ordered: "list[Optional[JobResult]]" = [None] * len(jobs)
 
     groups: "dict[tuple, list[int]]" = {}
     singles: "list[int]" = []
-    for index, job in enumerate(jobs):
-        key = batch_key(job)
+    for index, key in enumerate(keys):
         if key is None:
             singles.append(index)
         else:

@@ -244,7 +244,12 @@ def batch_key(job: SimulationJob) -> Optional[tuple]:
     from repro.codegen.descriptor import descriptors_for
     from repro.engines.accmos import _structural_fingerprint
 
-    if descriptors_for(job.prog, job.resolved_stimuli()) is None:
+    # Seed-derived default stimuli are built-in generators, all of which
+    # export runtime descriptors: only explicit stimuli need checking,
+    # so keying a job never builds its stimuli.
+    if job.stimuli is not None and (
+        descriptors_for(job.prog, job.stimuli) is None
+    ):
         return None
     return (id(job.prog), _structural_fingerprint(job.resolved_options()))
 

@@ -70,6 +70,7 @@ from concurrent.futures import (
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence, Union
 
 from repro import telemetry
+from repro.model.errors import CodegenError
 from repro.runner.costmodel import (
     CostModelStore,
     cost_key,
@@ -672,7 +673,8 @@ class StreamScheduler:
         dispatcher: the artifact cache has no per-key compile lock, so
         concurrent cold-cache chunks would race into redundant gcc runs.
         Serial dispatch (chunk concurrency 1) needs no warming — the
-        first chunk *is* the warmer.
+        first chunk *is* the warmer.  The warmed program's codegen is
+        memoized, so every chunk of its key reuses it.
         """
         if (
             self._prewarmed
@@ -695,8 +697,13 @@ class StreamScheduler:
                     job.prog, job.resolved_options(), cache=self._cache,
                     artifact="shared" if self._use_shared(job) else "binary",
                 )
-            except Exception:
-                pass  # the chunk path reports compile failures properly
+            except (CodegenError, OSError):
+                # Generation or gcc failures (CompilationError is a
+                # CodegenError) and filesystem trouble in the cache: the
+                # chunk path meets the same failure and reports it per
+                # job, with retries and the fallback ladder.  Anything
+                # else is a bug and propagates.
+                pass
 
     def _use_shared(self, job: SimulationJob) -> bool:
         return self._inproc or self._mode == "inproc-threads"
@@ -845,10 +852,9 @@ class StreamScheduler:
         telemetry.gauge_set(
             "campaign.scheduler.in_flight", self._in_flight_cases
         )
-        chunk_jobs = [self._jobs[i] for i in chunk]
         if self._chunk_concurrency == 1:
             try:
-                results = self._run_chunk(chunk_jobs)
+                results = self._run_chunk(chunk)
             finally:
                 if is_long:
                     self._long_running -= 1
@@ -859,12 +865,13 @@ class StreamScheduler:
 
             future = self._pool().submit(
                 _run_chunk_in_process,
-                chunk_jobs, self._cache_root, self._cache_max_bytes,
+                [self._jobs[i] for i in chunk],
+                self._cache_root, self._cache_max_bytes,
                 self._timeout_seconds, self._retries, self._backoff_seconds,
                 self._session is not None, self._serve, self._inproc,
             )
         else:
-            future = self._pool().submit(self._run_chunk_worker, chunk_jobs)
+            future = self._pool().submit(self._run_chunk_worker, chunk)
         self._futures[future] = (chunk, is_long)
 
     def _pool(self):
@@ -880,8 +887,9 @@ class StreamScheduler:
                 )
         return self._executor
 
-    def _run_chunk(self, chunk_jobs: "list[SimulationJob]") -> "list[JobResult]":
+    def _run_chunk(self, chunk: "list[int]") -> "list[JobResult]":
         start = time.perf_counter()
+        chunk_jobs = [self._jobs[i] for i in chunk]
         try:
             if self._mode == "inproc-threads":
                 from repro.runner.inproc_threads import run_jobs_inproc_threads
@@ -889,6 +897,7 @@ class StreamScheduler:
                 return run_jobs_inproc_threads(
                     chunk_jobs,
                     threads=self._workers,
+                    keys=[self._keys[i] for i in chunk],
                     cache=self._cache,
                     timeout_seconds=self._timeout_seconds,
                     retries=self._retries,
@@ -911,15 +920,13 @@ class StreamScheduler:
                 factor = self._workers if self._mode == "inproc-threads" else 1
                 self._busy_seconds += elapsed * factor
 
-    def _run_chunk_worker(
-        self, chunk_jobs: "list[SimulationJob]"
-    ) -> "list[JobResult]":
+    def _run_chunk_worker(self, chunk: "list[int]") -> "list[JobResult]":
         # Worker threads have an empty span stack; adopt the caller's
         # span so job spans nest under the campaign.
         if self._tracer is None:
-            return self._run_chunk(chunk_jobs)
+            return self._run_chunk(chunk)
         with self._tracer.adopt(self._parent_span_id):
-            return self._run_chunk(chunk_jobs)
+            return self._run_chunk(chunk)
 
     # -- completion ------------------------------------------------------
     def _drain_completions(self, block: bool) -> None:

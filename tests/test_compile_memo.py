@@ -1,0 +1,261 @@
+"""The per-program codegen memo behind ``compile_model``.
+
+Codegen runs once per (program, structural options); every later
+``compile_model`` call reuses the generated source, layout and result
+decoder, yet still goes through the artifact-cache lookup and still
+returns a handle of its own.  These tests pin each half of that
+contract, plus the memo's lifetime rules: entries die with their
+program, and a recycled ``id`` never aliases a dead program's source.
+"""
+
+from __future__ import annotations
+
+import gc
+
+import pytest
+
+from repro import SimulationOptions, telemetry
+from repro.campaign import run_campaign
+from repro.codegen import driver as driver_mod
+from repro.codegen.driver import supports_shared_objects
+from repro.dtypes import F64
+from repro.engines import accmos as accmos_mod
+from repro.engines.accmos import compile_model
+from repro.inproc import LibraryFault
+from repro.model.builder import ModelBuilder
+from repro.runner.cache import ArtifactCache
+from repro.schedule import preprocess
+from repro.stimuli import default_stimuli
+
+from conftest import HAS_CC, requires_cc
+from helpers import assert_results_agree
+
+requires_shared = pytest.mark.skipif(
+    not HAS_CC or supports_shared_objects() is not True,
+    reason="toolchain cannot build loadable shared objects",
+)
+
+
+def _gain_program(gain: float):
+    """Same model name, same actor count: only a parameter differs."""
+    b = ModelBuilder("MemoTwin")
+    x = b.inport("X", dtype=F64)
+    b.outport("Y", b.gain("G", x, gain, dtype=F64))
+    return preprocess(b.build())
+
+
+def _codegen_spans(session) -> int:
+    return sum(1 for span in session.tracer.finished() if span.name == "codegen")
+
+
+@pytest.fixture
+def gcc_calls(monkeypatch):
+    calls = {"n": 0}
+    real = driver_mod._run_compiler
+
+    def counting(*args, **kwargs):
+        calls["n"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(driver_mod, "_run_compiler", counting)
+    return calls
+
+
+@requires_cc
+def test_twin_programs_never_share_an_entry(tmp_path):
+    cache = ArtifactCache(tmp_path / "cache")
+    opts = SimulationOptions(steps=10)
+    first = _gain_program(2.0)
+    second = _gain_program(3.0)
+    assert first.model.name == second.model.name
+    assert len(first.actors) == len(second.actors)
+
+    a = compile_model(first, opts, cache=cache)
+    b = compile_model(second, opts, cache=cache)
+    assert a.source != b.source
+    assert a.compiled.cache_key != b.compiled.cache_key
+    stimuli = default_stimuli(first, seed=4)
+    assert a.run(stimuli).outputs != b.run(stimuli).outputs
+
+
+@requires_cc
+def test_each_call_returns_a_fresh_handle(tmp_path):
+    cache = ArtifactCache(tmp_path / "cache")
+    prog = _gain_program(2.0)
+    opts = SimulationOptions(steps=10)
+    with telemetry.capture() as session:
+        first = compile_model(prog, opts, cache=cache)
+        second = compile_model(prog, opts, cache=cache)
+    assert _codegen_spans(session) == 1
+    assert first is not second
+    # The memo hit reused the codegen product and spent no codegen time.
+    assert second.source is first.source
+    assert second.decoder is first.decoder
+    assert second.generate_seconds == 0.0
+    assert second.cache_hit
+
+    first._quarantine_inproc(LibraryFault("induced"))
+    assert not first.inproc_available
+    assert second.inproc_available
+    assert compile_model(prog, opts, cache=cache).inproc_available
+
+
+@requires_cc
+def test_evicted_entry_recompiles_on_a_memo_hit(tmp_path, gcc_calls):
+    cache = ArtifactCache(tmp_path / "cache")
+    prog = _gain_program(2.0)
+    opts = SimulationOptions(steps=10)
+    compile_model(prog, opts, cache=cache)
+    assert (gcc_calls["n"], cache.stats().misses) == (1, 1)
+
+    compile_model(prog, opts, cache=cache)
+    assert (gcc_calls["n"], cache.stats().hits) == (1, 1)
+
+    assert cache.clear() == 1
+    again = compile_model(prog, opts, cache=cache)
+    assert not again.cache_hit
+    assert (gcc_calls["n"], cache.stats().misses) == (2, 2)
+
+    # A damaged entry (artifact gone, source kept) is a miss as well.
+    again.compiled.binary.unlink()
+    compile_model(prog, opts, cache=cache)
+    assert (gcc_calls["n"], cache.stats().misses) == (3, 3)
+
+
+@requires_cc
+@pytest.mark.parametrize("bypass", ["no-cache", "workdir"])
+def test_no_cache_and_workdir_bypass_the_memo(tmp_path, bypass):
+    prog = _gain_program(2.0)
+    opts = SimulationOptions(steps=10)
+    with telemetry.capture() as session:
+        for run in range(2):
+            if bypass == "no-cache":
+                model = compile_model(prog, opts, cache=False)
+            else:
+                model = compile_model(prog, opts, workdir=tmp_path / f"w{run}")
+            assert model.generate_seconds > 0.0
+    assert _codegen_spans(session) == 2
+
+
+@requires_cc
+def test_entries_die_with_their_program(tmp_path):
+    cache = ArtifactCache(tmp_path / "cache")
+    opts = SimulationOptions(steps=10)
+    programs = accmos_mod._CODEGEN_MEMO._programs
+    gc.collect()
+    before = len(programs)
+    for gain in (2.0, 3.0, 4.0):
+        compile_model(_gain_program(gain), opts, cache=cache)
+    gc.collect()
+    assert len(programs) == before
+
+    prog = _gain_program(5.0)
+    compile_model(prog, opts, cache=cache)
+    assert len(programs) == before + 1
+    del prog
+    gc.collect()
+    assert len(programs) == before
+
+
+def test_memo_holds_a_bounded_number_of_shapes_per_program():
+    memo = accmos_mod._CodegenMemo()
+    prog = _gain_program(2.0)
+    builds = []
+
+    def build(tag):
+        builds.append(tag)
+        return tag
+
+    for tag in range(memo.PER_PROGRAM + 3):
+        assert memo.get(prog, (tag,), lambda: build(tag)) == (tag, False)
+    assert memo.get(prog, (memo.PER_PROGRAM + 2,), lambda: build(-1)) == (
+        memo.PER_PROGRAM + 2, True,
+    )
+    # The oldest shapes were evicted and rebuild on demand.
+    assert memo.get(prog, (0,), lambda: build("again")) == ("again", False)
+    assert -1 not in builds
+
+
+def test_recycled_id_never_aliases_a_dead_program():
+    """A stale slot whose program died (its weakref is dead) under the
+    same ``id`` must rebuild, never serve the dead program's entry."""
+    memo = accmos_mod._CodegenMemo()
+    prog = _gain_program(2.0)
+    memo.get(prog, ("fp",), lambda: "live")
+
+    class _Dead:
+        def __call__(self):
+            return None
+
+    memo._programs[id(prog)] = (_Dead(), {("fp",): "dead"})
+    assert memo.get(prog, ("fp",), lambda: "rebuilt") == ("rebuilt", False)
+
+
+@requires_shared
+def test_cold_campaign_runs_one_codegen_and_one_gcc(tmp_path, gcc_calls):
+    prog = _gain_program(2.0)
+    cache = ArtifactCache(tmp_path / "cache")
+    with telemetry.capture() as session:
+        outcome = run_campaign(
+            prog, steps=32, max_cases=64, plateau_patience=64,
+            cache=cache, threads=2,
+        )
+    assert outcome.n_cases == 64
+    assert _codegen_spans(session) == 1
+    assert gcc_calls["n"] == 1
+
+    reference = run_campaign(
+        prog, engine="sse", steps=32, max_cases=64, plateau_patience=64,
+    )
+    for via_accmos, via_sse in zip(outcome.cases, reference.cases):
+        assert (via_accmos.seed, via_accmos.new_points) == (
+            via_sse.seed, via_sse.new_points,
+        )
+
+
+@requires_cc
+def test_memo_hit_results_match_a_fresh_codegen(tmp_path):
+    cache = ArtifactCache(tmp_path / "cache")
+    prog = _gain_program(2.5)
+    opts = SimulationOptions(steps=40)
+    compile_model(prog, opts, cache=cache)
+    memoized = compile_model(prog, opts, cache=cache)
+    fresh = compile_model(prog, opts, cache=False)
+    stimuli = default_stimuli(prog, seed=9)
+    assert_results_agree(fresh.run(stimuli), memoized.run(stimuli))
+    assert memoized.run(stimuli).extra["source_lines"] == (
+        fresh.source.count("\n") + 1
+    )
+
+
+@requires_shared
+def test_campaign_derives_each_case_stimuli_once(tmp_path, monkeypatch):
+    """Keying a job never builds its stimuli, and the scheduler's keys
+    travel down to the threaded dispatcher: one stimulus build and one
+    descriptor derivation per case."""
+    import repro.codegen.descriptor as descriptor_mod
+    import repro.stimuli.generators as generators_mod
+
+    counts = {"stimuli": 0, "descriptors": 0}
+    real_stimuli = generators_mod.default_stimuli
+    real_descriptors = descriptor_mod.descriptors_for
+
+    def counting_stimuli(*args, **kwargs):
+        counts["stimuli"] += 1
+        return real_stimuli(*args, **kwargs)
+
+    def counting_descriptors(*args, **kwargs):
+        counts["descriptors"] += 1
+        return real_descriptors(*args, **kwargs)
+
+    monkeypatch.setattr(generators_mod, "default_stimuli", counting_stimuli)
+    monkeypatch.setattr(
+        descriptor_mod, "descriptors_for", counting_descriptors
+    )
+    monkeypatch.setattr(accmos_mod, "descriptors_for", counting_descriptors)
+    outcome = run_campaign(
+        _gain_program(2.0), steps=16, max_cases=24, plateau_patience=24,
+        cache=ArtifactCache(tmp_path / "cache"), threads=2,
+    )
+    assert outcome.n_cases == 24
+    assert counts == {"stimuli": 24, "descriptors": 24}

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import SimulationOptions, simulate
 from repro.codegen.descriptor import descriptors_for, encode_case
@@ -483,3 +485,136 @@ def test_shared_and_binary_share_one_cache_entry(tmp_path):
     # Two misses (one per artifact's first build), then pure hits.
     stats = cache.stats()
     assert (stats.misses, stats.entries) == (2, 1)
+
+
+# ----------------------------------------------------------------------
+# the precompiled result decoder: typed errors on malformed buffers
+# ----------------------------------------------------------------------
+def _region_ends(model) -> "dict[str, int]":
+    """Byte offset at which each result-buffer region ends, derived from
+    the layout independently of the decoder."""
+    layout, plan = model.layout, model.plan
+    n_out = len(layout.outports)
+    ends = {"header": 32}
+    words_per_outport = 2 if model.options.checksum else 1
+    ends["outputs"] = ends["header"] + 8 * n_out * words_per_outport
+    p = plan.points
+    cov_words = sum(
+        (n + 63) // 64
+        for n in (p.n_actor, p.n_condition, p.n_decision, p.n_mcdc)
+    )
+    ends["coverage"] = ends["outputs"] + 8 * cov_words
+    ends["diagnostics"] = ends["coverage"] + 16 * len(layout.diag_slots)
+    ends["monitor count"] = ends["diagnostics"] + 8
+    return ends
+
+
+@pytest.fixture(scope="module")
+def decoded_case(zoo_programs):
+    """One filled result buffer from a model with every region present."""
+    prog, stimuli = zoo_programs["logic_decisions"]
+    opts = SimulationOptions(steps=40, coverage=True, diagnostics=True)
+    model = compile_model(prog, opts, cache=False, artifact="shared")
+    lib = model.load()
+    try:
+        record = encode_case_binary(descriptors_for(prog, stimuli()), steps=40)
+        buf = lib.run_case(record)
+    finally:
+        lib.retire()
+    return model, opts, buf
+
+
+@requires_shared
+def test_decoder_rejects_truncation_at_every_region(decoded_case):
+    import struct
+
+    from repro.model.errors import SimulationError
+
+    model, opts, buf = decoded_case
+    assert len(buf) == model.decoder.size
+    ends = _region_ends(model)
+    assert model.layout.diag_slots and model.layout.monitors
+    (n_first,) = struct.unpack_from("<Q", buf, ends["diagnostics"])
+    assert n_first > 0
+    ends["monitor samples"] = ends["monitor count"] + 16 * n_first
+    # The full buffer decodes; every cut just short of a region's end
+    # raises the typed error, never a bare struct.error.
+    model.decoder.decode(buf, model.prog, opts)
+    for region, end in ends.items():
+        with pytest.raises(SimulationError, match="truncated"):
+            model.decoder.decode(buf[: end - 1], model.prog, opts)
+        with pytest.raises(SimulationError, match="truncated"):
+            model.decoder.decode(buf[: end - 8], model.prog, opts)
+
+
+@requires_shared
+def test_decoder_rejects_monitor_count_above_limit(decoded_case):
+    import struct
+
+    from repro.model.errors import SimulationError
+
+    model, opts, buf = decoded_case
+    at = _region_ends(model)["diagnostics"]
+    forged = bytearray(buf)
+    struct.pack_into("<Q", forged, at, opts.monitor_limit + 1)
+    with pytest.raises(SimulationError, match="monitor_limit"):
+        model.decoder.decode(bytes(forged), model.prog, opts)
+
+
+@requires_shared
+def test_coverage_probe_matches_full_decode(decoded_case):
+    model, opts, buf = decoded_case
+    full = model.decoder.decode(buf, model.prog, opts)
+    assert model.decoder.decode_coverage(buf) == full.coverage.bitmaps
+
+
+# ----------------------------------------------------------------------
+# property: the binary decode equals the text protocol's parse
+# ----------------------------------------------------------------------
+def _canonical(result) -> tuple:
+    """Every decoded field, NaN- and sign-exact (``repr`` of floats)."""
+    return (
+        result.steps_run,
+        result.halted_at,
+        repr(sorted(result.outputs.items())),
+        sorted(result.checksums.items()),
+        None if result.coverage is None else result.coverage.bitmaps,
+        [(e.path, e.kind.value, e.first_step, e.count, e.message)
+         for e in result.diagnostics],
+        repr(result.monitored),
+    )
+
+
+@pytest.fixture(scope="module")
+def property_cache(tmp_path_factory):
+    return ArtifactCache(tmp_path_factory.mktemp("property-cache"))
+
+
+@requires_shared
+@settings(
+    max_examples=24,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    name=st.sampled_from(sorted(ZOO)),
+    checksum=st.booleans(),
+    coverage=st.booleans(),
+    diagnostics=st.booleans(),
+    monitor_limit=st.sampled_from([1, 3, 7, 256]),
+    steps=st.integers(min_value=0, max_value=60),
+)
+def test_binary_decode_equals_text_parse(
+    zoo_programs, property_cache, name, checksum, coverage, diagnostics,
+    monitor_limit, steps,
+):
+    prog, stimuli = zoo_programs[name]
+    opts = SimulationOptions(
+        steps=steps, checksum=checksum, coverage=coverage,
+        diagnostics=diagnostics, monitor_limit=monitor_limit,
+    )
+    model = compile_model(prog, opts, cache=property_cache, artifact="shared")
+    (via_text,) = model.run_batch([(stimuli(), None)])
+    (via_binary,) = model.run_inproc([(stimuli(), None)])
+    assert model.inproc_available
+    assert _canonical(via_binary) == _canonical(via_text)

@@ -806,3 +806,55 @@ class TestStreamScheduler:
         first = scheduler.finish()
         second = scheduler.finish()
         assert first["folded"] == second["folded"] == 2
+
+
+# ----------------------------------------------------------------------
+# pre-warm compile failures: reported per job by the chunk path
+# ----------------------------------------------------------------------
+class TestPrewarmFailures:
+    def _jobs(self, n=4):
+        prog = preprocess(build_benchmark("SPV"))
+        return [
+            SimulationJob(
+                prog=prog, seed=1 + i, options=SimulationOptions(steps=20)
+            )
+            for i in range(n)
+        ]
+
+    @requires_cc
+    def test_failing_prewarm_compile_surfaces_as_typed_outcome(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.codegen import driver as driver_mod
+        from repro.model.errors import CompilationError
+
+        calls = {"n": 0}
+
+        def failing_compiler(*args, **kwargs):
+            calls["n"] += 1
+            raise CompilationError("induced gcc failure")
+
+        monkeypatch.setattr(driver_mod, "_run_compiler", failing_compiler)
+        results = run_jobs_streaming(
+            self._jobs(), workers=2, batch_size=2,
+            cache=ArtifactCache(tmp_path / "cache"), backoff_seconds=0.0,
+        )
+        assert calls["n"] > 1  # the pre-warm and the chunk path both tried
+        assert [r.ok for r in results] == [False] * 4
+        assert all(
+            r.error == "CompilationError: induced gcc failure"
+            for r in results
+        )
+
+    def test_unexpected_prewarm_error_propagates(self, tmp_path, monkeypatch):
+        from repro.engines import accmos as accmos_mod
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("bug in compile_model")
+
+        monkeypatch.setattr(accmos_mod, "compile_model", broken)
+        with pytest.raises(RuntimeError, match="bug in compile_model"):
+            run_jobs_streaming(
+                self._jobs(), workers=2, batch_size=2,
+                cache=ArtifactCache(tmp_path / "cache"),
+            )
