@@ -1,9 +1,11 @@
-"""Streaming work-conserving scheduler vs the wave-barrier loop.
+"""Streaming work-conserving scheduler vs a wave-barrier loop.
 
-The wave loop submits ``workers x batch`` cases, then blocks on the
-slowest one before the next wave starts.  On a cost-skewed corpus —
-most cases short, a few 20x longer — every wave containing a long case
-parks the whole fleet behind it.  The streaming scheduler keeps a
+The barrier regime ("wave") is built here from the scheduler itself:
+one :func:`run_jobs` call per slice of ``workers x batch`` cases, each
+call returning only when its slowest case has.  On a cost-skewed
+corpus — most cases short, a few 20x longer — every wave containing a
+long case parks the whole fleet behind it.  The streaming regime hands
+the whole corpus to one :func:`run_jobs` call: the scheduler keeps a
 bounded in-flight window topped up as workers free, folds results
 through a seed-ordered reorder buffer, and routes predicted-long cases
 to capped dedicated slots, so the short tail never queues behind a
@@ -17,9 +19,7 @@ exactly one gcc) through both regimes and asserts:
 * zero additional compiler invocations after the shared warmup;
 * streaming throughput is at least
   ``ACCMOS_BENCH_SCHED_MIN_SPEEDUP`` x the wave loop's (default 1.3;
-  skipped when the machine has fewer cores than workers);
-* on a saturating campaign, streaming discards strictly fewer
-  speculated cases than the wave loop for the same fleet.
+  skipped when the machine has fewer cores than workers).
 
 Knobs: ``ACCMOS_BENCH_SCHED_CASES`` (default 48),
 ``ACCMOS_BENCH_SCHED_STEPS`` (default 20000, the short-case cost),
@@ -39,9 +39,8 @@ import pytest
 
 from repro import SimulationOptions
 from repro.benchmarks import build_benchmark
-from repro.campaign import run_campaign
 from repro.codegen.driver import find_c_compiler, supports_shared_objects
-from repro.runner import ArtifactCache, run_jobs, run_jobs_streaming
+from repro.runner import ArtifactCache, run_jobs
 from repro.runner.costmodel import CostModelStore
 from repro.runner.jobs import SimulationJob
 from repro.schedule import preprocess
@@ -127,7 +126,7 @@ def test_streaming_beats_wave_loop_on_skewed_costs(tmp_path):
         return results
 
     def run_streaming(sink=None):
-        return run_jobs_streaming(
+        return run_jobs(
             jobs, workers=workers, window=2 * wave_size, adaptive=False,
             cost_store=store, stats_sink=sink, **mode_kwargs,
         )
@@ -203,26 +202,3 @@ def test_streaming_beats_wave_loop_on_skewed_costs(tmp_path):
         f"(required {_min_speedup():.2f}x)"
     )
 
-
-def test_streaming_discards_fewer_speculated_cases(tmp_path):
-    """At saturation the wave loop throws away up to a wave of completed
-    work; the bounded stream window throws away at most the window."""
-    if find_c_compiler() is None:
-        pytest.skip("no C compiler available")
-
-    prog = preprocess(build_benchmark(MODEL))
-    cache = ArtifactCache(tmp_path / "cache")
-    kwargs = dict(steps=2000, max_cases=12, plateau_patience=3,
-                  cache=cache, serve=False, threads=1)
-
-    wave = run_campaign(prog, workers=2, batch_size=4,
-                        scheduler="wave", **kwargs)
-    stream = run_campaign(prog, workers=2, batch_size=1, window=2,
-                          scheduler="stream", **kwargs)
-
-    assert wave.saturated and stream.saturated
-    assert wave.merged.bitmaps == stream.merged.bitmaps
-    assert stream.speculated_cases < wave.speculated_cases, (
-        f"stream speculated {stream.speculated_cases}, "
-        f"wave {wave.speculated_cases}"
-    )

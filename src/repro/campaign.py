@@ -70,11 +70,11 @@ class CampaignOutcome:
     # server-mode campaigns; None when the campaign didn't serve.
     server_stats: Optional[dict] = None
     # Cases that ran (or were already in flight) past the saturation
-    # point and were discarded by the ordered merge — speculation waste.
-    # The streaming scheduler keeps this strictly below the wave loop's.
+    # point and were discarded by the ordered merge — speculation waste,
+    # bounded by the scheduler's in-flight window.
     speculated_cases: int = 0
-    # The streaming scheduler's run report (window / batch trajectory,
-    # utilization, reorder depth, speculation); None for the wave loop.
+    # The scheduler's run report (window / batch trajectory, utilization,
+    # reorder depth, speculation); None until the campaign has run.
     scheduler_stats: Optional[dict] = None
 
     @property
@@ -100,50 +100,6 @@ class CampaignOutcome:
         return "\n".join(lines)
 
 
-def _validate_campaign_args(
-    *,
-    engine: str,
-    max_cases: int,
-    plateau_patience: int,
-    workers: int,
-    batch_size: Optional[int],
-    window: Optional[int],
-    scheduler: str,
-    threads: Optional[int],
-    options: Optional[SimulationOptions],
-    steps: Optional[int],
-) -> None:
-    """Shared validation for :func:`run_campaign` / :func:`iter_campaign`."""
-    from repro.engines.api import ENGINES
-
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; valid engines: "
-            f"{', '.join(sorted(ENGINES))}"
-        )
-    if max_cases < 1:
-        raise ValueError("max_cases must be at least 1")
-    if plateau_patience < 1:
-        raise ValueError("plateau_patience must be at least 1")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    if batch_size is not None and batch_size < 1:
-        raise ValueError("batch_size must be at least 1 (None = auto)")
-    if window is not None and window < 1:
-        raise ValueError("window must be at least 1 (None = auto)")
-    if scheduler not in ("stream", "wave"):
-        raise ValueError(
-            f"scheduler must be 'stream' or 'wave', not {scheduler!r}"
-        )
-    if threads is not None and threads < 0:
-        raise ValueError("threads must be non-negative (0/None = auto)")
-    if options is not None and steps is not None:
-        raise ValueError(
-            "pass either steps= or options= (which carries its own step "
-            "count), not both"
-        )
-
-
 def iter_campaign(
     prog: FlatProgram,
     *,
@@ -163,7 +119,6 @@ def iter_campaign(
     threads: Optional[int] = 1,
     window: Optional[int] = None,
     adaptive: bool = True,
-    scheduler: str = "stream",
     server_pool=None,
     cost_store=None,
 ):
@@ -183,12 +138,31 @@ def iter_campaign(
     ``server_pool`` and ``cost_store``; the campaign borrows them
     without closing or saving — the owner controls those lifetimes.
     """
-    _validate_campaign_args(
-        engine=engine, max_cases=max_cases,
-        plateau_patience=plateau_patience, workers=workers,
-        batch_size=batch_size, window=window, scheduler=scheduler,
-        threads=threads, options=options, steps=steps,
-    )
+    from repro.engines.api import ENGINES
+
+    if engine not in ENGINES:
+        raise ValueError(
+            f"unknown engine {engine!r}; valid engines: "
+            f"{', '.join(sorted(ENGINES))}"
+        )
+    if max_cases < 1:
+        raise ValueError("max_cases must be at least 1")
+    if plateau_patience < 1:
+        raise ValueError("plateau_patience must be at least 1")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+    if batch_size is not None and batch_size < 1:
+        raise ValueError("batch_size must be at least 1 (None = auto)")
+    if window is not None and window < 1:
+        raise ValueError("window must be at least 1 (None = auto)")
+    if threads is not None and threads < 0:
+        raise ValueError("threads must be non-negative (0/None = auto)")
+    if options is not None and steps is not None:
+        raise ValueError(
+            "pass either steps= or options= (which carries its own step "
+            "count), not both"
+        )
+
     from repro.runner.campaign import CampaignRun
 
     return CampaignRun(
@@ -209,7 +183,6 @@ def iter_campaign(
         threads=threads,
         window=window,
         adaptive=adaptive,
-        scheduler=scheduler,
         server_pool=server_pool,
         cost_store=cost_store,
     )
@@ -234,7 +207,6 @@ def run_campaign(
     threads: Optional[int] = 1,
     window: Optional[int] = None,
     adaptive: bool = True,
-    scheduler: str = "stream",
 ) -> CampaignOutcome:
     """Run up to ``max_cases`` differently-seeded random test cases.
 
@@ -244,15 +216,13 @@ def run_campaign(
     *or* a full ``options`` — both together raise ``ValueError``, since
     ``options`` carries its own step count.
 
-    ``workers > 1`` streams cases across the :mod:`repro.runner` pool
-    (``mode`` picks threads or processes) through a bounded in-flight
-    window — a completion is immediately followed by a submission, no
-    barrier — while the coverage merge stays in seed order (a reorder
-    buffer restores it), so the outcome is byte-identical to a serial
-    run.  ``window`` bounds how many cases may be in flight at once
-    (default: ``workers × batch_size``); ``scheduler="wave"`` selects
-    the legacy barrier loop instead (waves of ``workers × batch_size``
-    seeds, folded at a barrier — kept as the reference discipline).
+    ``workers > 1`` streams cases across the :mod:`repro.runner`
+    scheduler (``mode`` picks threads or processes) through a bounded
+    in-flight window — a completion is immediately followed by a
+    submission, no barrier — while the coverage merge stays in seed
+    order (a reorder buffer restores it), so the outcome is
+    byte-identical to a serial run.  ``window`` bounds how many cases
+    may be in flight at once (default: ``workers × batch_size``).
     ``cache`` routes compiles through an artifact cache (default: the
     process-wide one); ``timeout_seconds`` bounds each case's binary
     run.
@@ -275,7 +245,7 @@ def run_campaign(
     speculation is counted in ``CampaignOutcome.speculated_cases``.
 
     ``serve`` (default on) streams batched cases through warm
-    ``--serve`` processes kept alive across waves — steady-state zero
+    ``--serve`` processes kept alive across chunks — steady-state zero
     process spawns, with automatic fallback to spawn-per-batch on any
     server trouble, so results are byte-identical either way.  It only
     applies where descriptors (and batches) are available, i.e. the
@@ -290,7 +260,7 @@ def run_campaign(
     and falls back to the server/spawn paths, so results stay
     byte-identical either way.
 
-    ``threads`` engages thread-parallel in-process execution: waves are
+    ``threads`` engages thread-parallel in-process execution: chunks are
     grouped onto one shared compiled model and run by that many threads
     holding private library instances — N C simulation loops on N cores
     with *zero* process spawns (``ctypes`` releases the GIL).  Cases are
@@ -301,19 +271,10 @@ def run_campaign(
     AccMoS, else 1.  Only applies to the AccMoS engine; a library fault
     mid-campaign falls down the usual ladder.
     """
-    _validate_campaign_args(
-        engine=engine, max_cases=max_cases,
-        plateau_patience=plateau_patience, workers=workers,
-        batch_size=batch_size, window=window, scheduler=scheduler,
-        threads=threads, options=options, steps=steps,
-    )
-
-    from repro.runner.campaign import execute_campaign
-
-    return execute_campaign(
+    run = iter_campaign(
         prog,
         engine=engine,
-        steps=DEFAULT_STEPS if steps is None else steps,
+        steps=steps,
         max_cases=max_cases,
         plateau_patience=plateau_patience,
         base_seed=base_seed,
@@ -328,5 +289,7 @@ def run_campaign(
         threads=threads,
         window=window,
         adaptive=adaptive,
-        scheduler=scheduler,
     )
+    for _ in run:
+        pass
+    return run.outcome

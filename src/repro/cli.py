@@ -262,7 +262,6 @@ def cmd_campaign(args) -> int:
             threads=_parse_threads(args.threads),
             window=args.window,
             adaptive=args.adaptive,
-            scheduler=args.scheduler,
         )
     if args.json:
         # The canonical service encoding: this exact byte string is what
@@ -721,7 +720,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--uncovered", type=int, default=0, metavar="N",
                    help="also list up to N uncovered points")
     p.add_argument("--workers", type=int, default=1,
-                   help="parallel cases per wave (merge stays in seed order)")
+                   help="parallel worker slots (merge stays in seed order)")
     p.add_argument("--mode", choices=["thread", "process"], default="thread",
                    help="worker pool flavour for --workers > 1")
     p.add_argument("--batch-size", type=int, default=None, metavar="M",
@@ -736,14 +735,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="auto-tune batch size and window from observed "
                         "throughput and worker utilization (explicitly "
                         "passed values are never touched)")
-    p.add_argument("--scheduler", choices=["stream", "wave"],
-                   default="stream",
-                   help="dispatch discipline: work-conserving streaming "
-                        "(default) or the legacy barrier wave loop")
     p.add_argument("--serve", action=argparse.BooleanOptionalAction,
                    default=True,
                    help="stream batched cases through warm --serve "
-                        "processes reused across waves (--no-serve spawns "
+                        "processes reused across chunks (--no-serve spawns "
                         "one process per batch instead)")
     p.add_argument("--inproc", action=argparse.BooleanOptionalAction,
                    default=False,

@@ -6,21 +6,22 @@ Three cooperating pieces:
   compiled AccMoS binaries (key: SHA-256 of source + compiler + flags);
   repeated simulations of an unchanged model skip gcc entirely;
 * :mod:`repro.runner.jobs` / :mod:`repro.runner.pool` — seeded
-  :class:`SimulationJob` specs executed across a thread/process pool
-  with per-job timeout, bounded retry with backoff, and structured
-  :class:`JobResult` records (outcome, attempts, per-phase timings);
+  :class:`SimulationJob` specs with per-job timeout, bounded retry with
+  backoff, and structured :class:`JobResult` records (outcome,
+  attempts, per-phase timings); :func:`run_jobs` runs a list of them;
 * :mod:`repro.runner.servers` — warm-process pool of persistent
   ``--serve`` simulation servers, keyed by compiled artifact, reused
-  across batches and waves (idle-TTL / LRU retirement);
+  across batches and chunks (idle-TTL / LRU retirement);
 * :mod:`repro.runner.costmodel` / :mod:`repro.runner.inproc_threads` —
   cost-aware case scheduling (predicted ``steps × actors`` cost, LPT
   packing, coefficients persisted per (engine, compile key) and
   warm-started across campaigns) feeding the thread-parallel in-process
   dispatcher behind ``run_jobs(mode="inproc-threads")``;
-* :mod:`repro.runner.scheduler` — the streaming, work-conserving
-  dispatcher (bounded in-flight window, seed-ordered reorder buffer,
-  cost-aware admission, auto-tuned batching) behind
-  ``run_jobs(streaming=True)`` and the default campaign path;
+* :mod:`repro.runner.scheduler` — the one dispatch loop: a streaming,
+  work-conserving scheduler (bounded in-flight window, seed-ordered
+  reorder buffer, cost-aware admission, auto-tuned batching) running
+  chunks on threads, processes or in-process library instances, behind
+  both :func:`run_jobs` and every campaign;
 * :mod:`repro.runner.campaign` — the campaign core whose parallel
   merges are byte-identical to serial runs.
 """
@@ -56,7 +57,6 @@ from repro.runner.scheduler import (
     ReorderBuffer,
     StreamScheduler,
     ThroughputController,
-    run_jobs_streaming,
 )
 from repro.runner.servers import ServerPool
 
@@ -72,7 +72,6 @@ __all__ = [
     "ReorderBuffer",
     "StreamScheduler",
     "ThroughputController",
-    "run_jobs_streaming",
     "ArtifactCache",
     "CacheEntry",
     "CacheStats",

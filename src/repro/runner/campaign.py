@@ -8,41 +8,29 @@ saturation verdict byte-identical between ``workers=1`` and
 ``workers=N`` — the plateau criterion is evaluated on the ordered
 merge, exactly as the serial loop would.
 
-Two dispatch disciplines produce that ordered stream:
-
-* ``scheduler="stream"`` (the default) — the work-conserving
-  :class:`~repro.runner.scheduler.StreamScheduler`: a bounded in-flight
-  window refilled the moment capacity frees, a reorder buffer restoring
-  seed order, cost-aware admission keeping short cases out of the
-  shadow of long ones, and (when enabled) a throughput controller
-  auto-tuning batch size and window depth.  On saturation only the
-  cases actually in flight are wasted.
-* ``scheduler="wave"`` — the legacy barrier loop: ``workers ×
-  batch_size`` seeds per synchronized :func:`run_jobs` call.  Kept as
-  the reference discipline (benchmarks measure streaming against it)
-  and as a maximally-simple fallback.  A mid-wave saturation discards
-  up to a full wave of speculated work.
-
-Either way, speculated-then-discarded cases are *counted*, not silently
+The ordered stream comes from the work-conserving
+:class:`~repro.runner.scheduler.StreamScheduler`: a bounded in-flight
+window refilled the moment capacity frees, a reorder buffer restoring
+seed order, cost-aware admission keeping short cases out of the shadow
+of long ones, and (when enabled) a throughput controller auto-tuning
+batch size and window depth.  On saturation or cancel only the cases
+actually in flight are wasted, and they are *counted*, not silently
 burned: ``CampaignOutcome.speculated_cases`` and the
-``campaign.speculated_cases`` telemetry counter report the waste, and
-the streaming scheduler's job is to keep it strictly below the wave
-loop's.
+``campaign.speculated_cases`` telemetry counter report the waste.
 """
 
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Callable, Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from repro import telemetry
 from repro.coverage.metrics import ALL_METRICS
 from repro.coverage.report import CoverageReport
 from repro.engines.base import SimulationOptions
 from repro.model.errors import SimulationError
-from repro.runner.costmodel import CostModelStore, cost_key, default_cost_store
+from repro.runner.costmodel import CostModelStore, default_cost_store
 from repro.runner.jobs import JobResult, SimulationJob
-from repro.runner.pool import run_jobs
 from repro.runner.scheduler import StreamScheduler
 from repro.schedule.program import FlatProgram
 
@@ -97,27 +85,22 @@ def resolve_batch_size(
 
 
 class _CampaignFold:
-    """The seed-ordered merge, shared by both dispatch disciplines.
+    """The seed-ordered merge.
 
     One :meth:`fold` call per job result, strictly in seed order; the
     fold mutates ``outcome`` (cases, diagnostics, saturation) and
-    returns True once the plateau criterion fires.  Keeping this in one
-    class is what makes "streaming is byte-identical to the wave loop"
-    true by construction rather than by parallel maintenance.
+    returns True once the plateau criterion fires.  It depends only on
+    the results and their order, never on how they were dispatched —
+    which is what makes every worker/window/batch combination
+    byte-identical to a serial loop over the same seeds.
     """
 
     def __init__(
-        self,
-        outcome,
-        *,
-        engine: str,
-        plateau_patience: int,
-        observe: "Optional[Callable[[JobResult], None]]" = None,
+        self, outcome, *, engine: str, plateau_patience: int
     ) -> None:
         self.outcome = outcome
         self.engine = engine
         self.plateau_patience = plateau_patience
-        self.observe = observe
         self.merged: Optional[CoverageReport] = None
         self.seen_diagnostics: "set[tuple[str, str]]" = set()
         self.dry_streak = 0
@@ -136,8 +119,6 @@ class _CampaignFold:
         result = job_result.result
         if result.coverage is None:
             raise ValueError(f"engine {self.engine!r} collects no coverage")
-        if self.observe is not None:
-            self.observe(job_result)
 
         if self.merged is None:
             self.merged = CoverageReport.empty(result.coverage.points)
@@ -223,7 +204,6 @@ class CampaignRun:
         threads: Optional[int] = 1,
         window: Optional[int] = None,
         adaptive: bool = True,
-        scheduler: str = "stream",
         server_pool=None,
         cost_store: Optional[CostModelStore] = None,
     ) -> None:
@@ -240,7 +220,6 @@ class CampaignRun:
         self._retries = retries
         self._window = window
         self._adaptive = adaptive
-        self._discipline = scheduler
 
         # Thread-parallel in-process execution replaces the worker pool
         # wholesale: chunks route to the inproc-threads executor, which
@@ -330,14 +309,9 @@ class CampaignRun:
                 max_cases=self._max_cases, workers=self._workers,
                 mode=self._mode, batch_size=self._batch_size,
                 serve=self._serve, inproc=self._inproc,
-                threads=self._threads, scheduler=self._discipline,
+                threads=self._threads,
             ) as campaign_span:
-                if self._discipline == "wave":
-                    for case in self._waves():
-                        yield case
-                else:
-                    for case in self._stream():
-                        yield case
+                yield from self._stream()
                 campaign_span.set(
                     cases=len(outcome.cases), saturated=outcome.saturated,
                     speculated=outcome.speculated_cases,
@@ -356,7 +330,7 @@ class CampaignRun:
             telemetry.counter_inc("campaign.runs")
             telemetry.counter_inc("campaign.cases", len(outcome.cases))
 
-    # -- dispatch disciplines --------------------------------------------
+    # -- dispatch ---------------------------------------------------------
     def _jobs(self) -> "list[SimulationJob]":
         return [
             SimulationJob(
@@ -367,7 +341,7 @@ class CampaignRun:
         ]
 
     def _stream(self):
-        """The streaming path: fold results the moment seed order allows."""
+        """Fold results the moment seed order allows."""
         outcome = self.outcome
         fold = _CampaignFold(
             outcome, engine=self._engine,
@@ -416,170 +390,3 @@ class CampaignRun:
             outcome.scheduler_stats = stats
             outcome.speculated_cases = stats.get("speculated", 0)
             outcome.merged = fold.merged
-
-    def _waves(self):
-        """The legacy wave loop: barrier dispatch, seed-ordered fold."""
-        outcome = self.outcome
-        observe = _cost_observer(
-            self._cost_store, self._opts,
-            cost_key(self._engine, self._prog, self._opts),
-            len(self._prog.actors), mode=self._mode,
-        )
-        fold = _CampaignFold(
-            outcome, engine=self._engine,
-            plateau_patience=self._plateau_patience, observe=observe,
-        )
-        try:
-            # With batching, each worker slot chews through batch_size
-            # cases per process spawn, so a wave carries workers *
-            # batch_size seeds.  The speculation bound at mid-wave
-            # saturation (or cancel) grows accordingly.
-            wave = max(1, self._workers) * max(1, self._batch_size)
-            index = 0
-            while (
-                index < self._max_cases
-                and not outcome.saturated
-                and not self._cancelled
-            ):
-                seeds = [
-                    self._base_seed + i
-                    for i in range(index, min(index + wave, self._max_cases))
-                ]
-                index += len(seeds)
-                results = run_jobs(
-                    [
-                        SimulationJob(
-                            prog=self._prog, seed=seed,
-                            engine=self._engine, options=self._opts,
-                        )
-                        for seed in seeds
-                    ],
-                    workers=self._workers,
-                    mode=self._mode,
-                    cache=self._cache,
-                    timeout_seconds=self._timeout_seconds,
-                    retries=self._retries,
-                    batch_size=self._batch_size,
-                    serve=self._serve,
-                    inproc=self._inproc,
-                    server_pool=(
-                        self._server_pool
-                        if self._mode != "process"
-                        else None
-                    ),
-                )
-
-                # Process-mode chunks ship their worker pool's counter
-                # deltas; fold them before the merge (discarded-on-
-                # saturation results still ran, so their counters still
-                # count).
-                if self._serve:
-                    from repro.runner.servers import merge_server_stats
-
-                    for job_result in results:
-                        if job_result.server_stats:
-                            outcome.server_stats = merge_server_stats(
-                                outcome.server_stats,
-                                job_result.server_stats,
-                            )
-
-                # Ordered merge: fold strictly in seed order, stop at
-                # saturation (or cooperative cancel).
-                folded = 0
-                for job_result in results:
-                    folded += 1
-                    saturated = fold.fold(job_result)
-                    yield outcome.cases[-1]
-                    if saturated or self._cancelled:
-                        break  # later results of this wave are discarded
-                if outcome.saturated or self._cancelled:
-                    outcome.speculated_cases += len(results) - folded
-
-            if outcome.speculated_cases:
-                telemetry.counter_inc(
-                    "campaign.speculated_cases", outcome.speculated_cases
-                )
-        finally:
-            outcome.merged = fold.merged
-
-
-def execute_campaign(
-    prog: FlatProgram,
-    *,
-    engine: str,
-    steps: int,
-    max_cases: int,
-    plateau_patience: int,
-    base_seed: int,
-    options: Optional[SimulationOptions],
-    workers: int = 1,
-    mode: str = "thread",
-    cache: "Union[ArtifactCache, None, bool]" = None,
-    timeout_seconds: Optional[float] = None,
-    retries: int = 1,
-    batch_size: Optional[int] = None,
-    serve: bool = False,
-    inproc: bool = False,
-    threads: Optional[int] = 1,
-    window: Optional[int] = None,
-    adaptive: bool = True,
-    scheduler: str = "stream",
-    server_pool=None,
-    cost_store: Optional[CostModelStore] = None,
-):
-    """Run the campaign to completion; see
-    :func:`repro.campaign.run_campaign`.  Arguments are pre-validated by
-    the public wrapper.  The fold loop itself lives in
-    :class:`CampaignRun` so embedders can drive (and cancel) it
-    incrementally; this drains it."""
-    run = CampaignRun(
-        prog,
-        engine=engine,
-        steps=steps,
-        max_cases=max_cases,
-        plateau_patience=plateau_patience,
-        base_seed=base_seed,
-        options=options,
-        workers=workers,
-        mode=mode,
-        cache=cache,
-        timeout_seconds=timeout_seconds,
-        retries=retries,
-        batch_size=batch_size,
-        serve=serve,
-        inproc=inproc,
-        threads=threads,
-        window=window,
-        adaptive=adaptive,
-        scheduler=scheduler,
-        server_pool=server_pool,
-        cost_store=cost_store,
-    )
-    for _ in run.cases():
-        pass
-    return run.outcome
-
-
-def _cost_observer(
-    cost_store: CostModelStore,
-    opts: SimulationOptions,
-    key: str,
-    actors: int,
-    *,
-    mode: str,
-) -> "Optional[Callable[[JobResult], None]]":
-    """Fold observed execute timings back into the persistent model.
-
-    The inproc-threads executor observes internally (per shard, with the
-    group's own key), so the campaign skips it there to avoid counting
-    every case twice.
-    """
-    if mode == "inproc-threads":
-        return None
-
-    def observe(job_result: JobResult) -> None:
-        seconds = job_result.timings.get("execute", 0.0)
-        if seconds:
-            cost_store.observe(key, opts.steps, actors, seconds)
-
-    return observe

@@ -13,7 +13,7 @@ classic two-parter from the ROADMAP's adaptive-scheduling item:
   already carries ``execute_seconds`` in its timings, and the dispatcher
   folds those observations back in as an exponential moving average, so
   the model converges on the machine's real per-(step × actor) cost
-  within the first wave.  Small cases (``steps * actors`` under
+  within the first few chunks.  Small cases (``steps * actors`` under
   ``small_units``) instead recalibrate the *base* term: their wall time
   is dominated by per-case freight, so treating it as rate would poison
   the slope, and never fitting base from them makes tiny-case-heavy
@@ -79,7 +79,7 @@ class CaseCostModel:
     """Predicts per-case execute cost from ``steps × actors``.
 
     Thread-safe; instances are usually owned by a :class:`CostModelStore`
-    (one per engine/compile key) so observations accumulate across waves
+    (one per engine/compile key) so observations accumulate across chunks
     and — via the store's persistence — across campaigns.
     """
 
@@ -498,5 +498,5 @@ def set_default_cost_store(
 def default_cost_model() -> CaseCostModel:
     """The process-wide fallback model (key ``"default"`` of the default
     store) — kept for callers that predate per-key models; observations
-    accumulate across campaign waves and sessions in one process."""
+    accumulate across campaign chunks and sessions in one process."""
     return default_cost_store().model("default")

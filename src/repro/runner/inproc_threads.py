@@ -2,20 +2,20 @@
 
 The process-pool path pays real freight per worker — pickling jobs and
 results, per-worker artifact caches, telemetry re-parenting — even when
-every job in the wave shares one compiled binary.  When the in-process
+every job in the chunk shares one compiled binary.  When the in-process
 rung is available, none of that is necessary: ``ctypes`` releases the
 GIL around ``acc_lib_run_case``, so N private library instances inside
 *this* process run N C simulation loops on N cores with zero spawns.
 
-``run_jobs(mode="inproc-threads")`` routes here.  The dispatcher groups
-the whole submission by :func:`~repro.runner.jobs.batch_key` (no
-``batch_size`` cap — the threaded executor wants the largest possible
-group to pack), compiles each group's shared object once, predicts
-per-case cost with the :mod:`~repro.runner.costmodel` (seeded by
-observed execute timings), packs cases into per-thread shards by LPT,
-and hands the group to :meth:`CompiledModel.run_inproc` with those
-shards.  Measured execute times are folded back into the cost model, so
-the next wave packs on real rates.  Unbatchable jobs (non-AccMoS
+The scheduler's ``inproc-threads`` mode routes each chunk here.  The
+dispatcher groups the chunk by :func:`~repro.runner.jobs.batch_key` (no
+further ``batch_size`` cap — the threaded executor wants the largest
+possible group to pack), compiles each group's shared object once,
+predicts per-case cost with the :mod:`~repro.runner.costmodel` (seeded
+by observed execute timings), packs cases into per-thread shards by
+LPT, and hands the group to :meth:`CompiledModel.run_inproc` with
+those shards.  Measured execute times are folded back into the cost model, so
+the next chunk packs on real rates.  Unbatchable jobs (non-AccMoS
 engines, descriptor-less stimuli) take the ordinary per-job path.
 
 Fault behavior is the existing ladder, untouched: a library fault inside

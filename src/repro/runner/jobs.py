@@ -6,7 +6,7 @@ out: a preprocessed program, a stimuli seed, and the simulation options.
 :class:`JobResult` — outcome (``ok``/``timeout``/``failed``), the number
 of attempts it took, and per-phase wall timings (codegen / compile /
 execute / parse for the AccMoS engine) — instead of letting exceptions
-tear down a whole campaign wave.
+tear down a whole campaign.
 
 Retry policy: transient failures (a compiler race on a shared tmpfs, an
 OOM-killed child — anything raising ``CompilationError`` or
@@ -17,10 +17,10 @@ attempt would burn the same budget — so it is reported immediately as
 
 Batching: AccMoS jobs that share a program and structural options can
 run *many cases per process* on one reused binary (the compile-once /
-run-many path).  :func:`plan_batches` partitions a job list into such
-groups (capped at ``batch_size``) and :func:`run_job_batch` executes one
-group — one ``compile_model`` + one ``run_batch`` — still returning one
-:class:`JobResult` per job.  Anything that breaks mid-batch falls back
+run-many path).  :func:`batch_key` names the group a job may share
+(the scheduler forms chunks from it) and :func:`run_job_batch` executes
+one group — one ``compile_model`` + one ``run_batch`` — still returning
+one :class:`JobResult` per job.  Anything that breaks mid-batch falls back
 to the per-job path, so batching can only change speed, not outcomes.
 """
 
@@ -252,32 +252,6 @@ def batch_key(job: SimulationJob) -> Optional[tuple]:
     ):
         return None
     return (id(job.prog), _structural_fingerprint(job.resolved_options()))
-
-
-def plan_batches(
-    jobs: "list[SimulationJob]", batch_size: int
-) -> "list[list[int]]":
-    """Partition job indices into dispatch chunks of at most
-    ``batch_size`` same-key jobs; unbatchable jobs become singleton
-    chunks.  Chunks are ordered by their first job so a sequential
-    dispatch still roughly follows submission order.
-    """
-    chunks: list[list[int]] = []
-    open_chunk: dict[tuple, list[int]] = {}
-    for index, job in enumerate(jobs):
-        key = batch_key(job) if batch_size > 1 else None
-        if key is None:
-            chunks.append([index])
-            continue
-        chunk = open_chunk.get(key)
-        if chunk is None:
-            chunk = []
-            chunks.append(chunk)
-            open_chunk[key] = chunk
-        chunk.append(index)
-        if len(chunk) >= batch_size:
-            del open_chunk[key]
-    return chunks
 
 
 def run_job_batch(

@@ -1,40 +1,38 @@
-"""Fan simulation jobs out across a worker pool.
+"""Run a list of simulation jobs: the entry point over the scheduler.
 
-The heavy phases of an AccMoS job — the gcc invocation and the compiled
-binary's run — happen in child processes, during which CPython releases
-the GIL, so a *thread* pool already uses every core and can share one
-in-process :class:`~repro.runner.cache.ArtifactCache` (hit/miss counters
-included).  That makes ``mode="thread"`` the default.  ``mode="process"``
-trades shared state for full interpreter isolation (useful when the
-per-job Python work — codegen, result parsing — dominates); jobs and
-results cross the process boundary by pickling, and each worker resolves
-the cache from its root path.  What the workers can't share, they ship
-back: every process-mode :class:`JobResult` carries the worker's
-artifact-cache counter deltas (folded into the parent's handle here, so
-``cache.stats()`` counts the whole pool's traffic) and — when telemetry
-is enabled — the worker's spans and metrics snapshot, absorbed into the
-parent session with job spans re-parented under this dispatch's
-``runner.run_jobs`` span.
+:func:`run_jobs` hands a job list to the one dispatch loop,
+:class:`~repro.runner.scheduler.StreamScheduler`, and collects its
+results, one :class:`JobResult` per job in submission order regardless
+of completion order — the property the deterministic campaign merge
+builds on.  The scheduler runs chunks in one of three modes:
 
-Results come back in submission order regardless of completion order —
-the property the deterministic campaign merge builds on.
+* ``"thread"`` (the default) — worker threads sharing one in-process
+  :class:`~repro.runner.cache.ArtifactCache` (hit/miss counters
+  included).  The heavy phases of an AccMoS job — the gcc invocation
+  and the compiled binary's run — happen in child processes, during
+  which CPython releases the GIL, so threads already use every core.
+* ``"process"`` — worker processes, for full interpreter isolation.
+  Chunks cross the process boundary by pickling into
+  :func:`_run_chunk_in_process`, which rebuilds the cache from its root
+  path and ships back what the workers cannot share: artifact-cache
+  counter deltas (folded into the parent's handle, so ``cache.stats()``
+  counts the whole pool's traffic), warm-server counters and — when
+  telemetry is enabled — the worker's spans and metrics, absorbed into
+  the parent session under this dispatch's ``runner.run_jobs`` span.
+* ``"inproc-threads"`` — no pool: each chunk runs on one shared
+  compiled model by private library instances inside this process
+  (:mod:`repro.runner.inproc_threads`).
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from repro import telemetry
-from repro.runner.jobs import (
-    JobResult,
-    SimulationJob,
-    batch_key,
-    plan_batches,
-    run_job,
-    run_job_batch,
-)
+from repro.runner.costmodel import CostModelStore, default_cost_store
+from repro.runner.jobs import JobResult, SimulationJob, run_job_batch
+from repro.runner.scheduler import StreamScheduler
 
 if TYPE_CHECKING:
     from repro.runner.cache import ArtifactCache
@@ -42,46 +40,6 @@ if TYPE_CHECKING:
 
 def default_workers() -> int:
     return min(32, os.cpu_count() or 1)
-
-
-def _run_job_in_process(
-    job: SimulationJob,
-    cache_root: Optional[str],
-    max_bytes: Optional[int],
-    timeout_seconds: Optional[float],
-    retries: int,
-    backoff_seconds: float,
-    telemetry_on: bool = False,
-) -> JobResult:
-    """Process-pool entry point: rebuild the cache handle from its root.
-
-    The handle is fresh per job, so its counters are exactly this job's
-    hit/miss deltas — attached to the result for the parent to fold.
-    With ``telemetry_on``, a fresh worker-local session records the
-    job's spans/metrics and ships them back the same way.
-    """
-    session = telemetry.enable() if telemetry_on else None
-    cache: "Union[ArtifactCache, None, bool]" = False
-    if cache_root is not None:
-        from repro.runner.cache import ArtifactCache
-
-        cache = ArtifactCache(cache_root, max_bytes=max_bytes)
-    try:
-        result = run_job(
-            job,
-            cache=cache,
-            timeout_seconds=timeout_seconds,
-            retries=retries,
-            backoff_seconds=backoff_seconds,
-        )
-    finally:
-        if session is not None:
-            telemetry.disable()
-    if cache_root is not None:
-        result.cache_stats = cache.counters()
-    if session is not None:
-        result.telemetry = session.export()
-    return result
 
 
 def _run_chunk_in_process(
@@ -150,66 +108,56 @@ def run_jobs(
     serve: bool = False,
     server_pool=None,
     inproc: bool = False,
-    streaming: bool = False,
     window: Optional[int] = None,
     adaptive: bool = False,
+    cost_store: Optional[CostModelStore] = None,
+    stats_sink: Optional[dict] = None,
 ) -> list[JobResult]:
     """Execute every job; returns one :class:`JobResult` per job, in order.
 
-    ``workers=None`` picks ``min(32, cpu_count)``; ``workers=1`` (or a
-    single job) runs inline with no pool at all.  Individual job
-    failures are *reported*, not raised — check ``JobResult.outcome``.
+    The jobs are dispatched by a
+    :class:`~repro.runner.scheduler.StreamScheduler`: a bounded
+    in-flight ``window`` of cases (default ``workers × batch_size``)
+    refilled the moment capacity frees, with cost-aware admission and —
+    with ``adaptive`` — auto-tuned batching.  ``workers=None`` picks
+    ``min(32, cpu_count)``; ``workers=1`` runs every chunk inline on the
+    calling thread.  Individual job failures are *reported*, not raised
+    — check ``JobResult.outcome``.
 
     ``batch_size > 1`` groups AccMoS jobs that share a program and
-    structural options into multi-case batches of up to that many jobs,
-    each batch served by one compiled binary and one process invocation
-    (see :func:`repro.runner.jobs.run_job_batch`); results are still one
-    per job, in submission order.
+    structural options into multi-case chunks of up to that many jobs,
+    each served by one compiled binary and one process invocation (see
+    :func:`repro.runner.jobs.run_job_batch`); results are still one per
+    job, in submission order.
 
     ``serve`` streams batched chunks through warm ``--serve`` processes
-    instead of spawning one per chunk (only meaningful with
-    ``batch_size > 1``).  ``server_pool`` supplies a caller-owned
-    :class:`~repro.runner.servers.ServerPool` that outlives this call —
-    a campaign passes one so servers stay warm across waves; without it
-    (and with ``serve``) a dispatch-local pool is created and closed on
-    return.  In process mode each worker process keeps its own pool.
+    instead of spawning one per chunk.  ``server_pool`` supplies a
+    caller-owned :class:`~repro.runner.servers.ServerPool` that outlives
+    this call; without it (and with ``serve``) a dispatch-local pool is
+    created and closed on return.  In process mode each worker process
+    keeps its own pool.  ``inproc`` runs batched chunks inside the
+    loaded shared library — the rung above ``serve`` on the ladder.
 
-    ``inproc`` runs batched chunks inside the loaded shared library —
-    the rung above ``serve`` on the ladder; the server pool still backs
-    it up for quarantined models (only meaningful with
-    ``batch_size > 1``).
+    ``mode="inproc-threads"`` skips worker pools entirely: each chunk of
+    ``workers × batch_size`` same-key jobs runs on one shared
+    :class:`CompiledModel` by ``workers`` threads holding private
+    library instances inside *this* process (see
+    :mod:`repro.runner.inproc_threads`).
 
-    ``mode="inproc-threads"`` skips worker pools entirely: same-key jobs
-    are grouped onto one shared :class:`CompiledModel` and run by
-    ``workers`` threads holding private library instances inside *this*
-    process (cost-model-packed shards, zero spawns, zero pickling); see
-    :mod:`repro.runner.inproc_threads`.  ``batch_size``/``serve``/
-    ``server_pool``/``inproc`` are ignored in this mode — grouping is
-    unbounded and the fallback ladder engages on fault.
-
-    ``streaming`` dispatches through the work-conserving
-    :class:`~repro.runner.scheduler.StreamScheduler` instead of barrier
-    fan-out: a bounded in-flight ``window`` of cases (default
-    ``workers × batch_size``) refilled the moment capacity frees, with
-    cost-aware admission and — with ``adaptive`` — auto-tuned batching.
-    Results are identical either way; only wall-clock changes.
+    Observed execute timings feed ``cost_store`` (default: the
+    process-wide persistent store, not saved here).  ``stats_sink``, if
+    given, receives the scheduler's stats dict.
     """
-    if mode not in ("thread", "process", "inproc-threads"):
-        raise ValueError(
-            "mode must be 'thread', 'process', or 'inproc-threads', "
-            f"not {mode!r}"
-        )
     workers = default_workers() if workers is None else workers
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    if batch_size < 1:
-        raise ValueError("batch_size must be at least 1")
     jobs = list(jobs)
-
-    if streaming:
-        from repro.runner.scheduler import run_jobs_streaming
-
-        return run_jobs_streaming(
+    with telemetry.span(
+        "runner.run_jobs", jobs=len(jobs), workers=workers, mode=mode,
+        batch_size=batch_size,
+    ):
+        # Built inside the span: the scheduler adopts the current span
+        # as the parent of every job span, across threads and processes.
+        # Its constructor validates mode, workers, batch_size and window.
+        scheduler = StreamScheduler(
             jobs,
             workers=workers,
             mode=mode,
@@ -223,235 +171,14 @@ def run_jobs(
             serve=serve,
             inproc=inproc,
             server_pool=server_pool,
+            cost_store=(
+                default_cost_store() if cost_store is None else cost_store
+            ),
         )
-
-    if mode == "inproc-threads":
-        from repro.runner.inproc_threads import run_jobs_inproc_threads
-
-        return run_jobs_inproc_threads(
-            jobs,
-            threads=workers,
-            cache=cache,
-            timeout_seconds=timeout_seconds,
-            retries=retries,
-            backoff_seconds=backoff_seconds,
-        )
-
-    kwargs = dict(
-        cache=cache,
-        timeout_seconds=timeout_seconds,
-        retries=retries,
-        backoff_seconds=backoff_seconds,
-    )
-    if batch_size > 1:
-        return _run_jobs_batched(
-            jobs, workers=workers, mode=mode, batch_size=batch_size,
-            cache=cache, timeout_seconds=timeout_seconds, retries=retries,
-            backoff_seconds=backoff_seconds, serve=serve or server_pool is not None,
-            server_pool=server_pool, inproc=inproc,
-        )
-    if workers == 1 or len(jobs) <= 1:
-        return [run_job(job, **kwargs) for job in jobs]
-
-    n = min(workers, len(jobs))
-    session = telemetry.active()
-    with telemetry.span(
-        "runner.run_jobs", jobs=len(jobs), workers=n, mode=mode
-    ) as pool_span:
-        pool_span_id = getattr(pool_span, "span_id", None)
-
-        if mode == "process":
-            from repro.runner.cache import default_cache
-
-            resolved = default_cache() if cache is None else (cache or None)
-            cache_root = str(resolved.root) if resolved is not None else None
-            max_bytes = resolved.max_bytes if resolved is not None else None
-            with ProcessPoolExecutor(max_workers=n) as pool:
-                futures = [
-                    pool.submit(
-                        _run_job_in_process,
-                        job, cache_root, max_bytes,
-                        timeout_seconds, retries, backoff_seconds,
-                        session is not None,
-                    )
-                    for job in jobs
-                ]
-                results = [f.result() for f in futures]
-            for result in results:
-                if resolved is not None and result.cache_stats:
-                    resolved.absorb_counts(**result.cache_stats)
-                if session is not None and result.telemetry:
-                    session.absorb(
-                        result.telemetry, parent_span_id=pool_span_id
-                    )
-                    result.telemetry = None  # folded; don't keep two copies
-            return results
-
-        tracer = session.tracer if session is not None else None
-
-        def worker(job: SimulationJob) -> JobResult:
-            # Worker threads have an empty span stack; adopt the
-            # dispatching span so job spans nest under it.
-            if tracer is None:
-                return run_job(job, **kwargs)
-            with tracer.adopt(pool_span_id):
-                return run_job(job, **kwargs)
-
-        with ThreadPoolExecutor(
-            max_workers=n, thread_name_prefix="accmos-job"
-        ) as pool:
-            futures = [pool.submit(worker, job) for job in jobs]
-            return [f.result() for f in futures]
-
-
-def _run_jobs_batched(
-    jobs: "list[SimulationJob]",
-    *,
-    workers: int,
-    mode: str,
-    batch_size: int,
-    cache: "Union[ArtifactCache, None, bool]",
-    timeout_seconds: Optional[float],
-    retries: int,
-    backoff_seconds: float,
-    serve: bool = False,
-    server_pool=None,
-    inproc: bool = False,
-) -> list[JobResult]:
-    """Chunked dispatch: same-key jobs batched onto shared binaries."""
-    chunks = plan_batches(jobs, batch_size)
-    # Thread/inline mode shares one warm-server pool across all chunks;
-    # a caller-provided pool additionally survives this dispatch (the
-    # campaign reuses servers across waves).  Process mode instead tells
-    # each worker to use its process-local pool.
-    own_pool = None
-    if serve and mode != "process" and server_pool is None:
-        from repro.runner.servers import ServerPool
-
-        own_pool = server_pool = ServerPool(max_servers=max(workers * 2, 4))
-    kwargs = dict(
-        cache=cache,
-        timeout_seconds=timeout_seconds,
-        retries=retries,
-        backoff_seconds=backoff_seconds,
-        server_pool=server_pool if mode != "process" else None,
-        inproc=inproc,
-    )
-    ordered: list[Optional[JobResult]] = [None] * len(jobs)
-
-    def place(chunk: "list[int]", results: "list[JobResult]") -> None:
-        for index, result in zip(chunk, results):
-            ordered[index] = result
-
-    try:
-        if workers == 1 or len(chunks) <= 1:
-            for chunk in chunks:
-                place(
-                    chunk, run_job_batch([jobs[i] for i in chunk], **kwargs)
-                )
-            return ordered  # type: ignore[return-value]
-        return _run_jobs_batched_pooled(
-            jobs, chunks, ordered, place,
-            workers=workers, mode=mode, batch_size=batch_size,
-            cache=cache, timeout_seconds=timeout_seconds,
-            retries=retries, backoff_seconds=backoff_seconds,
-            serve=serve, inproc=inproc, kwargs=kwargs,
-        )
-    finally:
-        if own_pool is not None:
-            own_pool.close()
-
-
-def _run_jobs_batched_pooled(
-    jobs: "list[SimulationJob]",
-    chunks: "list[list[int]]",
-    ordered: "list[Optional[JobResult]]",
-    place,
-    *,
-    workers: int,
-    mode: str,
-    batch_size: int,
-    cache: "Union[ArtifactCache, None, bool]",
-    timeout_seconds: Optional[float],
-    retries: int,
-    backoff_seconds: float,
-    serve: bool,
-    inproc: bool,
-    kwargs: dict,
-) -> list[JobResult]:
-
-    # Warm the artifact cache once per distinct (program, structural
-    # options) before fanning out, so concurrent chunks don't race a
-    # cold cache into redundant gcc runs: the campaign's whole fleet
-    # costs exactly one compiler invocation.  Pointless without a shared
-    # cache; failures are left for the chunk path to report properly.
-    if cache is not False:
-        from repro.engines.accmos import compile_model
-
-        warmed: set = set()
-        for job in jobs:
-            key = batch_key(job)
-            if key is None or key in warmed:
-                continue
-            warmed.add(key)
-            try:
-                compile_model(
-                    job.prog, job.resolved_options(), cache=cache,
-                    artifact="shared" if inproc else "binary",
-                )
-            except Exception:
-                pass
-
-    n = min(workers, len(chunks))
-    session = telemetry.active()
-    with telemetry.span(
-        "runner.run_jobs", jobs=len(jobs), workers=n, mode=mode,
-        batches=len(chunks), batch_size=batch_size,
-    ) as pool_span:
-        pool_span_id = getattr(pool_span, "span_id", None)
-
-        if mode == "process":
-            from repro.runner.cache import default_cache
-
-            resolved = default_cache() if cache is None else (cache or None)
-            cache_root = str(resolved.root) if resolved is not None else None
-            max_bytes = resolved.max_bytes if resolved is not None else None
-            with ProcessPoolExecutor(max_workers=n) as pool:
-                futures = [
-                    pool.submit(
-                        _run_chunk_in_process,
-                        [jobs[i] for i in chunk], cache_root, max_bytes,
-                        timeout_seconds, retries, backoff_seconds,
-                        session is not None, serve, inproc,
-                    )
-                    for chunk in chunks
-                ]
-                chunk_results = [f.result() for f in futures]
-            for chunk, results in zip(chunks, chunk_results):
-                for result in results:
-                    if resolved is not None and result.cache_stats:
-                        resolved.absorb_counts(**result.cache_stats)
-                    if session is not None and result.telemetry:
-                        session.absorb(
-                            result.telemetry, parent_span_id=pool_span_id
-                        )
-                        result.telemetry = None
-                place(chunk, results)
-            return ordered  # type: ignore[return-value]
-
-        tracer = session.tracer if session is not None else None
-
-        def worker(chunk: "list[int]") -> "list[JobResult]":
-            chunk_jobs = [jobs[i] for i in chunk]
-            if tracer is None:
-                return run_job_batch(chunk_jobs, **kwargs)
-            with tracer.adopt(pool_span_id):
-                return run_job_batch(chunk_jobs, **kwargs)
-
-        with ThreadPoolExecutor(
-            max_workers=n, thread_name_prefix="accmos-batch"
-        ) as pool:
-            futures = [pool.submit(worker, chunk) for chunk in chunks]
-            for chunk, future in zip(chunks, futures):
-                place(chunk, future.result())
-        return ordered  # type: ignore[return-value]
+        try:
+            results = list(scheduler.results())
+        finally:
+            stats = scheduler.finish()
+            if stats_sink is not None:
+                stats_sink.update(stats)
+    return results

@@ -1,11 +1,10 @@
-"""Streaming, work-conserving campaign scheduling.
+"""Streaming, work-conserving job scheduling: the one dispatch loop.
 
-The wave loop in :mod:`repro.runner.campaign` dispatches ``workers ×
-batch_size`` seeds as one synchronized wave and blocks until the slowest
-case returns: one long case idles every other worker for the tail of
-each wave, and a mid-wave saturation throws away up to a full wave of
-speculated work.  This module replaces the barrier with three
-cooperating pieces:
+Every job list — a campaign's seed sweep or a
+:func:`~repro.runner.pool.run_jobs` call — is dispatched here.  There
+is no barrier: a long case never idles the other workers, and an early
+stop (saturation, cancel) wastes only the work already in flight.
+Three cooperating pieces:
 
 * :class:`ReorderBuffer` — completion order in, seed order out.  The
   campaign merge *must* fold results in seed order (that is what makes
@@ -27,8 +26,8 @@ cooperating pieces:
   :class:`~repro.runner.costmodel.CostModelStore`), and yields results
   in seed order for the consumer to fold.  When the consumer stops
   early (saturation), only the work already in flight is wasted —
-  strictly less than the wave loop's worst case, and counted rather
-  than silently burned (``campaign.speculated_cases``).
+  bounded by the window, and counted rather than silently burned
+  (``campaign.speculated_cases``).
 
 Invariants the rest of the stack relies on:
 
@@ -74,7 +73,6 @@ from repro.model.errors import CodegenError
 from repro.runner.costmodel import (
     CostModelStore,
     cost_key,
-    default_cost_store,
     plan_chunks,
 )
 from repro.runner.jobs import (
@@ -322,10 +320,10 @@ class StreamScheduler:
     ``mode`` is the pool mode of :func:`repro.runner.pool.run_jobs`:
     ``"thread"`` (chunks on worker threads sharing this process's cache
     and server pool), ``"process"`` (chunks in worker processes; their
-    cache / telemetry / server-stat deltas are absorbed exactly as the
-    pooled dispatcher does), or ``"inproc-threads"`` (chunks of
-    ``workers × batch`` cases run by the thread-parallel in-process
-    executor, one chunk at a time — the chunk is internally parallel).
+    cache / telemetry / server-stat deltas are absorbed here), or
+    ``"inproc-threads"`` (chunks of ``workers × batch`` cases run by the
+    thread-parallel in-process executor, one chunk at a time — the
+    chunk is internally parallel).
 
     The scheduler never reorders *results*: whatever completion order
     the machine produces, the consumer sees seed order, so folding is
@@ -669,16 +667,21 @@ class StreamScheduler:
     def _prewarm(self) -> None:
         """One ``compile_model`` per distinct key before parallel fan-out.
 
-        Same rationale (and same behavior) as the pooled batched
-        dispatcher: the artifact cache has no per-key compile lock, so
-        concurrent cold-cache chunks would race into redundant gcc runs.
+        The artifact cache has no per-key compile lock, so concurrent
+        cold-cache chunks would race into redundant gcc runs; warming
+        first makes the whole fleet cost one compiler invocation.
         Serial dispatch (chunk concurrency 1) needs no warming — the
-        first chunk *is* the warmer.  The warmed program's codegen is
-        memoized, so every chunk of its key reuses it.
+        first chunk *is* the warmer.  Single-case chunks are not warmed
+        either: each is a plain :func:`~repro.runner.jobs.run_job` with
+        exactly one cache lookup per job, at the price that concurrent
+        cold-cache singletons of one key may each compile.  The warmed
+        program's codegen is memoized, so every chunk of its key reuses
+        it.
         """
         if (
             self._prewarmed
             or self._chunk_concurrency <= 1
+            or self._chunk_cases() <= 1
             or self._cache is False
         ):
             self._prewarmed = True
@@ -962,7 +965,6 @@ class StreamScheduler:
         for index, result in zip(chunk, results):
             if self._resolved_cache is not None and result.cache_stats:
                 self._resolved_cache.absorb_counts(**result.cache_stats)
-                result.cache_stats = None
             if self._session is not None and result.telemetry:
                 self._session.absorb(
                     result.telemetry, parent_span_id=self._parent_span_id
@@ -993,61 +995,3 @@ class StreamScheduler:
             "campaign.scheduler.in_flight", self._in_flight_cases
         )
 
-
-def run_jobs_streaming(
-    jobs: Sequence[SimulationJob],
-    *,
-    workers: Optional[int] = None,
-    mode: str = "thread",
-    window: Optional[int] = None,
-    batch_size: int = 1,
-    adaptive: bool = False,
-    cache: "Union[ArtifactCache, None, bool]" = None,
-    timeout_seconds: Optional[float] = None,
-    retries: int = 1,
-    backoff_seconds: float = 0.05,
-    serve: bool = False,
-    inproc: bool = False,
-    server_pool=None,
-    cost_store: Optional[CostModelStore] = None,
-    stats_sink: Optional[dict] = None,
-) -> "list[JobResult]":
-    """Streaming counterpart of :func:`repro.runner.pool.run_jobs`.
-
-    Same contract — one :class:`JobResult` per job, in submission order,
-    per-case failures reported rather than raised — but dispatched work-
-    conservingly through a :class:`StreamScheduler` instead of in
-    barrier waves.  ``stats_sink``, if given, receives the scheduler's
-    stats dict.  ``cost_store=None`` uses the process-wide persistent
-    store, so observed timings benefit later campaigns.
-    """
-    from repro.runner.pool import default_workers
-
-    workers = default_workers() if workers is None else workers
-    if cost_store is None:
-        cost_store = default_cost_store()
-    scheduler = StreamScheduler(
-        jobs,
-        workers=workers,
-        mode=mode,
-        window=window,
-        batch_size=batch_size,
-        adaptive=adaptive,
-        cache=cache,
-        timeout_seconds=timeout_seconds,
-        retries=retries,
-        backoff_seconds=backoff_seconds,
-        serve=serve,
-        inproc=inproc,
-        server_pool=server_pool,
-        cost_store=cost_store,
-    )
-    collected: "list[JobResult]" = []
-    try:
-        for result in scheduler.results():
-            collected.append(result)
-    finally:
-        stats = scheduler.finish()
-        if stats_sink is not None:
-            stats_sink.update(stats)
-    return collected

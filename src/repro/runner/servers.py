@@ -347,7 +347,7 @@ def worker_pool() -> ServerPool:
 
     Created on first use and closed at interpreter exit; chunks executed
     by the same worker process share it, so warm servers survive from
-    one chunk to the next within a wave.
+    one chunk to the next.
     """
     global _worker_pool
     with _worker_pool_lock:

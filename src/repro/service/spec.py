@@ -42,7 +42,7 @@ _INT_KNOBS = {
     "base_seed": (None, None),
 }
 _ALLOWED_KEYS = (
-    {"model", "engine", "mode", "scheduler", "timeout_seconds", "tenant"}
+    {"model", "engine", "mode", "timeout_seconds", "tenant"}
     | set(_BOOL_KNOBS)
     | set(_INT_KNOBS)
 )
@@ -98,7 +98,10 @@ def parse_spec(document: Any) -> CampaignSpec:
         raise SpecError("campaign spec must be a JSON object")
     unknown = sorted(set(document) - _ALLOWED_KEYS)
     if unknown:
-        raise SpecError(f"unknown spec key(s): {', '.join(unknown)}")
+        raise SpecError(
+            "unknown spec key(s): "
+            + ", ".join(repr(key) for key in unknown)
+        )
 
     model = document.get("model")
     if isinstance(model, dict):
@@ -145,10 +148,6 @@ def parse_spec(document: Any) -> CampaignSpec:
         if document["mode"] not in ("thread", "process"):
             raise SpecError("'mode' must be 'thread' or 'process'")
         knobs["mode"] = document["mode"]
-    if "scheduler" in document:
-        if document["scheduler"] not in ("stream", "wave"):
-            raise SpecError("'scheduler' must be 'stream' or 'wave'")
-        knobs["scheduler"] = document["scheduler"]
     if "timeout_seconds" in document:
         value = document["timeout_seconds"]
         if isinstance(value, bool) or not isinstance(value, (int, float)):

@@ -115,11 +115,16 @@ class TestCampaignScheduler:
         assert "scheduler: stream" in out
         assert "utilization" in out
 
-    def test_wave_scheduler_still_selectable(self, capsys):
-        assert main(["campaign", "bench:SPV", "--engine", "sse",
-                     "--steps", "300", "--cases", "4", "--patience", "100",
-                     "--workers", "2", "--scheduler", "wave"]) == 0
-        assert "campaign:" in capsys.readouterr().out
+    def test_scheduler_flag_rejected(self, capsys):
+        # One dispatch loop: there is no scheduler to select.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", "bench:SPV", "--engine", "sse",
+                  "--steps", "300", "--cases", "4", "--workers", "2",
+                  "--scheduler", "wave"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "--scheduler" in err
 
     def test_window_and_no_adaptive_flags_parse(self, capsys):
         assert main(["campaign", "bench:SPV", "--engine", "sse",

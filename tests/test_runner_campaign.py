@@ -82,7 +82,7 @@ class TestParallelIdentity:
         assert cache.stats().misses == 1
 
     def test_saturation_parity_mid_wave(self, tmp_path):
-        """Saturation landing mid-wave discards the rest of the wave."""
+        """Saturation landing mid-stream discards the cases in flight."""
         cache = ArtifactCache(tmp_path / "cache")
         prog = preprocess(build_benchmark("SPV"))
         kwargs = dict(steps=2_000, max_cases=12, plateau_patience=2,

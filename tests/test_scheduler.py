@@ -5,14 +5,14 @@ Pins the three invariants :mod:`repro.runner.scheduler` promises:
 * **Seed-order delivery** — the reorder buffer turns *any* completion
   order back into submission order (hypothesis property), so streaming
   campaigns fold exactly like serial ones;
-* **Byte-identity** — streaming vs wave loop vs serial across the model
-  zoo and every dispatch mode (spawn / serve / inproc / inproc-threads):
-  merged bitmaps, per-case new points, diagnostic attribution, coverage
+* **Byte-identity** — streaming vs a serial oracle (one ``run_job`` per
+  seed, folded in seed order, no scheduler) across the model zoo and
+  every dispatch mode (spawn / serve / inproc / inproc-threads): merged
+  bitmaps, per-case new points, diagnostic attribution, coverage
   curves, saturation verdict all equal;
 * **Bounded, counted speculation** — a mid-stream saturation stops
   submission immediately; the waste is reported in
-  ``CampaignOutcome.speculated_cases`` and is strictly below the wave
-  loop's for the same fleet.
+  ``CampaignOutcome.speculated_cases`` and never exceeds the window.
 
 Plus the satellite pieces: the throughput controller's hill-climb /
 hysteresis behavior, ``CaseCostModel`` base-term recalibration from
@@ -29,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.benchmarks import build_benchmark
-from repro.campaign import run_campaign
+from repro.campaign import CampaignOutcome, run_campaign
 from repro.codegen.driver import supports_shared_objects
 from repro.engines.base import SimulationOptions
 from repro.model.errors import SimulationError
@@ -45,13 +45,13 @@ from repro.runner.costmodel import (
     plan_chunks,
     set_default_cost_store,
 )
-from repro.runner.jobs import SimulationJob
+from repro.runner.campaign import _CampaignFold
+from repro.runner.jobs import SimulationJob, run_job
 from repro.runner.pool import run_jobs
 from repro.runner.scheduler import (
     ReorderBuffer,
     StreamScheduler,
     ThroughputController,
-    run_jobs_streaming,
 )
 from repro.schedule import preprocess
 
@@ -479,11 +479,11 @@ class TestRunJobsStreaming:
             for i in range(n)
         ]
 
-    def test_matches_barrier_dispatch(self):
+    def test_matches_serial_run_job(self):
         jobs = self._jobs()
-        reference = run_jobs(jobs, workers=1)
+        reference = [run_job(job) for job in jobs]
         stats: dict = {}
-        streamed = run_jobs_streaming(
+        streamed = run_jobs(
             jobs, workers=4, batch_size=3, window=5, stats_sink=stats
         )
         assert [r.seed for r in streamed] == [r.seed for r in reference]
@@ -495,13 +495,6 @@ class TestRunJobsStreaming:
         assert stats["speculated"] == 0
         assert stats["max_in_flight"] <= 5
 
-    def test_pool_streaming_flag_routes_here(self):
-        jobs = self._jobs(6)
-        reference = run_jobs(jobs, workers=1)
-        streamed = run_jobs(jobs, workers=3, streaming=True, window=4)
-        for ref, got in zip(reference, streamed):
-            assert got.result.checksums == ref.result.checksums
-
     def test_failures_reported_not_raised(self, monkeypatch):
         import repro.runner.jobs as jobs_mod
 
@@ -509,7 +502,7 @@ class TestRunJobsStreaming:
             raise RuntimeError("engine exploded")
 
         monkeypatch.setattr(jobs_mod, "_run_once", boom)
-        results = run_jobs_streaming(self._jobs(4), workers=2)
+        results = run_jobs(self._jobs(4), workers=2)
         assert [r.ok for r in results] == [False] * 4
         assert all("engine exploded" in r.error for r in results)
 
@@ -597,9 +590,9 @@ def test_cost_packed_chunks_preserve_identity(tmp_path):
         )
         for i in range(9)
     ]
-    reference = run_jobs(jobs, workers=1, cache=cache)
+    reference = [run_job(job, cache=cache) for job in jobs]
     stats: dict = {}
-    streamed = run_jobs_streaming(
+    streamed = run_jobs(
         jobs, workers=3, batch_size=3, cache=cache, stats_sink=stats
     )
     assert [r.seed for r in streamed] == [r.seed for r in reference]
@@ -613,8 +606,27 @@ def test_cost_packed_chunks_preserve_identity(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# campaign identity: streaming vs wave vs serial, all modes
+# campaign identity: streaming vs a serial oracle, all modes
 # ----------------------------------------------------------------------
+def _serial_oracle(
+    prog, *, steps: int, max_cases: int, plateau_patience: int, cache
+) -> CampaignOutcome:
+    """The reference campaign without the scheduler: one ``run_job`` per
+    seed, folded through the campaign merge in seed order, stopping at
+    saturation."""
+    outcome = CampaignOutcome(merged=None)  # type: ignore[arg-type]
+    fold = _CampaignFold(
+        outcome, engine="accmos", plateau_patience=plateau_patience
+    )
+    options = SimulationOptions(steps=steps)
+    for seed in range(1, max_cases + 1):
+        job = SimulationJob(prog=prog, seed=seed, options=options)
+        if fold.fold(run_job(job, cache=cache)):
+            break
+    outcome.merged = fold.merged
+    return outcome
+
+
 def _campaign_kwargs(mode: str) -> dict:
     """Streaming-fleet knobs for each dispatch mode under test."""
     if mode == "spawn":
@@ -635,7 +647,7 @@ ALL_MODES = ["spawn", "serve", "inproc", "inproc-threads"]
 @pytest.mark.parametrize("mode", ALL_MODES)
 @pytest.mark.parametrize("name", ["SPV", "RAC", "CSEV"])
 def test_streaming_identical_to_wave_and_serial(name, mode, tmp_path):
-    """The acceptance criterion: streaming == wave loop == serial, for
+    """The acceptance criterion: streaming == the serial oracle, for
     every dispatch mode, on the benchmark zoo — merged bitmaps,
     per-case new points, diagnostics, curves, saturation verdict."""
     if mode in ("inproc", "inproc-threads") and supports_shared_objects() is not True:
@@ -644,18 +656,9 @@ def test_streaming_identical_to_wave_and_serial(name, mode, tmp_path):
     prog = preprocess(build_benchmark(name))
     kwargs = dict(steps=300, max_cases=6, plateau_patience=100, cache=cache)
 
-    serial = run_campaign(
-        prog, workers=1, batch_size=1, serve=False, threads=1,
-        scheduler="wave", **kwargs,
-    )
-    wave = run_campaign(
-        prog, scheduler="wave", **_campaign_kwargs(mode), **kwargs
-    )
-    stream = run_campaign(
-        prog, scheduler="stream", **_campaign_kwargs(mode), **kwargs
-    )
-    assert stream.n_cases == wave.n_cases == serial.n_cases == 6
-    _assert_outcomes_identical(serial, wave)
+    serial = _serial_oracle(prog, **kwargs)
+    stream = run_campaign(prog, **_campaign_kwargs(mode), **kwargs)
+    assert stream.n_cases == serial.n_cases == 6
     _assert_outcomes_identical(serial, stream)
     assert stream.scheduler_stats is not None
     assert stream.scheduler_stats["folded"] == 6
@@ -670,12 +673,8 @@ def test_mid_stream_saturation_cutoff(tmp_path):
     prog = preprocess(build_benchmark("SPV"))
     kwargs = dict(steps=2000, max_cases=12, plateau_patience=3, cache=cache)
 
-    serial = run_campaign(
-        prog, workers=1, batch_size=1, serve=False, threads=1,
-        scheduler="wave", **kwargs,
-    )
+    serial = _serial_oracle(prog, **kwargs)
     assert serial.saturated and serial.n_cases < 12
-    assert serial.speculated_cases == 0
 
     stream = run_campaign(
         prog, workers=2, batch_size=1, window=2, serve=False, threads=1,
@@ -690,40 +689,12 @@ def test_mid_stream_saturation_cutoff(tmp_path):
     assert stats["submitted"] <= serial.n_cases + 2
 
 
-@requires_cc
-def test_streaming_strictly_reduces_speculation(tmp_path):
-    """The regression claim from the issue: for the same worker fleet,
-    the wave loop burns up to a wave of speculated cases at saturation
-    while the bounded-window stream discards strictly fewer."""
-    cache = ArtifactCache(tmp_path / "cache")
-    prog = preprocess(build_benchmark("SPV"))
-    kwargs = dict(steps=2000, max_cases=12, plateau_patience=3, cache=cache)
-
-    wave = run_campaign(
-        prog, workers=2, batch_size=4, serve=False, threads=1,
-        scheduler="wave", **kwargs,
-    )
-    stream = run_campaign(
-        prog, workers=2, batch_size=1, window=2, serve=False, threads=1,
-        scheduler="stream", **kwargs,
-    )
-    assert wave.saturated and stream.saturated
-    _assert_outcomes_identical(wave, stream)
-    # Wave: saturation at case 4 of an 8-seed wave discards 4; the
-    # 2-deep stream window can hold at most 2 unfolded cases.
-    assert wave.speculated_cases == 4
-    assert stream.speculated_cases < wave.speculated_cases
-
-
 @requires_shared
 def test_threaded_streaming_campaign_matches_serial(tmp_path):
     cache = ArtifactCache(tmp_path / "cache")
     prog = preprocess(build_benchmark("SPV"))
     kwargs = dict(steps=1000, max_cases=8, plateau_patience=100, cache=cache)
-    serial = run_campaign(
-        prog, workers=1, batch_size=1, serve=False, threads=1,
-        scheduler="wave", **kwargs,
-    )
+    serial = _serial_oracle(prog, **kwargs)
     threaded = run_campaign(prog, threads=4, **kwargs)
     _assert_outcomes_identical(serial, threaded)
     assert threaded.scheduler_stats["mode"] == "inproc-threads"
@@ -835,7 +806,7 @@ class TestPrewarmFailures:
             raise CompilationError("induced gcc failure")
 
         monkeypatch.setattr(driver_mod, "_run_compiler", failing_compiler)
-        results = run_jobs_streaming(
+        results = run_jobs(
             self._jobs(), workers=2, batch_size=2,
             cache=ArtifactCache(tmp_path / "cache"), backoff_seconds=0.0,
         )
@@ -854,7 +825,7 @@ class TestPrewarmFailures:
 
         monkeypatch.setattr(accmos_mod, "compile_model", broken)
         with pytest.raises(RuntimeError, match="bug in compile_model"):
-            run_jobs_streaming(
+            run_jobs(
                 self._jobs(), workers=2, batch_size=2,
                 cache=ArtifactCache(tmp_path / "cache"),
             )

@@ -155,6 +155,10 @@ class TestSpec:
         with pytest.raises(SpecError, match=message):
             parse_spec(document)
 
+    def test_scheduler_key_rejected_even_with_a_once_valid_value(self):
+        with pytest.raises(SpecError, match="unknown spec key.*'scheduler'"):
+            parse_spec({"model": "bench:SPV", "scheduler": "stream"})
+
     def test_inline_generic_model_loads(self):
         document = model_to_generic(ZOO["int_arith"]()[0])
         spec = parse_spec({"model": document, "engine": "sse"})
@@ -216,6 +220,10 @@ class TestLifecycle:
         with pytest.raises(ServiceError) as excinfo:
             server.client.submit({"model": "bench:NOPE"})
         assert excinfo.value.status == 400
+        with pytest.raises(ServiceError) as excinfo:
+            server.client.submit({"model": "bench:SPV", "scheduler": "stream"})
+        assert excinfo.value.status == 400
+        assert "scheduler" in str(excinfo.value.body)
 
     def test_cancel_running_campaign_drains_and_reports(self, server):
         client = server.client
