@@ -13,17 +13,21 @@ out:
 * interpretation overhead decomposition: SSE -> SSE_ac (dispatch
   precompiled) -> SSE_rac (whole-model generated Python) -> AccMoS
   (generated C).
+
+The first two drive the shipped program — :func:`compile_model` with the
+test case imported at run time as stimulus descriptors — so gcc cannot
+fold compile-time-constant stimuli away, and the times measure
+simulation work.
 """
 
 from __future__ import annotations
 
 import pytest
 
+import repro.codegen.driver as driver
 from repro import SimulationOptions, simulate
 from repro.benchmarks import benchmark_stimuli
-from repro.codegen import generate_c_program
-from repro.codegen.driver import CFLAGS, compile_c_program, parse_result
-from repro.instrument import build_plan
+from repro.engines.accmos import compile_model
 
 from conftest import bench_steps, report_json, report_table
 
@@ -38,30 +42,21 @@ def lans(programs):
 
 
 def _run_accmos_variant(prog, *, coverage, diagnostics, flags=None, steps=None):
-    import subprocess
-    import time
-
+    """One case on a freshly compiled program (``flags`` replaces the
+    compiler flags; the artifact cache is bypassed so they take
+    effect)."""
     steps = steps or max(bench_steps() * 20, 200_000)
     options = SimulationOptions(
         steps=steps, coverage=coverage, diagnostics=diagnostics,
     )
-    plan = build_plan(prog, coverage=coverage, diagnostics=diagnostics)
-    source, layout = generate_c_program(
-        prog, plan, benchmark_stimuli(prog), options
-    )
-    if flags is None:
-        compiled = compile_c_program(source, layout)
-    else:
-        import repro.codegen.driver as driver
-
-        original = list(driver.CFLAGS)
+    original = list(driver.CFLAGS)
+    if flags is not None:
         driver.CFLAGS[:] = flags
-        try:
-            compiled = compile_c_program(source, layout)
-        finally:
-            driver.CFLAGS[:] = original
-    result = parse_result(compiled.execute(), prog, plan, layout, options)
-    return result
+    try:
+        model = compile_model(prog, options, cache=False)
+    finally:
+        driver.CFLAGS[:] = original
+    return model.run(benchmark_stimuli(prog), options)
 
 
 def test_instrumentation_overhead(benchmark, lans):

@@ -133,7 +133,9 @@ def test_inproc_throughput():
     # Where an in-process case's time goes: the library call (the C
     # loop plus ctypes) against decoding its packed result buffer.
     records = [
-        encode_case_binary(descriptors_for(prog, stimuli), steps=steps)
+        encode_case_binary(
+            descriptors_for(prog, stimuli, steps=steps), steps=steps
+        )
         for cases in batches
         for stimuli, _options in cases
     ]

@@ -15,8 +15,9 @@ import pytest
 from repro import SimulationOptions
 from repro.actors import all_specs
 from repro.benchmarks import benchmark_stimuli
-from repro.codegen import generate_c_program
+from repro.codegen import generate_reusable_c_program
 from repro.codegen.driver import compile_c_program
+from repro.engines.accmos import compile_model
 from repro.diagnosis.events import DiagnosticKind
 from repro.instrument import build_plan
 
@@ -84,13 +85,12 @@ def test_codegen_throughput(benchmark, programs, name):
         pytest.skip(f"{name} excluded by ACCMOS_BENCH_MODELS")
     prog = programs[name]
     plan = build_plan(prog)
-    stimuli = benchmark_stimuli(prog)
     options = SimulationOptions(steps=1000)
 
     source, _ = benchmark(
-        lambda: generate_c_program(prog, plan, stimuli, options)
+        lambda: generate_reusable_c_program(prog, plan, options)
     )
-    assert "int main(void)" in source
+    assert "int main(int argc, char **argv)" in source
 
 
 @pytest.mark.parametrize("name", ["CSEV"])
@@ -99,11 +99,14 @@ def test_compile_throughput(benchmark, programs, name):
     if name not in programs:
         pytest.skip(f"{name} excluded by ACCMOS_BENCH_MODELS")
     prog = programs[name]
+    options = SimulationOptions(steps=1000)
     plan = build_plan(prog)
-    source, layout = generate_c_program(
-        prog, plan, benchmark_stimuli(prog), SimulationOptions(steps=1000)
-    )
+    source, layout = generate_reusable_c_program(prog, plan, options)
     compiled = benchmark.pedantic(
         lambda: compile_c_program(source, layout), rounds=1, iterations=1
     )
     assert compiled.binary.exists()
+    # The compiled program is the shipped one: it runs an imported case.
+    model = compile_model(prog, options, cache=False)
+    result = model.run(benchmark_stimuli(prog), options)
+    assert result.steps_run == 1000

@@ -12,7 +12,7 @@ import tempfile
 from pathlib import Path
 
 from repro import ModelBuilder, SimulationOptions, simulate
-from repro.codegen import generate_c_program
+from repro.codegen import generate_reusable_c_program
 from repro.dtypes import I32
 from repro.instrument import build_plan
 from repro.schedule import preprocess
@@ -63,7 +63,9 @@ def main():
 
     # --- look at the generated simulation code ---------------------------
     plan = build_plan(prog)
-    source, _ = generate_c_program(prog, plan, stimuli, SimulationOptions(steps=8))
+    # Stimuli and step counts are imported at run time: the source
+    # depends only on the model and the instrumentation.
+    source, _ = generate_reusable_c_program(prog, plan, SimulationOptions())
     c_path = workdir / "thermostat_sim.c"
     c_path.write_text(source)
     print(f"\ngenerated C simulation: {c_path} "

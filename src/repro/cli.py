@@ -63,7 +63,7 @@ def _options_from(args) -> SimulationOptions:
     if getattr(args, "halt_on", None):
         halt_on = frozenset(DiagnosticKind(k) for k in args.halt_on)
     return SimulationOptions(
-        steps=args.steps,
+        steps=getattr(args, "steps", SimulationOptions.steps),
         coverage=not getattr(args, "no_coverage", False),
         diagnostics=not getattr(args, "no_diagnostics", False),
         halt_on=halt_on,
@@ -169,14 +169,16 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_codegen(args) -> int:
-    from repro.codegen import generate_c_program
+    from repro.codegen import generate_reusable_c_program
     from repro.instrument import build_plan
 
     model = _load(args.model)
     prog = preprocess(model, dt=args.dt)
-    plan = build_plan(prog)
-    stimuli = _stimuli_for(args, prog)
-    source, _ = generate_c_program(prog, plan, stimuli, _options_from(args))
+    options = _options_from(args)
+    plan = build_plan(
+        prog, coverage=options.coverage, diagnostics=options.diagnostics
+    )
+    source, _ = generate_reusable_c_program(prog, plan, options)
     if args.output == "-":
         sys.stdout.write(source)
     else:
@@ -666,13 +668,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, steps_default=10_000):
+    def structural(p):
+        """What shapes the generated program: model and instrumentation."""
         p.add_argument("model", help="model XML file, or bench:NAME")
-        p.add_argument("--steps", type=int, default=steps_default)
         p.add_argument("--dt", type=float, default=1.0)
-        p.add_argument("--seed", type=int, default=1, help="stimuli seed")
-        p.add_argument("--stimuli", help="CSV test-case file")
-        p.add_argument("--time-budget", type=float, default=None)
         p.add_argument("--no-coverage", action="store_true")
         p.add_argument("--no-diagnostics", action="store_true")
         p.add_argument(
@@ -680,6 +679,14 @@ def build_parser() -> argparse.ArgumentParser:
             choices=[k.value for k in DiagnosticKind],
             help="stop at the first diagnostic of these kinds",
         )
+
+    def common(p, steps_default=10_000):
+        """Structural flags plus one run's test case."""
+        structural(p)
+        p.add_argument("--steps", type=int, default=steps_default)
+        p.add_argument("--seed", type=int, default=1, help="stimuli seed")
+        p.add_argument("--stimuli", help="CSV test-case file")
+        p.add_argument("--time-budget", type=float, default=None)
 
     p = sub.add_parser("info", help="model statistics")
     p.add_argument("model")
@@ -696,7 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("codegen", help="emit the instrumented C source")
-    common(p)
+    structural(p)
     p.add_argument("-o", "--output", default="-")
     p.set_defaults(fn=cmd_codegen)
 

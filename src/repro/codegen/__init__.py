@@ -12,6 +12,8 @@ self-contained simulation program:
 * :mod:`~repro.codegen.compose` — simulation code composition: the model
   step body in execution order, instrumentation inlined at each actor, the
   main function with test-case import and the simulation loop;
+* :mod:`~repro.codegen.descriptor` — test-case import: each stimulus as
+  runtime descriptor data, and its wire encoding;
 * :mod:`~repro.codegen.driver` — gcc compilation and execution, plus the
   result-protocol parser;
 * :mod:`~repro.codegen.pybackend` — a generated-Python backend with the
@@ -19,7 +21,7 @@ self-contained simulation program:
   no-compiler fallback).
 """
 
-from repro.codegen.compose import generate_c_program, generate_reusable_c_program
+from repro.codegen.compose import generate_reusable_c_program
 from repro.codegen.descriptor import descriptors_for, encode_case
 from repro.codegen.driver import (
     CompiledSimulation,
@@ -31,7 +33,6 @@ from repro.codegen.driver import (
 from repro.codegen.pybackend import generate_py_step
 
 __all__ = [
-    "generate_c_program",
     "generate_reusable_c_program",
     "descriptors_for",
     "encode_case",

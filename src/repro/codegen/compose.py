@@ -20,26 +20,23 @@ The result protocol is plain text on stdout, one record per line::
 Slot/monitor indices are resolved back to actor paths by the
 :class:`ProgramLayout` the generator returns alongside the source text.
 
-Two program shapes share everything above:
-
-* :func:`generate_c_program` — the legacy shape: stimuli and step count
-  baked in as constants, one process run per case;
-* :func:`generate_reusable_c_program` — the compile-once shape: the
-  source depends only on ``(FlatProgram, InstrumentationPlan)`` plus the
-  structural options, reads stimulus descriptors + per-case step counts
-  from stdin (see :mod:`repro.codegen.descriptor`), and runs any number
-  of cases back to back, each result section framed by a ``case <i>``
-  line with full state/coverage/diagnostic reset in between.  Launched
-  with ``--serve`` the same binary is a persistent simulation server:
-  a ``ready`` handshake, then one flushed ``case <i> ... done <i>``
-  frame per stdin record until stdin closes.
+There is one program shape, :func:`generate_reusable_c_program`: the
+source depends only on ``(FlatProgram, InstrumentationPlan)`` plus the
+structural options.  Test cases are imported at run time as stimulus
+descriptors plus per-case step counts (see
+:mod:`repro.codegen.descriptor`), and any number of cases run back to
+back, each result section framed by a ``case <i>`` line with full
+state/coverage/diagnostic reset in between.  Launched with ``--serve``
+the binary is a persistent simulation server: a ``ready`` handshake,
+then one flushed ``case <i> ... done <i>`` frame per stdin record until
+stdin closes.  Compiled ``-shared`` it exports the in-process entry
+points of :mod:`repro.inproc`.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
 
 from repro.diagnosis.custom import CustomDiagnosis
 from repro.diagnosis.events import FLAG_KINDS, DiagnosticKind
@@ -68,7 +65,6 @@ from repro.stimuli.base import (
     STIM_KIND_SINE,
     STIM_KIND_STEP,
     STIM_KIND_UNIFORM,
-    Stimulus,
     c_double_literal,
 )
 
@@ -119,16 +115,6 @@ def _substitute_custom_predicate(diag: CustomDiagnosis, fa, prog) -> str:
     return re.sub(r"\b(in|out)(\d+)\b", replace, diag.c_predicate)
 
 
-def generate_c_program(
-    prog: FlatProgram,
-    plan: InstrumentationPlan,
-    stimuli: Mapping[str, Stimulus],
-    options: SimulationOptions,
-) -> tuple[str, ProgramLayout]:
-    """Generate the legacy (baked-in stimuli) C source: ``(source, layout)``."""
-    return _generate(prog, plan, options, stimuli=stimuli)
-
-
 def generate_reusable_c_program(
     prog: FlatProgram,
     plan: InstrumentationPlan,
@@ -143,16 +129,8 @@ def generate_reusable_c_program(
     artifact-cache key therefore stays constant across an entire seed
     campaign: one gcc invocation serves every case.
     """
-    return _generate(prog, plan, options, stimuli=None)
+    from repro.inproc.abi import ABI_VERSION, ResultDecoder
 
-
-def _generate(
-    prog: FlatProgram,
-    plan: InstrumentationPlan,
-    options: SimulationOptions,
-    stimuli: Optional[Mapping[str, Stimulus]],
-) -> tuple[str, ProgramLayout]:
-    reusable = stimuli is None
     ctx = EmitContext(prog=prog, plan=plan)
     layout = ProgramLayout()
     halt_kinds = options.halt_on or frozenset()
@@ -196,14 +174,7 @@ def _generate(
         ctx, prog, plan, slot_of, custom_slot_of, layout, halt_kinds, options
     )
     update_body = _emit_update_body(ctx, prog)
-    if reusable:
-        stim_body = _emit_descriptor_stimuli(prog)
-        stim_decls = [
-            f"#define ACC_NPORTS {len(prog.inports)}",
-            stimulus_runtime().rstrip(),
-        ]
-    else:
-        stim_body, stim_decls = _emit_stimuli(prog, stimuli)
+    stim_body = _emit_descriptor_stimuli(prog)
 
     # ---- globals ----
     globals_: list[str] = []
@@ -225,7 +196,8 @@ def _generate(
     globals_.append("/* ---- actor state ---- */")
     globals_.extend(ctx.decls)
     globals_.append("/* ---- stimuli state ---- */")
-    globals_.extend(stim_decls)
+    globals_.append(f"#define ACC_NPORTS {len(prog.inports)}")
+    globals_.append(stimulus_runtime().rstrip())
 
     points = plan.points
     if plan.coverage_enabled:
@@ -255,82 +227,23 @@ def _generate(
     for i, _ in enumerate(prog.outports):
         globals_.append(f"static uint64_t chk{i};")
 
-    if reusable:
-        from repro.inproc.abi import ABI_VERSION, ResultDecoder
-
-        reset_fn = _emit_case_reset(
-            prog, plan, layout, ctx, store_inits, globals_
-        )
-        sim_fn = _emit_sim_case_fn(
-            prog, options,
-            stim_body=stim_body, step_body=step_body,
-            update_body=update_body, use_halt_label=use_halt_label,
-        )
-        main_lines = _emit_batch_main(prog, plan, layout, options)
-        lib_fn = _emit_lib_exports(
-            prog, plan, layout, options,
-            abi_version=ABI_VERSION,
-            result_size=ResultDecoder(layout, plan, options).size,
-        )
-        chunks = [
-            runtime_header(), "\n".join(globals_), "", reset_fn, "",
-            sim_fn, "", "\n".join(main_lines), "", lib_fn, "",
-        ]
-        return "\n".join(chunks), layout
-
-    # ---- main (legacy: one baked-in case per process run) ----
-    main_lines: list[str] = []
-    main_lines.append("int main(void) {")
-    main_lines.append("    int64_t halt_step = -1;")
-    main_lines.append("    int64_t steps_run = 0;")
-    main_lines.append("    struct timespec _t0, _t1;")
-    main_lines.append("    int64_t step;")
-    for i in range(max(1, len(layout.diag_slots))):
-        main_lines.append(f"    diag_first[{i}] = -1;")
-    main_lines.append("    clock_gettime(CLOCK_MONOTONIC, &_t0);")
-    main_lines.append(f"    for (step = 0; step < {options.steps}LL; step++) {{")
-    if options.time_budget is not None:
-        main_lines.append("        if ((step & 511) == 0) {")
-        main_lines.append("            clock_gettime(CLOCK_MONOTONIC, &_t1);")
-        main_lines.append(
-            "            if ((double)(_t1.tv_sec - _t0.tv_sec) + "
-            "1e-9 * (double)(_t1.tv_nsec - _t0.tv_nsec) >= "
-            f"{options.time_budget!r}) break;"
-        )
-        main_lines.append("        }")
-    main_lines.append("        /* ---- test case import ---- */")
-    main_lines.append(_indent(stim_body, 8))
-    main_lines.append("        /* ---- model step (execution order) ---- */")
-    main_lines.append(_indent(step_body, 8))
-    main_lines.append("        /* ---- state update phase ---- */")
-    main_lines.append(_indent(update_body, 8))
-    if options.checksum and prog.outports:
-        main_lines.append("        /* ---- output checksums ---- */")
-        for i, binding in enumerate(prog.outports):
-            main_lines.append(
-                f"        ACC_CHK(chk{i}, {_bits_expr(svar(binding.sid), binding.dtype)});"
-            )
-    main_lines.append("        steps_run = step + 1;")
-    if use_halt_label:
-        main_lines.append("        continue;")
-        main_lines.append("    sim_halt:")
-        main_lines.append("        halt_step = step;")
-        main_lines.append("        steps_run = step + 1;")
-        main_lines.append("        break;")
-    main_lines.append("    }")
-    main_lines.append("    clock_gettime(CLOCK_MONOTONIC, &_t1);")
-    main_lines.append(
-        "    double _elapsed = (double)(_t1.tv_sec - _t0.tv_sec) + "
-        "1e-9 * (double)(_t1.tv_nsec - _t0.tv_nsec);"
+    reset_fn = _emit_case_reset(prog, plan, layout, ctx, store_inits, globals_)
+    sim_fn = _emit_sim_case_fn(
+        prog, options,
+        stim_body=stim_body, step_body=step_body,
+        update_body=update_body, use_halt_label=use_halt_label,
     )
-    main_lines.append(_indent(_emit_report(prog, plan, layout, options), 4))
-    main_lines.append("    return 0;")
-    main_lines.append("}")
-
-    source = "\n".join(
-        [runtime_header(), "\n".join(globals_), "", "\n".join(main_lines), ""]
+    main_lines = _emit_batch_main(prog, plan, layout, options)
+    lib_fn = _emit_lib_exports(
+        prog, plan, layout, options,
+        abi_version=ABI_VERSION,
+        result_size=ResultDecoder(layout, plan, options).size,
     )
-    return source, layout
+    chunks = [
+        runtime_header(), "\n".join(globals_), "", reset_fn, "",
+        sim_fn, "", "\n".join(main_lines), "", lib_fn, "",
+    ]
+    return "\n".join(chunks), layout
 
 
 # ----------------------------------------------------------------------
@@ -349,26 +262,13 @@ def _bits_expr(var: str, dtype: DType) -> str:
     return f"(uint64_t)(int64_t){var}"
 
 
-def _emit_stimuli(prog: FlatProgram, stimuli: Mapping[str, Stimulus]):
-    body: list[str] = []
-    decls: list[str] = []
-    for i, binding in enumerate(prog.inports):
-        stim = stimuli[binding.name]
-        prefix = f"stim{i}"
-        decl = stim.c_decls(prefix)
-        if decl:
-            decls.append(decl)
-        body.append(stim.c_step(svar(binding.sid), binding.dtype, prefix))
-    return "\n".join(body), decls
-
-
 def _emit_descriptor_stimuli(prog: FlatProgram) -> str:
     """Per-port stimulus interpretation from runtime descriptors.
 
     Each port gets a switch specialized on its dtype at codegen time, so
-    the int-vs-float slot selection — and therefore every C conversion —
-    matches what the baked-in emitters would have produced for the same
-    stimulus, keeping the streams bit-identical.
+    an integer port reads the int slots and a float port the double
+    slots: no value round-trips through the wrong type, and the stream
+    stays bit-identical to what SSE feeds the model.
     """
     adv = f"_st->state = _st->state * {LCG_MUL}ULL + {LCG_INC}ULL;"
     scale = c_double_literal(1.0 / 9007199254740992.0)
@@ -565,7 +465,7 @@ def _emit_batch_main(
     layout: ProgramLayout,
     options: SimulationOptions,
 ) -> list[str]:
-    """``main`` for the reusable program: loop over stdin case records.
+    """``main``: loop over stdin case records.
 
     Invoked with ``--serve`` the same loop becomes a persistent server:
     it prints a ``ready`` handshake up front and flushes stdout after
@@ -683,8 +583,8 @@ def _emit_lib_exports(
     abi_version: int,
     result_size: int,
 ) -> str:
-    """The in-process entry points (``repro.inproc``): same reusable
-    source compiled with ``-shared -fPIC`` becomes a loadable engine.
+    """The in-process entry points (``repro.inproc``): the same source
+    compiled with ``-shared -fPIC`` becomes a loadable engine.
 
     ``acc_lib_run_case`` reads one packed binary case record and fills a
     caller-provided result buffer — no stdio on either side.  Returns
@@ -873,13 +773,6 @@ def _emit_step_body(
         else:
             lines.append(body)
     return "\n".join(lines)
-
-
-def _flag_for(kind: DiagnosticKind) -> str:
-    for flag_name, flag_kind in FLAG_KINDS:
-        if flag_kind is kind:
-            return flag_name
-    raise CodegenError(f"kind {kind} has no runtime flag")
 
 
 def _emit_update_body(ctx: EmitContext, prog: FlatProgram) -> str:

@@ -1,10 +1,12 @@
 """Runtime stimulus descriptors: the wire format of compile-once codegen.
 
-The reusable (stimulus-agnostic) program generated by
+The program generated by
 :func:`repro.codegen.compose.generate_reusable_c_program` reads its test
-cases from stdin instead of having them compiled in.  This module is the
-Python half of that contract: it turns :class:`StimulusDescriptor`
-records into the whitespace-separated text the C-side reader
+cases at run time instead of having them compiled in.  This module is
+the Python half of that contract: :func:`descriptors_for` decides how
+each stimulus becomes runtime data, and :func:`encode_case` turns the
+resulting :class:`StimulusDescriptor` records into the
+whitespace-separated text the C-side reader
 (:func:`repro.codegen.runtime.stimulus_runtime`) parses with ``scanf``.
 
 Wire format, one case at a time::
@@ -16,8 +18,8 @@ Wire format, one case at a time::
 
 ``time_budget``/``deadline`` use ``-1`` for "disabled".  Doubles travel
 as C99 hex-float literals (``float.hex()`` ↔ ``scanf %la``), which round
-trip exactly — the same trick the baked-in literals use — and integers
-as decimals, so 64-bit sequence values beyond 2**53 survive untouched.
+trip exactly, and integers as decimals, so 64-bit sequence values beyond
+2**53 survive untouched.
 A batch is simply the concatenation of case records; the binary loops
 until stdin is exhausted.
 """
@@ -27,8 +29,14 @@ from __future__ import annotations
 import math
 from typing import Mapping, Optional, Sequence
 
+from repro.model.errors import SimulationError
 from repro.schedule.program import FlatProgram
-from repro.stimuli.base import DESCRIPTOR_FIELDS, Stimulus, StimulusDescriptor
+from repro.stimuli.base import (
+    DESCRIPTOR_FIELDS,
+    STIM_KIND_SEQUENCE,
+    Stimulus,
+    StimulusDescriptor,
+)
 
 _U64 = 1 << 64
 _I64_MAX = (1 << 63) - 1
@@ -64,18 +72,38 @@ _TEXT_FORMATTERS = {
 
 
 def descriptors_for(
-    prog: FlatProgram, stimuli: Mapping[str, Stimulus]
-) -> Optional[list[StimulusDescriptor]]:
-    """Per-inport descriptors in port order, or None if any stimulus
-    cannot be expressed as runtime data (legacy baked path required)."""
+    prog: FlatProgram, stimuli: Mapping[str, Stimulus], *, steps: int
+) -> list[StimulusDescriptor]:
+    """Per-inport descriptors in port order: the one place a stimulus
+    becomes runtime data.
+
+    A built-in generator describes itself in closed form.  Any other
+    stimulus is *materialized*: ``reset()``, then ``steps`` calls to
+    ``next()``, which become a sequence table.  Every sequence table is
+    conformed to its port's dtype with the stimulus's own ``conform`` —
+    exactly the values SSE feeds the model, so the C side never converts
+    a value SSE would convert differently.
+    """
+    missing = [b.name for b in prog.inports if b.name not in stimuli]
+    if missing:
+        raise SimulationError(f"no stimulus for inport(s): {missing}")
     descriptors = []
     for binding in prog.inports:
-        stim = stimuli.get(binding.name)
-        if stim is None:
-            return None
+        stim = stimuli[binding.name]
         descriptor = stim.runtime_descriptor()
         if descriptor is None:
-            return None
+            stim.reset()
+            descriptor = StimulusDescriptor(
+                kind=STIM_KIND_SEQUENCE,
+                table=tuple(stim.next() for _ in range(steps)),
+            )
+        if descriptor.kind == STIM_KIND_SEQUENCE:
+            dtype = binding.dtype
+            descriptor = StimulusDescriptor(
+                kind=STIM_KIND_SEQUENCE,
+                table_is_float=dtype.is_float,
+                table=tuple(stim.conform(v, dtype) for v in descriptor.table),
+            )
         descriptors.append(descriptor)
     return descriptors
 

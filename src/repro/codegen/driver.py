@@ -176,9 +176,9 @@ class CompiledSimulation:
     ) -> str:
         """Run the binary; ``timeout_seconds`` kills it when exceeded.
 
-        ``input_text`` is piped to the binary's stdin — the reusable
-        (stimulus-agnostic) programs read their case descriptors there;
-        legacy baked-in programs take no input and get /dev/null.
+        ``input_text`` is piped to the binary's stdin, where the program
+        reads its case descriptors; without it stdin is /dev/null and
+        the program runs no case.
         """
         proc = subprocess.Popen(
             [str(self.ensure_binary())],

@@ -5,23 +5,22 @@ synthesize the simulation code from the actor template library, import the
 test cases, compile with ``-O3``, execute, and parse coverage/diagnosis/
 monitor results back into the shared schema.
 
-Two execution shapes share that pipeline:
+The generated program is compile-once / run-many: it is
+stimulus-agnostic — it imports stimulus descriptors, step counts, and
+per-case deadlines at run time — so one binary per
+``(FlatProgram, InstrumentationPlan)`` serves every test case, and the
+artifact cache turns a whole seed campaign into a single gcc invocation.
+:func:`compile_model` returns a :class:`CompiledModel` whose
+:meth:`~CompiledModel.run`/:meth:`~CompiledModel.run_batch` reuse the
+binary; ``run_batch`` executes M cases in one process with framed output
+and full per-case state/coverage/diagnostic reset.  Every
+:class:`Stimulus` reaches C through
+:func:`~repro.codegen.descriptor.descriptors_for`: built-in generators
+as closed-form descriptors, custom subclasses materialized into
+sequence tables.
 
-* **compile-once / run-many** (the default): the generated program is
-  stimulus-agnostic — it reads stimulus descriptors, step counts, and
-  per-case deadlines from stdin — so one binary per
-  ``(FlatProgram, InstrumentationPlan)`` serves every test case, and the
-  artifact cache turns a whole seed campaign into a single gcc
-  invocation.  :func:`compile_model` returns a :class:`CompiledModel`
-  whose :meth:`~CompiledModel.run`/:meth:`~CompiledModel.run_batch`
-  reuse the binary; ``run_batch`` executes M cases in one process with
-  framed output and full per-case state/coverage/diagnostic reset.
-* **legacy baked-in**: stimuli and step count compiled in as constants.
-  Kept as the fallback for custom :class:`Stimulus` subclasses without a
-  ``runtime_descriptor()``.
-
-Both shapes are bit-for-bit equivalent to each other and to the SSE
-reference — the repository's core invariant.
+Every rung is bit-for-bit equivalent to the SSE reference — the
+repository's core invariant.
 
 ``wall_time`` is the binary's own measurement of its simulation loop —
 the quantity the paper's Table 2 reports.  Code generation and compilation
@@ -38,11 +37,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Sequence, Union
 
 from repro import telemetry
-from repro.codegen.compose import (
-    ProgramLayout,
-    generate_c_program,
-    generate_reusable_c_program,
-)
+from repro.codegen.compose import ProgramLayout, generate_reusable_c_program
 from repro.codegen.descriptor import descriptors_for, encode_case
 from repro.codegen.driver import (
     CompiledSimulation,
@@ -423,7 +418,7 @@ class CompiledModel:
         failure, ABI mismatch, non-zero run status — quarantines the
         in-process rung for this model and transparently finishes the
         affected cases on the crash-isolated ``--serve`` rung,
-        preserving the stream→batch→baked fallback ladder below it.
+        preserving the stream→batch fallback ladder below it.
         Results are byte-identical either way.
 
         ``threads=N`` partitions the cases across N worker threads, each
@@ -729,19 +724,9 @@ class CompiledModel:
                 "structure (only steps/time_budget may vary per case); "
                 "compile a new model for them"
             )
-        missing = [
-            b.name for b in self.prog.inports if b.name not in stimuli
-        ]
-        if missing:
-            raise SimulationError(f"no stimulus for inport(s): {missing}")
-        descriptors = descriptors_for(self.prog, stimuli)
-        if descriptors is None:
-            raise SimulationError(
-                "stimulus without runtime_descriptor(); such streams "
-                "need the legacy baked-in path (run_accmos falls back "
-                "automatically)"
-            )
-        return options, descriptors
+        return options, descriptors_for(
+            self.prog, stimuli, steps=options.steps
+        )
 
     def _dispatch(
         self,
@@ -1052,13 +1037,9 @@ def run_accmos(
 ) -> SimulationResult:
     """Generate, compile, and execute the instrumented simulation.
 
-    When every stimulus has a ``runtime_descriptor()`` (all built-in
-    generators do), the stimulus-agnostic reusable program is used: the
-    compiled binary — and its artifact-cache key — is independent of the
-    stimuli and the step count, so repeated calls with different seeds
-    or step counts hit the cache after the first compile.  Custom
-    stimuli without descriptors fall back to the legacy baked-in
-    program.
+    The compiled binary — and its artifact-cache key — is independent of
+    the stimuli and the step count, so repeated calls with different
+    seeds or step counts hit the cache after the first compile.
 
     ``cache`` selects the compiled-artifact cache: an explicit
     :class:`~repro.runner.cache.ArtifactCache`, ``None`` for the
@@ -1068,19 +1049,7 @@ def run_accmos(
     artifacts land where the caller asked.  ``timeout_seconds`` bounds
     the case's wall clock (raises ``SimulationTimeout``).
     """
-    missing = [b.name for b in prog.inports if b.name not in stimuli]
-    if missing:
-        raise SimulationError(f"no stimulus for inport(s): {missing}")
-
     cache = _resolve_cache(cache)
-
-    if descriptors_for(prog, stimuli) is None:
-        return _run_accmos_baked(
-            prog, stimuli, options,
-            workdir=workdir, keep_artifacts=keep_artifacts,
-            cache=cache, timeout_seconds=timeout_seconds,
-        )
-
     with telemetry.span(
         "accmos.run", model=prog.model.name, steps=options.steps
     ) as run_span:
@@ -1105,71 +1074,3 @@ def run_accmos(
         )
     return result
 
-
-def _run_accmos_baked(
-    prog: FlatProgram,
-    stimuli: Mapping[str, Stimulus],
-    options: SimulationOptions,
-    *,
-    workdir: Optional[Path],
-    keep_artifacts: bool,
-    cache,  # resolved handle or None
-    timeout_seconds: Optional[float],
-) -> SimulationResult:
-    """The legacy path: stimuli and step count compiled into the source."""
-    with telemetry.span(
-        "accmos.run", model=prog.model.name, steps=options.steps
-    ) as run_span:
-        with telemetry.span("instrument"):
-            plan = build_plan(
-                prog,
-                coverage=options.coverage,
-                diagnostics=options.diagnostics,
-                collect=options.collect,
-                diagnose=options.diagnose,
-                custom=options.custom,
-            )
-
-        t0 = time.perf_counter()
-        with telemetry.span("codegen"):
-            source, layout = generate_c_program(prog, plan, stimuli, options)
-        generate_seconds = time.perf_counter() - t0
-
-        compiled = compile_c_program(source, layout, workdir=workdir, cache=cache)
-        t0 = time.perf_counter()
-        with telemetry.span("execute"):
-            stdout = compiled.execute(timeout_seconds=timeout_seconds)
-        execute_seconds = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        with telemetry.span("parse"):
-            result = parse_result(
-                stdout, prog, plan, layout, options, engine="accmos"
-            )
-        run_span.set(cache_hit=compiled.cache_hit, steps_run=result.steps_run)
-    telemetry.counter_inc("engine.accmos.runs")
-    telemetry.counter_inc("engine.accmos.steps", result.steps_run)
-    telemetry.counter_inc("diagnostics.events", len(result.diagnostics))
-    telemetry.observe("accmos.generate_seconds", generate_seconds)
-    telemetry.observe("accmos.compile_seconds", compiled.compile_seconds)
-    telemetry.observe("accmos.execute_seconds", execute_seconds)
-    if result.wall_time > 0:
-        telemetry.observe(
-            "engine.accmos.steps_per_sec", result.steps_run / result.wall_time
-        )
-    result.extra.update(
-        generate_seconds=generate_seconds,
-        compile_seconds=compiled.compile_seconds,
-        execute_seconds=execute_seconds,
-        parse_seconds=time.perf_counter() - t0,
-        cache_hit=compiled.cache_hit,
-        source_lines=source.count("\n") + 1,
-    )
-    if keep_artifacts:
-        result.extra["artifacts"] = AccMoSArtifacts(
-            source=source,
-            source_path=compiled.source if workdir else None,
-            binary_path=compiled.binary if workdir else None,
-            generate_seconds=generate_seconds,
-            compile_seconds=compiled.compile_seconds,
-        )
-    return result

@@ -13,9 +13,7 @@ rung must reproduce it exactly:
   driven through the packed binary ABI (exercises ``repro.inproc``);
 * ``accmos_inproc_mt`` — the same library driven thread-parallel: the
   case runs as several copies sharded across private instances
-  (exercises the instance pool and the deterministic threaded merge);
-* ``accmos_baked`` — the legacy path with stimuli and step count baked
-  into the C source (exercises the literal emitters).
+  (exercises the instance pool and the deterministic threaded merge).
 
 Outputs are compared on raw bits (via :func:`signal_bits`, which also
 canonicalizes NaN exactly like the generated C), checksums/coverage
@@ -28,11 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.codegen.descriptor import descriptors_for
 from repro.coverage.report import CoverageReport
 from repro.codegen.driver import find_c_compiler, supports_shared_objects
 from repro.engines import SimulationOptions, SimulationResult, simulate
-from repro.engines.accmos import _resolve_cache, _run_accmos_baked, compile_model
+from repro.engines.accmos import _resolve_cache, compile_model
 from repro.engines.base import signal_bits
 from repro.fuzz.generate import CaseSpec, build_model, build_stimuli
 from repro.schedule import preprocess
@@ -41,13 +38,10 @@ from repro.schedule import preprocess
 #: always run; it is not itself a rung.
 ALL_RUNGS = (
     "sse_ac", "sse_rac", "accmos", "accmos_stream", "accmos_inproc",
-    "accmos_inproc_mt", "accmos_baked",
+    "accmos_inproc_mt",
 )
 PYTHON_RUNGS = ("sse_ac", "sse_rac")
-C_RUNGS = (
-    "accmos", "accmos_stream", "accmos_inproc", "accmos_inproc_mt",
-    "accmos_baked",
-)
+C_RUNGS = ("accmos", "accmos_stream", "accmos_inproc", "accmos_inproc_mt")
 _INPROC_RUNGS = ("accmos_inproc", "accmos_inproc_mt")
 
 
@@ -81,7 +75,6 @@ class OracleReport:
     rungs: tuple[str, ...]
     divergences: list[Divergence] = field(default_factory=list)
     results: dict = field(default_factory=dict)  # rung -> SimulationResult
-    skipped: list[str] = field(default_factory=list)
     #: The reference run's coverage report (bitmaps per metric).  Always
     #: present when the reference collects coverage — the guided fuzzer
     #: feeds on this, and by the oracle's own invariant the C rungs'
@@ -231,78 +224,62 @@ def run_case(
                 prog, build_stimuli(case), engine=r, options=options
             ))
 
-    wanted_c = [
-        r
-        for r in (
-            "accmos", "accmos_stream", "accmos_inproc", "accmos_inproc_mt",
+    if any(rung in rungs for rung in C_RUNGS):
+        compiled = compile_model(
+            prog, options,
+            cache=resolved_cache if resolved_cache is not None else False,
         )
-        if r in rungs
-    ]
-    if wanted_c:
-        if descriptors_for(prog, build_stimuli(case)) is None:
-            report.skipped.extend(wanted_c)
-        else:
-            compiled = compile_model(
-                prog, options,
-                cache=resolved_cache if resolved_cache is not None else False,
-            )
-            if "accmos" in wanted_c:
-                record("accmos", lambda: compiled.run(
-                    build_stimuli(case), options,
+        if "accmos" in rungs:
+            record("accmos", lambda: compiled.run(
+                build_stimuli(case), options,
+                timeout_seconds=timeout_seconds,
+            ))
+        if "accmos_stream" in rungs:
+            def stream_once():
+                (outcome,) = list(compiled.run_stream(
+                    [(build_stimuli(case), options)],
                     timeout_seconds=timeout_seconds,
                 ))
-            if "accmos_stream" in wanted_c:
-                def stream_once():
-                    (outcome,) = list(compiled.run_stream(
-                        [(build_stimuli(case), options)],
-                        timeout_seconds=timeout_seconds,
-                    ))
+                if isinstance(outcome, Exception):
+                    raise outcome
+                return outcome
+            record("accmos_stream", stream_once)
+        if "accmos_inproc" in rungs:
+            def inproc_once():
+                (outcome,) = list(compiled.run_inproc(
+                    [(build_stimuli(case), options)],
+                    timeout_seconds=timeout_seconds,
+                ))
+                if isinstance(outcome, Exception):
+                    raise outcome
+                return outcome
+            record("accmos_inproc", inproc_once)
+        if "accmos_inproc_mt" in rungs:
+            def inproc_mt():
+                # Three copies of the case across three private
+                # instances: exercises the pool, the shard merge,
+                # and inter-instance isolation.  Every copy must
+                # agree with the reference; the first is compared.
+                outcomes = list(compiled.run_inproc(
+                    [(build_stimuli(case), options)] * 3,
+                    timeout_seconds=timeout_seconds,
+                    threads=3,
+                ))
+                for outcome in outcomes:
                     if isinstance(outcome, Exception):
                         raise outcome
-                    return outcome
-                record("accmos_stream", stream_once)
-            if "accmos_inproc" in wanted_c:
-                def inproc_once():
-                    (outcome,) = list(compiled.run_inproc(
-                        [(build_stimuli(case), options)],
-                        timeout_seconds=timeout_seconds,
-                    ))
-                    if isinstance(outcome, Exception):
-                        raise outcome
-                    return outcome
-                record("accmos_inproc", inproc_once)
-            if "accmos_inproc_mt" in wanted_c:
-                def inproc_mt():
-                    # Three copies of the case across three private
-                    # instances: exercises the pool, the shard merge,
-                    # and inter-instance isolation.  Every copy must
-                    # agree with the reference; the first is compared.
-                    outcomes = list(compiled.run_inproc(
-                        [(build_stimuli(case), options)] * 3,
-                        timeout_seconds=timeout_seconds,
-                        threads=3,
-                    ))
-                    for outcome in outcomes:
-                        if isinstance(outcome, Exception):
-                            raise outcome
-                    first = outcomes[0]
-                    for other in outcomes[1:]:
-                        if other.checksums != first.checksums or (
-                            other.outputs != first.outputs
-                            and not _same_bits(
-                                first.outputs, other.outputs, out_dtypes
-                            )
-                        ):
-                            raise AssertionError(
-                                "threaded copies of one case disagree"
-                            )
-                    return first
-                record("accmos_inproc_mt", inproc_mt)
+                first = outcomes[0]
+                for other in outcomes[1:]:
+                    if other.checksums != first.checksums or (
+                        other.outputs != first.outputs
+                        and not _same_bits(
+                            first.outputs, other.outputs, out_dtypes
+                        )
+                    ):
+                        raise AssertionError(
+                            "threaded copies of one case disagree"
+                        )
+                return first
+            record("accmos_inproc_mt", inproc_mt)
 
-    if "accmos_baked" in rungs:
-        record("accmos_baked", lambda: _run_accmos_baked(
-            prog, build_stimuli(case), options,
-            workdir=None, keep_artifacts=False, cache=resolved_cache,
-            timeout_seconds=timeout_seconds,
-        ))
     return report

@@ -370,7 +370,6 @@ def replay_corpus(
     equals the persisted one bit for bit: the corpus is exactly its
     seeds, nothing more, nothing less.
     """
-    from repro.codegen.descriptor import descriptors_for
     from repro.codegen.driver import find_c_compiler, supports_shared_objects
     from repro.engines import SimulationOptions, simulate
     from repro.engines.accmos import compile_model
@@ -394,7 +393,7 @@ def replay_corpus(
                 stimuli = build_stimuli(entry.case)
                 options = SimulationOptions(steps=entry.case.steps)
                 bitmaps = None
-                if use_probe and descriptors_for(prog, stimuli) is not None:
+                if use_probe:
                     compiled = compile_model(prog, options, cache=None)
                     (bitmaps,) = compiled.probe_coverage(
                         [(stimuli, options)],

@@ -232,25 +232,17 @@ def _run_once(
 # ----------------------------------------------------------------------
 def batch_key(job: SimulationJob) -> Optional[tuple]:
     """The grouping key under which jobs may share one compiled binary,
-    or None when the job must run on the per-job path (non-AccMoS
-    engine, or a custom stimulus without a runtime descriptor).
+    or None for a non-AccMoS job, which runs on the per-job path.
 
     Jobs with equal keys have the same program and the same *structural*
-    options — the two inputs the reusable binary is specialized on; the
+    options — the two inputs the compiled program is specialized on; the
     per-case inputs (stimuli, steps, time budget) are free to differ.
+    Keying a job never builds its stimuli.
     """
     if job.engine != "accmos":
         return None
-    from repro.codegen.descriptor import descriptors_for
     from repro.engines.accmos import _structural_fingerprint
 
-    # Seed-derived default stimuli are built-in generators, all of which
-    # export runtime descriptors: only explicit stimuli need checking,
-    # so keying a job never builds its stimuli.
-    if job.stimuli is not None and (
-        descriptors_for(job.prog, job.stimuli) is None
-    ):
-        return None
     return (id(job.prog), _structural_fingerprint(job.resolved_options()))
 
 
@@ -282,24 +274,6 @@ def run_job_batch(
     then compiled ``-shared`` eagerly so an all-inproc campaign costs
     one compiler invocation and zero process spawns.
     """
-    if len(jobs) == 1 and not inproc:
-        return [
-            run_job(
-                jobs[0], cache=cache, timeout_seconds=timeout_seconds,
-                retries=retries, backoff_seconds=backoff_seconds,
-                _sleep=_sleep,
-            )
-        ]
-    if inproc and batch_key(jobs[0]) is None:
-        # Not an inproc-capable group (wrong engine / baked stimuli).
-        return [
-            run_job(
-                job, cache=cache, timeout_seconds=timeout_seconds,
-                retries=retries, backoff_seconds=backoff_seconds,
-                _sleep=_sleep,
-            )
-            for job in jobs
-        ]
     from repro.engines.accmos import compile_model
 
     def _fallback() -> "list[JobResult]":
@@ -311,6 +285,9 @@ def run_job_batch(
             )
             for job in jobs
         ]
+
+    if batch_key(jobs[0]) is None or (len(jobs) == 1 and not inproc):
+        return _fallback()
 
     with telemetry.span(
         "runner.job_batch", jobs=len(jobs),

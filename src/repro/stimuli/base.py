@@ -1,13 +1,15 @@
 """The stimulus interface.
 
 A stimulus is a resettable stream: engines call :meth:`reset` once, then
-:meth:`next` once per step.  For code generation it contributes two C
-fragments: global declarations (state variables, data tables) and the
-per-step statement storing this step's value into a target variable.
+:meth:`next` once per step.  Compiled C never sees the stream itself: it
+sees a :class:`StimulusDescriptor`, the stream as runtime data that the
+generated interpreter replays bit for bit.  Built-in generators describe
+themselves (:meth:`Stimulus.runtime_descriptor`); any other subclass is
+*materialized* into a sequence table by
+:func:`repro.codegen.descriptor.descriptors_for`.
 
-C float literals are emitted as hex floats (``float.hex()``), which round
-trip exactly, so the generated stream matches the Python stream bit for
-bit.
+The C literal helpers below serve the actor templates: float literals
+are hex floats (``float.hex()``), which round trip exactly.
 """
 
 from __future__ import annotations
@@ -90,10 +92,10 @@ class StimulusDescriptor:
     One fixed-width record per inport: a kind tag plus a small bag of
     typed parameter slots the generated C interpreter reads from stdin.
     Integer and float value slots exist side by side (``iv*`` / ``fv*``)
-    because the baked-in emitters pick an int or a double literal based
-    on the *port's* dtype — the generated per-port switch is specialized
-    on that dtype at codegen time and selects the matching slot, so the
-    runtime stream is bit-identical to the compiled-in one.
+    because the generated per-port switch is specialized on the port's
+    dtype at codegen time and reads the matching slot — an int port never
+    round-trips a value through double.  Sequence tables are conformed to
+    the port dtype by :func:`~repro.codegen.descriptor.descriptors_for`.
     """
 
     kind: int
@@ -124,21 +126,10 @@ class Stimulus(ABC):
     def next(self):
         """The value for the current step; advances the stream."""
 
-    @abstractmethod
-    def c_decls(self, prefix: str) -> str:
-        """Global C declarations (state vars, tables); '' if none."""
-
-    @abstractmethod
-    def c_step(self, target: str, dtype: DType, prefix: str) -> str:
-        """C statement(s) assigning this step's value to ``target``.
-
-        May reference the loop variable ``step`` (an ``int64_t``).
-        """
-
     def runtime_descriptor(self) -> Optional[StimulusDescriptor]:
-        """This stream as runtime data, or None when it cannot be
-        expressed (custom subclasses) — such stimuli fall back to the
-        legacy baked-in codegen path."""
+        """This stream as a closed-form descriptor, or None (custom
+        subclasses): such streams are materialized step by step into a
+        sequence table instead."""
         return None
 
     def conform(self, value, dtype: DType):

@@ -5,8 +5,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from repro.actors.sources import LCG_INC, LCG_MUL, lcg_next, lcg_uniform
-from repro.dtypes import DType, F64
+from repro.actors.sources import lcg_next, lcg_uniform
+from repro.dtypes import F64
 from repro.stimuli.base import (
     STIM_KIND_CONSTANT,
     STIM_KIND_INT_RANDOM,
@@ -18,17 +18,17 @@ from repro.stimuli.base import (
     STIM_KIND_UNIFORM,
     Stimulus,
     StimulusDescriptor,
-    c_double_literal,
 )
 
 
 def _int_slot(value) -> int:
-    """The int-value slot for a descriptor; mirrors the baked emitters'
-    ``int(v)`` (only consulted when the port dtype is integral, where the
-    legacy path would have required a finite value too)."""
+    """The int-value slot for a descriptor: ``int(v)``, the truncation
+    SSE's ``conform`` applies on an integer port.  A descriptor carries
+    both slots whatever the port, so a nan/inf value (valid only on a
+    float port, whose switch reads the float slot) gets a placeholder."""
     try:
         return int(value)
-    except (ValueError, OverflowError):  # nan/inf constant on an int port
+    except (ValueError, OverflowError):  # nan/inf
         return 0
 
 
@@ -43,14 +43,6 @@ class ConstantStimulus(Stimulus):
 
     def next(self):
         return self.value
-
-    def c_decls(self, prefix: str) -> str:
-        return ""
-
-    def c_step(self, target: str, dtype: DType, prefix: str) -> str:
-        if dtype.is_float:
-            return f"{target} = {c_double_literal(float(self.value))};"
-        return f"{target} = {int(self.value)};"
 
     def runtime_descriptor(self) -> StimulusDescriptor:
         return StimulusDescriptor(
@@ -77,29 +69,10 @@ class SequenceStimulus(Stimulus):
         self._i = (self._i + 1) % len(self.values)
         return value
 
-    def c_decls(self, prefix: str) -> str:
-        floaty = any(isinstance(v, float) for v in self.values)
-        if floaty:
-            body = ", ".join(c_double_literal(float(v)) for v in self.values)
-            ctype = "double"
-        else:
-            body = ", ".join(str(int(v)) for v in self.values)
-            ctype = "int64_t"
-        return (
-            f"static const {ctype} {prefix}_data[{len(self.values)}] = {{{body}}};"
-        )
-
-    def c_step(self, target: str, dtype: DType, prefix: str) -> str:
-        return f"{target} = ({dtype.c_name}){prefix}_data[step % {len(self.values)}];"
-
     def runtime_descriptor(self) -> StimulusDescriptor:
-        floaty = any(isinstance(v, float) for v in self.values)
-        if floaty:
-            table = tuple(float(v) for v in self.values)
-        else:
-            table = tuple(int(v) for v in self.values)
+        # Raw values: descriptors_for conforms the table to the port dtype.
         return StimulusDescriptor(
-            kind=STIM_KIND_SEQUENCE, table_is_float=floaty, table=table
+            kind=STIM_KIND_SEQUENCE, table=tuple(self.values)
         )
 
 
@@ -118,15 +91,6 @@ class RampStimulus(Stimulus):
         value = self.start + self.slope * float(self._n)
         self._n += 1
         return value
-
-    def c_decls(self, prefix: str) -> str:
-        return ""
-
-    def c_step(self, target: str, dtype: DType, prefix: str) -> str:
-        return (
-            f"{target} = ({dtype.c_name})({c_double_literal(self.start)} + "
-            f"{c_double_literal(self.slope)} * (double)step);"
-        )
 
     def runtime_descriptor(self) -> StimulusDescriptor:
         return StimulusDescriptor(
@@ -154,16 +118,6 @@ class SineStimulus(Stimulus):
         self._n += 1
         return value
 
-    def c_decls(self, prefix: str) -> str:
-        return ""
-
-    def c_step(self, target: str, dtype: DType, prefix: str) -> str:
-        return (
-            f"{target} = ({dtype.c_name})({c_double_literal(self.amplitude)} * "
-            f"sin({c_double_literal(self.w)} * (double)step + "
-            f"{c_double_literal(self.phase)}) + {c_double_literal(self.bias)});"
-        )
-
     def runtime_descriptor(self) -> StimulusDescriptor:
         return StimulusDescriptor(
             kind=STIM_KIND_SINE,
@@ -187,18 +141,6 @@ class StepStimulus(Stimulus):
         value = self.before if self._n < self.at else self.after
         self._n += 1
         return value
-
-    def c_decls(self, prefix: str) -> str:
-        return ""
-
-    def c_step(self, target: str, dtype: DType, prefix: str) -> str:
-        def lit(v):
-            return c_double_literal(float(v)) if dtype.is_float else str(int(v))
-
-        return (
-            f"{target} = (step < {self.at}) ? ({dtype.c_name}){lit(self.before)} "
-            f": ({dtype.c_name}){lit(self.after)};"
-        )
 
     def runtime_descriptor(self) -> StimulusDescriptor:
         return StimulusDescriptor(
@@ -229,18 +171,6 @@ class PulseStimulus(Stimulus):
         self._n += 1
         return value
 
-    def c_decls(self, prefix: str) -> str:
-        return ""
-
-    def c_step(self, target: str, dtype: DType, prefix: str) -> str:
-        def lit(v):
-            return c_double_literal(float(v)) if dtype.is_float else str(int(v))
-
-        return (
-            f"{target} = ((step % {self.period}) < {self.duty}) ? "
-            f"({dtype.c_name}){lit(self.high)} : ({dtype.c_name}){lit(self.low)};"
-        )
-
     def runtime_descriptor(self) -> StimulusDescriptor:
         return StimulusDescriptor(
             kind=STIM_KIND_PULSE,
@@ -265,13 +195,6 @@ class _LcgStimulus(Stimulus):
         self._state = lcg_next(state)
         return state
 
-    def c_decls(self, prefix: str) -> str:
-        initial = lcg_next(self.seed)
-        return f"static uint64_t {prefix}_s = {initial}ULL;"
-
-    def _c_advance(self, prefix: str) -> str:
-        return f"{prefix}_s = {prefix}_s * {LCG_MUL}ULL + {LCG_INC}ULL;"
-
 
 class UniformRandomStimulus(_LcgStimulus):
     """Doubles uniform in [lo, hi), bit-identical across engines."""
@@ -286,14 +209,6 @@ class UniformRandomStimulus(_LcgStimulus):
     def next(self):
         u = lcg_uniform(self._advance())
         return self.lo + u * (self.hi - self.lo)
-
-    def c_step(self, target: str, dtype: DType, prefix: str) -> str:
-        lo, hi = c_double_literal(self.lo), c_double_literal(self.hi)
-        return (
-            f"{{ uint64_t _r = {prefix}_s; {self._c_advance(prefix)} "
-            f"{target} = ({dtype.c_name})({lo} + ((double)(_r >> 11) * "
-            f"{c_double_literal(1.0 / 9007199254740992.0)}) * ({hi} - {lo})); }}"
-        )
 
     def runtime_descriptor(self) -> StimulusDescriptor:
         return StimulusDescriptor(
@@ -316,13 +231,6 @@ class IntRandomStimulus(_LcgStimulus):
 
     def next(self):
         return self.lo + ((self._advance() >> 33) % self.span)
-
-    def c_step(self, target: str, dtype: DType, prefix: str) -> str:
-        return (
-            f"{{ uint64_t _r = {prefix}_s; {self._c_advance(prefix)} "
-            f"{target} = ({dtype.c_name})({self.lo}LL + "
-            f"(int64_t)((_r >> 33) % {self.span}ULL)); }}"
-        )
 
     def runtime_descriptor(self) -> StimulusDescriptor:
         return StimulusDescriptor(

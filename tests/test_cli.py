@@ -75,16 +75,35 @@ class TestSimulate:
 
 
 class TestCodegenCommand:
+    BATCH_MAIN = "int main(int argc, char **argv)"
+
     def test_writes_file(self, model_file, tmp_path, capsys):
         out_file = tmp_path / "sim.c"
         assert main(["codegen", model_file, "-o", str(out_file)]) == 0
         text = out_file.read_text()
-        assert "int main(void)" in text
+        assert self.BATCH_MAIN in text
+        assert "acc_lib_run_case" in text
         assert "CliDemo_Acc" in text
 
     def test_stdout(self, model_file, capsys):
         assert main(["codegen", model_file]) == 0
-        assert "int main(void)" in capsys.readouterr().out
+        assert self.BATCH_MAIN in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", [
+        ["--steps", "5"], ["--seed", "3"], ["--stimuli", "cases.csv"],
+        ["--time-budget", "1.0"],
+    ])
+    def test_runtime_flags_rejected(self, model_file, flag, capsys):
+        # Stimuli and step budgets arrive per case at run time; they
+        # cannot change the one program shape codegen emits.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["codegen", model_file, *flag])
+        assert excinfo.value.code == 2
+        assert flag[0] in capsys.readouterr().err
+
+    def test_no_coverage_drops_coverage_tables(self, model_file, capsys):
+        assert main(["codegen", model_file, "--no-coverage"]) == 0
+        assert "cov_actor" not in capsys.readouterr().out
 
 
 @requires_cc

@@ -6,8 +6,18 @@ from __future__ import annotations
 import pytest
 
 from repro import SimulationOptions, simulate
-from repro.codegen import generate_c_program, generate_py_step
-from repro.codegen.driver import compile_c_program, find_c_compiler, parse_result
+from repro.codegen import (
+    descriptors_for,
+    encode_case,
+    generate_py_step,
+    generate_reusable_c_program,
+)
+from repro.codegen.driver import (
+    compile_c_program,
+    find_c_compiler,
+    parse_batch_result,
+    parse_result,
+)
 from repro.diagnosis import CustomDiagnosis, DiagnosticKind
 from repro.dtypes import F64, I16, I32
 from repro.instrument import build_plan
@@ -29,20 +39,27 @@ def _prog():
     return preprocess(b.build())
 
 
-def _generate(prog=None, options=None, stimuli=None, **plan_kwargs):
+def _generate(prog=None, options=None, **plan_kwargs):
     prog = prog or _prog()
     plan = build_plan(prog, **plan_kwargs)
     options = options or SimulationOptions(steps=100)
-    stimuli = stimuli or default_stimuli(prog)
-    source, layout = generate_c_program(prog, plan, stimuli, options)
+    source, layout = generate_reusable_c_program(prog, plan, options)
     return prog, plan, options, source, layout
+
+
+def _case_input(prog, options):
+    """One default-stimuli case record for the program's stdin."""
+    descriptors = descriptors_for(
+        prog, default_stimuli(prog), steps=options.steps
+    )
+    return encode_case(descriptors, steps=options.steps)
 
 
 class TestGeneratedSource:
     def test_structure(self):
         _, _, _, source, _ = _generate()
-        assert "int main(void)" in source
-        assert "/* ---- test case import ---- */" in source
+        assert "int main(int argc, char **argv)" in source
+        assert "/* ---- test case import" in source
         assert "/* ---- model step (execution order) ---- */" in source
         assert "steps_run" in source
 
@@ -79,6 +96,8 @@ class TestGeneratedSource:
         options = SimulationOptions(steps=10, time_budget=1.0)
         _, _, _, source, _ = _generate(options=options)
         assert source.count("clock_gettime") >= 3
+        # The budget is a per-case runtime input, not part of the source.
+        assert source == _generate(options=SimulationOptions(steps=10))[3]
 
     def test_monitor_arrays_sized_by_limit(self):
         options = SimulationOptions(steps=10, monitor_limit=13)
@@ -92,8 +111,8 @@ class TestGeneratedSource:
             c_predicate="out0 > 100 || in1 == 0",
         )
         plan = build_plan(prog, custom=[diag])
-        source, layout = generate_c_program(
-            prog, plan, default_stimuli(prog), SimulationOptions(steps=5)
+        source, layout = generate_reusable_c_program(
+            prog, plan, SimulationOptions(steps=5)
         )
         sw = prog.actor_by_path("Gen_Sw")
         out_var = f"s{sw.output_sids[0]}"
@@ -108,9 +127,7 @@ class TestGeneratedSource:
         )
         plan = build_plan(prog, custom=[diag])
         with pytest.raises(CodegenError, match="no C predicate"):
-            generate_c_program(
-                prog, plan, default_stimuli(prog), SimulationOptions(steps=5)
-            )
+            generate_reusable_c_program(prog, plan, SimulationOptions(steps=5))
 
     def test_custom_predicate_port_out_of_range(self):
         prog = _prog()
@@ -119,17 +136,16 @@ class TestGeneratedSource:
         )
         plan = build_plan(prog, custom=[diag])
         with pytest.raises(CodegenError, match="no in9"):
-            generate_c_program(
-                prog, plan, default_stimuli(prog), SimulationOptions(steps=5)
-            )
+            generate_reusable_c_program(prog, plan, SimulationOptions(steps=5))
 
 
 @requires_cc
 class TestCompileAndParse:
     def test_compile_and_execute(self):
-        _, plan, options, source, layout = _generate()
+        prog, plan, options, source, layout = _generate()
         compiled = compile_c_program(source, layout)
-        stdout = compiled.execute()
+        stdout = compiled.execute(input_text=_case_input(prog, options))
+        assert "case 0" in stdout
         assert "steps_run 100" in stdout
 
     def test_compile_error_reported(self):
@@ -140,8 +156,9 @@ class TestCompileAndParse:
     def test_parse_result_full(self):
         prog, plan, options, source, layout = _generate()
         compiled = compile_c_program(source, layout)
-        result = parse_result(
-            compiled.execute(), prog, plan, layout, options
+        (result,) = parse_batch_result(
+            compiled.execute(input_text=_case_input(prog, options)),
+            prog, plan, layout, [options],
         )
         assert result.steps_run == 100
         assert result.engine == "accmos"

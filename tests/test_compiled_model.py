@@ -1,11 +1,11 @@
-"""Compile-once / run-many equivalence: the reusable (stimulus-agnostic)
-program against the legacy baked-in program and the interpreted SSE
-reference.
+"""Compile-once / run-many equivalence: the stimulus-agnostic program
+against the interpreted SSE reference.
 
-The reusable binary reads its stimuli, step count, and deadline from
-stdin instead of having them compiled in; these tests pin the invariant
-that this changes *nothing* about the results — byte-identical outputs,
-checksums, coverage bitmaps, and diagnostics across all three paths,
+The binary reads its stimuli, step count, and deadline at run time
+instead of having them compiled in; these tests pin the invariant that
+this changes *nothing* about the results — byte-identical outputs,
+checksums, coverage bitmaps, and diagnostics, whether a stimulus reaches
+C as a closed-form descriptor or materialized into a sequence table,
 single-case and batched, including mid-batch halts and timeouts.
 """
 
@@ -38,8 +38,8 @@ STEPS = 300
 
 
 class OpaqueStimulus(Stimulus):
-    """Wraps a stimulus but hides its runtime descriptor — forcing the
-    legacy baked-in codegen path for path-vs-path comparison."""
+    """A custom stimulus: only ``reset()``/``next()``, no runtime
+    descriptor — so AccMoS materializes its stream into a table."""
 
     def __init__(self, inner: Stimulus):
         self.inner = inner
@@ -49,14 +49,6 @@ class OpaqueStimulus(Stimulus):
 
     def next(self):
         return self.inner.next()
-
-    def c_decls(self, prefix):
-        return self.inner.c_decls(prefix)
-
-    def c_step(self, target, dtype, prefix):
-        return self.inner.c_step(target, dtype, prefix)
-
-    # runtime_descriptor() inherited: returns None.
 
 
 def _opaque(stimuli):
@@ -75,15 +67,24 @@ def zoo_programs():
 @requires_cc
 @pytest.mark.parametrize("name", sorted(ZOO))
 def test_reusable_matches_sse_and_baked(zoo_programs, name):
-    """Three-way byte identity on every zoo model: SSE, legacy baked-in
-    AccMoS, reusable AccMoS."""
+    """Byte identity on every zoo model between SSE, the descriptor path,
+    and the same streams baked into materialized tables (opaque custom
+    stimuli) on every rung: ``run_accmos``, ``run_batch``, the warm
+    server stream, and the in-process library."""
     prog, stimuli = zoo_programs[name]
     opts = SimulationOptions(steps=STEPS, coverage=True, diagnostics=True)
     sse = simulate(prog, stimuli(), engine="sse", options=opts)
-    baked = run_accmos(prog, _opaque(stimuli()), opts, cache=False)
-    reusable = run_accmos(prog, stimuli(), opts, cache=False)
-    assert_results_agree(sse, baked)
-    assert_results_agree(sse, reusable)
+    assert_results_agree(sse, run_accmos(prog, stimuli(), opts, cache=False))
+    assert_results_agree(
+        sse, run_accmos(prog, _opaque(stimuli()), opts, cache=False)
+    )
+    model = compile_model(prog, opts, cache=False)
+    cases = [_opaque(stimuli()), stimuli(), _opaque(stimuli())]
+    for rung in (model.run_batch, model.run_stream, model.run_inproc):
+        outcomes = list(rung(cases))
+        assert len(outcomes) == len(cases)
+        for got in outcomes:
+            assert_results_agree(sse, got)
 
 
 @requires_cc
@@ -120,12 +121,12 @@ def test_source_is_stimulus_and_steps_agnostic(zoo_programs, tmp_path):
 
 @requires_cc
 def test_every_stimulus_kind_roundtrips(zoo_programs):
-    """Each descriptor kind streams the same values from stdin as its
-    baked-in emitter — including int sequences above 2^53, which would
-    corrupt if the interpreter unified the table through double.
+    """Each descriptor kind streams the same values from stdin as SSE
+    consumes — including int sequences above 2^53, which would corrupt
+    if the interpreter unified the table through double.
 
     The mixed_types model has an I64 port (X) and an F64 port (F), so
-    every kind is exercised against both dtype families' emitters.
+    every kind is exercised against both dtype families.
     """
     prog, _ = zoo_programs["mixed_types"]
     int_kinds = [
@@ -145,15 +146,15 @@ def test_every_stimulus_kind_roundtrips(zoo_programs):
         UniformRandomStimulus(77, -4.0, 4.0),
     ]
     opts = SimulationOptions(steps=100)
+    model = compile_model(prog, opts, cache=False)
     pairs = [(ik, float_kinds[i % len(float_kinds)])
              for i, ik in enumerate(int_kinds)]
     pairs += [(int_kinds[i % len(int_kinds)], fk)
               for i, fk in enumerate(float_kinds)]
     for x_stim, f_stim in pairs:
         stimuli = {"X": x_stim, "F": f_stim}
-        baked = run_accmos(prog, _opaque(stimuli), opts, cache=False)
-        reusable = run_accmos(prog, stimuli, opts, cache=False)
-        assert_results_agree(baked, reusable)
+        sse = simulate(prog, stimuli, engine="sse", options=opts)
+        assert_results_agree(sse, model.run(stimuli))
 
 
 @requires_cc
@@ -278,9 +279,47 @@ def test_structural_option_change_rejected(zoo_programs):
 
 
 @requires_cc
-def test_opaque_stimulus_rejected_by_compiled_model(zoo_programs):
+def test_opaque_stimulus_materialized_by_compiled_model(zoo_programs):
+    """A custom stimulus becomes a table of exactly ``steps`` conformed
+    values, per case: mixed step counts in one batch each get their own
+    materialization, identical to SSE."""
     prog, _ = zoo_programs["stateful"]
     model = compile_model(prog, SimulationOptions(steps=50), cache=False)
-    opaque = _opaque(default_stimuli(prog, seed=1))
-    with pytest.raises(SimulationError, match="descriptor"):
-        model.run(opaque)
+    stimuli = default_stimuli(prog, seed=1)
+    per_case = [SimulationOptions(steps=n) for n in (50, 7, 0, 130)]
+    batch = model.run_batch([(_opaque(stimuli), o) for o in per_case])
+    for opts, got in zip(per_case, batch):
+        assert got.steps_run == opts.steps
+        assert_results_agree(
+            simulate(prog, stimuli, engine="sse", options=opts), got
+        )
+
+
+@requires_cc
+def test_missing_inport_is_typed_error(zoo_programs):
+    prog, _ = zoo_programs["stateful"]
+    model = compile_model(prog, SimulationOptions(steps=50), cache=False)
+    with pytest.raises(SimulationError, match="no stimulus for inport"):
+        model.run({})
+
+
+@requires_cc
+def test_mixed_int_float_sequence_matches_sse(zoo_programs):
+    """A sequence mixing floats and large ints on an integer port: the
+    table is conformed to the port dtype (as SSE conforms each value),
+    not promoted to double, which would round 2**60 + 1."""
+    prog, _ = zoo_programs["mixed_types"]
+    opts = SimulationOptions(steps=4)
+
+    def stimuli():
+        return {
+            "X": SequenceStimulus([0.5, 2**60 + 1]),
+            "F": ConstantStimulus(1.0),
+        }
+
+    sse = simulate(prog, stimuli(), engine="sse", options=opts)
+    assert sse.outputs == {"Out": 10003}
+    model = compile_model(prog, opts, cache=False)
+    assert_results_agree(sse, model.run(stimuli()))
+    (inproc,) = model.run_inproc([stimuli()])
+    assert_results_agree(sse, inproc)

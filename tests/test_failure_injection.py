@@ -6,7 +6,11 @@ from __future__ import annotations
 import pytest
 
 from repro import SimulationOptions
-from repro.codegen import generate_c_program
+from repro.codegen import (
+    descriptors_for,
+    encode_case,
+    generate_reusable_c_program,
+)
 from repro.codegen.driver import (
     CompiledSimulation,
     compile_c_program,
@@ -32,10 +36,15 @@ def generated():
     prog = preprocess(b.build())
     plan = build_plan(prog)
     options = SimulationOptions(steps=20)
-    source, layout = generate_c_program(
-        prog, plan, default_stimuli(prog), options
-    )
+    source, layout = generate_reusable_c_program(prog, plan, options)
     return prog, plan, options, source, layout
+
+
+def _case_input(prog, options):
+    descriptors = descriptors_for(
+        prog, default_stimuli(prog), steps=options.steps
+    )
+    return encode_case(descriptors, steps=options.steps)
 
 
 class TestCompilerFailures:
@@ -62,15 +71,15 @@ class TestCompilerFailures:
 class TestBinaryFailures:
     def test_nonzero_exit_reported(self, generated, tmp_path):
         _, _, _, source, layout = generated
-        crashing = source.replace(
-            "int main(void) {", 'int main(void) {\n    return 7;\n'
-        ) if "int main(void) {" in source else source
+        main = "int main(int argc, char **argv) {"
+        assert main in source
+        crashing = source.replace(main, main + "\n    return 7;\n")
         compiled = compile_c_program(crashing, layout, workdir=tmp_path)
         with pytest.raises(SimulationError, match="exit 7"):
             compiled.execute()
 
     def test_crash_reported(self, generated, tmp_path):
-        _, _, _, source, layout = generated
+        prog, _, options, source, layout = generated
         crashing = source.replace(
             "clock_gettime(CLOCK_MONOTONIC, &_t0);",
             "clock_gettime(CLOCK_MONOTONIC, &_t0);\n"
@@ -80,7 +89,7 @@ class TestBinaryFailures:
         assert crashing != source
         compiled = compile_c_program(crashing, layout, workdir=tmp_path)
         with pytest.raises(SimulationError):
-            compiled.execute()
+            compiled.execute(input_text=_case_input(prog, options))
 
 
 class TestProtocolFailures:

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro import telemetry
 from repro.cli import main
 from repro.fuzz import (
+    ALL_RUNGS,
     CorpusEntry,
     FuzzConfig,
     case_signature,
@@ -18,6 +20,8 @@ from repro.fuzz import (
     run_fuzz,
     save_entry,
 )
+
+BAKED_ENTRY = Path(__file__).parent / "corpus" / "case-98194eaf7419.json"
 
 
 def _plant_broken_rung(monkeypatch):
@@ -133,3 +137,13 @@ class TestCli:
         rc = main(["fuzz", "--cases", "1", "--rungs", "warp_drive"])
         assert rc == 2
         assert "unknown rung" in capsys.readouterr().err
+
+    def test_fuzz_rejects_retired_baked_rung(self, capsys):
+        # The baked-in stimuli rung retired with its program shape; the
+        # corpus entry that records its old bug still names it.
+        (divergence,) = load_entry(BAKED_ENTRY).divergences
+        retired = divergence["rung"]
+        assert retired not in ALL_RUNGS
+        rc = main(["fuzz", "--cases", "1", "--rungs", retired])
+        assert rc == 2
+        assert f"unknown rung(s): [{retired!r}]" in capsys.readouterr().err

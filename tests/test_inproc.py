@@ -191,8 +191,7 @@ def test_text_and_binary_encodings_agree(kind):
     """Satellite: both wire formats are derived from DESCRIPTOR_FIELDS;
     every stimulus kind must carry identical values through both."""
     prog = _kinds_model()
-    descriptors = descriptors_for(prog, KIND_CASES[kind]())
-    assert descriptors is not None
+    descriptors = descriptors_for(prog, KIND_CASES[kind](), steps=77)
     text = encode_case(descriptors, steps=77, time_budget=1.5, deadline=None)
     binary = encode_case_binary(
         descriptors, steps=77, time_budget=1.5, deadline=None
@@ -213,7 +212,7 @@ def test_text_and_binary_encodings_agree(kind):
 
 def test_binary_record_rejects_truncation_and_trailing():
     prog = _kinds_model()
-    descriptors = descriptors_for(prog, KIND_CASES["sequence"]())
+    descriptors = descriptors_for(prog, KIND_CASES["sequence"](), steps=10)
     record = encode_case_binary(descriptors, steps=10)
     assert decode_case_binary(record)["steps"] == 10
     from repro.model.errors import SimulationError
@@ -237,7 +236,7 @@ def test_library_rejects_malformed_records():
     prog = _kinds_model()
     opts = SimulationOptions(steps=20)
     model = compile_model(prog, opts, cache=False, artifact="shared")
-    descriptors = descriptors_for(prog, KIND_CASES["constant"]())
+    descriptors = descriptors_for(prog, KIND_CASES["constant"](), steps=20)
     record = encode_case_binary(descriptors, steps=20)
 
     lib = model.load()
@@ -517,7 +516,9 @@ def decoded_case(zoo_programs):
     model = compile_model(prog, opts, cache=False, artifact="shared")
     lib = model.load()
     try:
-        record = encode_case_binary(descriptors_for(prog, stimuli()), steps=40)
+        record = encode_case_binary(
+            descriptors_for(prog, stimuli(), steps=40), steps=40
+        )
         buf = lib.run_case(record)
     finally:
         lib.retire()

@@ -7,7 +7,11 @@ import threading
 
 import pytest
 
-from repro.codegen import generate_c_program
+from repro.codegen import (
+    descriptors_for,
+    encode_case,
+    generate_reusable_c_program,
+)
 from repro.codegen.driver import CFLAGS, compile_c_program, find_c_compiler
 from repro.dtypes import I32
 from repro.engines.base import SimulationOptions
@@ -29,18 +33,29 @@ def _canonical(stdout: str) -> str:
     )
 
 
-def _generated(seed=1, steps=40):
+def _prog():
     b = ModelBuilder("CacheDemo")
     x = b.inport("X", dtype=I32)
     acc = b.accumulator("Acc", x, dtype=I32)
     b.outport("Y", acc)
-    prog = preprocess(b.build())
-    options = SimulationOptions(steps=steps)
-    plan = build_plan(prog)
-    source, layout = generate_c_program(
-        prog, plan, default_stimuli(prog, seed=seed), options
+    return preprocess(b.build())
+
+
+def _generated(monitor_limit=256):
+    prog = _prog()
+    options = SimulationOptions(monitor_limit=monitor_limit)
+    return generate_reusable_c_program(prog, build_plan(prog), options)
+
+
+def _run(compiled, seed=1, steps=40) -> str:
+    """Execute one default-stimuli case; canonical protocol text."""
+    prog = _prog()
+    descriptors = descriptors_for(
+        prog, default_stimuli(prog, seed=seed), steps=steps
     )
-    return source, layout
+    return _canonical(
+        compiled.execute(input_text=encode_case(descriptors, steps=steps))
+    )
 
 
 class TestCacheKey:
@@ -89,13 +104,13 @@ class TestCacheCompile:
         stats = cache.stats()
         assert (stats.misses, stats.hits, stats.entries) == (1, 1, 1)
         assert stats.bytes > 0
-        assert _canonical(second.execute()) == _canonical(first.execute())
+        assert _run(second) == _run(first)
 
     def test_changed_source_misses(self, tmp_path):
         cache = ArtifactCache(tmp_path / "cache")
         source, layout = _generated()
         compile_c_program(source, layout, cache=cache)
-        other, _ = _generated(seed=2)
+        other, _ = _generated(monitor_limit=7)
         assert other != source
         compiled = compile_c_program(other, layout, cache=cache)
         assert not compiled.cache_hit
@@ -122,7 +137,7 @@ class TestCacheCompile:
             try:
                 barrier.wait()
                 compiled = compile_c_program(source, layout, cache=cache)
-                outputs.append(_canonical(compiled.execute()))
+                outputs.append(_run(compiled))
             except BaseException as exc:  # surfaced below
                 errors.append(exc)
 

@@ -171,32 +171,34 @@ class TestRunJobs:
 @requires_cc
 class TestExecuteTimeout:
     def test_execute_timeout_kills_and_raises(self, tmp_path):
-        from repro.codegen import generate_c_program
-        from repro.codegen.driver import compile_c_program
-        from repro.instrument import build_plan
-        from repro.stimuli import default_stimuli
-
-        prog = _prog()
-        options = SimulationOptions(steps=500_000_000)
-        plan = build_plan(prog)
-        source, layout = generate_c_program(
-            prog, plan, default_stimuli(prog), options
-        )
-        compiled = compile_c_program(source, layout, workdir=tmp_path)
+        compiled, case_input = self._compiled(tmp_path, steps=500_000_000)
         with pytest.raises(SimulationTimeout, match="wall-clock"):
-            compiled.execute(timeout_seconds=0.05)
+            compiled.execute(input_text=case_input, timeout_seconds=0.05)
 
     def test_execute_without_timeout_still_works(self, tmp_path):
-        from repro.codegen import generate_c_program
+        compiled, case_input = self._compiled(tmp_path, steps=10)
+        assert "steps_run 10" in compiled.execute(input_text=case_input)
+
+    @staticmethod
+    def _compiled(tmp_path, *, steps):
+        """The pool test program compiled, plus one case record of
+        ``steps`` steps for its stdin."""
+        from repro.codegen import (
+            descriptors_for,
+            encode_case,
+            generate_reusable_c_program,
+        )
         from repro.codegen.driver import compile_c_program
         from repro.instrument import build_plan
         from repro.stimuli import default_stimuli
 
         prog = _prog()
-        options = SimulationOptions(steps=10)
-        plan = build_plan(prog)
-        source, layout = generate_c_program(
-            prog, plan, default_stimuli(prog), options
+        options = SimulationOptions(steps=steps)
+        source, layout = generate_reusable_c_program(
+            prog, build_plan(prog), options
         )
         compiled = compile_c_program(source, layout, workdir=tmp_path)
-        assert "steps_run 10" in compiled.execute()
+        descriptors = descriptors_for(
+            prog, default_stimuli(prog), steps=steps
+        )
+        return compiled, encode_case(descriptors, steps=steps)

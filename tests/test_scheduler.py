@@ -646,7 +646,7 @@ ALL_MODES = ["spawn", "serve", "inproc", "inproc-threads"]
 @requires_cc
 @pytest.mark.parametrize("mode", ALL_MODES)
 @pytest.mark.parametrize("name", ["SPV", "RAC", "CSEV"])
-def test_streaming_identical_to_wave_and_serial(name, mode, tmp_path):
+def test_streaming_identical_to_serial(name, mode, tmp_path):
     """The acceptance criterion: streaming == the serial oracle, for
     every dispatch mode, on the benchmark zoo — merged bitmaps,
     per-case new points, diagnostics, curves, saturation verdict."""

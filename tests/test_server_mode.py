@@ -227,7 +227,8 @@ def test_server_error_on_dead_process(zoo_programs):
         from repro.codegen.descriptor import descriptors_for
 
         record = encode_case(
-            descriptors_for(prog, stimuli()), steps=STEPS, deadline=None
+            descriptors_for(prog, stimuli(), steps=STEPS),
+            steps=STEPS, deadline=None,
         )
         server.submit(record)
         server.read_frame(timeout=5.0)
@@ -247,7 +248,8 @@ def test_frame_desync_raises(zoo_programs):
         from repro.codegen.descriptor import descriptors_for, encode_case
 
         server.submit(encode_case(
-            descriptors_for(prog, stimuli()), steps=STEPS, deadline=None
+            descriptors_for(prog, stimuli(), steps=STEPS),
+            steps=STEPS, deadline=None,
         ))
         with pytest.raises(ServerError, match="desync"):
             server.read_frame(timeout=10.0)
@@ -528,7 +530,8 @@ def test_parse_result_accepts_line_iterable(zoo_programs):
     from repro.codegen.descriptor import descriptors_for, encode_case
 
     payload = encode_case(
-        descriptors_for(prog, stimuli()), steps=STEPS, deadline=None
+        descriptors_for(prog, stimuli(), steps=STEPS),
+        steps=STEPS, deadline=None,
     )
     stdout = model.compiled.execute(input_text=payload)
     frame = split_case_frames(stdout)[0]

@@ -1,5 +1,5 @@
 """Stimuli: generator streams, reset determinism, CSV round trip, and the
-cross-language C emission contracts."""
+cross-language contract with the generated C descriptor interpreter."""
 
 from __future__ import annotations
 
@@ -197,7 +197,8 @@ class TestTestCaseTable:
 
 @pytest.mark.usefixtures("cc_available")
 class TestCrossLanguageStreams:
-    """Each stimulus's C emission produces the same stream as next()."""
+    """Each stimulus, fed through the generated descriptor interpreter
+    into a pass-through program, produces the same stream as next()."""
 
     @pytest.mark.parametrize("stim,dtype", [
         (ConstantStimulus(7), I32),
@@ -211,44 +212,24 @@ class TestCrossLanguageStreams:
         (UniformRandomStimulus(11, lo=-1.0, hi=4.0), F64),
         (IntRandomStimulus(12, -50, 50), I32),
     ])
-    def test_c_stream_matches_python(self, stim, dtype, tmp_path, cc_available):
+    def test_c_stream_matches_python(self, stim, dtype, cc_available):
         if not cc_available:
             pytest.skip("no C compiler")
-        import subprocess
+        from repro import SimulationOptions
+        from repro.engines.accmos import compile_model
+        from repro.model import ModelBuilder
+        from repro.schedule import preprocess
 
         n = 64
-        decls = stim.c_decls("stim0")
-        step_code = stim.c_step("v", dtype, "stim0")
-        if dtype.is_float:
-            print_stmt = 'printf("%a\\n", (double)v);'
-        else:
-            print_stmt = 'printf("%lld\\n", (long long)v);'
-        source = f"""
-#include <stdio.h>
-#include <stdint.h>
-#include <math.h>
-{decls}
-int main(void) {{
-    for (int64_t step = 0; step < {n}; step++) {{
-        {dtype.c_name} v;
-        {step_code}
-        {print_stmt}
-    }}
-    return 0;
-}}
-"""
-        c_file = tmp_path / "stim.c"
-        c_file.write_text(source)
-        binary = tmp_path / "stim"
-        subprocess.run(
-            ["gcc", "-O2", "-o", str(binary), str(c_file), "-lm"], check=True
-        )
-        lines = subprocess.run(
-            [str(binary)], capture_output=True, text=True, check=True
-        ).stdout.splitlines()
-        if dtype.is_float:
-            c_values = [float.fromhex(line) for line in lines]
-        else:
-            c_values = [int(line) for line in lines]
+        assert stim.runtime_descriptor() is not None
+        b = ModelBuilder("Pass")
+        b.outport("Y", b.inport("X", dtype=dtype))
+        prog = preprocess(b.build())
+        result = compile_model(
+            prog, SimulationOptions(steps=n), cache=False
+        ).run({"X": stim})
+        (samples,) = result.monitored.values()
+        assert [step for step, _ in samples] == list(range(n))
+        c_values = [value for _, value in samples]
         py_values = [stim.conform(v, dtype) for v in drain(stim, n)]
         assert c_values == py_values
