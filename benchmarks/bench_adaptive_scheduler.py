@@ -39,7 +39,7 @@ import pytest
 
 from repro import SimulationOptions
 from repro.benchmarks import build_benchmark
-from repro.codegen.driver import find_c_compiler, supports_shared_objects
+from repro.codegen.driver import find_c_compiler
 from repro.runner import ArtifactCache, run_jobs
 from repro.runner.costmodel import CostModelStore
 from repro.runner.jobs import SimulationJob
@@ -110,9 +110,8 @@ def test_streaming_beats_wave_loop_on_skewed_costs(tmp_path):
     wave_size = workers * batch
     cache = ArtifactCache(tmp_path / "cache")
     store = CostModelStore(tmp_path / "costmodel.json")
-    inproc = supports_shared_objects() is True
     mode_kwargs = dict(
-        mode="thread", batch_size=batch, serve=True, inproc=inproc,
+        mode="thread", batch_size=batch, serve=True, inproc=True,
         cache=cache,
     )
 

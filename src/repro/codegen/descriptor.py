@@ -1,38 +1,21 @@
-"""Runtime stimulus descriptors: the wire format of compile-once codegen.
+"""Runtime stimulus descriptors: how test cases reach compile-once code.
 
 The program generated by
 :func:`repro.codegen.compose.generate_reusable_c_program` reads its test
-cases at run time instead of having them compiled in.  This module is
-the Python half of that contract: :func:`descriptors_for` decides how
-each stimulus becomes runtime data, and :func:`encode_case` turns the
-resulting :class:`StimulusDescriptor` records into the
-whitespace-separated text the C-side reader
-(:func:`repro.codegen.runtime.stimulus_runtime`) parses with ``scanf``.
-
-Wire format, one case at a time::
-
-    case <steps> <time_budget> <deadline> <n_ports>
-    <kind> <i0> <i1> <u0> <state> <iv0> <iv1>
-        <f0> <f1> <f2> <f3> <fv0> <fv1> <tab_is_float> <tab_len>
-    [<table value> ...]          # one record per inport, in port order
-
-``time_budget``/``deadline`` use ``-1`` for "disabled".  Doubles travel
-as C99 hex-float literals (``float.hex()`` ↔ ``scanf %la``), which round
-trip exactly, and integers as decimals, so 64-bit sequence values beyond
-2**53 survive untouched.
-A batch is simply the concatenation of case records; the binary loops
-until stdin is exhausted.
+cases at run time instead of having them compiled in.
+:func:`descriptors_for` decides how each stimulus becomes runtime data:
+one :class:`StimulusDescriptor` per inport, in port order.
+:func:`repro.inproc.abi.encode_case_binary` packs them, with the case's
+step count and deadlines, into the record ``acc_lib_run_case`` reads.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Mapping, Optional, Sequence
+from typing import Mapping
 
 from repro.model.errors import SimulationError
 from repro.schedule.program import FlatProgram
 from repro.stimuli.base import (
-    DESCRIPTOR_FIELDS,
     STIM_KIND_SEQUENCE,
     Stimulus,
     StimulusDescriptor,
@@ -50,25 +33,6 @@ def _i64(value: int) -> int:
 
 def _u64(value: int) -> int:
     return int(value) & (_U64 - 1)
-
-
-def _f64(value: float) -> str:
-    """An exact textual double: hex-float, or inf/nan spellings glibc's
-    ``scanf %la`` accepts."""
-    value = float(value)
-    if math.isfinite(value):
-        return value.hex()
-    if math.isnan(value):
-        return "nan"
-    return "inf" if value > 0 else "-inf"
-
-
-#: Text formatter per descriptor slot kind (see DESCRIPTOR_FIELDS).
-_TEXT_FORMATTERS = {
-    "i": lambda v: str(_i64(v)),
-    "u": lambda v: str(_u64(v)),
-    "f": _f64,
-}
 
 
 def descriptors_for(
@@ -107,30 +71,3 @@ def descriptors_for(
         descriptors.append(descriptor)
     return descriptors
 
-
-def encode_case(
-    descriptors: Sequence[StimulusDescriptor],
-    *,
-    steps: int,
-    time_budget: Optional[float] = None,
-    deadline: Optional[float] = None,
-) -> str:
-    """One case record for the binary's stdin."""
-    parts: list[str] = [
-        "case",
-        str(int(steps)),
-        _f64(-1.0 if time_budget is None else float(time_budget)),
-        _f64(-1.0 if deadline is None else float(deadline)),
-        str(len(descriptors)),
-    ]
-    for d in descriptors:
-        parts.extend(
-            _TEXT_FORMATTERS[kind](getattr(d, attr))
-            for attr, _member, kind in DESCRIPTOR_FIELDS
-        )
-        parts.append(str(len(d.table)))
-        if d.table_is_float:
-            parts.extend(_f64(v) for v in d.table)
-        else:
-            parts.extend(str(_i64(v)) for v in d.table)
-    return " ".join(parts) + "\n"

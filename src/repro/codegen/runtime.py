@@ -288,32 +288,18 @@ typedef struct {
 
 static acc_stim acc_stims[ACC_NPORTS > 0 ? ACC_NPORTS : 1];
 
-/* server mode (--serve): ready handshake, then one flushed result frame
- * per case record — a warm process serves an unbounded case stream. */
-static int acc_serve_mode(int argc, char **argv) {
-    for (int i = 1; i < argc; i++)
-        if (strcmp(argv[i], "--serve") == 0) return 1;
-    return 0;
-}
-
-static int acc_rd_i(long long *out) { return scanf(" %lld", out) == 1; }
-static int acc_rd_u(unsigned long long *out) { return scanf(" %llu", out) == 1; }
-static int acc_rd_f(double *out) { return scanf(" %la", out) == 1; }
 """
 
-# The getter spelling per descriptor slot kind, for the scanf (text) and
-# cursor (binary) readers.  The per-port field sequences below are
-# generated from stimuli.base.DESCRIPTOR_FIELDS so both C readers, the
-# text encoder, and the binary encoder can never drift apart.
-_TEXT_GETTERS = {"i": "acc_rd_i", "u": "acc_rd_u", "f": "acc_rd_f"}
-_BIN_GETTERS = {"i": "acc_get_i", "u": "acc_get_u", "f": "acc_get_f"}
+# The getter spelling per descriptor slot kind.  The per-port field
+# sequence below is generated from stimuli.base.DESCRIPTOR_FIELDS so the
+# C reader and the Python encoder (inproc.abi) can never drift apart.
+_GETTERS = {"i": "acc_get_i", "u": "acc_get_u", "f": "acc_get_f"}
 
 
-def _field_read_conditions(getters: dict, cursor: str = "") -> str:
-    """``!get(&st->member) || ...`` over the shared descriptor slots."""
-    arg = f"{cursor}, " if cursor else ""
+def _field_read_conditions() -> str:
+    """``!get(c, &st->member) || ...`` over the shared descriptor slots."""
     terms = [
-        f"!{getters[kind]}({arg}&st->{member})"
+        f"!{_GETTERS[kind]}(c, &st->{member})"
         for _attr, member, kind in DESCRIPTOR_FIELDS
     ]
     lines = []
@@ -322,53 +308,13 @@ def _field_read_conditions(getters: dict, cursor: str = "") -> str:
     return ("\n            || ").join(lines)
 
 
-def _text_reader() -> str:
-    tab = _TEXT_GETTERS
-    return f"""
-/* 1 = case read, 0 = clean end of input, -1 = malformed descriptor */
-static int acc_read_case(long long *steps, double *budget, double *deadline) {{
-    char tok[8];
-    long long nports;
-    if (scanf(" %7s", tok) != 1) return 0;
-    if (strcmp(tok, "case") != 0) return -1;
-    if (!acc_rd_i(steps) || !acc_rd_f(budget) || !acc_rd_f(deadline)) return -1;
-    if (!acc_rd_i(&nports) || nports != (long long)ACC_NPORTS) return -1;
-    for (int p = 0; p < ACC_NPORTS; p++) {{
-        acc_stim *st = &acc_stims[p];
-        free(st->tab_f); st->tab_f = 0;
-        free(st->tab_i); st->tab_i = 0;
-        if ({_field_read_conditions(tab)}
-            || !acc_rd_i(&st->tab_len))
-            return -1;
-        if (st->tab_len < 0) return -1;
-        if (st->tab_len > 0) {{
-            long long k;
-            if (st->tab_is_float) {{
-                st->tab_f = (double *)malloc((size_t)st->tab_len * sizeof(double));
-                if (!st->tab_f) return -1;
-                for (k = 0; k < st->tab_len; k++)
-                    if (!acc_rd_f(&st->tab_f[k])) return -1;
-            }} else {{
-                st->tab_i = (long long *)malloc((size_t)st->tab_len * sizeof(long long));
-                if (!st->tab_i) return -1;
-                for (k = 0; k < st->tab_len; k++)
-                    if (!acc_rd_i(&st->tab_i[k])) return -1;
-            }}
-        }}
-    }}
-    return 1;
-}}
-"""
-
-
 def _binary_reader() -> str:
-    """The packed-record reader used by the shared-library entry point.
+    """The packed-record reader behind ``acc_lib_run_case``.
 
     All slots are 8-byte little-endian-native fields read through memcpy
     (no struct casting, so record buffers need no alignment), in exactly
     the DESCRIPTOR_FIELDS order the Python binary encoder writes.
     """
-    tab = _BIN_GETTERS
     return f"""
 /* ---- packed binary case records (repro.inproc) ---- */
 typedef struct {{ const unsigned char *p; const unsigned char *end; }} acc_cur;
@@ -398,7 +344,7 @@ static int acc_read_case_bin(acc_cur *c, long long *steps, double *budget,
         acc_stim *st = &acc_stims[p];
         free(st->tab_f); st->tab_f = 0;
         free(st->tab_i); st->tab_i = 0;
-        if ({_field_read_conditions(tab, cursor="c")}
+        if ({_field_read_conditions()}
             || !acc_get_i(c, &st->tab_len))
             return -1;
         if (st->tab_len < 0) return -1;
@@ -423,9 +369,9 @@ static int acc_read_case_bin(acc_cur *c, long long *steps, double *budget,
 
 
 def stimulus_runtime() -> str:
-    """The descriptor struct + stdin/binary readers; the including
+    """The descriptor struct + packed-record reader; the including
     program must ``#define ACC_NPORTS <n>`` first."""
-    return _STIM_RUNTIME + _text_reader() + _binary_reader()
+    return _STIM_RUNTIME + _binary_reader()
 
 
 def runtime_header() -> str:
@@ -442,3 +388,75 @@ def runtime_header() -> str:
     # bool sources behave as u8 in conversions.
     parts.append("/* bool participates in conversions as u8 */")
     return "\n".join(parts) + "\n"
+
+
+#: The generic simulation host: one fixed executable that loads a
+#: program's shared library with ``dlopen`` and serves it over
+#: stdin/stdout, so every
+#: program is compiled once, as a ``.so``, for both the in-process and the
+#: out-of-process rungs.  Wire format (every word a native int64):
+#:
+#: * handshake, once: ``acc_lib_abi_version()``, ``acc_lib_result_size()``;
+#: * per case in: the record length, then the packed record
+#:   (:func:`repro.inproc.abi.encode_case_binary`);
+#: * per case out: the case index, the ``acc_lib_run_case`` status, then
+#:   the result buffer (result-size bytes), flushed.
+#:
+#: Exits 0 at a clean end of input, non-zero with a message on stderr when
+#: the library cannot be loaded or initialized or the input is malformed.
+HOST_SOURCE = r"""/* AccMoS simulation host. Generated by the AccMoS reproduction. */
+#include <dlfcn.h>
+#include <stdint.h>
+#include <stdio.h>
+#include <stdlib.h>
+
+typedef int (*acc_int_fn)(void);
+typedef long long (*acc_size_fn)(void);
+typedef int (*acc_run_fn)(const unsigned char *, long long,
+                          unsigned char *, long long);
+
+static void *acc_sym(void *lib, const char *name) {
+    void *p = dlsym(lib, name);
+    if (!p) { fprintf(stderr, "accmos host: missing export %s\n", name); exit(3); }
+    return p;
+}
+
+int main(int argc, char **argv) {
+    if (argc != 2) { fprintf(stderr, "usage: %s PROGRAM.so\n", argv[0]); return 2; }
+    void *lib = dlopen(argv[1], RTLD_NOW | RTLD_LOCAL);
+    if (!lib) { fprintf(stderr, "accmos host: %s\n", dlerror()); return 3; }
+    acc_int_fn abi = (acc_int_fn)acc_sym(lib, "acc_lib_abi_version");
+    acc_size_fn size = (acc_size_fn)acc_sym(lib, "acc_lib_result_size");
+    acc_int_fn init = (acc_int_fn)acc_sym(lib, "acc_lib_init");
+    acc_run_fn run = (acc_run_fn)acc_sym(lib, "acc_lib_run_case");
+    int64_t hello[2] = { abi(), size() };
+    if (hello[1] < 0 || init() != 0) {
+        fprintf(stderr, "accmos host: acc_lib_init failed\n");
+        return 4;
+    }
+    unsigned char *result = malloc(hello[1] > 0 ? (size_t)hello[1] : 1);
+    unsigned char *record = NULL;
+    int64_t cap = 0, len, index = 0;
+    if (!result) return 4;
+    if (fwrite(hello, 8, 2, stdout) != 2 || fflush(stdout) != 0) return 5;
+    while (fread(&len, 8, 1, stdin) == 1) {
+        if (len < 0) { fprintf(stderr, "accmos host: bad record length\n"); return 5; }
+        if (len > cap) {
+            unsigned char *grown = realloc(record, (size_t)len);
+            if (!grown) return 4;
+            record = grown;
+            cap = len;
+        }
+        if (fread(record, 1, (size_t)len, stdin) != (size_t)len) {
+            fprintf(stderr, "accmos host: truncated record\n");
+            return 5;
+        }
+        int64_t head[2] = { index++, run(record, len, result, hello[1]) };
+        if (fwrite(head, 8, 2, stdout) != 2
+            || fwrite(result, 1, (size_t)hello[1], stdout) != (size_t)hello[1]
+            || fflush(stdout) != 0)
+            return 5;
+    }
+    return 0;
+}
+"""

@@ -7,14 +7,14 @@ monitor results back into the shared schema.
 
 The generated program is compile-once / run-many: it is
 stimulus-agnostic — it imports stimulus descriptors, step counts, and
-per-case deadlines at run time — so one binary per
+per-case deadlines at run time — so one shared library per
 ``(FlatProgram, InstrumentationPlan)`` serves every test case, and the
 artifact cache turns a whole seed campaign into a single gcc invocation.
-:func:`compile_model` returns a :class:`CompiledModel` whose
-:meth:`~CompiledModel.run`/:meth:`~CompiledModel.run_batch` reuse the
-binary; ``run_batch`` executes M cases in one process with framed output
-and full per-case state/coverage/diagnostic reset.  Every
-:class:`Stimulus` reaches C through
+:func:`compile_model` returns a :class:`CompiledModel` that runs cases
+in-process (:meth:`~CompiledModel.run_inproc`) or streams them through a
+host process serving the same library (:meth:`~CompiledModel.run_stream`,
+:meth:`~CompiledModel.run`), with full per-case state/coverage/diagnostic
+reset either way.  Every :class:`Stimulus` reaches C through
 :func:`~repro.codegen.descriptor.descriptors_for`: built-in generators
 as closed-form descriptors, custom subclasses materialized into
 sequence tables.
@@ -22,7 +22,7 @@ sequence tables.
 Every rung is bit-for-bit equivalent to the SSE reference — the
 repository's core invariant.
 
-``wall_time`` is the binary's own measurement of its simulation loop —
+``wall_time`` is the library's own measurement of its simulation loop —
 the quantity the paper's Table 2 reports.  Code generation and compilation
 times are in ``result.extra`` (``generate_seconds``, ``compile_seconds``).
 """
@@ -38,15 +38,12 @@ from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Sequence, Union
 
 from repro import telemetry
 from repro.codegen.compose import ProgramLayout, generate_reusable_c_program
-from repro.codegen.descriptor import descriptors_for, encode_case
+from repro.codegen.descriptor import descriptors_for
 from repro.codegen.driver import (
     CompiledSimulation,
-    ParseTables,
     ServerError,
     SimulationServer,
     compile_c_program,
-    parse_batch_result,
-    parse_result,
 )
 from repro.engines.base import SimulationOptions, SimulationResult
 from repro.inproc.abi import ResultDecoder, encode_case_binary
@@ -79,7 +76,7 @@ class AccMoSArtifacts:
 
     source: str
     source_path: Optional[Path]
-    binary_path: Optional[Path]
+    shared_path: Optional[Path]
     generate_seconds: float
     compile_seconds: float
 
@@ -96,7 +93,7 @@ def _resolve_cache(cache):
 
 def _structural_fingerprint(options: SimulationOptions) -> tuple:
     """The option fields that shape the generated source (and therefore
-    the compiled binary).  ``steps`` and ``time_budget`` are runtime
+    the compiled library).  ``steps`` and ``time_budget`` are runtime
     inputs of the reusable program and deliberately excluded.  Custom
     diagnoses enter by the fields the C side sees (their Python
     predicates only serve the interpreted engines), which keeps the
@@ -120,9 +117,9 @@ def _structural_fingerprint(options: SimulationOptions) -> tuple:
 
 @dataclass
 class CompiledModel:
-    """A reusable compiled simulation: one binary, any number of cases.
+    """A reusable compiled simulation: one library, any number of cases.
 
-    Produced by :func:`compile_model`.  The binary is specialized on the
+    Produced by :func:`compile_model`.  The library is specialized on the
     program and the structural options only; stimuli, step counts, and
     per-case deadlines are streamed to it at run time.
     """
@@ -158,46 +155,17 @@ class CompiledModel:
         *,
         timeout_seconds: Optional[float] = None,
     ) -> SimulationResult:
-        """Run one case on the reused binary; raises
+        """Run one case on a private host; raises
         :class:`SimulationTimeout` when ``timeout_seconds`` is exceeded."""
-        (outcome,) = self._dispatch(
-            [(stimuli, options)], timeout_seconds=timeout_seconds
-        )
+        case = [(stimuli, options)]
+        (outcome,) = self.run_stream(case, timeout_seconds=timeout_seconds)
         if isinstance(outcome, SimulationTimeout):
             raise outcome
         return outcome
 
-    def run_batch(
-        self,
-        cases: Sequence[BatchCase],
-        *,
-        timeout_seconds: Optional[float] = None,
-    ) -> list[Union[SimulationResult, SimulationTimeout]]:
-        """Run M cases back-to-back in one process invocation.
-
-        Returns one entry per case, in order: a result, or a
-        :class:`SimulationTimeout` instance for cases that blew the
-        per-case deadline (the batch continues with the next case —
-        state is fully reset in between either way).
-        """
-        with telemetry.span(
-            "accmos.batch", model=self.prog.model.name, cases=len(cases)
-        ) as batch_span:
-            outcomes = self._dispatch(
-                list(cases), timeout_seconds=timeout_seconds
-            )
-            batch_span.set(
-                timeouts=sum(
-                    1 for o in outcomes if isinstance(o, SimulationTimeout)
-                )
-            )
-        telemetry.counter_inc("engine.accmos.batches")
-        telemetry.counter_inc("engine.accmos.batch_cases", len(cases))
-        return outcomes
-
     # ------------------------------------------------------------------
     def serve(self, *, handshake_timeout: float = 10.0) -> "ModelServer":
-        """Spawn a warm ``--serve`` process bound to this binary.
+        """Spawn a warm host process serving this model's library.
 
         The returned :class:`ModelServer` accepts an unbounded stream of
         cases with zero respawns; hand it to :meth:`run_stream` (or keep
@@ -214,42 +182,32 @@ class CompiledModel:
         server: "Optional[ModelServer]" = None,
         window: int = 4,
     ) -> Iterator[Union[SimulationResult, SimulationTimeout]]:
-        """Stream M cases through a warm server, yielding results as
+        """Stream M cases through a host process, yielding results as
         each case's frame completes.
 
-        Submission runs ``window`` cases ahead of parsing so the C
-        process always has work queued while Python parses earlier
-        frames — execution and parsing overlap instead of serializing.
-        Outcomes arrive in submit order with :meth:`run_batch`'s
-        contract (per-case :class:`SimulationTimeout` entries instead of
-        raising).
+        Submission runs ``window`` cases ahead of decoding so the host
+        always has work queued while Python decodes earlier frames —
+        execution and decoding overlap instead of serializing.  Outcomes
+        arrive in submit order, one per case: a result, or a
+        :class:`SimulationTimeout` instance for a case that blew the
+        per-case deadline (state is fully reset before the next case
+        either way).
 
         ``server`` reuses an existing warm :class:`ModelServer` (e.g.
-        from a pool); without it a private server is spawned and closed
-        around the stream.  On a crash, protocol desync, or per-case
-        deadline overrun at the process level, the server is killed and
-        restarted once and the unfinished cases are resubmitted; a
-        second consecutive failure on the same case falls back to the
-        spawn-per-batch :meth:`run_batch` path — results are therefore
-        always produced, byte-identical to the non-server path.
+        from a pool); without it a private host is spawned and closed
+        around the stream.  On a crash, protocol desync, or a host that
+        goes quiet past its read deadline, the server is restarted once
+        and the unfinished cases are resubmitted; a second consecutive
+        failure raises :class:`ServerError` (the runner then finishes the
+        group per job).
         """
         cases = list(cases)
         if not cases:
             return
-        normalized = [self._normalize(case) for case in cases]
-        records = [
-            encode_case(
-                descriptors,
-                steps=options.steps,
-                time_budget=options.time_budget,
-                deadline=timeout_seconds,
-            )
-            for options, descriptors in normalized
-        ]
-        tables = ParseTables.for_layout(self.layout)
-        # The in-binary deadline does the real limiting (emitting
-        # ``timeout 1`` in the frame); the read deadline is a backstop
-        # against a wedged process.
+        normalized, records = self._encode(cases, timeout_seconds)
+        # The in-library deadline does the real limiting (flagging the
+        # case in its result); the read deadline is a backstop against a
+        # wedged host.
         read_timeout = (
             None if timeout_seconds is None else timeout_seconds + 5.0
         )
@@ -272,9 +230,7 @@ class CompiledModel:
                             submit_times[sub] = time.perf_counter()
                             sub += 1
                         while done < n:
-                            frame = server.server.read_frame(
-                                timeout=read_timeout
-                            )
+                            buf = server.server.read_frame(timeout=read_timeout)
                             latency = (
                                 time.perf_counter() - submit_times[done]
                             )
@@ -282,24 +238,18 @@ class CompiledModel:
                                 "runner.server.submit_to_result_seconds",
                                 latency,
                             )
+                            options = normalized[done][0]
                             t0 = time.perf_counter()
-                            result = parse_result(
-                                frame,
-                                self.prog,
-                                self.plan,
-                                self.layout,
-                                normalized[done][0],
-                                engine="accmos",
-                                tables=tables,
+                            result = self.decoder.decode(
+                                buf, self.prog, options, engine="accmos"
                             )
-                            parse_seconds = time.perf_counter() - t0
                             outcome = self._finalize(
                                 result,
                                 index=done,
                                 batch_size=n,
                                 timeout_seconds=timeout_seconds,
                                 execute_seconds=latency,
-                                parse_seconds=parse_seconds,
+                                parse_seconds=time.perf_counter() - t0,
                             )
                             done += 1
                             failures = 0
@@ -310,22 +260,9 @@ class CompiledModel:
                             yield outcome
                     except ServerError:
                         failures += 1
-                        server.server.kill()
-                        if failures < 2:
-                            try:
-                                server.restart()
-                                continue  # resubmit from `done`
-                            except Exception:
-                                pass
-                        # Two strikes on the same case (or the restart
-                        # itself failed): fall back to spawn-per-batch
-                        # for everything unfinished.
-                        telemetry.counter_inc("runner.server_fallbacks")
-                        for outcome in self._dispatch(
-                            cases[done:], timeout_seconds=timeout_seconds
-                        ):
-                            yield outcome
-                        return
+                        if failures >= 2:
+                            raise
+                        server.restart()  # then resubmit from `done`
         finally:
             if owned:
                 server.close()
@@ -337,15 +274,12 @@ class CompiledModel:
         return not self._inproc_disabled
 
     def load(self) -> LoadedModel:
-        """A fresh private in-process instance of this model's library.
-
-        Compiles the ``.so`` form lazily (same cache entry as the
-        executable) and performs the ABI handshake.  Each instance has
-        its own copy of the C globals and is single-threaded; callers
-        wanting parallelism load one per thread.
+        """A fresh private in-process instance of this model's library,
+        past the ABI handshake.  Each instance has its own copy of the C
+        globals and is single-threaded; callers wanting parallelism load
+        one per thread.
         """
-        shared = self.compiled.ensure_shared()
-        return LoadedModel(shared, result_size=self.decoder.size)
+        return LoadedModel(self.compiled.shared, result_size=self.decoder.size)
 
     def _instance_key(self) -> str:
         """This model's key in the process-wide instance pool.
@@ -354,7 +288,7 @@ class CompiledModel:
         cache, so distinct handles over the same structure share warm
         instances."""
         return InstancePool.instance_key(
-            self.compiled.ensure_shared(), self.decoder.size
+            self.compiled.shared, self.decoder.size
         )
 
     def _acquire_instance(self) -> "tuple[str, LoadedModel]":
@@ -363,7 +297,7 @@ class CompiledModel:
 
     def _quarantine_inproc(self, reason: Exception) -> None:
         """Retire the in-process rung for this model: all subsequent
-        ``run_inproc`` calls drop straight to the ``--serve`` rung.
+        ``run_inproc`` calls drop straight to the host process rung.
         Idempotent and thread-safe — with N worker threads, the first
         fault wins and the rest observe the flag."""
         with self._inproc_lock:
@@ -409,17 +343,17 @@ class CompiledModel:
         threads: int = 1,
         shards: Optional[Sequence[Sequence[int]]] = None,
     ) -> list[Union[SimulationResult, SimulationTimeout]]:
-        """Run M cases in-process: zero spawns, zero text, zero pipes.
+        """Run M cases in-process: zero spawns, zero pipes.
 
-        Same contract as :meth:`run_batch` — one outcome per case in
+        Same contract as :meth:`run_stream` — one outcome per case in
         order, per-case deadlines (enforced *inside* the library via the
         record's deadline field) surfacing as
         :class:`SimulationTimeout` entries.  Any library fault — load
         failure, ABI mismatch, non-zero run status — quarantines the
         in-process rung for this model and transparently finishes the
-        affected cases on the crash-isolated ``--serve`` rung,
-        preserving the stream→batch fallback ladder below it.
-        Results are byte-identical either way.
+        affected cases on a crash-isolated host process serving the same
+        library (:meth:`run_stream`).  Results are byte-identical either
+        way.
 
         ``threads=N`` partitions the cases across N worker threads, each
         holding a *private* pooled instance (private inode → private C
@@ -438,16 +372,7 @@ class CompiledModel:
         cases = list(cases)
         if not cases:
             return []
-        normalized = [self._normalize(case) for case in cases]
-        records = [
-            encode_case_binary(
-                descriptors,
-                steps=options.steps,
-                time_budget=options.time_budget,
-                deadline=timeout_seconds,
-            )
-            for options, descriptors in normalized
-        ]
+        normalized, records = self._encode(cases, timeout_seconds)
         threads = max(1, int(threads))
         if library is None and (threads > 1 or shards is not None):
             outcomes = self._run_inproc_threaded(
@@ -520,7 +445,7 @@ class CompiledModel:
         indices, writing outcomes into its cases' preallocated slots.
         The first fault quarantines the model; every worker drains its
         remaining indices into ``pending``, and pending cases finish on
-        the server rung *in index order* — the same ladder, the same
+        a host process *in index order* — the same ladder, the same
         bytes, as the sequential path.
         """
         n = len(cases)
@@ -622,7 +547,7 @@ class CompiledModel:
                 )
             if pending:
                 # Ladder fallback for faulted/drained cases, in index
-                # order so the server stream sees a deterministic batch.
+                # order so the host stream sees a deterministic batch.
                 span.set(fallback=True, pending=len(pending))
                 pending.sort()
                 fallback = self.run_stream(
@@ -649,7 +574,7 @@ class CompiledModel:
         per case, in order — a ``{Metric: Bitmap}`` dict, or ``None``
         for cases that timed out or when the model collects no
         coverage.  A library fault quarantines the in-process rung and
-        the remaining cases finish on :meth:`run_batch` (full decode,
+        the remaining cases finish on :meth:`run_stream` (full decode,
         same bitmaps).
 
         Instances come from the process-wide
@@ -661,16 +586,7 @@ class CompiledModel:
         cases = list(cases)
         if not cases:
             return []
-        normalized = [self._normalize(case) for case in cases]
-        records = [
-            encode_case_binary(
-                descriptors,
-                steps=options.steps,
-                time_budget=options.time_budget,
-                deadline=timeout_seconds,
-            )
-            for options, descriptors in normalized
-        ]
+        _, records = self._encode(cases, timeout_seconds)
         probes: list[Optional[dict]] = []
         with telemetry.span(
             "accmos.probe", model=self.prog.model.name, cases=len(cases)
@@ -693,9 +609,9 @@ class CompiledModel:
                         except LibraryFault as exc:
                             self._quarantine_inproc(exc)
                             lib = None
-                    # Fallback: full batch run, keep only the bitmaps.
+                    # Fallback: full host run, keep only the bitmaps.
                     span.set(fallback=True)
-                    for outcome in self.run_batch(
+                    for outcome in self.run_stream(
                         cases[index:], timeout_seconds=timeout_seconds
                     ):
                         if (
@@ -728,62 +644,22 @@ class CompiledModel:
             self.prog, stimuli, steps=options.steps
         )
 
-    def _dispatch(
-        self,
-        cases: list[BatchCase],
-        *,
-        timeout_seconds: Optional[float],
-    ) -> list[Union[SimulationResult, SimulationTimeout]]:
-        """Encode → execute → parse; shared by run() and run_batch()."""
+    def _encode(
+        self, cases: "list[BatchCase]", timeout_seconds: Optional[float]
+    ) -> "tuple[list, list[bytes]]":
+        """Normalize every case and pack its record; the per-case
+        ``(options, descriptors)`` pairs and the records, in order."""
         normalized = [self._normalize(case) for case in cases]
-        payload = "".join(
-            encode_case(
+        records = [
+            encode_case_binary(
                 descriptors,
                 steps=options.steps,
                 time_budget=options.time_budget,
                 deadline=timeout_seconds,
             )
             for options, descriptors in normalized
-        )
-        # The in-binary deadline (checked every 512 steps) is the real
-        # limit; the process-level timeout is only a backstop against a
-        # wedged binary, scaled to the whole batch.
-        process_timeout = (
-            None
-            if timeout_seconds is None
-            else timeout_seconds * len(cases) + 5.0
-        )
-
-        t0 = time.perf_counter()
-        with telemetry.span("execute"):
-            stdout = self.compiled.execute(
-                input_text=payload, timeout_seconds=process_timeout
-            )
-        execute_seconds = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        with telemetry.span("parse"):
-            results = parse_batch_result(
-                stdout,
-                self.prog,
-                self.plan,
-                self.layout,
-                [options for options, _ in normalized],
-                engine="accmos",
-            )
-        parse_seconds = time.perf_counter() - t0
-
-        share = 1.0 / max(1, len(results))
-        return [
-            self._finalize(
-                result,
-                index=index,
-                batch_size=len(results),
-                timeout_seconds=timeout_seconds,
-                execute_seconds=execute_seconds * share,
-                parse_seconds=parse_seconds * share,
-            )
-            for index, result in enumerate(results)
         ]
+        return normalized, records
 
     def _finalize(
         self,
@@ -795,13 +671,13 @@ class CompiledModel:
         execute_seconds: float,
         parse_seconds: float,
     ) -> Union[SimulationResult, SimulationTimeout]:
-        """Per-case telemetry + extra fields; shared by batch and stream."""
+        """Per-case telemetry + extra fields; shared by every rung."""
         if result.extra.pop("deadline_exceeded", False):
             telemetry.counter_inc("engine.accmos.timeouts")
             return SimulationTimeout(
                 f"simulation case {index} exceeded its "
                 f"{timeout_seconds:g}s wall-clock budget (stopped "
-                f"in-binary after {result.steps_run} steps)"
+                f"in-library after {result.steps_run} steps)"
             )
         telemetry.counter_inc("engine.accmos.runs")
         telemetry.counter_inc("engine.accmos.steps", result.steps_run)
@@ -825,7 +701,7 @@ class CompiledModel:
 
 
 class ModelServer:
-    """A warm ``--serve`` process bound to one :class:`CompiledModel`.
+    """A warm host process serving one :class:`CompiledModel`'s library.
 
     Thin lifecycle wrapper over the wire-level
     :class:`~repro.codegen.driver.SimulationServer`: it knows how to
@@ -845,8 +721,11 @@ class ModelServer:
         with telemetry.span(
             "server.spawn", model=self.model.prog.model.name
         ):
+            compiled = self.model.compiled
             server = SimulationServer(
-                self.model.compiled,
+                compiled.ensure_host(),
+                compiled.shared,
+                result_size=self.model.decoder.size,
                 handshake_timeout=self._handshake_timeout,
             )
         telemetry.counter_inc("runner.server.spawns")
@@ -969,9 +848,8 @@ def compile_model(
     *,
     cache: "Union[ArtifactCache, None, bool]" = None,
     workdir: Optional[Path] = None,
-    artifact: str = "binary",
 ) -> CompiledModel:
-    """Instrument + generate + compile the reusable simulation binary.
+    """Instrument + generate + compile the reusable simulation library.
 
     ``options`` supplies the structural configuration (coverage,
     diagnostics, collect/diagnose lists, halt_on, monitor_limit,
@@ -988,10 +866,6 @@ def compile_model(
     and each call returns a fresh :class:`CompiledModel` whose
     in-process quarantine is its own.  ``cache=False`` and an explicit
     ``workdir`` regenerate every time.
-
-    ``artifact`` picks which form is compiled eagerly: ``"binary"``
-    (executable) or ``"shared"`` (the in-process ``.so``); both share
-    the cache key, and the other form materializes lazily on first use.
     """
     options = options if options is not None else SimulationOptions()
     cache = _resolve_cache(cache)
@@ -1006,8 +880,7 @@ def compile_model(
         )
     generate_seconds = 0.0 if hit else time.perf_counter() - t0
     compiled = compile_c_program(
-        product.source, product.layout,
-        workdir=workdir, cache=cache, artifact=artifact,
+        product.source, product.layout, workdir=workdir, cache=cache
     )
     telemetry.observe("accmos.generate_seconds", generate_seconds)
     telemetry.observe("accmos.compile_seconds", compiled.compile_seconds)
@@ -1037,7 +910,7 @@ def run_accmos(
 ) -> SimulationResult:
     """Generate, compile, and execute the instrumented simulation.
 
-    The compiled binary — and its artifact-cache key — is independent of
+    The compiled library — and its artifact-cache key — is independent of
     the stimuli and the step count, so repeated calls with different
     seeds or step counts hit the cache after the first compile.
 
@@ -1068,7 +941,7 @@ def run_accmos(
         result.extra["artifacts"] = AccMoSArtifacts(
             source=model.source,
             source_path=model.compiled.source if workdir else None,
-            binary_path=model.compiled.binary if workdir else None,
+            shared_path=model.compiled.shared if workdir else None,
             generate_seconds=model.generate_seconds,
             compile_seconds=model.compiled.compile_seconds,
         )

@@ -5,12 +5,12 @@ rung must reproduce it exactly:
 
 * ``sse_ac`` — the Accelerator analog (MEX-compiled actor functions);
 * ``sse_rac`` — Rapid Accelerator (whole-model generated Python);
-* ``accmos`` — the C codegen batch path (compile once, run via the
-  descriptor protocol);
-* ``accmos_stream`` — the same binary driven through a warm ``--serve``
-  process (exercises the framing/stream protocol);
-* ``accmos_inproc`` — the same program loaded as a shared library and
-  driven through the packed binary ABI (exercises ``repro.inproc``);
+* ``accmos`` — the compiled program run for one case on a private host
+  process (compile once, run via the packed descriptor record);
+* ``accmos_stream`` — the same host streaming several copies of the case
+  back to back (exercises the frame stream and the per-case reset);
+* ``accmos_inproc`` — the same library loaded in-process and driven
+  through the packed binary ABI (exercises ``repro.inproc``);
 * ``accmos_inproc_mt`` — the same library driven thread-parallel: the
   case runs as several copies sharded across private instances
   (exercises the instance pool and the deterministic threaded merge).
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.coverage.report import CoverageReport
-from repro.codegen.driver import find_c_compiler, supports_shared_objects
+from repro.codegen.driver import find_c_compiler
 from repro.engines import SimulationOptions, SimulationResult, simulate
 from repro.engines.accmos import _resolve_cache, compile_model
 from repro.engines.base import signal_bits
@@ -42,16 +42,12 @@ ALL_RUNGS = (
 )
 PYTHON_RUNGS = ("sse_ac", "sse_rac")
 C_RUNGS = ("accmos", "accmos_stream", "accmos_inproc", "accmos_inproc_mt")
-_INPROC_RUNGS = ("accmos_inproc", "accmos_inproc_mt")
 
 
 def available_rungs() -> tuple[str, ...]:
-    """Every rung runnable on this machine (C rungs need a compiler;
-    the in-process rungs additionally need working shared objects)."""
+    """Every rung runnable on this machine (C rungs need a compiler)."""
     if find_c_compiler() is None:
         return PYTHON_RUNGS
-    if supports_shared_objects() is not True:
-        return tuple(r for r in ALL_RUNGS if r not in _INPROC_RUNGS)
     return ALL_RUNGS
 
 
@@ -234,52 +230,39 @@ def run_case(
                 build_stimuli(case), options,
                 timeout_seconds=timeout_seconds,
             ))
+
+        def first_of(outcomes) -> SimulationResult:
+            # Several copies of one case: every copy must agree with the
+            # first (the per-case reset and, threaded, inter-instance
+            # isolation); the first is compared with the reference.
+            for outcome in outcomes:
+                if isinstance(outcome, Exception):
+                    raise outcome
+            first = outcomes[0]
+            for other in outcomes[1:]:
+                if other.checksums != first.checksums or (
+                    other.outputs != first.outputs
+                    and not _same_bits(first.outputs, other.outputs, out_dtypes)
+                ):
+                    raise AssertionError("copies of one case disagree")
+            return first
+
+        def copies(n: int) -> list:
+            return [(build_stimuli(case), options) for _ in range(n)]
+
         if "accmos_stream" in rungs:
-            def stream_once():
-                (outcome,) = list(compiled.run_stream(
-                    [(build_stimuli(case), options)],
-                    timeout_seconds=timeout_seconds,
-                ))
-                if isinstance(outcome, Exception):
-                    raise outcome
-                return outcome
-            record("accmos_stream", stream_once)
+            record("accmos_stream", lambda: first_of(list(compiled.run_stream(
+                copies(3), timeout_seconds=timeout_seconds,
+            ))))
         if "accmos_inproc" in rungs:
-            def inproc_once():
-                (outcome,) = list(compiled.run_inproc(
-                    [(build_stimuli(case), options)],
-                    timeout_seconds=timeout_seconds,
-                ))
-                if isinstance(outcome, Exception):
-                    raise outcome
-                return outcome
-            record("accmos_inproc", inproc_once)
+            record("accmos_inproc", lambda: first_of(compiled.run_inproc(
+                copies(1), timeout_seconds=timeout_seconds,
+            )))
         if "accmos_inproc_mt" in rungs:
-            def inproc_mt():
-                # Three copies of the case across three private
-                # instances: exercises the pool, the shard merge,
-                # and inter-instance isolation.  Every copy must
-                # agree with the reference; the first is compared.
-                outcomes = list(compiled.run_inproc(
-                    [(build_stimuli(case), options)] * 3,
-                    timeout_seconds=timeout_seconds,
-                    threads=3,
-                ))
-                for outcome in outcomes:
-                    if isinstance(outcome, Exception):
-                        raise outcome
-                first = outcomes[0]
-                for other in outcomes[1:]:
-                    if other.checksums != first.checksums or (
-                        other.outputs != first.outputs
-                        and not _same_bits(
-                            first.outputs, other.outputs, out_dtypes
-                        )
-                    ):
-                        raise AssertionError(
-                            "threaded copies of one case disagree"
-                        )
-                return first
-            record("accmos_inproc_mt", inproc_mt)
+            # Three copies across three private instances: exercises the
+            # pool, the shard merge, and inter-instance isolation.
+            record("accmos_inproc_mt", lambda: first_of(compiled.run_inproc(
+                copies(3), timeout_seconds=timeout_seconds, threads=3,
+            )))
 
     return report

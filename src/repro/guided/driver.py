@@ -51,7 +51,8 @@ def default_guided_rungs() -> tuple[str, ...]:
     oracle in the loop (divergences still surface) while the full
     six-rung sweep stays the blind campaign's job.  Preference order is
     the speed ladder top down: in-process shared library, then the
-    spawn-per-batch C path, then the Accelerator-analog Python rung.
+    one-case host-process C path, then the Accelerator-analog Python
+    rung.
     """
     usable = available_rungs()
     for rung in ("accmos_inproc", "accmos", "sse_ac"):
@@ -363,14 +364,14 @@ def replay_corpus(
     """Re-run every saved seed and check the stored coverage map.
 
     Each seed is simulated afresh — through the in-process coverage
-    probe (:meth:`CompiledModel.probe_coverage`) when the toolchain
-    supports shared objects, through the SSE reference otherwise (the
+    probe (:meth:`CompiledModel.probe_coverage`) when a C compiler is
+    available, through the SSE reference otherwise (the
     bitmaps are identical by the oracle invariant) — and folded into a
     fresh :class:`CoverageMap`.  ``matched`` is True iff the rebuilt map
     equals the persisted one bit for bit: the corpus is exactly its
     seeds, nothing more, nothing less.
     """
-    from repro.codegen.driver import find_c_compiler, supports_shared_objects
+    from repro.codegen.driver import find_c_compiler
     from repro.engines import SimulationOptions, simulate
     from repro.engines.accmos import compile_model
     from repro.fuzz.generate import build_model, build_stimuli
@@ -380,10 +381,7 @@ def replay_corpus(
     report = ReplayReport(
         seeds=len(corpus), points_expected=corpus.coverage.points()
     )
-    use_probe = (
-        find_c_compiler() is not None
-        and supports_shared_objects() is True
-    )
+    use_probe = find_c_compiler() is not None
     rebuilt = CoverageMap()
 
     with telemetry.span("guided.replay", seeds=len(corpus)):

@@ -1,12 +1,14 @@
-"""The packed binary ABI between Python and the in-process library.
+"""The packed binary ABI between Python and a compiled program.
 
 This is the Python half of the contract ``codegen.compose`` emits into
 every reusable program as ``acc_lib_*`` exports: a case travels as one
-packed binary record (no text, no stdout), and the library fills a
-caller-provided result buffer of fixed layout.  Both sides derive the
-per-port slot sequence from :data:`repro.stimuli.base.DESCRIPTOR_FIELDS`
-— the same single source of truth the text wire format uses — so the
-text and binary encodings cannot drift apart.
+packed binary record, and the library fills a caller-provided result
+buffer of fixed layout.  It is the one wire format of every compiled
+rung: ``ctypes`` passes the bytes in-process, and the generic host
+(:data:`repro.codegen.runtime.HOST_SOURCE`) relays the very same bytes
+over a pipe.  Both sides derive the per-port slot sequence from
+:data:`repro.stimuli.base.DESCRIPTOR_FIELDS`, so the Python encoder and
+the C reader cannot drift apart.
 
 Every slot is 8 bytes.  Layouts (in order):
 
@@ -43,8 +45,8 @@ All words are little-endian (every supported target is), which also
 makes the record bytes deterministic for content-addressed tests.
 
 Bumping :data:`ABI_VERSION` invalidates every previously built library:
-:class:`repro.inproc.library.LoadedModel` refuses to run against a
-mismatched ``acc_lib_abi_version()`` or ``acc_lib_result_size()``.
+:func:`repro.inproc.library.check_handshake` refuses a mismatched
+``acc_lib_abi_version()`` or ``acc_lib_result_size()`` on every rung.
 """
 
 from __future__ import annotations
@@ -84,12 +86,8 @@ def encode_case_binary(
     time_budget: Optional[float] = None,
     deadline: Optional[float] = None,
 ) -> bytes:
-    """One packed case record for ``acc_lib_run_case``.
-
-    Field-for-field the same content as the text encoder's
-    :func:`repro.codegen.descriptor.encode_case`, minus the ``case``
-    token (framing is the record itself).
-    """
+    """One packed case record for ``acc_lib_run_case``: the case header,
+    then every port's DESCRIPTOR_FIELDS slots and table."""
     parts: list[bytes] = [
         _I64.pack(int(steps)),
         _F64.pack(-1.0 if time_budget is None else float(time_budget)),
@@ -164,9 +162,7 @@ def _value_code(dtype) -> str:
 class ResultDecoder:
     """The packed result layout of one program shape, compiled once.
 
-    Built per compiled unit (like
-    :class:`repro.codegen.driver.ParseTables` for the text protocol) and
-    reused for every case it runs.  Everything up to the monitors sits
+    Built once per compiled unit and reused for every case it runs.  Everything up to the monitors sits
     at fixed offsets, so one :class:`struct.Struct` unpacks the header,
     checksums, outputs, coverage words and diagnosis slots in a single
     call; each monitor then costs one ``iter_unpack`` over its
@@ -228,8 +224,18 @@ class ResultDecoder:
         )
 
     def _unpack_prefix(self, buf: bytes) -> tuple:
-        if len(buf) < self._prefix.size:
-            raise SimulationError("inproc result buffer truncated")
+        """The fixed-offset words of a buffer of exactly :attr:`size`
+        bytes (both rungs hand over the whole buffer)."""
+        if len(buf) < self.size:
+            raise SimulationError(
+                f"result buffer truncated: {len(buf)} bytes for a "
+                f"{self.size}-byte layout"
+            )
+        if len(buf) > self.size:
+            raise SimulationError(
+                f"result buffer over-long: {len(buf)} bytes for a "
+                f"{self.size}-byte layout"
+            )
         return self._prefix.unpack_from(buf)
 
     def decode(
@@ -242,12 +248,11 @@ class ResultDecoder:
     ) -> SimulationResult:
         """Decode one filled result buffer into a :class:`SimulationResult`.
 
-        The same static-warning seeding and coverage/diagnostic/monitor
-        reconstruction as :func:`repro.codegen.driver.parse_result`, so
-        in-process results compare byte-identical to every other rung's.
-        A buffer too short for the layout, or a monitor claiming more
-        samples than ``monitor_limit`` allows, raises
-        :class:`SimulationError`.
+        Seeds the plan's static warnings and rebuilds coverage,
+        diagnostics and monitors, so results compare byte-identical to
+        the SSE reference's.  A buffer of any length but :attr:`size`, or
+        a monitor claiming more samples than ``monitor_limit`` allows,
+        raises :class:`SimulationError`.
         """
         words = self._unpack_prefix(buf)
         steps_run, halt_step, elapsed, flags = words[:4]
@@ -277,18 +282,14 @@ class ResultDecoder:
         monitored: dict[str, list] = {}
         pos = self._prefix.size
         for path, pair in self._monitors:
-            if pos + 8 > len(buf):
-                raise SimulationError("inproc result buffer truncated")
             (n,) = _U64.unpack_from(buf, pos)
             pos += 8
             if n > self._monitor_limit:
                 raise SimulationError(
-                    f"inproc monitor {path!r} reports {n} samples, more "
+                    f"monitor {path!r} reports {n} samples, more "
                     f"than its monitor_limit of {self._monitor_limit}"
                 )
             end = pos + 16 * n
-            if end > len(buf):
-                raise SimulationError("inproc result buffer truncated")
             monitored[path] = list(pair.iter_unpack(buf[pos:end]))
             pos = end
 

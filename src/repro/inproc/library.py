@@ -16,8 +16,8 @@ thread — ``ctypes`` releases the GIL around the call.
 Faults: any non-zero return from the library, a failed handshake, or use
 after :meth:`retire` raises :class:`LibraryFault`.  The engine layer
 treats a fault as a quarantine signal — the instance is retired (best
-effort ``dlclose``) and the caller drops down to the ``--serve`` process
-rung, which is crash-isolated.
+effort ``dlclose``) and the caller drops down to the host process rung,
+which serves the same library crash-isolated.
 """
 
 from __future__ import annotations
@@ -38,6 +38,23 @@ class LibraryFault(SimulationError):
     """The in-process library misbehaved (bad handshake, non-zero run
     status, or use after retirement).  The owning engine quarantines the
     instance and falls back to process-isolated rungs."""
+
+
+def check_handshake(abi: int, result_size: int, expected_size: int) -> None:
+    """The load-time handshake every rung applies to a compiled program:
+    its ``acc_lib_abi_version()`` and ``acc_lib_result_size()`` must match
+    what this Python side encodes and decodes.  Shared by
+    :class:`LoadedModel` and the out-of-process host, so a mismatch
+    raises the same :class:`LibraryFault`, word for word, on both."""
+    if abi != ABI_VERSION:
+        raise LibraryFault(
+            f"library ABI version {abi} != expected {ABI_VERSION}"
+        )
+    if result_size != expected_size:
+        raise LibraryFault(
+            f"library result size {result_size} != computed "
+            f"{expected_size} (layout drift)"
+        )
 
 
 def _dlclose(handle: int) -> None:
@@ -88,17 +105,11 @@ class LoadedModel:
                 ctypes.c_char_p,
                 ctypes.c_longlong,
             ]
-            abi = lib.acc_lib_abi_version()
-            if abi != ABI_VERSION:
-                raise LibraryFault(
-                    f"library ABI version {abi} != expected {ABI_VERSION}"
-                )
-            lib_size = lib.acc_lib_result_size()
-            if lib_size != self.result_size:
-                raise LibraryFault(
-                    f"library result size {lib_size} != computed "
-                    f"{self.result_size} (layout drift)"
-                )
+            check_handshake(
+                lib.acc_lib_abi_version(),
+                lib.acc_lib_result_size(),
+                self.result_size,
+            )
             rc = lib.acc_lib_init()
             if rc != 0:
                 raise LibraryFault(

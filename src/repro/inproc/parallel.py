@@ -10,7 +10,7 @@ retired on fault, and bounded LRU-style so corpus-scale campaigns that
 touch thousands of distinct models do not accumulate mappings forever.
 
 The pool mirrors :class:`repro.runner.servers.ServerPool` (the warm
-``--serve`` process pool one rung down): ``acquire`` reuses the
+host process pool one rung down): ``acquire`` reuses the
 most-recently-released healthy instance for the key or loads a fresh
 one on a miss, ``release`` reinserts MRU and evicts LRU beyond the
 bound, ``retire`` drops a faulted instance without reinsertion.  Keys

@@ -9,8 +9,8 @@ Three cooperating pieces:
   :class:`SimulationJob` specs with per-job timeout, bounded retry with
   backoff, and structured :class:`JobResult` records (outcome,
   attempts, per-phase timings); :func:`run_jobs` runs a list of them;
-* :mod:`repro.runner.servers` — warm-process pool of persistent
-  ``--serve`` simulation servers, keyed by compiled artifact, reused
+* :mod:`repro.runner.servers` — warm-process pool of persistent host
+  processes serving compiled libraries, keyed by artifact, reused
   across batches and chunks (idle-TTL / LRU retirement);
 * :mod:`repro.runner.costmodel` / :mod:`repro.runner.inproc_threads` —
   cost-aware case scheduling (predicted ``steps × actors`` cost, LPT

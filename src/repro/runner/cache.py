@@ -1,25 +1,24 @@
-"""Content-addressed on-disk cache for compiled AccMoS binaries.
+"""Content-addressed on-disk cache for compiled AccMoS artifacts.
 
 AccMoS's premise is compile-once-run-fast, but a fresh gcc invocation
 per :func:`~repro.codegen.driver.compile_c_program` call throws the
 "once" away.  This cache keeps it: an entry is keyed by the SHA-256 of
-everything that determines the binary — the generated C source, the
+everything that determines the artifact — the generated C source, the
 compiler (absolute path *and* its ``--version`` banner, so a toolchain
 upgrade invalidates), and the flag vector — so a repeated simulation of
 an unchanged model performs zero compiler invocations.
 
 Layout: one directory per entry, ``<root>/<key[:2]>/<key>/`` holding
-``simulation.c`` plus one or both compiled artifacts — the
-``simulation`` executable and the ``simulation.so`` shared library (the
-in-process engine's form of the *same* compile unit; one key covers the
-pair).  Writes are atomic: the artifacts are staged into a scratch
-directory under the root and ``os.rename``d into place; when the entry
-already exists (a racing writer, or the second artifact arriving after
-the first) the staged files are merged in one ``os.replace`` per file —
-content-addressing makes the copies identical, so either write order
-leaves a valid entry.  Reads bump the entry's mtime; eviction removes
-least-recently-used entries whole — an entry's executable and shared
-library always live and die together.
+``simulation.c`` plus its compiled artifact — a program's
+``simulation.so`` shared library, or the ``simulation`` executable of
+the generic simulation host (one entry per compiler, keyed by the host
+source like any program).  Writes are atomic: the artifacts are staged
+into a scratch directory under the root and ``os.rename``d into place;
+when the entry already exists (a racing writer) the staged files are
+merged in one ``os.replace`` per file — content-addressing makes the
+copies identical, so either write order leaves a valid entry.  Reads
+bump the entry's mtime; eviction removes least-recently-used entries
+whole.
 
 A process-wide default cache (:func:`default_cache`) lives at
 ``$ACCMOS_CACHE_DIR`` (default ``~/.cache/accmos/artifacts``) and is
@@ -153,23 +152,33 @@ class ArtifactCache:
         ``names`` exist; bumps its LRU clock on hit.
 
         ``names`` selects which compiled artifacts the caller needs —
-        the executable by default, ``(SHARED_NAME,)`` for the in-process
-        engine.  The returned entry still reports whatever else the
+        the executable by default, ``(SHARED_NAME,)`` for a program's
+        library.  The returned entry still reports whatever else the
         entry happens to hold.
         """
+        entry = self.peek(key, names)
+        with self._lock:
+            if entry is None:
+                self._misses += 1
+            else:
+                self._hits += 1
+        return entry
+
+    def peek(
+        self, key: str, names: Sequence[str] = (BINARY_NAME,)
+    ) -> Optional[CacheEntry]:
+        """:meth:`lookup` without counting a hit or a miss — for support
+        artifacts (the simulation host) that would otherwise blur the
+        per-program statistics.  Still bumps the LRU clock on a hit."""
         entry_dir = self._entry_dir(key)
         source = entry_dir / SOURCE_NAME
         wanted = [entry_dir / name for name in names]
         if not (source.is_file() and all(p.is_file() for p in wanted)):
-            with self._lock:
-                self._misses += 1
             return None
         try:
             os.utime(entry_dir)
         except OSError:
             pass  # read-only cache is still a usable cache
-        with self._lock:
-            self._hits += 1
         return self._resolve(key, entry_dir)
 
     def store(
@@ -184,11 +193,10 @@ class ArtifactCache:
 
         The artifacts are staged into a scratch dir on the same
         filesystem and renamed into the final entry path in one step.
-        When the entry already exists — a racing writer, or this call
-        adding the entry's *other* artifact (e.g. the ``.so`` after the
-        executable) — the staged files are merged in with one atomic
-        ``os.replace`` per file; identical keys mean identical content,
-        so whichever copy lands is valid.
+        When the entry already exists — a racing writer — the staged
+        files are merged in with one atomic ``os.replace`` per file;
+        identical keys mean identical content, so whichever copy lands is
+        valid.
         """
         entry_dir = self._entry_dir(key)
         entry_dir.parent.mkdir(parents=True, exist_ok=True)

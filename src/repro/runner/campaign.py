@@ -49,18 +49,18 @@ def resolve_threads(
     """Resolve the campaign ``threads`` knob to a concrete count.
 
     ``None``/``0`` means auto: thread-parallel in-process execution when
-    it can actually engage — the AccMoS engine with a toolchain that
-    builds loadable shared objects — sized to the core count (capped at
-    4: the shard merge and decode are serial Python, so returns diminish
-    past a handful of C loops).  Everything else resolves to 1.
+    it can actually engage — the AccMoS engine with a C compiler — sized
+    to the core count (capped at 4: the shard merge and decode are serial
+    Python, so returns diminish past a handful of C loops).  Everything
+    else resolves to 1.
     """
     if threads:
         return max(1, int(threads))
     if engine != "accmos":
         return 1
-    from repro.codegen.driver import supports_shared_objects
+    from repro.codegen.driver import find_c_compiler
 
-    if supports_shared_objects() is not True:
+    if find_c_compiler() is None:
         return 1
     return max(1, min(4, os.cpu_count() or 1))
 

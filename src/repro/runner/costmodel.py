@@ -306,7 +306,7 @@ def cost_key(
     not yet known; this key is its pre-codegen proxy — the engine plus
     everything that determines the compiled unit's per-step cost: the
     model, its size, and (for AccMoS) the structural option fingerprint
-    the binary is specialized on.  Stable across processes, unlike
+    the library is specialized on.  Stable across processes, unlike
     :func:`~repro.runner.jobs.batch_key` (which folds in ``id(prog)``).
     """
     name = getattr(getattr(prog, "model", None), "name", "?")

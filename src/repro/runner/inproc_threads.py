@@ -2,7 +2,7 @@
 
 The process-pool path pays real freight per worker — pickling jobs and
 results, per-worker artifact caches, telemetry re-parenting — even when
-every job in the chunk shares one compiled binary.  When the in-process
+every job in the chunk shares one compiled library.  When the in-process
 rung is available, none of that is necessary: ``ctypes`` releases the
 GIL around ``acc_lib_run_case``, so N private library instances inside
 *this* process run N C simulation loops on N cores with zero spawns.
@@ -20,9 +20,9 @@ engines, descriptor-less stimuli) take the ordinary per-job path.
 
 Fault behavior is the existing ladder, untouched: a library fault inside
 the threaded executor quarantines the model and finishes the affected
-cases on the warm ``--serve`` rung; an exception around the executor
-drops the group to the spawn-per-batch rung via
-:func:`~repro.runner.jobs.run_job_batch`.  Either way results are
+cases on a host process serving the same library; a failure around the
+executor drops the group to :func:`~repro.runner.jobs.run_job_batch`'s
+host-process rung (and from there to the per-job path).  Either way results are
 byte-identical and one :class:`JobResult` per job comes back in
 submission order.
 """
@@ -33,6 +33,7 @@ import time
 from typing import TYPE_CHECKING, Optional, Union
 
 from repro import telemetry
+from repro.model.errors import CodegenError, CompilationError, SimulationError
 from repro.runner.costmodel import (
     CaseCostModel,
     cost_key,
@@ -151,7 +152,7 @@ def _run_group(
 
     def _fallback() -> "list[JobResult]":
         # Drop a rung: the batched dispatcher owns the rest of the
-        # ladder (server stream → spawn-per-batch → per-job).
+        # ladder (host process → restart once → per-job).
         telemetry.counter_inc("runner.inproc_threads.fallbacks")
         return run_job_batch(
             group,
@@ -172,13 +173,10 @@ def _run_group(
         for attempt in range(retries + 1):
             try:
                 model = compile_model(
-                    group[0].prog,
-                    group[0].resolved_options(),
-                    cache=cache,
-                    artifact="shared",
+                    group[0].prog, group[0].resolved_options(), cache=cache
                 )
                 break
-            except Exception as exc:
+            except (CodegenError, OSError) as exc:
                 if not _transient(exc) or attempt == retries:
                     span.set(outcome="compile_failed")
                     return _fallback()
@@ -205,7 +203,9 @@ def _run_group(
                 threads=len(shards),
                 shards=shards,
             )
-        except Exception:
+        except (CompilationError, SimulationError, OSError):
+            # The quarantine fallback's host failed twice, or a case
+            # input was rejected: the batched dispatcher takes over.
             span.set(outcome="fallback")
             return _fallback()
         span.set(outcome="ok", cache_hit=model.cache_hit)

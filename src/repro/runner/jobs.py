@@ -16,12 +16,13 @@ attempt would burn the same budget — so it is reported immediately as
 ``timeout``.
 
 Batching: AccMoS jobs that share a program and structural options can
-run *many cases per process* on one reused binary (the compile-once /
-run-many path).  :func:`batch_key` names the group a job may share
-(the scheduler forms chunks from it) and :func:`run_job_batch` executes
-one group — one ``compile_model`` + one ``run_batch`` — still returning
-one :class:`JobResult` per job.  Anything that breaks mid-batch falls back
-to the per-job path, so batching can only change speed, not outcomes.
+run *many cases* on one reused library (the compile-once / run-many
+path).  :func:`batch_key` names the group a job may share (the scheduler
+forms chunks from it) and :func:`run_job_batch` executes one group — one
+``compile_model`` + one in-process or host-process run of every case —
+still returning one :class:`JobResult` per job.  Anything that breaks
+mid-batch falls back to the per-job path, so batching can only change
+speed, not outcomes.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from typing import TYPE_CHECKING, Mapping, Optional, Union
 from repro import telemetry
 from repro.engines.base import SimulationOptions, SimulationResult
 from repro.model.errors import (
+    CodegenError,
     CompilationError,
     SimulationError,
     SimulationTimeout,
@@ -231,7 +233,7 @@ def _run_once(
 # batched execution (compile-once / run-many)
 # ----------------------------------------------------------------------
 def batch_key(job: SimulationJob) -> Optional[tuple]:
-    """The grouping key under which jobs may share one compiled binary,
+    """The grouping key under which jobs may share one compiled library,
     or None for a non-AccMoS job, which runs on the per-job path.
 
     Jobs with equal keys have the same program and the same *structural*
@@ -257,22 +259,19 @@ def run_job_batch(
     inproc: bool = False,
     _sleep=time.sleep,
 ) -> "list[JobResult]":
-    """Execute one same-key group of jobs on a single compiled binary.
+    """Execute one same-key group of jobs on a single compiled library.
 
-    One ``compile_model`` (retried on transient compiler failures) and
-    one multi-case process invocation serve the whole group.  Per-case
-    deadline trips become ``timeout`` outcomes without disturbing the
-    other cases.  If anything else goes wrong mid-batch, the whole group
-    falls back to the per-job :func:`run_job` path — batching can change
-    throughput, never results.
-
-    With ``server_pool`` (a :class:`~repro.runner.servers.ServerPool`)
-    the group is streamed through a warm ``--serve`` process instead of
-    spawning a fresh one.  With ``inproc`` the group runs inside a
-    loaded shared library first — the top rung of the fallback ladder
-    (inproc → server stream → spawn-per-batch → per-job); the model is
-    then compiled ``-shared`` eagerly so an all-inproc campaign costs
-    one compiler invocation and zero process spawns.
+    One ``compile_model`` (retried on transient compiler failures) serves
+    the whole group, whose cases run on the first rung of the ladder
+    that applies: in-process with ``inproc`` (a library fault finishes
+    the affected cases on a host process), else streamed through a
+    pooled warm host with ``server_pool`` (a
+    :class:`~repro.runner.servers.ServerPool`), else through a private
+    host process spawned for this group.  A host that fails twice in a
+    row — or anything else going wrong mid-batch — sends the whole group
+    down to the per-job :func:`run_job` path, so batching can change
+    throughput, never results.  Per-case deadline trips become
+    ``timeout`` outcomes without disturbing the other cases.
     """
     from repro.engines.accmos import compile_model
 
@@ -298,10 +297,9 @@ def run_job_batch(
             try:
                 model = compile_model(
                     jobs[0].prog, jobs[0].resolved_options(), cache=cache,
-                    artifact="shared" if inproc else "binary",
                 )
                 break
-            except Exception as exc:
+            except (CodegenError, OSError) as exc:
                 if not _transient(exc) or attempt == retries:
                     batch_span.set(outcome="compile_failed")
                     return _fallback()
@@ -311,43 +309,27 @@ def run_job_batch(
             (job.resolved_stimuli(), job.resolved_options())
             for job in jobs
         ]
-        outcomes = None
-        if inproc and model.inproc_available:
-            try:
-                # run_inproc quarantines and finishes on the --serve
-                # rung by itself on a library fault; an exception here
-                # (e.g. stimuli rejected by _normalize) drops a rung.
+        try:
+            if inproc:
                 outcomes = model.run_inproc(
                     case_list, timeout_seconds=timeout_seconds
                 )
-                batch_span.set(inproc=True)
-            except Exception:
-                telemetry.counter_inc("engine.inproc.fallbacks")
-                outcomes = None
-        if outcomes is None and server_pool is not None:
-            try:
+            elif server_pool is not None:
                 outcomes = server_pool.run_batch(
                     model, case_list, timeout_seconds=timeout_seconds
                 )
-                batch_span.set(served=True)
-            except Exception:
-                # run_stream already degrades to spawn-per-batch on
-                # crashes; getting here means even acquiring/spawning a
-                # server failed — drop a rung on the ladder.
-                telemetry.counter_inc("runner.server_fallbacks")
-                outcomes = None
-        if outcomes is None:
-            try:
-                outcomes = model.run_batch(
+            else:
+                outcomes = list(model.run_stream(
                     case_list, timeout_seconds=timeout_seconds
-                )
-            except Exception:
-                # Frame mismatch, a wedged binary hitting the process-
-                # level backstop, a crash — re-run the group case by
-                # case.
-                batch_span.set(outcome="fallback")
-                telemetry.counter_inc("runner.batch_fallbacks")
-                return _fallback()
+                ))
+        except (CompilationError, SimulationError, OSError):
+            # Two host failures in a row (ServerError), a library the
+            # handshake refused (LibraryFault), a host that would not
+            # build or spawn, or a case input the batch rejected: re-run
+            # the group case by case, which reports each job on its own.
+            batch_span.set(outcome="fallback")
+            telemetry.counter_inc("runner.batch_fallbacks")
+            return _fallback()
         batch_span.set(outcome="ok", cache_hit=model.cache_hit)
 
     return results_from_outcomes(jobs, outcomes, model)
@@ -360,7 +342,7 @@ def results_from_outcomes(
     :class:`JobResult`\\ s, preserving the timing convention shared by
     every batched dispatcher: the group compiled (or cache-resolved)
     exactly once, so the first successful case carries the codegen /
-    compile cost and the rest reuse the binary — a cache hit by
+    compile cost and the rest reuse the library — a cache hit by
     construction."""
     results: list[JobResult] = []
     first_ok = True

@@ -126,12 +126,12 @@ def run_jobs(
 
     ``batch_size > 1`` groups AccMoS jobs that share a program and
     structural options into multi-case chunks of up to that many jobs,
-    each served by one compiled binary and one process invocation (see
+    each served by one compiled library and one multi-case run (see
     :func:`repro.runner.jobs.run_job_batch`); results are still one per
     job, in submission order.
 
-    ``serve`` streams batched chunks through warm ``--serve`` processes
-    instead of spawning one per chunk.  ``server_pool`` supplies a
+    ``serve`` streams batched chunks through warm host processes instead
+    of spawning a private host per chunk.  ``server_pool`` supplies a
     caller-owned :class:`~repro.runner.servers.ServerPool` that outlives
     this call; without it (and with ``serve``) a dispatch-local pool is
     created and closed on return.  In process mode each worker process

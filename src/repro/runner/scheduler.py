@@ -697,8 +697,7 @@ class StreamScheduler:
             warmed.add(key)
             try:
                 compile_model(
-                    job.prog, job.resolved_options(), cache=self._cache,
-                    artifact="shared" if self._use_shared(job) else "binary",
+                    job.prog, job.resolved_options(), cache=self._cache
                 )
             except (CodegenError, OSError):
                 # Generation or gcc failures (CompilationError is a
@@ -707,9 +706,6 @@ class StreamScheduler:
                 # job, with retries and the fallback ladder.  Anything
                 # else is a bug and propagates.
                 pass
-
-    def _use_shared(self, job: SimulationJob) -> bool:
-        return self._inproc or self._mode == "inproc-threads"
 
     def _fill(self) -> None:
         """Submit chunks until the window is full (or pending is empty).

@@ -1,11 +1,11 @@
-"""Warm-server pool: persistent ``--serve`` processes reused across
-batches and jobs.
+"""Warm-server pool: persistent host processes reused across batches and
+jobs.
 
-A campaign repeatedly executes cases of the same compiled artifact; the
-spawn-per-batch path pays one process startup per dispatch.  The
-:class:`ServerPool` keeps the ``--serve`` processes
+A campaign repeatedly executes cases of the same compiled artifact; a
+private host per batch pays one process startup per dispatch.  The
+:class:`ServerPool` keeps the host processes
 (:class:`~repro.engines.accmos.ModelServer`) warm between dispatches,
-keyed by the artifact — the binary's content-addressed cache path — so
+keyed by the artifact — the library's content-addressed cache path — so
 the steady state is **zero** respawns: one spawn per (worker × artifact)
 for the whole campaign.
 
@@ -95,10 +95,8 @@ class ServerPool:
     # -- bookkeeping -----------------------------------------------------
     @staticmethod
     def artifact_key(model: "CompiledModel") -> str:
-        """The pooling key: the source's (content-addressed) path — the
-        executable may not be materialized yet on inproc-first handles."""
-        source = getattr(model.compiled, "source", None)
-        return str(source if source is not None else model.compiled.binary)
+        """The pooling key: the library's (content-addressed) path."""
+        return str(model.compiled.shared)
 
     def _count(self, name: str, value: int = 1) -> None:
         with self._lock:
@@ -158,13 +156,10 @@ class ServerPool:
         return True
 
     @staticmethod
-    def _cost_key_for(model: "CompiledModel") -> Optional[str]:
+    def _cost_key_for(model: "CompiledModel") -> str:
         from repro.runner.costmodel import cost_key
 
-        try:
-            return cost_key("accmos", model.prog, model.options)
-        except Exception:
-            return None  # prediction demotion is best-effort
+        return cost_key("accmos", model.prog, model.options)
 
     def _sweep_idle_locked(self, now: float) -> None:
         if self.idle_ttl_seconds is None:
@@ -254,12 +249,12 @@ class ServerPool:
     ):
         """Stream ``cases`` through a pooled warm server of ``model``.
 
-        Same contract as :meth:`CompiledModel.run_batch` — one outcome
+        Same contract as :meth:`CompiledModel.run_stream` — one outcome
         per case in order, per-case deadline trips as
         :class:`SimulationTimeout` entries — but with zero spawns in the
         steady state.  Restarts performed by the stream's crash recovery
-        are folded into the pool counters; a server that ends the stream
-        dead (the stream fell back to spawn-per-batch) is retired.
+        are folded into the pool counters; a server whose stream raised
+        (two failures in a row) is retired.
         """
         server = self.acquire(model)
         restarts_before = server.restarts

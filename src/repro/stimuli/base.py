@@ -32,13 +32,12 @@ STIM_KIND_UNIFORM = 6
 STIM_KIND_INT_RANDOM = 7
 
 #: The descriptor record's scalar slots, in wire order — the single
-#: source of truth shared by the text encoder (codegen.descriptor), the
-#: packed binary encoder (inproc.abi), and both generated C readers
-#: (codegen.runtime derives its scanf and memcpy sequences from this
-#: tuple).  Each entry is ``(descriptor attribute, C struct member,
-#: slot kind)`` with kind ``"i"`` = int64, ``"u"`` = uint64, ``"f"`` =
-#: double.  The variable-length table (length + values) follows these
-#: slots and is handled structurally by every encoder/reader.
+#: source of truth shared by the packed binary encoder (inproc.abi) and
+#: the generated C reader (codegen.runtime derives its memcpy sequence
+#: from this tuple).  Each entry is ``(descriptor attribute, C struct
+#: member, slot kind)`` with kind ``"i"`` = int64, ``"u"`` = uint64,
+#: ``"f"`` = double.  The variable-length table (length + values) follows
+#: these slots and is handled structurally by the encoder and the reader.
 DESCRIPTOR_FIELDS = (
     ("kind", "kind", "i"),
     ("i0", "i0", "i"),
@@ -87,10 +86,11 @@ def c_int_literal(value: int, dtype: DType) -> str:
 
 @dataclass(frozen=True)
 class StimulusDescriptor:
-    """A stimulus as runtime data for the stimulus-agnostic binary.
+    """A stimulus as runtime data for the stimulus-agnostic program.
 
     One fixed-width record per inport: a kind tag plus a small bag of
-    typed parameter slots the generated C interpreter reads from stdin.
+    typed parameter slots the generated C interpreter reads from each
+    packed case record.
     Integer and float value slots exist side by side (``iv*`` / ``fv*``)
     because the generated per-port switch is specialized on the port's
     dtype at codegen time and reads the matching slot — an int port never

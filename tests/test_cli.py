@@ -75,19 +75,21 @@ class TestSimulate:
 
 
 class TestCodegenCommand:
-    BATCH_MAIN = "int main(int argc, char **argv)"
-
     def test_writes_file(self, model_file, tmp_path, capsys):
         out_file = tmp_path / "sim.c"
         assert main(["codegen", model_file, "-o", str(out_file)]) == 0
         text = out_file.read_text()
-        assert self.BATCH_MAIN in text
         assert "acc_lib_run_case" in text
+        assert "main(" not in text
         assert "CliDemo_Acc" in text
 
     def test_stdout(self, model_file, capsys):
+        """The emitted program is a library: its entry point is
+        ``acc_lib_run_case``, and it has no ``main``."""
         assert main(["codegen", model_file]) == 0
-        assert self.BATCH_MAIN in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "int acc_lib_run_case(" in out
+        assert "main(" not in out
 
     @pytest.mark.parametrize("flag", [
         ["--steps", "5"], ["--seed", "3"], ["--stimuli", "cases.csv"],

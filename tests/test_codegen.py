@@ -1,4 +1,4 @@
-"""Code generation: source structure, compilation, the result protocol,
+"""Code generation: source structure, compilation, the result decoder,
 custom predicate substitution, and the Python backend."""
 
 from __future__ import annotations
@@ -8,16 +8,15 @@ import pytest
 from repro import SimulationOptions, simulate
 from repro.codegen import (
     descriptors_for,
-    encode_case,
     generate_py_step,
     generate_reusable_c_program,
 )
 from repro.codegen.driver import (
+    SimulationServer,
     compile_c_program,
     find_c_compiler,
-    parse_batch_result,
-    parse_result,
 )
+from repro.inproc import ResultDecoder, encode_case_binary
 from repro.diagnosis import CustomDiagnosis, DiagnosticKind
 from repro.dtypes import F64, I16, I32
 from repro.instrument import build_plan
@@ -47,18 +46,28 @@ def _generate(prog=None, options=None, **plan_kwargs):
     return prog, plan, options, source, layout
 
 
-def _case_input(prog, options):
-    """One default-stimuli case record for the program's stdin."""
+def _execute(compiled, prog, plan, layout, options):
+    """One default-stimuli case on a host serving ``compiled``; the
+    decoder and the case's result buffer."""
+    decoder = ResultDecoder(layout, plan, options)
     descriptors = descriptors_for(
         prog, default_stimuli(prog), steps=options.steps
     )
-    return encode_case(descriptors, steps=options.steps)
+    server = SimulationServer(
+        compiled.ensure_host(), compiled.shared, result_size=decoder.size
+    )
+    try:
+        server.submit(encode_case_binary(descriptors, steps=options.steps))
+        return decoder, bytes(server.read_frame(timeout=10.0))
+    finally:
+        server.close()
 
 
 class TestGeneratedSource:
     def test_structure(self):
         _, _, _, source, _ = _generate()
-        assert "int main(int argc, char **argv)" in source
+        assert "int acc_lib_run_case(" in source
+        assert "main(" not in source
         assert "/* ---- test case import" in source
         assert "/* ---- model step (execution order) ---- */" in source
         assert "steps_run" in source
@@ -144,31 +153,38 @@ class TestCompileAndParse:
     def test_compile_and_execute(self):
         prog, plan, options, source, layout = _generate()
         compiled = compile_c_program(source, layout)
-        stdout = compiled.execute(input_text=_case_input(prog, options))
-        assert "case 0" in stdout
-        assert "steps_run 100" in stdout
+        decoder, buf = _execute(compiled, prog, plan, layout, options)
+        assert len(buf) == decoder.size
+        assert int.from_bytes(buf[:8], "little") == 100  # steps_run
 
     def test_compile_error_reported(self):
         _, _, _, _, layout = _generate()
         with pytest.raises(CompilationError, match="failed"):
             compile_c_program("this is not C;", layout)
 
-    def test_parse_result_full(self):
+    def test_decode_result_full(self):
         prog, plan, options, source, layout = _generate()
         compiled = compile_c_program(source, layout)
-        (result,) = parse_batch_result(
-            compiled.execute(input_text=_case_input(prog, options)),
-            prog, plan, layout, [options],
-        )
+        decoder, buf = _execute(compiled, prog, plan, layout, options)
+        result = decoder.decode(buf, prog, options)
         assert result.steps_run == 100
         assert result.engine == "accmos"
         assert "Y" in result.outputs
         assert result.coverage is not None
+        sse = simulate(prog, default_stimuli(prog), engine="sse", options=options)
+        assert result.outputs == sse.outputs
 
-    def test_parse_result_rejects_garbage(self):
+    def test_decoder_rejects_truncated_and_overlong_buffers(self):
         prog, plan, options, _, layout = _generate()
-        with pytest.raises(SimulationError, match="unrecognized"):
-            parse_result("???", prog, plan, layout, options)
+        decoder = ResultDecoder(layout, plan, options)
+        buf = bytes(decoder.size)
+        decoder.decode(buf, prog, options)
+        with pytest.raises(SimulationError, match="truncated"):
+            decoder.decode(buf[:-1], prog, options)
+        with pytest.raises(SimulationError, match="truncated"):
+            decoder.decode(b"???", prog, options)
+        with pytest.raises(SimulationError, match="over-long"):
+            decoder.decode(buf + b"\0" * 8, prog, options)
 
     def test_find_c_compiler(self):
         assert find_c_compiler() is not None
@@ -177,7 +193,7 @@ class TestCompileAndParse:
         _, _, _, source, layout = _generate()
         compiled = compile_c_program(source, layout, workdir=tmp_path)
         assert (tmp_path / "simulation.c").exists()
-        assert (tmp_path / "simulation").exists()
+        assert (tmp_path / "simulation.so").exists()
         assert compiled.compile_seconds > 0
 
     def test_accmos_run_reports_extras(self):
@@ -196,7 +212,7 @@ class TestCompileAndParse:
         )
         artifacts = result.extra["artifacts"]
         assert artifacts.source_path.exists()
-        assert artifacts.binary_path.exists()
+        assert artifacts.shared_path.exists()
 
 
 class TestPyBackend:

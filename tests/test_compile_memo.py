@@ -17,7 +17,6 @@ import pytest
 from repro import SimulationOptions, telemetry
 from repro.campaign import run_campaign
 from repro.codegen import driver as driver_mod
-from repro.codegen.driver import supports_shared_objects
 from repro.dtypes import F64
 from repro.engines import accmos as accmos_mod
 from repro.engines.accmos import compile_model
@@ -27,13 +26,9 @@ from repro.runner.cache import ArtifactCache
 from repro.schedule import preprocess
 from repro.stimuli import default_stimuli
 
-from conftest import HAS_CC, requires_cc
+from conftest import requires_cc
 from helpers import assert_results_agree
 
-requires_shared = pytest.mark.skipif(
-    not HAS_CC or supports_shared_objects() is not True,
-    reason="toolchain cannot build loadable shared objects",
-)
 
 
 def _gain_program(gain: float):
@@ -117,7 +112,7 @@ def test_evicted_entry_recompiles_on_a_memo_hit(tmp_path, gcc_calls):
     assert (gcc_calls["n"], cache.stats().misses) == (2, 2)
 
     # A damaged entry (artifact gone, source kept) is a miss as well.
-    again.compiled.binary.unlink()
+    again.compiled.shared.unlink()
     compile_model(prog, opts, cache=cache)
     assert (gcc_calls["n"], cache.stats().misses) == (3, 3)
 
@@ -191,7 +186,7 @@ def test_recycled_id_never_aliases_a_dead_program():
     assert memo.get(prog, ("fp",), lambda: "rebuilt") == ("rebuilt", False)
 
 
-@requires_shared
+@requires_cc
 def test_cold_campaign_runs_one_codegen_and_one_gcc(tmp_path, gcc_calls):
     prog = _gain_program(2.0)
     cache = ArtifactCache(tmp_path / "cache")
@@ -214,6 +209,29 @@ def test_cold_campaign_runs_one_codegen_and_one_gcc(tmp_path, gcc_calls):
 
 
 @requires_cc
+def test_server_then_threaded_campaign_share_one_gcc(tmp_path):
+    """One artifact per program: a cold-cache campaign on the host rung,
+    then an in-process threaded campaign on the same cache, compile the
+    program once between them, plus one host build for the cache."""
+    prog = _gain_program(2.0)
+    cache = ArtifactCache(tmp_path / "cache")
+    common = dict(steps=32, max_cases=16, plateau_patience=16, cache=cache)
+    with telemetry.capture() as session:
+        served = run_campaign(prog, threads=1, serve=True, **common)
+        threaded = run_campaign(prog, threads=2, **common)
+    gcc = [
+        span.attrs.get("artifact")
+        for span in session.tracer.finished() if span.name == "gcc"
+    ]
+    assert sorted(gcc) == ["host", "shared"]
+    assert served.server_stats["spawns"] >= 1
+    assert threaded.merged.bitmaps == served.merged.bitmaps
+    assert [c.new_points for c in threaded.cases] == [
+        c.new_points for c in served.cases
+    ]
+
+
+@requires_cc
 def test_memo_hit_results_match_a_fresh_codegen(tmp_path):
     cache = ArtifactCache(tmp_path / "cache")
     prog = _gain_program(2.5)
@@ -228,7 +246,7 @@ def test_memo_hit_results_match_a_fresh_codegen(tmp_path):
     )
 
 
-@requires_shared
+@requires_cc
 def test_campaign_derives_each_case_stimuli_once(tmp_path, monkeypatch):
     """Keying a job never builds its stimuli, and the scheduler's keys
     travel down to the threaded dispatcher: one stimulus build and one

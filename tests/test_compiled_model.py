@@ -1,7 +1,7 @@
 """Compile-once / run-many equivalence: the stimulus-agnostic program
 against the interpreted SSE reference.
 
-The binary reads its stimuli, step count, and deadline at run time
+The library reads its stimuli, step count, and deadline at run time
 instead of having them compiled in; these tests pin the invariant that
 this changes *nothing* about the results — byte-identical outputs,
 checksums, coverage bitmaps, and diagnostics, whether a stimulus reaches
@@ -69,8 +69,8 @@ def zoo_programs():
 def test_reusable_matches_sse_and_baked(zoo_programs, name):
     """Byte identity on every zoo model between SSE, the descriptor path,
     and the same streams baked into materialized tables (opaque custom
-    stimuli) on every rung: ``run_accmos``, ``run_batch``, the warm
-    server stream, and the in-process library."""
+    stimuli) on every rung: ``run_accmos``, a host-process stream, and
+    the in-process library."""
     prog, stimuli = zoo_programs[name]
     opts = SimulationOptions(steps=STEPS, coverage=True, diagnostics=True)
     sse = simulate(prog, stimuli(), engine="sse", options=opts)
@@ -80,7 +80,7 @@ def test_reusable_matches_sse_and_baked(zoo_programs, name):
     )
     model = compile_model(prog, opts, cache=False)
     cases = [_opaque(stimuli()), stimuli(), _opaque(stimuli())]
-    for rung in (model.run_batch, model.run_stream, model.run_inproc):
+    for rung in (model.run_stream, model.run_inproc):
         outcomes = list(rung(cases))
         assert len(outcomes) == len(cases)
         for got in outcomes:
@@ -96,7 +96,7 @@ def test_batch_matches_individual_runs(zoo_programs, name):
     opts = SimulationOptions(steps=STEPS, coverage=True, diagnostics=True)
     model = compile_model(prog, opts, cache=False)
     cases = [default_stimuli(prog, seed=s) for s in (3, 1, 9, 1)]
-    batch = model.run_batch([(c, None) for c in cases])
+    batch = list(model.run_stream([(c, None) for c in cases]))
     for stimuli, got in zip(cases, batch):
         assert_results_agree(model.run(stimuli), got)
         assert_results_agree(
@@ -167,7 +167,7 @@ def test_mixed_step_counts_in_one_batch(zoo_programs):
         SimulationOptions(steps=n) for n in (10, 250, 1, 100)
     ]
     stimuli = default_stimuli(prog, seed=4)
-    batch = model.run_batch([(stimuli, o) for o in per_case])
+    batch = list(model.run_stream([(stimuli, o) for o in per_case]))
     for opts, got in zip(per_case, batch):
         ref = simulate(prog, stimuli, engine="sse", options=opts)
         assert_results_agree(ref, got)
@@ -199,7 +199,7 @@ def test_mid_batch_halt_resets_state():
         {"X": ConstantStimulus(6), "Y": SequenceStimulus([0])},
         {"X": ConstantStimulus(6), "Y": ConstantStimulus(3)},
     ]
-    batch = model.run_batch([(c, None) for c in cases])
+    batch = list(model.run_stream([(c, None) for c in cases]))
     halts = [r.halted_at for r in batch]
     assert halts == [2, None, 0, None]
     for stimuli, got in zip(cases, batch):
@@ -215,13 +215,13 @@ def test_mid_batch_timeout_recovers(zoo_programs):
     opts = SimulationOptions(steps=100)
     model = compile_model(prog, opts, cache=False)
     huge = SimulationOptions(steps=2_000_000_000)
-    out = model.run_batch(
+    out = list(model.run_stream(
         [
             (default_stimuli(prog, seed=1), huge),
             (default_stimuli(prog, seed=2), None),
         ],
         timeout_seconds=0.2,
-    )
+    ))
     assert isinstance(out[0], SimulationTimeout)
     assert "wall-clock" in str(out[0])
     ref = simulate(
@@ -243,20 +243,20 @@ def test_single_run_timeout_raises(zoo_programs):
 
 
 def test_execute_timeout_captures_stderr_and_counts(tmp_path):
-    """A killed binary's message carries its stderr, and the kill bumps
-    the engine.accmos.timeouts counter."""
+    """A host that goes quiet past its wall-clock deadline is reported
+    with its stderr, and the expiry bumps engine.accmos.timeouts."""
     from repro import telemetry
-    from repro.codegen.driver import CompiledSimulation
+    from repro.codegen.driver import ServerError, SimulationServer
 
     script = tmp_path / "slow.sh"
     script.write_text("#!/bin/sh\necho boom-detail >&2\nsleep 30\n")
     script.chmod(0o755)
-    sim = CompiledSimulation(
-        binary=script, source=script, layout=None, compile_seconds=0.0
-    )
     with telemetry.capture() as session:
-        with pytest.raises(SimulationTimeout) as excinfo:
-            sim.execute(timeout_seconds=0.2)
+        with pytest.raises(ServerError) as excinfo:
+            SimulationServer(
+                script, tmp_path / "unused.so", result_size=32,
+                handshake_timeout=0.5,
+            )
     assert "wall-clock" in str(excinfo.value)
     assert "boom-detail" in str(excinfo.value)
     snap = session.metrics.snapshot()
@@ -287,7 +287,7 @@ def test_opaque_stimulus_materialized_by_compiled_model(zoo_programs):
     model = compile_model(prog, SimulationOptions(steps=50), cache=False)
     stimuli = default_stimuli(prog, seed=1)
     per_case = [SimulationOptions(steps=n) for n in (50, 7, 0, 130)]
-    batch = model.run_batch([(_opaque(stimuli), o) for o in per_case])
+    batch = list(model.run_stream([(_opaque(stimuli), o) for o in per_case]))
     for opts, got in zip(per_case, batch):
         assert got.steps_run == opts.steps
         assert_results_agree(

@@ -1,22 +1,19 @@
-"""Failure injection on the codegen/driver path: broken compilers, crashing
-binaries, and corrupted result protocols must surface as typed errors."""
+"""Failure injection on the codegen/driver path: broken compilers,
+crashing programs, and corrupted host streams must surface as typed
+errors."""
 
 from __future__ import annotations
+
+import struct
+import sys
 
 import pytest
 
 from repro import SimulationOptions
-from repro.codegen import (
-    descriptors_for,
-    encode_case,
-    generate_reusable_c_program,
-)
-from repro.codegen.driver import (
-    CompiledSimulation,
-    compile_c_program,
-    parse_result,
-)
+from repro.codegen import descriptors_for, generate_reusable_c_program
+from repro.codegen.driver import ServerError, SimulationServer, compile_c_program
 from repro.dtypes import I32
+from repro.inproc import ABI_VERSION, LibraryFault, ResultDecoder, encode_case_binary
 from repro.instrument import build_plan
 from repro.model import ModelBuilder
 from repro.model.errors import CompilationError, SimulationError
@@ -40,11 +37,27 @@ def generated():
     return prog, plan, options, source, layout
 
 
-def _case_input(prog, options):
+def _record(prog, options):
     descriptors = descriptors_for(
         prog, default_stimuli(prog), steps=options.steps
     )
-    return encode_case(descriptors, steps=options.steps)
+    return encode_case_binary(descriptors, steps=options.steps)
+
+
+def _fake_host(tmp_path, body: str):
+    """An executable standing in for the host: ``body`` is Python run
+    with ``out`` (binary stdout) and ``size`` (the handshake's result
+    size, from argv) in scope."""
+    script = tmp_path / "fake_host"
+    script.write_text(
+        f"#!{sys.executable}\n"
+        "import struct, sys\n"
+        "out = sys.stdout.buffer\n"
+        "size = int(sys.argv[1])\n"
+        + body
+    )
+    script.chmod(0o755)
+    return script
 
 
 class TestCompilerFailures:
@@ -70,16 +83,20 @@ class TestCompilerFailures:
 
 class TestBinaryFailures:
     def test_nonzero_exit_reported(self, generated, tmp_path):
-        _, _, _, source, layout = generated
-        main = "int main(int argc, char **argv) {"
-        assert main in source
-        crashing = source.replace(main, main + "\n    return 7;\n")
-        compiled = compile_c_program(crashing, layout, workdir=tmp_path)
-        with pytest.raises(SimulationError, match="exit 7"):
-            compiled.execute()
+        """A host that cannot load its library exits non-zero, and the
+        error carries the exit status and the host's stderr."""
+        _, plan, options, source, layout = generated
+        compiled = compile_c_program(source, layout, workdir=tmp_path)
+        with pytest.raises(ServerError) as excinfo:
+            SimulationServer(
+                compiled.ensure_host(), tmp_path / "missing.so",
+                result_size=ResultDecoder(layout, plan, options).size,
+            )
+        assert "exit 3" in str(excinfo.value)
+        assert "missing.so" in str(excinfo.value)
 
     def test_crash_reported(self, generated, tmp_path):
-        prog, _, options, source, layout = generated
+        prog, plan, options, source, layout = generated
         crashing = source.replace(
             "clock_gettime(CLOCK_MONOTONIC, &_t0);",
             "clock_gettime(CLOCK_MONOTONIC, &_t0);\n"
@@ -88,34 +105,67 @@ class TestBinaryFailures:
         )
         assert crashing != source
         compiled = compile_c_program(crashing, layout, workdir=tmp_path)
-        with pytest.raises(SimulationError):
-            compiled.execute(input_text=_case_input(prog, options))
+        server = SimulationServer(
+            compiled.ensure_host(), compiled.shared,
+            result_size=ResultDecoder(layout, plan, options).size,
+        )
+        try:
+            server.submit(_record(prog, options))
+            with pytest.raises(SimulationError, match="exit -11"):
+                server.read_frame(timeout=10.0)
+        finally:
+            server.kill()
 
 
 class TestProtocolFailures:
-    def test_unrecognized_line(self, generated):
-        prog, plan, options, _, layout = generated
-        with pytest.raises(SimulationError, match="unrecognized"):
-            parse_result("bogus 1 2 3", prog, plan, layout, options)
+    def test_unrecognized_line(self, tmp_path):
+        """A host that answers the handshake with text is refused with a
+        typed error, not trusted."""
+        host = _fake_host(tmp_path, "out.write(b'ready\\n' * 4)\n")
+        with pytest.raises(LibraryFault, match="ABI version"):
+            SimulationServer(host, "16", result_size=16)
 
-    def test_coverage_size_mismatch(self, generated):
-        prog, plan, options, _, layout = generated
-        stdout = (
-            "steps_run 20\nhalt -1\nsim_seconds 0.0\n"
-            "cov actor 1\ncov condition \ncov decision \ncov mcdc \n"
+    def test_coverage_size_mismatch(self, generated, tmp_path):
+        """Coverage tables shape the result buffer: a library built with
+        them cannot serve a decoder laid out without them."""
+        prog, _, options, source, layout = generated
+        compiled = compile_c_program(source, layout, workdir=tmp_path)
+        no_coverage = build_plan(prog, coverage=False)
+        size = ResultDecoder(layout, no_coverage, options).size
+        with pytest.raises(LibraryFault, match="result size"):
+            SimulationServer(compiled.ensure_host(), compiled.shared,
+                             result_size=size)
+
+    def test_truncated_frame_raises_typed_error(self, tmp_path):
+        """A host that dies half way through a frame surfaces as a
+        typed ServerError, never a partial result."""
+        host = _fake_host(
+            tmp_path,
+            f"out.write(struct.pack('<qq', {ABI_VERSION}, size))\n"
+            "out.flush()\n"
+            "sys.stdin.buffer.read(8)\n"
+            "out.write(struct.pack('<qq', 0, 0) + b'\\0' * (size // 2))\n",
         )
-        # actor table has len(prog.actors) points; one char is too few.
-        if plan.points.n_actor == 1:
-            pytest.skip("model too small for a mismatch")
-        with pytest.raises(SimulationError, match="size mismatch"):
-            parse_result(stdout, prog, plan, layout, options)
+        server = SimulationServer(host, "64", result_size=64)
+        try:
+            server.submit(b"")
+            with pytest.raises(ServerError, match="stdout closed during case 0"):
+                server.read_frame(timeout=10.0)
+        finally:
+            server.kill()
 
-    def test_truncated_output_yields_partial_but_typed_result(self, generated):
-        prog, plan, options, _, layout = generated
-        # Only the step count arrived (binary was killed mid-print): the
-        # parser still produces a result, with empty coverage tables.
-        result = parse_result("steps_run 5\nhalt -1\n", prog, plan, layout,
-                              options)
-        assert result.steps_run == 5
-        assert result.coverage is not None
-        assert result.coverage.metrics is not None
+    def test_rejected_record_raises_typed_error(self, generated, tmp_path):
+        """A record the library rejects (non-zero status) is a typed
+        ServerError naming the status."""
+        prog, plan, options, source, layout = generated
+        compiled = compile_c_program(source, layout, workdir=tmp_path)
+        server = SimulationServer(
+            compiled.ensure_host(), compiled.shared,
+            result_size=ResultDecoder(layout, plan, options).size,
+        )
+        try:
+            server.submit(_record(prog, options)[:-8])
+            with pytest.raises(ServerError, match="returned -1"):
+                server.read_frame(timeout=10.0)
+        finally:
+            server.kill()

@@ -1,11 +1,11 @@
 """The in-process shared-library rung: packed ABI, identity, quarantine.
 
-Pins the PR's core invariant: loading the reusable program as a shared
+Pins the in-process rung's core invariant: loading the program's shared
 library and driving it through the packed binary case/result protocol is
 a pure throughput lever — byte-identical results to the SSE reference
-and every process-based rung across the zoo and every stimulus kind,
-with a fault-quarantine ladder that drops back to the ``--serve`` rung
-without changing a single bit.
+and the host-process rung across the zoo and every stimulus kind, with a
+fault-quarantine ladder that drops back to a host process without
+changing a single bit.
 """
 
 from __future__ import annotations
@@ -17,9 +17,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import SimulationOptions, simulate
-from repro.codegen.descriptor import descriptors_for, encode_case
+from repro.codegen.descriptor import descriptors_for
 from repro.codegen import driver as driver_mod
-from repro.codegen.driver import supports_shared_objects
 from repro.dtypes import F64, I32
 from repro.engines.accmos import compile_model
 from repro.engines.base import SimulationResult
@@ -46,15 +45,10 @@ from repro.stimuli import (
 )
 from repro.stimuli.base import DESCRIPTOR_FIELDS
 
-from conftest import HAS_CC, requires_cc
+from conftest import requires_cc
 from helpers import ZOO, assert_results_agree
 
 STEPS = 200
-
-requires_shared = pytest.mark.skipif(
-    not HAS_CC or supports_shared_objects() is not True,
-    reason="toolchain cannot build loadable shared objects",
-)
 
 
 @pytest.fixture(scope="module")
@@ -67,20 +61,22 @@ def zoo_programs():
 
 
 # ----------------------------------------------------------------------
-# three-way byte identity: SSE vs spawned batch vs in-process library
+# byte identity: SSE vs the in-process library (vs a private host batch)
 # ----------------------------------------------------------------------
-@requires_shared
+@requires_cc
 @pytest.mark.parametrize("name", sorted(ZOO))
 def test_inproc_matches_sse_and_batch(zoo_programs, name):
+    """Every in-process case is byte-identical to SSE, and to the same
+    batch run on a private host process."""
     prog, stimuli = zoo_programs[name]
     opts = SimulationOptions(steps=STEPS, coverage=True, diagnostics=True)
-    model = compile_model(prog, opts, cache=False, artifact="shared")
+    model = compile_model(prog, opts, cache=False)
     sse = simulate(prog, stimuli(), engine="sse", options=opts)
-    batch = model.run_batch([(stimuli(), None) for _ in range(3)])
+    batch = list(model.run_stream([(stimuli(), None) for _ in range(3)]))
     inproc = model.run_inproc([(stimuli(), None) for _ in range(3)])
     assert len(inproc) == 3
-    assert_results_agree(sse, inproc[0])
     for via_batch, via_inproc in zip(batch, inproc):
+        assert_results_agree(sse, via_inproc)
         assert_results_agree(via_batch, via_inproc)
     # The whole batch ran in-process (no fallback kicked in).
     assert model.inproc_available
@@ -129,13 +125,13 @@ KIND_CASES = {
 }
 
 
-@requires_shared
+@requires_cc
 @pytest.mark.parametrize("kind", sorted(KIND_CASES))
 def test_inproc_identity_every_stimulus_kind(kind):
     """Each descriptor kind round-trips the packed binary protocol."""
     prog = _kinds_model()
     opts = SimulationOptions(steps=STEPS, coverage=True, diagnostics=True)
-    model = compile_model(prog, opts, cache=False, artifact="shared")
+    model = compile_model(prog, opts, cache=False)
     make = KIND_CASES[kind]
     sse = simulate(prog, make(), engine="sse", options=opts)
     (inproc,) = model.run_inproc([(make(), None)])
@@ -143,40 +139,23 @@ def test_inproc_identity_every_stimulus_kind(kind):
 
 
 # ----------------------------------------------------------------------
-# encoder conformance: text and binary wire formats carry the same case
+# encoder conformance: the packed record carries every descriptor field
 # ----------------------------------------------------------------------
-def _parse_text_case(text: str) -> dict:
-    """Parse the text wire format with the same field table the encoders
-    use, into the same shape ``decode_case_binary`` returns."""
-    tokens = iter(text.split())
-    assert next(tokens) == "case"
-
-    def f64(tok: str) -> float:
-        if tok.endswith("nan"):
-            return float("nan")
-        if tok.endswith("inf"):
-            return float(tok)
-        return float.fromhex(tok)
-
-    record = {
-        "steps": int(next(tokens)),
-        "time_budget": f64(next(tokens)),
-        "deadline": f64(next(tokens)),
-        "ports": [],
+def _expected_record(descriptors, *, steps, time_budget, deadline) -> dict:
+    """What ``decode_case_binary`` must return for ``descriptors``, built
+    straight from the descriptor objects and the shared field table."""
+    return {
+        "steps": steps,
+        "time_budget": -1.0 if time_budget is None else time_budget,
+        "deadline": -1.0 if deadline is None else deadline,
+        "ports": [
+            {
+                **{attr: getattr(d, attr) for attr, _m, _k in DESCRIPTOR_FIELDS},
+                "table": tuple(d.table),
+            }
+            for d in descriptors
+        ],
     }
-    for _ in range(int(next(tokens))):
-        port = {}
-        for attr, _member, kind in DESCRIPTOR_FIELDS:
-            tok = next(tokens)
-            port[attr] = f64(tok) if kind == "f" else int(tok)
-        tab_len = int(next(tokens))
-        if port["table_is_float"]:
-            port["table"] = tuple(f64(next(tokens)) for _ in range(tab_len))
-        else:
-            port["table"] = tuple(int(next(tokens)) for _ in range(tab_len))
-        record["ports"].append(port)
-    assert next(tokens, None) is None
-    return record
 
 
 def _assert_same_value(a, b, context):
@@ -188,15 +167,17 @@ def _assert_same_value(a, b, context):
 
 @pytest.mark.parametrize("kind", sorted(KIND_CASES))
 def test_text_and_binary_encodings_agree(kind):
-    """Satellite: both wire formats are derived from DESCRIPTOR_FIELDS;
-    every stimulus kind must carry identical values through both."""
+    """The packed record is derived from DESCRIPTOR_FIELDS; every
+    stimulus kind's descriptor values (as the Python objects state them)
+    must come back identical from ``decode_case_binary``."""
     prog = _kinds_model()
     descriptors = descriptors_for(prog, KIND_CASES[kind](), steps=77)
-    text = encode_case(descriptors, steps=77, time_budget=1.5, deadline=None)
     binary = encode_case_binary(
         descriptors, steps=77, time_budget=1.5, deadline=None
     )
-    via_text = _parse_text_case(text)
+    via_text = _expected_record(
+        descriptors, steps=77, time_budget=1.5, deadline=None
+    )
     via_binary = decode_case_binary(binary)
     assert via_text["steps"] == via_binary["steps"] == 77
     _assert_same_value(via_text["time_budget"], via_binary["time_budget"], kind)
@@ -226,7 +207,7 @@ def test_binary_record_rejects_truncation_and_trailing():
 # ----------------------------------------------------------------------
 # the C-side reader: status codes and the load-time handshake
 # ----------------------------------------------------------------------
-@requires_shared
+@requires_cc
 def test_library_rejects_malformed_records():
     """The C reader returns -1 for truncated/trailing bytes, -2 for a
     port-count mismatch, -3 for an undersized result buffer — and any
@@ -235,7 +216,7 @@ def test_library_rejects_malformed_records():
 
     prog = _kinds_model()
     opts = SimulationOptions(steps=20)
-    model = compile_model(prog, opts, cache=False, artifact="shared")
+    model = compile_model(prog, opts, cache=False)
     descriptors = descriptors_for(prog, KIND_CASES["constant"](), steps=20)
     record = encode_case_binary(descriptors, steps=20)
 
@@ -258,12 +239,12 @@ def test_library_rejects_malformed_records():
         lib.retire()
 
 
-@requires_shared
+@requires_cc
 def test_handshake_rejects_abi_and_size_mismatch(monkeypatch):
     prog = _kinds_model()
     opts = SimulationOptions(steps=20)
-    model = compile_model(prog, opts, cache=False, artifact="shared")
-    shared = model.compiled.ensure_shared()
+    model = compile_model(prog, opts, cache=False)
+    shared = model.compiled.shared
 
     with pytest.raises(LibraryFault, match="result size"):
         LoadedModel(shared, result_size=8)
@@ -278,11 +259,11 @@ def test_handshake_rejects_abi_and_size_mismatch(monkeypatch):
 # ----------------------------------------------------------------------
 # per-case deadlines, enforced inside the library
 # ----------------------------------------------------------------------
-@requires_shared
+@requires_cc
 def test_inproc_deadline_trips_as_timeout():
     prog = _kinds_model()
     opts = SimulationOptions(steps=50_000_000, coverage=False, checksum=False)
-    model = compile_model(prog, opts, cache=False, artifact="shared")
+    model = compile_model(prog, opts, cache=False)
     make = KIND_CASES["sine"]
     outcomes = model.run_inproc(
         [(make(), None), (make(), None)], timeout_seconds=1e-6
@@ -294,13 +275,13 @@ def test_inproc_deadline_trips_as_timeout():
 
 
 # ----------------------------------------------------------------------
-# fault quarantine: induced library fault falls back to --serve
+# fault quarantine: induced library fault falls back to a host process
 # ----------------------------------------------------------------------
-@requires_shared
+@requires_cc
 def test_induced_fault_quarantines_and_falls_back(zoo_programs):
     prog, stimuli = zoo_programs[sorted(ZOO)[0]]
     opts = SimulationOptions(steps=STEPS, coverage=True, diagnostics=True)
-    model = compile_model(prog, opts, cache=False, artifact="shared")
+    model = compile_model(prog, opts, cache=False)
     sse = simulate(prog, stimuli(), engine="sse", options=opts)
 
     lib = model.load()
@@ -330,11 +311,11 @@ def test_induced_fault_quarantines_and_falls_back(zoo_programs):
     assert_results_agree(sse, again[0])
 
 
-@requires_shared
+@requires_cc
 def test_load_failure_quarantines(zoo_programs, monkeypatch):
     prog, stimuli = zoo_programs[sorted(ZOO)[0]]
     opts = SimulationOptions(steps=STEPS)
-    model = compile_model(prog, opts, cache=False, artifact="shared")
+    model = compile_model(prog, opts, cache=False)
     sse = simulate(prog, stimuli(), engine="sse", options=opts)
 
     def broken_load():
@@ -351,7 +332,7 @@ def test_load_failure_quarantines(zoo_programs, monkeypatch):
 # ----------------------------------------------------------------------
 # campaign integration: one gcc, zero process spawns
 # ----------------------------------------------------------------------
-@requires_shared
+@requires_cc
 def test_campaign_inproc_one_gcc_zero_spawns(zoo_programs, tmp_path, monkeypatch):
     """A cold-cache inproc campaign compiles exactly once (the shared
     object) and never spawns a simulation process."""
@@ -372,7 +353,6 @@ def test_campaign_inproc_one_gcc_zero_spawns(zoo_programs, tmp_path, monkeypatch
     def no_spawn(*args, **kwargs):
         raise AssertionError("simulation process spawned on the inproc path")
 
-    monkeypatch.setattr(driver_mod.CompiledSimulation, "execute", no_spawn)
     monkeypatch.setattr(driver_mod.SimulationServer, "__init__", no_spawn)
 
     outcome = run_campaign(
@@ -384,7 +364,7 @@ def test_campaign_inproc_one_gcc_zero_spawns(zoo_programs, tmp_path, monkeypatch
     assert cache.stats().misses == 1
 
 
-@requires_shared
+@requires_cc
 def test_campaign_inproc_matches_default_path(zoo_programs):
     from repro.campaign import run_campaign
 
@@ -433,21 +413,24 @@ def test_run_campaign_rejects_unknown_engine():
 
 
 def test_available_rungs_gates_inproc(monkeypatch):
+    """The in-process rungs need exactly what every C rung needs — a
+    compiler — since every compiled rung runs the same shared library."""
     import repro.fuzz.oracle as oracle_mod
 
-    monkeypatch.setattr(oracle_mod, "find_c_compiler", lambda: "/usr/bin/cc")
-    monkeypatch.setattr(oracle_mod, "supports_shared_objects", lambda: False)
+    monkeypatch.setattr(oracle_mod, "find_c_compiler", lambda: None)
     rungs = oracle_mod.available_rungs()
     assert "accmos_inproc" not in rungs
+    assert "accmos" not in rungs
+    monkeypatch.setattr(oracle_mod, "find_c_compiler", lambda: "/usr/bin/cc")
+    rungs = oracle_mod.available_rungs()
+    assert "accmos_inproc" in rungs
     assert "accmos" in rungs
-    monkeypatch.setattr(oracle_mod, "supports_shared_objects", lambda: True)
-    assert "accmos_inproc" in oracle_mod.available_rungs()
 
 
 # ----------------------------------------------------------------------
 # fuzz oracle rung
 # ----------------------------------------------------------------------
-@requires_shared
+@requires_cc
 def test_fuzz_oracle_inproc_rung_agrees():
     from repro.fuzz.generate import generate_case
     from repro.fuzz.oracle import run_case
@@ -459,31 +442,34 @@ def test_fuzz_oracle_inproc_rung_agrees():
 
 
 # ----------------------------------------------------------------------
-# shared cache entry: both artifacts, one key, lazy sibling compiles
+# one artifact: one cache entry and one gcc per program, every rung
 # ----------------------------------------------------------------------
-@requires_shared
-def test_shared_and_binary_share_one_cache_entry(tmp_path):
+@requires_cc
+def test_one_cache_entry_one_gcc_per_program(tmp_path, monkeypatch):
+    """The in-process and the host rungs run the same library: one
+    cache entry, one program gcc, plus one host build for the cache."""
     prog = _kinds_model()
     opts = SimulationOptions(steps=20)
     cache = ArtifactCache(tmp_path / "cache")
+    builds = []
+    real_run_compiler = driver_mod._run_compiler
 
-    model = compile_model(prog, opts, cache=cache, artifact="shared")
-    assert model.compiled.shared is not None
-    assert model.compiled.binary is None  # executable not built yet
-    assert cache.stats().entries == 1
+    def counting_compiler(compiler, c_path, out_path, artifact):
+        builds.append(artifact)
+        return real_run_compiler(compiler, c_path, out_path, artifact)
 
-    # The executable materializes lazily into the *same* entry…
-    binary = model.compiled.ensure_binary()
-    assert binary.parent == model.compiled.shared.parent
-    assert cache.stats().entries == 1
+    monkeypatch.setattr(driver_mod, "_run_compiler", counting_compiler)
 
-    # …and a fresh compile of either form is a pure cache hit.
-    again = compile_model(prog, opts, cache=cache, artifact="binary")
+    model = compile_model(prog, opts, cache=cache)
+    (inproc,) = model.run_inproc([(KIND_CASES["ramp"](), None)])
+    assert_results_agree(inproc, model.run(KIND_CASES["ramp"]()))
+    again = compile_model(prog, opts, cache=cache)
     assert again.compiled.cache_hit
-    assert again.compiled.ensure_shared().is_file()
-    # Two misses (one per artifact's first build), then pure hits.
+    assert again.compiled.shared == model.compiled.shared
+    assert_results_agree(inproc, again.run(KIND_CASES["ramp"]()))
+    assert builds == ["shared", "host"]
     stats = cache.stats()
-    assert (stats.misses, stats.entries) == (2, 1)
+    assert (stats.misses, stats.hits, stats.entries) == (1, 1, 2)
 
 
 # ----------------------------------------------------------------------
@@ -513,7 +499,7 @@ def decoded_case(zoo_programs):
     """One filled result buffer from a model with every region present."""
     prog, stimuli = zoo_programs["logic_decisions"]
     opts = SimulationOptions(steps=40, coverage=True, diagnostics=True)
-    model = compile_model(prog, opts, cache=False, artifact="shared")
+    model = compile_model(prog, opts, cache=False)
     lib = model.load()
     try:
         record = encode_case_binary(
@@ -525,7 +511,7 @@ def decoded_case(zoo_programs):
     return model, opts, buf
 
 
-@requires_shared
+@requires_cc
 def test_decoder_rejects_truncation_at_every_region(decoded_case):
     import struct
 
@@ -548,7 +534,7 @@ def test_decoder_rejects_truncation_at_every_region(decoded_case):
             model.decoder.decode(buf[: end - 8], model.prog, opts)
 
 
-@requires_shared
+@requires_cc
 def test_decoder_rejects_monitor_count_above_limit(decoded_case):
     import struct
 
@@ -562,7 +548,7 @@ def test_decoder_rejects_monitor_count_above_limit(decoded_case):
         model.decoder.decode(bytes(forged), model.prog, opts)
 
 
-@requires_shared
+@requires_cc
 def test_coverage_probe_matches_full_decode(decoded_case):
     model, opts, buf = decoded_case
     full = model.decoder.decode(buf, model.prog, opts)
@@ -570,7 +556,7 @@ def test_coverage_probe_matches_full_decode(decoded_case):
 
 
 # ----------------------------------------------------------------------
-# property: the binary decode equals the text protocol's parse
+# property: both rungs' binary decode equals the SSE reference
 # ----------------------------------------------------------------------
 def _canonical(result) -> tuple:
     """Every decoded field, NaN- and sign-exact (``repr`` of floats)."""
@@ -591,7 +577,7 @@ def property_cache(tmp_path_factory):
     return ArtifactCache(tmp_path_factory.mktemp("property-cache"))
 
 
-@requires_shared
+@requires_cc
 @settings(
     max_examples=24,
     deadline=None,
@@ -605,17 +591,22 @@ def property_cache(tmp_path_factory):
     monitor_limit=st.sampled_from([1, 3, 7, 256]),
     steps=st.integers(min_value=0, max_value=60),
 )
-def test_binary_decode_equals_text_parse(
+def test_binary_decode_equals_sse(
     zoo_programs, property_cache, name, checksum, coverage, diagnostics,
     monitor_limit, steps,
 ):
+    """Across option shapes, the in-process and the host decodes agree
+    field for field, and both agree with SSE."""
     prog, stimuli = zoo_programs[name]
     opts = SimulationOptions(
         steps=steps, checksum=checksum, coverage=coverage,
         diagnostics=diagnostics, monitor_limit=monitor_limit,
     )
-    model = compile_model(prog, opts, cache=property_cache, artifact="shared")
-    (via_text,) = model.run_batch([(stimuli(), None)])
-    (via_binary,) = model.run_inproc([(stimuli(), None)])
+    model = compile_model(prog, opts, cache=property_cache)
+    via_host = model.run(stimuli())
+    (via_inproc,) = model.run_inproc([(stimuli(), None)])
     assert model.inproc_available
-    assert _canonical(via_binary) == _canonical(via_text)
+    assert _canonical(via_inproc) == _canonical(via_host)
+    sse = simulate(prog, stimuli(), engine="sse", options=opts)
+    assert_results_agree(sse, via_inproc, coverage=coverage,
+                         diagnostics=diagnostics)

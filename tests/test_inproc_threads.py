@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro import SimulationOptions, simulate, telemetry
 from repro.codegen import driver as driver_mod
-from repro.codegen.driver import find_c_compiler, supports_shared_objects
+from repro.codegen.driver import find_c_compiler
 from repro.engines.accmos import compile_model
 from repro.engines.base import SimulationResult
 from repro.inproc import InstancePool, LibraryFault, LoadedModel
@@ -35,15 +35,11 @@ from repro.runner.jobs import SimulationJob
 from repro.runner.pool import run_jobs
 from repro.schedule import preprocess
 
-from conftest import HAS_CC
+from conftest import requires_cc
 from helpers import ZOO, assert_results_agree
 
 STEPS = 200
 
-requires_shared = pytest.mark.skipif(
-    not HAS_CC or supports_shared_objects() is not True,
-    reason="toolchain cannot build loadable shared objects",
-)
 
 
 @pytest.fixture(scope="module")
@@ -71,12 +67,12 @@ def _varied_cases(stimuli, n):
 # ----------------------------------------------------------------------
 # zoo-wide byte identity: threads=4 vs threads=1 vs SSE
 # ----------------------------------------------------------------------
-@requires_shared
+@requires_cc
 @pytest.mark.parametrize("name", sorted(ZOO))
 def test_threaded_matches_sequential_and_sse(zoo_programs, name):
     prog, stimuli = zoo_programs[name]
     opts = SimulationOptions(steps=STEPS, coverage=True, diagnostics=True)
-    model = compile_model(prog, opts, cache=False, artifact="shared")
+    model = compile_model(prog, opts, cache=False)
     cases = _varied_cases(stimuli, 6)
     sequential = model.run_inproc(cases)
     threaded = model.run_inproc(cases, threads=4)
@@ -89,13 +85,13 @@ def test_threaded_matches_sequential_and_sse(zoo_programs, name):
     assert model.inproc_available
 
 
-@requires_shared
+@requires_cc
 def test_explicit_shards_identity(zoo_programs):
     """Cost-model-packed shards produce the same bytes as the default
     round-robin stride (shard membership must never matter)."""
     prog, stimuli = zoo_programs[sorted(ZOO)[0]]
     opts = SimulationOptions(steps=STEPS, coverage=True, diagnostics=True)
-    model = compile_model(prog, opts, cache=False, artifact="shared")
+    model = compile_model(prog, opts, cache=False)
     cases = _varied_cases(stimuli, 8)
     costs = [float(o.steps) for _, o in cases]
     shards = pack_shards(costs, 3)
@@ -105,11 +101,11 @@ def test_explicit_shards_identity(zoo_programs):
         assert_results_agree(a, b)
 
 
-@requires_shared
+@requires_cc
 def test_bad_shards_rejected(zoo_programs):
     prog, stimuli = zoo_programs[sorted(ZOO)[0]]
     opts = SimulationOptions(steps=STEPS)
-    model = compile_model(prog, opts, cache=False, artifact="shared")
+    model = compile_model(prog, opts, cache=False)
     cases = [(stimuli(), None) for _ in range(3)]
     with pytest.raises(ValueError, match="partition"):
         model.run_inproc(cases, threads=2, shards=[[0, 1], [1, 2]])
@@ -120,11 +116,11 @@ def test_bad_shards_rejected(zoo_programs):
 # ----------------------------------------------------------------------
 # induced mid-batch fault on one thread: byte-identical ladder fallback
 # ----------------------------------------------------------------------
-@requires_shared
+@requires_cc
 def test_threaded_fault_falls_back_byte_identical(zoo_programs, monkeypatch):
     prog, stimuli = zoo_programs[sorted(ZOO)[0]]
     opts = SimulationOptions(steps=STEPS, coverage=True, diagnostics=True)
-    model = compile_model(prog, opts, cache=False, artifact="shared")
+    model = compile_model(prog, opts, cache=False)
     sse = simulate(prog, stimuli(), engine="sse", options=opts)
 
     real_load = model.load
@@ -162,11 +158,11 @@ def test_threaded_fault_falls_back_byte_identical(zoo_programs, monkeypatch):
         assert_results_agree(sse, outcome)
 
 
-@requires_shared
+@requires_cc
 def test_threaded_load_failure_falls_back(zoo_programs, monkeypatch):
     prog, stimuli = zoo_programs[sorted(ZOO)[0]]
     opts = SimulationOptions(steps=STEPS)
-    model = compile_model(prog, opts, cache=False, artifact="shared")
+    model = compile_model(prog, opts, cache=False)
     sse = simulate(prog, stimuli(), engine="sse", options=opts)
 
     def broken_load():
@@ -335,7 +331,7 @@ class TestPackShards:
 # ----------------------------------------------------------------------
 # runner mode="inproc-threads": identity, grouping, zero spawns
 # ----------------------------------------------------------------------
-@requires_shared
+@requires_cc
 def test_run_jobs_inproc_threads_matches_thread_mode(zoo_programs):
     prog, _ = zoo_programs[sorted(ZOO)[0]]
     opts = SimulationOptions(steps=STEPS, coverage=True, diagnostics=True)
@@ -375,7 +371,7 @@ def test_run_jobs_rejects_unknown_mode():
         run_jobs([], mode="bogus")
 
 
-@requires_shared
+@requires_cc
 def test_threaded_campaign_one_gcc_zero_spawns(
     zoo_programs, tmp_path, monkeypatch
 ):
@@ -398,7 +394,6 @@ def test_threaded_campaign_one_gcc_zero_spawns(
     def no_spawn(*args, **kwargs):
         raise AssertionError("simulation process spawned on the threaded path")
 
-    monkeypatch.setattr(driver_mod.CompiledSimulation, "execute", no_spawn)
     monkeypatch.setattr(driver_mod.SimulationServer, "__init__", no_spawn)
 
     outcome = run_campaign(
@@ -409,7 +404,7 @@ def test_threaded_campaign_one_gcc_zero_spawns(
     assert cache.stats().misses == 1
 
 
-@requires_shared
+@requires_cc
 def test_threaded_campaign_matches_serial(zoo_programs):
     from repro.campaign import run_campaign
 
@@ -434,7 +429,7 @@ def test_resolve_threads_auto():
     assert resolve_threads(None, engine="sse") == 1
     auto = resolve_threads(None, engine="accmos")
     assert 1 <= auto <= 4
-    if supports_shared_objects() is not True:
+    if find_c_compiler() is None:
         assert auto == 1
 
 
@@ -476,14 +471,14 @@ def _build_stub(tmp_path, *, init_rc):
     return shared
 
 
-@requires_shared
+@requires_cc
 def test_nonzero_init_raises_and_unloads(tmp_path):
     shared = _build_stub(tmp_path, init_rc=-7)
     with pytest.raises(LibraryFault, match="acc_lib_init returned -7"):
         LoadedModel(shared, result_size=64)
 
 
-@requires_shared
+@requires_cc
 def test_zero_init_accepted(tmp_path):
     shared = _build_stub(tmp_path, init_rc=0)
     lib = LoadedModel(shared, result_size=64)

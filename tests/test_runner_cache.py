@@ -7,12 +7,9 @@ import threading
 
 import pytest
 
-from repro.codegen import (
-    descriptors_for,
-    encode_case,
-    generate_reusable_c_program,
-)
+from repro.codegen import descriptors_for, generate_reusable_c_program
 from repro.codegen.driver import CFLAGS, compile_c_program, find_c_compiler
+from repro.inproc import LoadedModel, ResultDecoder, encode_case_binary
 from repro.dtypes import I32
 from repro.engines.base import SimulationOptions
 from repro.instrument import build_plan
@@ -25,12 +22,10 @@ from repro.stimuli import default_stimuli
 from conftest import requires_cc
 
 
-def _canonical(stdout: str) -> str:
-    """Protocol text minus the run-varying self-timing line."""
-    return "\n".join(
-        line for line in stdout.splitlines()
-        if not line.startswith("sim_seconds")
-    )
+def _canonical(buf: bytes) -> bytes:
+    """A result buffer minus the run-varying self-timing word (the
+    elapsed seconds, bytes 16..24)."""
+    return buf[:16] + buf[24:]
 
 
 def _prog():
@@ -47,15 +42,22 @@ def _generated(monitor_limit=256):
     return generate_reusable_c_program(prog, build_plan(prog), options)
 
 
-def _run(compiled, seed=1, steps=40) -> str:
-    """Execute one default-stimuli case; canonical protocol text."""
+def _run(compiled, seed=1, steps=40) -> bytes:
+    """Run one default-stimuli case on the compiled library; the
+    canonical result buffer."""
     prog = _prog()
+    plan = build_plan(prog)
     descriptors = descriptors_for(
         prog, default_stimuli(prog, seed=seed), steps=steps
     )
-    return _canonical(
-        compiled.execute(input_text=encode_case(descriptors, steps=steps))
-    )
+    size = ResultDecoder(compiled.layout, plan, SimulationOptions()).size
+    lib = LoadedModel(compiled.shared, result_size=size)
+    try:
+        return _canonical(
+            lib.run_case(encode_case_binary(descriptors, steps=steps))
+        )
+    finally:
+        lib.retire()
 
 
 class TestCacheKey:
@@ -123,7 +125,7 @@ class TestCacheCompile:
             source, layout, workdir=tmp_path / "wd", cache=cache
         )
         assert not compiled.cache_hit
-        assert (tmp_path / "wd" / "simulation").exists()
+        assert (tmp_path / "wd" / "simulation.so").exists()
         stats = cache.stats()
         assert (stats.hits, stats.misses, stats.entries) == (0, 0, 0)
 
@@ -154,8 +156,9 @@ class TestCacheCompile:
 
 
 class TestMultiArtifact:
-    """One cache entry can hold both compiled forms of one source: the
-    executable and the ``-shared`` object, under one key."""
+    """One cache entry can hold an executable and a shared object under
+    one key: the cache stays agnostic of which artifact a source makes
+    (a program's library, the host's executable)."""
 
     KEY = "dd" + "3" * 62
 

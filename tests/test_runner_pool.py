@@ -18,6 +18,7 @@ from repro.runner import (
 )
 from repro.runner import jobs as jobs_mod
 from repro.schedule import preprocess
+from repro.stimuli import default_stimuli
 
 from conftest import requires_cc
 
@@ -171,34 +172,26 @@ class TestRunJobs:
 @requires_cc
 class TestExecuteTimeout:
     def test_execute_timeout_kills_and_raises(self, tmp_path):
-        compiled, case_input = self._compiled(tmp_path, steps=500_000_000)
+        """The per-case deadline stops a case inside the library; the
+        single-case path raises it as a SimulationTimeout."""
+        model = self._compiled(tmp_path)
         with pytest.raises(SimulationTimeout, match="wall-clock"):
-            compiled.execute(input_text=case_input, timeout_seconds=0.05)
+            model.run(
+                default_stimuli(model.prog),
+                SimulationOptions(steps=500_000_000),
+                timeout_seconds=0.05,
+            )
 
     def test_execute_without_timeout_still_works(self, tmp_path):
-        compiled, case_input = self._compiled(tmp_path, steps=10)
-        assert "steps_run 10" in compiled.execute(input_text=case_input)
+        model = self._compiled(tmp_path)
+        result = model.run(default_stimuli(model.prog))
+        assert result.steps_run == 10
 
     @staticmethod
-    def _compiled(tmp_path, *, steps):
-        """The pool test program compiled, plus one case record of
-        ``steps`` steps for its stdin."""
-        from repro.codegen import (
-            descriptors_for,
-            encode_case,
-            generate_reusable_c_program,
-        )
-        from repro.codegen.driver import compile_c_program
-        from repro.instrument import build_plan
-        from repro.stimuli import default_stimuli
+    def _compiled(tmp_path):
+        """The pool test program compiled into ``tmp_path``."""
+        from repro.engines.accmos import compile_model
 
-        prog = _prog()
-        options = SimulationOptions(steps=steps)
-        source, layout = generate_reusable_c_program(
-            prog, build_plan(prog), options
+        return compile_model(
+            _prog(), SimulationOptions(steps=10), workdir=tmp_path
         )
-        compiled = compile_c_program(source, layout, workdir=tmp_path)
-        descriptors = descriptors_for(
-            prog, default_stimuli(prog), steps=steps
-        )
-        return compiled, encode_case(descriptors, steps=steps)

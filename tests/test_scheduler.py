@@ -30,7 +30,6 @@ from hypothesis import strategies as st
 
 from repro.benchmarks import build_benchmark
 from repro.campaign import CampaignOutcome, run_campaign
-from repro.codegen.driver import supports_shared_objects
 from repro.engines.base import SimulationOptions
 from repro.model.errors import SimulationError
 from repro.runner.cache import ArtifactCache
@@ -55,13 +54,9 @@ from repro.runner.scheduler import (
 )
 from repro.schedule import preprocess
 
-from conftest import HAS_CC, requires_cc
+from conftest import requires_cc
 from test_runner_campaign import _assert_outcomes_identical
 
-requires_shared = pytest.mark.skipif(
-    not HAS_CC or supports_shared_objects() is not True,
-    reason="toolchain cannot build loadable shared objects",
-)
 
 
 @pytest.fixture(autouse=True)
@@ -650,8 +645,6 @@ def test_streaming_identical_to_serial(name, mode, tmp_path):
     """The acceptance criterion: streaming == the serial oracle, for
     every dispatch mode, on the benchmark zoo — merged bitmaps,
     per-case new points, diagnostics, curves, saturation verdict."""
-    if mode in ("inproc", "inproc-threads") and supports_shared_objects() is not True:
-        pytest.skip("toolchain cannot build loadable shared objects")
     cache = ArtifactCache(tmp_path / "cache")
     prog = preprocess(build_benchmark(name))
     kwargs = dict(steps=300, max_cases=6, plateau_patience=100, cache=cache)
@@ -689,7 +682,7 @@ def test_mid_stream_saturation_cutoff(tmp_path):
     assert stats["submitted"] <= serial.n_cases + 2
 
 
-@requires_shared
+@requires_cc
 def test_threaded_streaming_campaign_matches_serial(tmp_path):
     cache = ArtifactCache(tmp_path / "cache")
     prog = preprocess(build_benchmark("SPV"))

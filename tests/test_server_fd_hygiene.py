@@ -1,11 +1,11 @@
 """Failed server spawns must not leak pipe file descriptors.
 
-``SimulationServer.__init__`` opens three pipes before the ``ready``
+``SimulationServer.__init__`` opens three pipes before the host's
 handshake; every failure shape — child exits before greeting (stdout
-EOF), child hangs (handshake timeout), child prints the wrong greeting —
-must reap the process and close all three, or a flood of failed spawns
-(a crashing binary retried by a pool, a bad artifact) exhausts the fd
-table.
+EOF), child hangs (handshake timeout), child sends a wrong greeting (the
+ABI check refuses it) — must reap the process and close all three, or a
+flood of failed spawns (a crashing host retried by a pool, a bad
+artifact) exhausts the fd table.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import pytest
 
 from repro.codegen.driver import ServerError, SimulationServer
 from repro.engines.accmos import ModelServer
+from repro.inproc import LibraryFault
 
 pytestmark = pytest.mark.skipif(
     not os.path.exists("/proc/self/fd"),
@@ -41,17 +42,28 @@ def _fd_count() -> int:
     return len(os.listdir("/proc/self/fd"))
 
 
-def _fake_compiled(binary):
-    return SimpleNamespace(binary=binary)
+def _fake_model(host):
+    """Just enough of a CompiledModel for ModelServer to spawn ``host``."""
+    return SimpleNamespace(
+        compiled=SimpleNamespace(ensure_host=lambda: host, shared="fake.so"),
+        decoder=SimpleNamespace(size=32),
+        prog=SimpleNamespace(model=SimpleNamespace(name="fake")),
+    )
 
 
-def _flood(spawn, n=FLOOD):
+def _server(host, timeout):
+    return SimulationServer(
+        host, "fake.so", result_size=32, handshake_timeout=timeout
+    )
+
+
+def _flood(spawn, n=FLOOD, error=ServerError):
     # One warm-up absorbs lazily-allocated fds (thread stacks, queues).
-    with pytest.raises(ServerError):
+    with pytest.raises(error):
         spawn()
     before = _fd_count()
     for _ in range(n):
-        with pytest.raises(ServerError):
+        with pytest.raises(error):
             spawn()
     after = _fd_count()
     assert after <= before + FD_SLACK, (
@@ -60,56 +72,48 @@ def _flood(spawn, n=FLOOD):
 
 
 def test_child_dies_before_ready(tmp_path):
-    binary = _script(tmp_path, "dies.sh", "exit 3")
-    compiled = _fake_compiled(binary)
-    _flood(lambda: SimulationServer(compiled, handshake_timeout=5.0))
+    host = _script(tmp_path, "dies.sh", "exit 3")
+    _flood(lambda: _server(host, 5.0))
 
 
 def test_child_wrong_greeting(tmp_path):
     # `exec` so the kill reaches the sleeping process itself — a shell
     # grandchild would inherit the pipe's write end and outlive the kill
-    # (a real server binary is a direct executable; no grandchildren).
-    binary = _script(tmp_path, "greets.sh", 'echo "hello"\nexec sleep 30')
-    compiled = _fake_compiled(binary)
-    _flood(lambda: SimulationServer(compiled, handshake_timeout=5.0))
+    # (the real host is a direct executable; no grandchildren).  The
+    # greeting fills the handshake's 16 bytes, so the ABI check (not a
+    # timeout) refuses it.
+    host = _script(
+        tmp_path, "greets.sh", 'echo "hello, I am no handshake"\nexec sleep 30'
+    )
+    _flood(lambda: _server(host, 5.0), error=LibraryFault)
 
 
 def test_child_hangs_without_ready(tmp_path):
-    binary = _script(tmp_path, "hangs.sh", "exec sleep 30")
-    compiled = _fake_compiled(binary)
+    host = _script(tmp_path, "hangs.sh", "exec sleep 30")
     _flood(
-        lambda: SimulationServer(compiled, handshake_timeout=0.2),
+        lambda: _server(host, 0.2),
         n=6,  # each failure waits out the timeout; keep the flood short
     )
 
 
 def test_model_server_spawn_failure_no_leak(tmp_path):
-    binary = _script(tmp_path, "dies.sh", "exit 7")
-    model = SimpleNamespace(
-        compiled=_fake_compiled(binary),
-        prog=SimpleNamespace(model=SimpleNamespace(name="fake")),
-    )
+    model = _fake_model(_script(tmp_path, "dies.sh", "exit 7"))
     _flood(lambda: ModelServer(model, handshake_timeout=5.0))
 
 
 def test_server_pool_spawn_failure_no_leak(tmp_path):
     from repro.runner.servers import ServerPool
 
-    binary = _script(tmp_path, "dies.sh", "exit 9")
-    model = SimpleNamespace(
-        compiled=_fake_compiled(binary),
-        prog=SimpleNamespace(model=SimpleNamespace(name="fake")),
-    )
+    model = _fake_model(_script(tmp_path, "dies.sh", "exit 9"))
     model.serve = lambda **kw: ModelServer(model, handshake_timeout=5.0)
     with ServerPool(max_servers=2) as pool:
         _flood(lambda: pool.acquire(model))
 
 
 def test_failed_handshake_reaps_child(tmp_path):
-    binary = _script(tmp_path, "hangs.sh", "exec sleep 30")
-    compiled = _fake_compiled(binary)
+    host = _script(tmp_path, "hangs.sh", "exec sleep 30")
     try:
-        SimulationServer(compiled, handshake_timeout=0.2)
+        _server(host, 0.2)
     except ServerError:
         pass
     # No sleeping child may survive the failed handshake: the fix kills

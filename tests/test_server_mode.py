@@ -1,10 +1,11 @@
-"""Persistent --serve servers: streaming submission, incremental parsing.
+"""Host processes: streaming submission, incremental decoding.
 
-Pins the PR's core invariant: the warm-server path is a pure throughput
-lever — byte-identical results to the SSE reference and the spawn-per-
-batch path across the zoo and every stimulus kind, surviving crashes
-mid-stream (restart + resubmit), degrading to spawn-per-batch when the
-server keeps dying, and bounded by the pool's idle-TTL/LRU lifecycle.
+Pins the core invariant of the process rungs: a host serving the
+program's shared library is a pure throughput lever — byte-identical
+results to the SSE reference across the zoo and every stimulus kind,
+whether the host is private to one batch or pooled and warm, surviving
+crashes mid-stream (restart + resubmit), finishing per job when the host
+keeps dying, and bounded by the pool's idle-TTL/LRU lifecycle.
 """
 
 from __future__ import annotations
@@ -15,14 +16,11 @@ import time
 import pytest
 
 from repro import SimulationOptions, simulate, telemetry
-from repro.codegen.driver import (
-    ParseTables,
-    ServerError,
-    SimulationServer,
-    split_case_frames,
-)
+from repro.codegen.descriptor import descriptors_for
+from repro.codegen.driver import ServerError, SimulationServer
 from repro.dtypes import F64, I32
 from repro.engines.accmos import ModelServer, compile_model
+from repro.inproc import LibraryFault, encode_case_binary
 from repro.model.builder import ModelBuilder
 from repro.runner.cache import ArtifactCache
 from repro.runner.costmodel import FLAP_PENALTY, CostModelStore
@@ -59,21 +57,23 @@ def zoo_programs():
 
 
 # ----------------------------------------------------------------------
-# three-way byte identity: SSE vs run_batch vs server-mode stream
+# byte identity: SSE vs a private host per batch vs a pooled warm host
 # ----------------------------------------------------------------------
 @requires_cc
 @pytest.mark.parametrize("name", sorted(ZOO))
 def test_stream_matches_sse_and_batch(zoo_programs, name):
+    """Every case of a batch on a private host, and of a batch streamed
+    through a pooled warm host, is byte-identical to SSE."""
     prog, stimuli = zoo_programs[name]
     opts = SimulationOptions(steps=STEPS, coverage=True, diagnostics=True)
     model = compile_model(prog, opts, cache=False)
     sse = simulate(prog, stimuli(), engine="sse", options=opts)
-    batch = model.run_batch([(stimuli(), None) for _ in range(3)])
-    stream = list(model.run_stream([(stimuli(), None) for _ in range(3)]))
-    assert len(stream) == 3
-    assert_results_agree(sse, stream[0])
-    for via_batch, via_stream in zip(batch, stream):
-        assert_results_agree(via_batch, via_stream)
+    batch = list(model.run_stream([(stimuli(), None) for _ in range(3)]))
+    with ServerPool() as pool:
+        pooled = pool.run_batch(model, [(stimuli(), None) for _ in range(3)])
+    assert len(batch) == len(pooled) == 3
+    for got in batch + pooled:
+        assert_results_agree(sse, got)
 
 
 def _kinds_model():
@@ -121,32 +121,44 @@ KIND_CASES = {
 @requires_cc
 @pytest.mark.parametrize("kind", sorted(KIND_CASES))
 def test_stream_identity_every_stimulus_kind(kind):
-    """Each descriptor kind round-trips the serve-mode wire protocol."""
+    """Each descriptor kind round-trips the host's wire protocol."""
     prog = _kinds_model()
     opts = SimulationOptions(steps=STEPS, coverage=True, diagnostics=True)
     model = compile_model(prog, opts, cache=False)
     make = KIND_CASES[kind]
     sse = simulate(prog, make(), engine="sse", options=opts)
-    (batch,) = model.run_batch([(make(), None)])
+    assert_results_agree(sse, model.run(make()))
     (stream,) = list(model.run_stream([(make(), None)]))
-    assert_results_agree(sse, batch)
     assert_results_agree(sse, stream)
 
 
 # ----------------------------------------------------------------------
 # crash recovery and the fallback ladder
 # ----------------------------------------------------------------------
+def _record(prog, stimuli):
+    return encode_case_binary(
+        descriptors_for(prog, stimuli, steps=STEPS), steps=STEPS
+    )
+
+
+def _server(model, **kwargs) -> SimulationServer:
+    return SimulationServer(
+        model.compiled.ensure_host(), model.compiled.shared,
+        result_size=model.decoder.size, **kwargs,
+    )
+
+
 @requires_cc
 def test_crash_restarts_and_matches(zoo_programs):
-    """Killing the server process externally loses nothing: the handle
+    """Killing the host process externally loses nothing: the handle
     respawns, unfinished cases are resubmitted, and every result is
-    byte-identical to the spawn-per-batch path.  The kill lands before
-    the first submission so exactly one restart is guaranteed."""
+    byte-identical to SSE.  The kill lands before the first submission
+    so exactly one restart is guaranteed."""
     prog, stimuli = zoo_programs["stateful"]
     opts = SimulationOptions(steps=STEPS, coverage=True, diagnostics=True)
     model = compile_model(prog, opts, cache=False)
     cases = [(stimuli(), None) for _ in range(5)]
-    batch = model.run_batch([(stimuli(), None) for _ in range(5)])
+    sse = simulate(prog, stimuli(), engine="sse", options=opts)
 
     server = model.serve()
     try:
@@ -156,20 +168,21 @@ def test_crash_restarts_and_matches(zoo_programs):
         server.close()
     assert len(got) == 5
     assert server.restarts == 1
-    for via_batch, via_stream in zip(batch, got):
-        assert_results_agree(via_batch, via_stream)
+    for via_stream in got:
+        assert_results_agree(sse, via_stream)
 
 
 @requires_cc
 def test_crash_mid_stream_matches(zoo_programs):
-    """An external kill *mid-stream* also preserves identity.  Whether a
-    restart is needed depends on how many frames were already buffered
-    when the kill landed (at most one restart either way)."""
+    """A host SIGKILLed *mid-stream* is restarted and the unfinished
+    cases are resubmitted, byte-identical to SSE.  Whether a restart is
+    needed depends on how many frames were already buffered when the
+    kill landed (at most one restart either way)."""
     prog, stimuli = zoo_programs["stateful"]
     opts = SimulationOptions(steps=STEPS, coverage=True, diagnostics=True)
     model = compile_model(prog, opts, cache=False)
     cases = [(stimuli(), None) for _ in range(5)]
-    batch = model.run_batch([(stimuli(), None) for _ in range(5)])
+    sse = simulate(prog, stimuli(), engine="sse", options=opts)
 
     server = model.serve()
     try:
@@ -182,34 +195,52 @@ def test_crash_mid_stream_matches(zoo_programs):
     got = [first] + rest
     assert len(got) == 5
     assert server.restarts <= 1
-    for via_batch, via_stream in zip(batch, got):
-        assert_results_agree(via_batch, via_stream)
+    for via_stream in got:
+        assert_results_agree(sse, via_stream)
 
 
 @requires_cc
-def test_double_crash_falls_back_to_batch(zoo_programs, monkeypatch):
-    """When even the restart fails, the stream drops a rung on the
-    ladder (server -> spawn-per-batch) and still yields identical
-    results for every case."""
+def test_double_crash_finishes_per_job(zoo_programs, monkeypatch):
+    """Two host failures in a row: the stream raises ServerError, and the
+    batched dispatcher finishes the group per job — every job still
+    byte-identical to SSE."""
+    from repro.runner.jobs import SimulationJob, run_job_batch
+
     prog, stimuli = zoo_programs["guarded"]
     opts = SimulationOptions(steps=STEPS, coverage=True, diagnostics=True)
     model = compile_model(prog, opts, cache=False)
-    batch = model.run_batch([(stimuli(), None) for _ in range(4)])
+    sse = simulate(prog, stimuli(), engine="sse", options=opts)
 
-    monkeypatch.setattr(
-        ModelServer, "restart",
-        lambda self: (_ for _ in ()).throw(RuntimeError("no respawn")),
-    )
+    def no_respawn(self):
+        raise ServerError("no respawn")
+
+    monkeypatch.setattr(ModelServer, "restart", no_respawn)
     server = model.serve()
     try:
         os.kill(server.pid, 9)
-        got = list(model.run_stream([(stimuli(), None) for _ in range(4)],
-                                    server=server))
+        with pytest.raises(ServerError, match="no respawn"):
+            list(model.run_stream([(stimuli(), None)] * 4, server=server))
     finally:
         server.kill()
-    assert len(got) == 4
-    for via_batch, via_stream in zip(batch, got):
-        assert_results_agree(via_batch, via_stream)
+
+    class DeadPool(ServerPool):
+        """Hands out a host that is already dead."""
+
+        def acquire(self, model):
+            server = super().acquire(model)
+            os.kill(server.pid, 9)
+            return server
+
+    jobs = [
+        SimulationJob(prog=prog, options=opts, stimuli=stimuli(), seed=s)
+        for s in range(4)
+    ]
+    with DeadPool() as pool, telemetry.capture() as session:
+        results = run_job_batch(jobs, cache=False, server_pool=pool)
+    assert session.metrics.snapshot()["counters"]["runner.batch_fallbacks"] == 1
+    assert [r.outcome for r in results] == ["ok"] * 4
+    for result in results:
+        assert_results_agree(sse, result.result)
 
 
 @requires_cc
@@ -217,20 +248,13 @@ def test_server_error_on_dead_process(zoo_programs):
     prog, stimuli = zoo_programs["int_arith"]
     opts = SimulationOptions(steps=STEPS)
     model = compile_model(prog, opts, cache=False)
-    server = SimulationServer(model.compiled)
+    server = _server(model)
     assert server.alive
     os.kill(server.pid, 9)
     with pytest.raises(ServerError):
         # The record may or may not make it into the dying pipe; the
         # frame read definitely cannot complete.
-        from repro.codegen.descriptor import encode_case
-        from repro.codegen.descriptor import descriptors_for
-
-        record = encode_case(
-            descriptors_for(prog, stimuli(), steps=STEPS),
-            steps=STEPS, deadline=None,
-        )
-        server.submit(record)
+        server.submit(_record(prog, stimuli()))
         server.read_frame(timeout=5.0)
     server.kill()
     assert not server.alive
@@ -238,23 +262,62 @@ def test_server_error_on_dead_process(zoo_programs):
 
 @requires_cc
 def test_frame_desync_raises(zoo_programs):
-    """A stream whose indices stop matching is killed, not trusted."""
+    """A frame whose case index is not the next one expected is a
+    desync: the stream is killed, not trusted."""
     prog, stimuli = zoo_programs["int_arith"]
     opts = SimulationOptions(steps=STEPS)
     model = compile_model(prog, opts, cache=False)
-    server = SimulationServer(model.compiled)
+    server = _server(model)
     try:
         server.completed = 7  # simulate lost frames
-        from repro.codegen.descriptor import descriptors_for, encode_case
-
-        server.submit(encode_case(
-            descriptors_for(prog, stimuli(), steps=STEPS),
-            steps=STEPS, deadline=None,
-        ))
+        server.submit(_record(prog, stimuli()))
         with pytest.raises(ServerError, match="desync"):
             server.read_frame(timeout=10.0)
     finally:
         server.kill()
+
+
+@requires_cc
+def test_handshake_mismatch_raises_the_loaders_error(zoo_programs, monkeypatch):
+    """A library whose ABI version or result size disagrees with this
+    side fails the host's handshake with the very error an in-process
+    load raises, and leaves no process behind."""
+    from repro.inproc import ABI_VERSION, LoadedModel
+    import repro.inproc.library as library_mod
+
+    prog, _ = zoo_programs["int_arith"]
+    model = compile_model(prog, SimulationOptions(steps=STEPS), cache=False)
+    host, shared = model.compiled.ensure_host(), model.compiled.shared
+    wrong = model.decoder.size + 8
+    with pytest.raises(LibraryFault) as via_host:
+        SimulationServer(host, shared, result_size=wrong)
+    with pytest.raises(LibraryFault) as via_load:
+        LoadedModel(shared, result_size=wrong)
+    assert str(via_host.value) == str(via_load.value)
+    assert "result size" in str(via_host.value)
+
+    monkeypatch.setattr(library_mod, "ABI_VERSION", ABI_VERSION + 1)
+    with pytest.raises(LibraryFault) as via_host:
+        model.serve()
+    with pytest.raises(LibraryFault) as via_load:
+        model.load()
+    assert str(via_host.value) == str(via_load.value)
+    assert "ABI version" in str(via_host.value)
+
+
+@requires_cc
+def test_missing_library_exits_nonzero_with_stderr(zoo_programs, tmp_path):
+    prog, _ = zoo_programs["int_arith"]
+    model = compile_model(prog, SimulationOptions(steps=STEPS), cache=False)
+    missing = tmp_path / "gone.so"
+    with pytest.raises(ServerError) as excinfo:
+        SimulationServer(
+            model.compiled.ensure_host(), missing,
+            result_size=model.decoder.size,
+        )
+    message = str(excinfo.value)
+    assert "exit 3" in message
+    assert "gone.so" in message
 
 
 # ----------------------------------------------------------------------
@@ -271,11 +334,9 @@ def test_pool_reuses_warm_server(zoo_programs):
         stats = pool.stats()
     assert stats["spawns"] == 1
     assert stats["reuses"] == 1
-    batch = model.run_batch([(stimuli(), None) for _ in range(2)])
-    for via_batch, via_pool in zip(batch, first):
-        assert_results_agree(via_batch, via_pool)
-    for via_batch, via_pool in zip(batch, second):
-        assert_results_agree(via_batch, via_pool)
+    sse = simulate(prog, stimuli(), engine="sse", options=opts)
+    for via_pool in first + second:
+        assert_results_agree(sse, via_pool)
 
 
 @requires_cc
@@ -504,45 +565,31 @@ def test_cli_serve_flag():
 
 
 # ----------------------------------------------------------------------
-# parse satellites
+# frame decoding
 # ----------------------------------------------------------------------
-def test_split_case_frames_yields_line_lists():
-    stdout = (
-        "case 0\nsteps_run 10\nchecksum Out 5\n"
-        "case 1\nsteps_run 20\n"
-    )
-    frames = split_case_frames(stdout)
-    assert frames == [
-        ["steps_run 10", "checksum Out 5"],
-        ["steps_run 20"],
-    ]
-
-
 @requires_cc
-def test_parse_result_accepts_line_iterable(zoo_programs):
-    """String stdout and its line list parse to the same result; hoisted
-    ParseTables change nothing."""
-    from repro.codegen.driver import parse_result
-
+def test_decoder_accepts_host_frames(zoo_programs):
+    """A host frame (a view into the received bytes) decodes exactly
+    like the same bytes copied out, and like the in-process buffer."""
     prog, stimuli = zoo_programs["int_arith"]
     opts = SimulationOptions(steps=STEPS, coverage=True, diagnostics=True)
     model = compile_model(prog, opts, cache=False)
-    from repro.codegen.descriptor import descriptors_for, encode_case
-
-    payload = encode_case(
-        descriptors_for(prog, stimuli(), steps=STEPS),
-        steps=STEPS, deadline=None,
-    )
-    stdout = model.compiled.execute(input_text=payload)
-    frame = split_case_frames(stdout)[0]
-    from_str = parse_result(
-        "\n".join(frame), prog, model.plan, model.layout, opts
-    )
-    tables = ParseTables.for_layout(model.layout)
-    from_lines = parse_result(
-        frame, prog, model.plan, model.layout, opts, tables=tables
-    )
-    assert_results_agree(from_str, from_lines)
+    record = _record(prog, stimuli())
+    server = _server(model)
+    try:
+        server.submit(record)
+        frame = server.read_frame(timeout=10.0)
+    finally:
+        server.close()
+    assert len(frame) == model.decoder.size
+    lib = model.load()
+    try:
+        inproc = lib.run_case(record)
+    finally:
+        lib.retire()
+    from_view = model.decoder.decode(frame, prog, opts)
+    assert_results_agree(from_view, model.decoder.decode(bytes(frame), prog, opts))
+    assert_results_agree(from_view, model.decoder.decode(inproc, prog, opts))
 
 
 @requires_cc
