@@ -1,15 +1,16 @@
-"""Streaming work-conserving scheduler vs a wave-barrier loop.
+"""Streaming FIFO scheduler vs a wave-barrier loop.
 
 The barrier regime ("wave") is built here from the scheduler itself:
 one :func:`run_jobs` call per slice of ``workers x batch`` cases, each
 call returning only when its slowest case has.  On a cost-skewed
 corpus — most cases short, a few 20x longer — every wave containing a
 long case parks the whole fleet behind it.  The streaming regime hands
-the whole corpus to one :func:`run_jobs` call: the scheduler keeps a
-bounded in-flight window topped up as workers free, folds results
-through a seed-ordered reorder buffer, and routes predicted-long cases
-to capped dedicated slots, so the short tail never queues behind a
-long head.
+the whole corpus to one :func:`run_jobs` call: the scheduler forms
+same-key chunks in submission order, keeps a fixed in-flight window of
+``2 x workers x batch`` cases topped up as workers free, and folds
+results through a seed-ordered reorder buffer, so a long case occupies
+one worker slot while the others keep draining the short cases behind
+it.
 
 This bench runs the *same* skewed corpus (one compiled unit — per-case
 ``steps`` is not structural, so both regimes share one cache entry and
@@ -41,7 +42,6 @@ from repro import SimulationOptions
 from repro.benchmarks import build_benchmark
 from repro.codegen.driver import find_c_compiler
 from repro.runner import ArtifactCache, run_jobs
-from repro.runner.costmodel import CostModelStore
 from repro.runner.jobs import SimulationJob
 from repro.schedule import preprocess
 
@@ -109,7 +109,6 @@ def test_streaming_beats_wave_loop_on_skewed_costs(tmp_path):
     workers, batch = _workers(), 2
     wave_size = workers * batch
     cache = ArtifactCache(tmp_path / "cache")
-    store = CostModelStore(tmp_path / "costmodel.json")
     mode_kwargs = dict(
         mode="thread", batch_size=batch, serve=True, inproc=True,
         cache=cache,
@@ -126,8 +125,7 @@ def test_streaming_beats_wave_loop_on_skewed_costs(tmp_path):
 
     def run_streaming(sink=None):
         return run_jobs(
-            jobs, workers=workers, window=2 * wave_size, adaptive=False,
-            cost_store=store, stats_sink=sink, **mode_kwargs,
+            jobs, workers=workers, stats_sink=sink, **mode_kwargs,
         )
 
     # Warmup pays the single gcc and the server/dlopen spin-up; both
@@ -156,7 +154,6 @@ def test_streaming_beats_wave_loop_on_skewed_costs(tmp_path):
     # The whole bench — warmup plus every timed pass of both regimes —
     # compiled exactly once.
     assert cache.stats().misses == 1
-    assert stream_stats["long_chunks"] >= 1  # skew was seen and routed
 
     speedup = stream_rate / wave_rate
     cores = os.cpu_count() or 1
@@ -170,7 +167,7 @@ def test_streaming_beats_wave_loop_on_skewed_costs(tmp_path):
         f"  {'stream':<12s} {stream_rate:10.2f} "
         f"{f'{speedup:.1f}x':>8s} {0:5d}",
     ]
-    report_table("Adaptive scheduler (streaming vs wave barrier)",
+    report_table("Adaptive scheduler (streaming FIFO vs wave barrier)",
                  "\n".join(lines))
     report_json(
         "adaptive_scheduler",
@@ -178,14 +175,13 @@ def test_streaming_beats_wave_loop_on_skewed_costs(tmp_path):
             "model": MODEL, "cases": len(jobs), "steps": _steps(),
             "big_steps": _big_steps(), "skew": _skew(),
             "workers": workers, "batch_size": batch,
-            "repeats": _repeats(), "cores": cores, "inproc": inproc,
+            "repeats": _repeats(), "cores": cores, "inproc": True,
         },
         [
             {"regime": "wave", "cases_per_sec": wave_rate},
             {"regime": "stream", "cases_per_sec": stream_rate,
              "speedup_vs_wave": speedup,
-             "max_in_flight": stream_stats.get("max_in_flight"),
-             "long_chunks": stream_stats.get("long_chunks")},
+             "max_in_flight": stream_stats.get("max_in_flight")},
         ],
         "cases/second",
     )

@@ -73,7 +73,7 @@ class CampaignOutcome:
     # point and were discarded by the ordered merge — speculation waste,
     # bounded by the scheduler's in-flight window.
     speculated_cases: int = 0
-    # The scheduler's run report (window / batch trajectory, utilization,
+    # The scheduler's run report (window, batch size, utilization,
     # reorder depth, speculation); None until the campaign has run.
     scheduler_stats: Optional[dict] = None
 
@@ -110,15 +110,12 @@ def iter_campaign(
     base_seed: int = 1,
     options: Optional[SimulationOptions] = None,
     workers: int = 1,
-    mode: str = "thread",
     cache: "Union[ArtifactCache, None, bool]" = None,
     timeout_seconds: Optional[float] = None,
     batch_size: Optional[int] = None,
     serve: bool = True,
     inproc: bool = False,
     threads: Optional[int] = 1,
-    window: Optional[int] = None,
-    adaptive: bool = True,
     server_pool=None,
     cost_store=None,
 ):
@@ -153,8 +150,6 @@ def iter_campaign(
         raise ValueError("workers must be at least 1")
     if batch_size is not None and batch_size < 1:
         raise ValueError("batch_size must be at least 1 (None = auto)")
-    if window is not None and window < 1:
-        raise ValueError("window must be at least 1 (None = auto)")
     if threads is not None and threads < 0:
         raise ValueError("threads must be non-negative (0/None = auto)")
     if options is not None and steps is not None:
@@ -174,15 +169,12 @@ def iter_campaign(
         base_seed=base_seed,
         options=options,
         workers=workers,
-        mode=mode,
         cache=cache,
         timeout_seconds=timeout_seconds,
         batch_size=batch_size,
         serve=serve,
         inproc=inproc,
         threads=threads,
-        window=window,
-        adaptive=adaptive,
         server_pool=server_pool,
         cost_store=cost_store,
     )
@@ -198,15 +190,12 @@ def run_campaign(
     base_seed: int = 1,
     options: Optional[SimulationOptions] = None,
     workers: int = 1,
-    mode: str = "thread",
     cache: "Union[ArtifactCache, None, bool]" = None,
     timeout_seconds: Optional[float] = None,
     batch_size: Optional[int] = None,
     serve: bool = True,
     inproc: bool = False,
     threads: Optional[int] = 1,
-    window: Optional[int] = None,
-    adaptive: bool = True,
 ) -> CampaignOutcome:
     """Run up to ``max_cases`` differently-seeded random test cases.
 
@@ -217,13 +206,11 @@ def run_campaign(
     ``options`` carries its own step count.
 
     ``workers > 1`` streams cases across the :mod:`repro.runner`
-    scheduler (``mode`` picks threads or processes) through a bounded
-    in-flight window — a completion is immediately followed by a
-    submission, no barrier — while the coverage merge stays in seed
-    order (a reorder buffer restores it), so the outcome is
-    byte-identical to a serial run.  ``window`` bounds how many cases
-    may be in flight at once (default: ``workers × batch_size``).
-    ``cache`` routes compiles through an artifact cache (default: the
+    scheduler's worker threads through a fixed in-flight window of
+    ``2 × workers × batch_size`` cases — a completion is immediately
+    followed by a submission, no barrier — while the coverage merge
+    stays in seed order (a reorder buffer restores it), so the outcome
+    is byte-identical to a serial run.  ``cache`` routes compiles through an artifact cache (default: the
     process-wide one); ``timeout_seconds`` bounds each case's binary
     run.
 
@@ -231,18 +218,11 @@ def run_campaign(
     spawn on one reused binary (the compile-once / run-many path) — the
     big throughput lever for many-case campaigns.  ``None`` (the
     default) sizes it automatically — the per-worker share of
-    ``max_cases``, capped at 8 — and lets the adaptive controller tune
-    it from there.  Outcomes stay byte-identical to ``batch_size=1``;
-    only the speculation bound at saturation grows with the in-flight
-    window.
-
-    ``adaptive`` (default on) lets a throughput feedback controller
-    hill-climb ``batch_size`` and ``window`` from observed cases/sec
-    and worker utilization over the campaign's lifetime (hysteresis
-    guards against oscillation; short campaigns finish before the first
-    adjustment).  Values you pass explicitly are never touched.  The
-    run report lands in ``CampaignOutcome.scheduler_stats``; discarded
-    speculation is counted in ``CampaignOutcome.speculated_cases``.
+    ``max_cases``, capped at 8.  Outcomes stay byte-identical to
+    ``batch_size=1``; only the speculation bound at saturation grows
+    with the in-flight window.  The run report lands in
+    ``CampaignOutcome.scheduler_stats``; discarded speculation is
+    counted in ``CampaignOutcome.speculated_cases``.
 
     ``serve`` (default on) streams batched cases through warm host
     processes kept alive across chunks — steady-state zero process
@@ -280,15 +260,12 @@ def run_campaign(
         base_seed=base_seed,
         options=options,
         workers=workers,
-        mode=mode,
         cache=cache,
         timeout_seconds=timeout_seconds,
         batch_size=batch_size,
         serve=serve,
         inproc=inproc,
         threads=threads,
-        window=window,
-        adaptive=adaptive,
     )
     for _ in run:
         pass

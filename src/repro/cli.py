@@ -256,14 +256,11 @@ def cmd_campaign(args) -> int:
             plateau_patience=args.patience,
             base_seed=args.seed,
             workers=args.workers,
-            mode=args.mode,
             timeout_seconds=args.timeout,
             batch_size=args.batch_size,
             serve=args.serve,
             inproc=args.inproc,
             threads=_parse_threads(args.threads),
-            window=args.window,
-            adaptive=args.adaptive,
         )
     if args.json:
         # The canonical service encoding: this exact byte string is what
@@ -295,10 +292,8 @@ def cmd_campaign(args) -> int:
         if outcome.scheduler_stats is not None:
             st = outcome.scheduler_stats
             print(f"scheduler: stream ({st.get('mode', '?')}), "
-                  f"window {st.get('initial_window', 0)}"
-                  f"->{st.get('window', 0)}, "
-                  f"batch {st.get('initial_batch', 0)}"
-                  f"->{st.get('batch_size', 0)}, "
+                  f"window {st.get('window', 0)}, "
+                  f"batch {st.get('batch_size', 0)}, "
                   f"{st.get('chunks', 0)} chunk(s)")
             print(f"  utilization {st.get('utilization', 0.0):.0%}, "
                   f"max in-flight {st.get('max_in_flight', 0)}, "
@@ -728,20 +723,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also list up to N uncovered points")
     p.add_argument("--workers", type=int, default=1,
                    help="parallel worker slots (merge stays in seed order)")
-    p.add_argument("--mode", choices=["thread", "process"], default="thread",
-                   help="worker pool flavour for --workers > 1")
     p.add_argument("--batch-size", type=int, default=None, metavar="M",
                    help="cases run back-to-back per process on one reused "
-                        "binary (1 disables batching; default auto-sizes "
-                        "and lets --adaptive tune it)")
-    p.add_argument("--window", type=int, default=None, metavar="N",
-                   help="max cases in flight for the streaming scheduler "
-                        "(default workers * batch; --adaptive tunes it)")
-    p.add_argument("--adaptive", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="auto-tune batch size and window from observed "
-                        "throughput and worker utilization (explicitly "
-                        "passed values are never touched)")
+                        "binary (1 disables batching; default auto-sizes)")
     p.add_argument("--serve", action=argparse.BooleanOptionalAction,
                    default=True,
                    help="stream batched cases through warm host "

@@ -1,6 +1,6 @@
 """Parallel simulation-job runner with a compiled-artifact cache.
 
-Three cooperating pieces:
+The pieces:
 
 * :mod:`repro.runner.cache` — persistent, content-addressed cache of
   compiled AccMoS binaries (key: SHA-256 of source + compiler + flags);
@@ -12,16 +12,17 @@ Three cooperating pieces:
 * :mod:`repro.runner.servers` — warm-process pool of persistent host
   processes serving compiled libraries, keyed by artifact, reused
   across batches and chunks (idle-TTL / LRU retirement);
-* :mod:`repro.runner.costmodel` / :mod:`repro.runner.inproc_threads` —
-  cost-aware case scheduling (predicted ``steps × actors`` cost, LPT
-  packing, coefficients persisted per (engine, compile key) and
-  warm-started across campaigns) feeding the thread-parallel in-process
-  dispatcher behind ``run_jobs(mode="inproc-threads")``;
-* :mod:`repro.runner.scheduler` — the one dispatch loop: a streaming,
-  work-conserving scheduler (bounded in-flight window, seed-ordered
-  reorder buffer, cost-aware admission, auto-tuned batching) running
-  chunks on threads, processes or in-process library instances, behind
-  both :func:`run_jobs` and every campaign;
+* :mod:`repro.runner.inproc_threads` / :mod:`repro.runner.costmodel` —
+  the thread-parallel in-process dispatcher behind
+  ``run_jobs(mode="inproc-threads")``, which packs each group's cases
+  into per-thread shards by LPT on predicted ``steps × actors`` cost
+  (coefficients persisted per (engine, compile key) and warm-started
+  across campaigns);
+* :mod:`repro.runner.scheduler` — the one dispatch loop: a FIFO
+  streaming scheduler (same-key chunks, fixed in-flight window,
+  seed-ordered reorder buffer) running chunks on worker threads or
+  in-process library instances, behind both :func:`run_jobs` and every
+  campaign;
 * :mod:`repro.runner.campaign` — the campaign core whose parallel
   merges are byte-identical to serial runs.
 """
@@ -47,17 +48,12 @@ from repro.runner.costmodel import (
     CaseCostModel,
     CostModelStore,
     cost_key,
-    default_cost_model,
     default_cost_store,
     pack_shards,
     set_default_cost_store,
 )
 from repro.runner.pool import default_workers, run_jobs
-from repro.runner.scheduler import (
-    ReorderBuffer,
-    StreamScheduler,
-    ThroughputController,
-)
+from repro.runner.scheduler import ReorderBuffer, StreamScheduler
 from repro.runner.servers import ServerPool
 
 __all__ = [
@@ -65,13 +61,11 @@ __all__ = [
     "CaseCostModel",
     "CostModelStore",
     "cost_key",
-    "default_cost_model",
     "default_cost_store",
     "set_default_cost_store",
     "pack_shards",
     "ReorderBuffer",
     "StreamScheduler",
-    "ThroughputController",
     "ArtifactCache",
     "CacheEntry",
     "CacheStats",

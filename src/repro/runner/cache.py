@@ -265,27 +265,6 @@ class ArtifactCache:
             with self._lock:
                 self._evictions += 1
 
-    def counters(self) -> dict[str, int]:
-        """This handle's in-process counters (no disk scan) — what a
-        process-pool worker ships back inside its ``JobResult``."""
-        with self._lock:
-            return {
-                "hits": self._hits,
-                "misses": self._misses,
-                "evictions": self._evictions,
-            }
-
-    def absorb_counts(
-        self, hits: int = 0, misses: int = 0, evictions: int = 0
-    ) -> None:
-        """Fold counters from another handle of the same cache (a
-        worker process's) into this one, so parent-side ``stats()``
-        reflects the whole pool's traffic."""
-        with self._lock:
-            self._hits += hits
-            self._misses += misses
-            self._evictions += evictions
-
     def stats(self) -> CacheStats:
         entries = self._entries()
         total = 0

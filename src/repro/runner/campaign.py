@@ -8,12 +8,10 @@ saturation verdict byte-identical between ``workers=1`` and
 ``workers=N`` — the plateau criterion is evaluated on the ordered
 merge, exactly as the serial loop would.
 
-The ordered stream comes from the work-conserving
-:class:`~repro.runner.scheduler.StreamScheduler`: a bounded in-flight
-window refilled the moment capacity frees, a reorder buffer restoring
-seed order, cost-aware admission keeping short cases out of the shadow
-of long ones, and (when enabled) a throughput controller auto-tuning
-batch size and window depth.  On saturation or cancel only the cases
+The ordered stream comes from the FIFO
+:class:`~repro.runner.scheduler.StreamScheduler`: a fixed in-flight
+window refilled the moment capacity frees and a reorder buffer
+restoring seed order.  On saturation or cancel only the cases
 actually in flight are wasted, and they are *counted*, not silently
 burned: ``CampaignOutcome.speculated_cases`` and the
 ``campaign.speculated_cases`` telemetry counter report the waste.
@@ -73,8 +71,7 @@ def resolve_batch_size(
     Auto batching engages only where batches exist at all (the AccMoS
     engine) and never starves the worker fleet: the size is the
     per-worker share of the case budget, capped at :data:`AUTO_BATCH_CAP`
-    so a cold first chunk is never disastrously large.  The adaptive
-    controller may tune it from there; an explicit value is final.
+    so a cold first chunk is never disastrously large.
     """
     if batch_size is not None:
         return batch_size
@@ -91,7 +88,7 @@ class _CampaignFold:
     fold mutates ``outcome`` (cases, diagnostics, saturation) and
     returns True once the plateau criterion fires.  It depends only on
     the results and their order, never on how they were dispatched —
-    which is what makes every worker/window/batch combination
+    which is what makes every worker/batch combination
     byte-identical to a serial loop over the same seeds.
     """
 
@@ -174,12 +171,11 @@ class CampaignRun:
     lifetime counters are then left out of ``outcome.server_stats``
     (they describe the pool, not this campaign).  With neither injected
     the behavior is exactly the classic one-shot CLI campaign: private
-    pool, process-wide persistent cost store, stats merged and saved on
-    the way out.
+    pool, process-wide persistent cost store, stats reported and saved
+    on the way out.
 
     ``cancel()`` is thread-safe and cooperative: submission stops, the
-    in-flight window drains (absorbing its cache/server/telemetry side
-    effects), and the discarded work is reported in
+    in-flight window drains, and the discarded work is reported in
     ``outcome.speculated_cases``.
     """
 
@@ -194,7 +190,6 @@ class CampaignRun:
         base_seed: int,
         options: Optional[SimulationOptions],
         workers: int = 1,
-        mode: str = "thread",
         cache: "Union[ArtifactCache, None, bool]" = None,
         timeout_seconds: Optional[float] = None,
         retries: int = 1,
@@ -202,8 +197,6 @@ class CampaignRun:
         serve: bool = False,
         inproc: bool = False,
         threads: Optional[int] = 1,
-        window: Optional[int] = None,
-        adaptive: bool = True,
         server_pool=None,
         cost_store: Optional[CostModelStore] = None,
     ) -> None:
@@ -218,8 +211,6 @@ class CampaignRun:
         self._cache = cache
         self._timeout_seconds = timeout_seconds
         self._retries = retries
-        self._window = window
-        self._adaptive = adaptive
 
         # Thread-parallel in-process execution replaces the worker pool
         # wholesale: chunks route to the inproc-threads executor, which
@@ -228,6 +219,7 @@ class CampaignRun:
         # through the executor's own fault ladder, so the serve/inproc
         # knobs (which configure the pooled dispatchers) are moot here.
         threads = resolve_threads(threads, engine=engine)
+        mode = "thread"
         if threads > 1 and engine == "accmos":
             mode = "inproc-threads"
             workers = threads
@@ -237,34 +229,30 @@ class CampaignRun:
         self._mode = mode
         self._workers = workers
 
-        self._batch_fixed = batch_size is not None
         self._batch_size = resolve_batch_size(
             batch_size, engine=engine, max_cases=max_cases, workers=workers
         )
 
-        # One warm-server pool for the whole campaign (thread/inline
-        # mode): servers survive across chunks, so the steady state
-        # respawns nothing.  Process mode keeps pools inside the worker
-        # processes instead; their counter deltas ride back on the
-        # JobResults.
+        # One warm-server pool for the whole campaign: servers survive
+        # across chunks, so the steady state respawns nothing.
         self._serve = serve and engine == "accmos" and self._batch_size > 1
         # The in-process rung shares the batching gate: it only pays off
         # (and only applies) when batches of accmos cases share an
         # artifact.
         self._inproc = inproc and engine == "accmos" and self._batch_size > 1
         self._own_pool = False
-        if server_pool is None and self._serve and mode != "process":
+        if server_pool is None and self._serve:
             from repro.runner.servers import ServerPool
 
             server_pool = ServerPool(max_servers=max(workers * 2, 4))
             self._own_pool = True
         self._server_pool = server_pool if self._serve else None
 
-        # Every mode's observed execute timings feed the persistent cost
-        # model, keyed by (engine, compile key), so the *next* campaign's
-        # admission and shard packing start from this machine's real
-        # rates.  A caller-owned store is observed into but never saved
-        # here — its owner decides when to persist.
+        # The threaded rung packs its shards from this store and feeds
+        # its observed execute timings back in, keyed by (engine,
+        # compile key), so the *next* campaign starts from this
+        # machine's real rates.  A caller-owned store is observed into
+        # but never saved here — its owner decides when to persist.
         self._own_store = cost_store is None
         self._cost_store = (
             default_cost_store() if cost_store is None else cost_store
@@ -347,32 +335,18 @@ class CampaignRun:
             outcome, engine=self._engine,
             plateau_patience=self._plateau_patience,
         )
-
-        def on_server_stats(stats: dict) -> None:
-            # Discarded-on-saturation results still ran; their
-            # server-pool counters still count.
-            from repro.runner.servers import merge_server_stats
-
-            outcome.server_stats = merge_server_stats(
-                outcome.server_stats, stats
-            )
-
         scheduler = StreamScheduler(
             self._jobs(),
             workers=self._workers,
             mode=self._mode,
-            window=self._window,
             batch_size=self._batch_size,
-            tune_batch=self._adaptive and not self._batch_fixed,
-            tune_window=self._adaptive and self._window is None,
             cache=self._cache,
             timeout_seconds=self._timeout_seconds,
             retries=self._retries,
             serve=self._serve,
             inproc=self._inproc,
-            server_pool=self._server_pool if self._mode != "process" else None,
+            server_pool=self._server_pool,
             cost_store=self._cost_store,
-            on_server_stats=on_server_stats,
         )
         self._scheduler = scheduler
         if self._cancelled:

@@ -1,10 +1,10 @@
-"""Cost-aware case scheduling: predict per-case cost, pack by makespan.
+"""Cost-aware shard packing: predict per-case cost, pack by makespan.
 
 Thread-parallel in-process execution splits one batch of cases across N
 worker threads; a naive slicing head-of-line-blocks short cases behind
 long ones whenever step counts differ (a 100k-step case next to 100-step
-cases turns a 4-thread shard into a 1-thread tail).  The fix is the
-classic two-parter from the ROADMAP's adaptive-scheduling item:
+cases turns a 4-thread shard into a 1-thread tail).  The fix has two
+parts:
 
 * :class:`CaseCostModel` predicts per-case execute seconds from the two
   quantities the runner knows before running anything — step count and
@@ -26,15 +26,12 @@ classic two-parter from the ROADMAP's adaptive-scheduling item:
   makespan — "never worse than round-robin" then holds by construction,
   and the hypothesis suite pins it.
 
-Beyond the in-process shards, the streaming campaign scheduler
-(:mod:`repro.runner.scheduler`) consumes the same predictions for
-admission (route predicted-long cases away from short ones) — and every
-mode's observed ``execute_seconds`` feeds back in, not just the
-threaded rung's.  :class:`CostModelStore` keeps one model per
-*(engine, compile key)* and persists the learned coefficients into the
-artifact-cache directory with atomic writes, so the next campaign
-warm-starts from this machine's measured rates instead of the cold
-defaults.
+The threaded rung is the only consumer: it predicts from, and feeds
+its observed ``execute_seconds`` back into, a :class:`CostModelStore`,
+which keeps one model per *(engine, compile key)* and persists the
+learned coefficients into the artifact-cache directory with atomic
+writes, so the next campaign warm-starts from this machine's measured
+rates instead of the cold defaults.
 
 Everything here is deterministic: ties break on case index, so the same
 costs always produce the same shards — a prerequisite for the
@@ -68,13 +65,6 @@ _DEFAULT_RATE_SECONDS = 3e-8
 # mostly per-case freight, so it calibrates the base term, not the rate.
 _DEFAULT_SMALL_UNITS = 4096.0
 
-# Cost multiplier applied to an artifact whose warm servers flap
-# (restart past the pool's threshold): its predictions inflate past the
-# long-classification ratio so admission routes the cases to the capped
-# long slots instead of letting them head-of-line block short cases.
-FLAP_PENALTY = 4.0
-
-
 class CaseCostModel:
     """Predicts per-case execute cost from ``steps × actors``.
 
@@ -99,13 +89,6 @@ class CaseCostModel:
         self.small_units = float(small_units)
         self.observations = 0
         self.base_observations = 0
-        # Runtime-only demotion multiplier (>= 1.0).  A flapping warm
-        # server costs far more than its execute time suggests (restart
-        # + resubmission per flap), so admission should treat the
-        # artifact's cases as expensive.  Deliberately *not* persisted:
-        # flapping is a condition of the current process's servers, not
-        # of the artifact, and must not poison future campaigns.
-        self.penalty = 1.0
         self._lock = threading.Lock()
 
     @staticmethod
@@ -113,20 +96,12 @@ class CaseCostModel:
         return float(max(1, steps)) * float(max(1, actors))
 
     def predict(self, steps: int, actors: int) -> float:
-        """Predicted execute seconds for one case (penalty included)."""
+        """Predicted execute seconds for one case."""
         with self._lock:
             return (
                 self.base_seconds
                 + self._units(steps, actors) * self.rate_seconds
-            ) * self.penalty
-
-    def set_penalty(self, multiplier: float) -> None:
-        """Demote this model's predictions by ``multiplier`` (ratchets:
-        a smaller multiplier never undoes a larger one)."""
-        if multiplier < 1.0:
-            raise ValueError("penalty multiplier must be >= 1.0")
-        with self._lock:
-            self.penalty = max(self.penalty, float(multiplier))
+            )
 
     def observe(self, steps: int, actors: int, seconds: float) -> None:
         """Fold one measured execute time back in (EMA).
@@ -201,29 +176,16 @@ def _round_robin(n_cases: int, n_shards: int) -> "list[list[int]]":
     ]
 
 
-def _lpt(
-    costs: Sequence[float],
-    n_shards: int,
-    max_size: Optional[int] = None,
-) -> "list[list[int]]":
+def _lpt(costs: Sequence[float], n_shards: int) -> "list[list[int]]":
     # Longest first; equal costs keep case order for determinism.
-    # ``max_size`` caps shard *cardinality* (a full shard stops bidding)
-    # so packed chunks respect dispatch batch limits.
     order = sorted(range(len(costs)), key=lambda i: (-costs[i], i))
     heap = [(0.0, slot) for slot in range(n_shards)]
     heapq.heapify(heap)
     shards: "list[list[int]]" = [[] for _ in range(n_shards)]
     for index in order:
-        parked = []
-        while True:
-            load, slot = heapq.heappop(heap)
-            if max_size is None or len(shards[slot]) < max_size:
-                break
-            parked.append((load, slot))
+        load, slot = heapq.heappop(heap)
         shards[slot].append(index)
         heapq.heappush(heap, (load + costs[index], slot))
-        for entry in parked:
-            heapq.heappush(heap, entry)
     # Within a shard, run cases in submission order (cache-friendly and
     # makes shard contents reproducible documentation in traces).
     for shard in shards:
@@ -232,9 +194,7 @@ def _lpt(
 
 
 def pack_shards(
-    costs: Sequence[float],
-    n_shards: int,
-    max_size: Optional[int] = None,
+    costs: Sequence[float], n_shards: int
 ) -> "list[list[int]]":
     """Partition case indices into ``n_shards`` worker shards.
 
@@ -242,53 +202,16 @@ def pack_shards(
     round-robin (the packer evaluates both and keeps the better one).
     Empty shards are possible when there are fewer cases than shards;
     callers skip them.  Deterministic for equal inputs.
-
-    ``max_size`` additionally caps how many cases one shard may hold —
-    the chunk former uses this so a cost-balanced chunk never exceeds
-    the dispatch batch limit.  It must satisfy ``max_size * n_shards >=
-    len(costs)`` to be feasible; round-robin respects any such cap by
-    construction, so the never-worse guarantee survives capping.
     """
     n = len(costs)
     if n_shards < 1:
         raise ValueError("n_shards must be at least 1")
-    if max_size is not None and max_size * n_shards < n:
-        raise ValueError(
-            f"max_size {max_size} x {n_shards} shard(s) cannot hold "
-            f"{n} case(s)"
-        )
     if n_shards == 1 or n <= 1:
         return [list(range(n))]
     n_shards = min(n_shards, n)
-    lpt = _lpt(costs, n_shards, max_size)
+    lpt = _lpt(costs, n_shards)
     rr = _round_robin(n, n_shards)
     return lpt if makespan(lpt, costs) <= makespan(rr, costs) else rr
-
-
-def plan_chunks(
-    costs: Sequence[float], n_chunks: int, max_size: int
-) -> "list[list[int]]":
-    """Partition case indices into up to ``n_chunks`` dispatch chunks of
-    at most ``max_size`` cases each, equalizing predicted chunk cost.
-
-    This is the stream scheduler's chunk former for pooled dispatch: one
-    chunk occupies one worker slot, so chunk-cost skew *is* worker
-    wall-clock skew.  Reuses :func:`pack_shards`' best-of(LPT,
-    round-robin) packing — the planned partition therefore never
-    predicts a worse makespan than naive round-robin, and (because the
-    greedy arrival former is a worst case of count-equal packing on
-    skewed costs) the regression suite pins it at <= greedy-by-arrival
-    as well.  Chunks are ordered by their smallest case index so the
-    frontier chunk is always first; empty shards are dropped.
-    """
-    n = len(costs)
-    if max_size < 1:
-        raise ValueError("max_size must be at least 1")
-    if n == 0:
-        return []
-    n_chunks = max(n_chunks, -(-n // max_size))  # enough to hold them all
-    shards = pack_shards(costs, n_chunks, max_size=max_size)
-    return sorted((s for s in shards if s), key=lambda s: s[0])
 
 
 # ----------------------------------------------------------------------
@@ -301,9 +224,8 @@ def cost_key(
 ) -> str:
     """The stable key under which a program's cost coefficients persist.
 
-    Cost prediction has to happen *before* codegen (admission decides
-    what to run next), so the artifact cache's SHA-over-source key is
-    not yet known; this key is its pre-codegen proxy — the engine plus
+    It is computed from the job alone, without codegen, so it stands in
+    for the artifact cache's SHA-over-source key — the engine plus
     everything that determines the compiled unit's per-step cost: the
     model, its size, and (for AccMoS) the structural option fingerprint
     the library is specialized on.  Stable across processes, unlike
@@ -341,10 +263,6 @@ class CostModelStore:
         self._models: dict[str, CaseCostModel] = {}
         self._lock = threading.Lock()
         self._loaded = False
-        # Bumped on every penalize(); schedulers that classified cases
-        # from earlier predictions watch this to know a re-classification
-        # is due.  Monotonic, process-local.
-        self._generation = 0
 
     # -- loading ---------------------------------------------------------
     def _read_file(self) -> dict:
@@ -386,24 +304,6 @@ class CostModelStore:
 
     def observe(self, key: str, steps: int, actors: int, seconds: float) -> None:
         self.model(key).observe(steps, actors, seconds)
-
-    @property
-    def generation(self) -> int:
-        with self._lock:
-            return self._generation
-
-    def penalize(self, key: str, multiplier: float = FLAP_PENALTY) -> None:
-        """Demote ``key``'s predictions by ``multiplier`` (ratcheting)
-        and bump the store generation so live schedulers re-classify.
-
-        Called by the warm-server pool when an artifact's servers flap
-        (restart past the threshold): the artifact's true cost per case
-        includes the restarts and resubmissions its text-protocol stream
-        keeps paying, which the observed execute seconds never show.
-        """
-        self.model(key).set_penalty(multiplier)
-        with self._lock:
-            self._generation += 1
 
     def keys(self) -> "list[str]":
         with self._lock:
@@ -493,10 +393,3 @@ def set_default_cost_store(
         previous = _default_store
         _default_store = store
         return previous
-
-
-def default_cost_model() -> CaseCostModel:
-    """The process-wide fallback model (key ``"default"`` of the default
-    store) — kept for callers that predate per-key models; observations
-    accumulate across campaign chunks and sessions in one process."""
-    return default_cost_store().model("default")

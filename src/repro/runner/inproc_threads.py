@@ -1,29 +1,29 @@
 """Thread-parallel dispatch: same-key jobs on one shared CompiledModel.
 
-The process-pool path pays real freight per worker — pickling jobs and
-results, per-worker artifact caches, telemetry re-parenting — even when
-every job in the chunk shares one compiled library.  When the in-process
-rung is available, none of that is necessary: ``ctypes`` releases the
-GIL around ``acc_lib_run_case``, so N private library instances inside
-*this* process run N C simulation loops on N cores with zero spawns.
+When every job in a chunk shares one compiled library and the
+in-process rung is available, no worker pool or host process is needed:
+``ctypes`` releases the GIL around ``acc_lib_run_case``, so N private
+library instances inside *this* process run N C simulation loops on N
+cores with zero spawns.
 
 The scheduler's ``inproc-threads`` mode routes each chunk here.  The
 dispatcher groups the chunk by :func:`~repro.runner.jobs.batch_key` (no
 further ``batch_size`` cap — the threaded executor wants the largest
 possible group to pack), compiles each group's shared object once,
-predicts per-case cost with the :mod:`~repro.runner.costmodel` (seeded
-by observed execute timings), packs cases into per-thread shards by
-LPT, and hands the group to :meth:`CompiledModel.run_inproc` with
-those shards.  Measured execute times are folded back into the cost model, so
-the next chunk packs on real rates.  Unbatchable jobs (non-AccMoS
+predicts per-case cost with the campaign's
+:class:`~repro.runner.costmodel.CostModelStore` (seeded by observed
+execute timings), packs cases into per-thread shards by LPT, and hands
+the group to :meth:`CompiledModel.run_inproc` with those shards.
+Measured execute times are folded back into the same store, so the next
+chunk packs on real rates.  Unbatchable jobs (non-AccMoS
 engines, descriptor-less stimuli) take the ordinary per-job path.
 
 Fault behavior is the existing ladder, untouched: a library fault inside
 the threaded executor quarantines the model and finishes the affected
 cases on a host process serving the same library; a failure around the
 executor drops the group to :func:`~repro.runner.jobs.run_job_batch`'s
-host-process rung (and from there to the per-job path).  Either way results are
-byte-identical and one :class:`JobResult` per job comes back in
+host-process rung (and from there to the per-job path).  Either way
+results are byte-identical and one :class:`JobResult` per job comes back in
 submission order.
 """
 
@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Optional, Union
 from repro import telemetry
 from repro.model.errors import CodegenError, CompilationError, SimulationError
 from repro.runner.costmodel import (
-    CaseCostModel,
+    CostModelStore,
     cost_key,
     default_cost_store,
     makespan,
@@ -69,14 +69,16 @@ def run_jobs_inproc_threads(
     timeout_seconds: Optional[float] = None,
     retries: int = 1,
     backoff_seconds: float = 0.05,
-    cost_model: Optional[CaseCostModel] = None,
+    cost_store: Optional[CostModelStore] = None,
     _sleep=time.sleep,
 ) -> "list[JobResult]":
     """Execute every job; one :class:`JobResult` per job, in order.
 
     ``keys`` holds each job's :func:`~repro.runner.jobs.batch_key` when
     the caller already has them (the streaming scheduler keys every job
-    once up front); without them each job is keyed here.
+    once up front); without them each job is keyed here.  Shards are
+    packed from, and observed timings fed into, ``cost_store`` (default:
+    the process-wide store).
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
@@ -117,7 +119,7 @@ def run_jobs_inproc_threads(
                 timeout_seconds=timeout_seconds,
                 retries=retries,
                 backoff_seconds=backoff_seconds,
-                cost_model=cost_model,
+                cost_store=cost_store,
                 _sleep=_sleep,
             )
             for index, result in zip(indices, results):
@@ -133,22 +135,20 @@ def _run_group(
     timeout_seconds: Optional[float],
     retries: int,
     backoff_seconds: float,
-    cost_model: Optional[CaseCostModel],
+    cost_store: Optional[CostModelStore],
     _sleep,
 ) -> "list[JobResult]":
     """One same-key group: compile once, pack, run threaded, observe."""
     from repro.engines.accmos import compile_model
 
-    if cost_model is None:
-        # Per-(engine, compile key) model from the persistent store:
-        # packing starts from the coefficients earlier campaigns
-        # measured for this same compiled unit, and this group's
-        # observations flow back to benefit the next one.
-        cost_model = default_cost_store().model(
-            cost_key(
-                group[0].engine, group[0].prog, group[0].resolved_options()
-            )
-        )
+    # Per-(engine, compile key) model from the persistent store: packing
+    # starts from the coefficients earlier campaigns measured for this
+    # same compiled unit, and this group's observations flow back to
+    # benefit the next one.
+    store = default_cost_store() if cost_store is None else cost_store
+    cost_model = store.model(
+        cost_key(group[0].engine, group[0].prog, group[0].resolved_options())
+    )
 
     def _fallback() -> "list[JobResult]":
         # Drop a rung: the batched dispatcher owns the rest of the

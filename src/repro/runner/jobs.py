@@ -89,16 +89,6 @@ class JobResult:
     error: Optional[str] = None
     exception: Optional[BaseException] = field(default=None, repr=False)
     cache_hit: bool = False
-    # Process-pool workers ship their per-job artifact-cache counter
-    # deltas ({hits, misses, evictions}) and telemetry payload (spans +
-    # metrics snapshot) back here; ``run_jobs`` folds both into the
-    # parent.  None in thread/inline mode, where state is already shared.
-    cache_stats: Optional[dict] = None
-    telemetry: Optional[dict] = field(default=None, repr=False)
-    # Warm-server pool counter deltas (spawns/reuses/restarts/retired_*)
-    # shipped the same way from process-mode workers; folded into the
-    # campaign's server stats.  None in thread/inline mode.
-    server_stats: Optional[dict] = None
 
     @property
     def ok(self) -> bool:

@@ -14,8 +14,8 @@ batch (two threads never share a process), returned to the idle set
 afterwards, and retired when it errors, when it sits idle past
 ``idle_ttl_seconds``, or when the idle set exceeds ``max_servers``
 (least-recently-used first).  All transitions are counted; the counters
-surface in ``campaign --timings`` and ship across process-pool
-boundaries via :attr:`JobResult.server_stats`.
+surface in ``campaign --timings`` and in the campaign service's
+status (:meth:`~repro.service.app.CampaignService.stats`).
 """
 
 from __future__ import annotations
@@ -41,9 +41,9 @@ _COUNTERS = (
 )
 
 # An artifact whose warm servers restarted this many times is *flapping*:
-# every stream it serves is paying restart + resubmission freight that
-# the observed execute seconds never show, so the pool demotes its
-# predicted cost (see ServerPool.note_restarts).
+# every stream it serves is paying restart + resubmission freight, so
+# the pool counts it once in ``flapped_artifacts`` (see
+# ServerPool.note_restarts).
 FLAP_RESTART_THRESHOLD = 3
 
 
@@ -59,9 +59,7 @@ class ServerPool:
         *,
         max_servers: int = 8,
         idle_ttl_seconds: float = 300.0,
-        cost_store=None,
         flap_restart_threshold: int = FLAP_RESTART_THRESHOLD,
-        flap_penalty: Optional[float] = None,
         _clock=time.monotonic,
     ) -> None:
         if max_servers < 1:
@@ -80,15 +78,10 @@ class ServerPool:
         )
         self._closed = False
         self.counters: dict[str, int] = {name: 0 for name in _COUNTERS}
-        # Flap detection: reuse/restart counters *per artifact*, feeding
-        # cost admission.  When an artifact's restarts cross the
-        # threshold, its CaseCostModel in ``cost_store`` is penalized so
-        # the scheduler routes its cases to the capped long slots
-        # instead of letting optimistic predictions head-of-line block
-        # short cases of healthy artifacts.
-        self._cost_store = cost_store
+        # Flap detection: spawn/reuse/restart counters *per artifact*;
+        # an artifact whose restarts cross the threshold is counted once
+        # in ``flapped_artifacts``.
         self.flap_restart_threshold = flap_restart_threshold
-        self._flap_penalty = flap_penalty
         self._artifact_counters: "dict[str, dict[str, int]]" = {}
         self._flapped: "set[str]" = set()
 
@@ -124,18 +117,10 @@ class ServerPool:
                 for key, counters in self._artifact_counters.items()
             }
 
-    def note_restarts(
-        self, artifact_key: str, restarts: int, cost_key: Optional[str] = None
-    ) -> bool:
+    def note_restarts(self, artifact_key: str, restarts: int) -> bool:
         """Record stream-level restarts for an artifact; returns True the
-        moment the artifact crosses the flap threshold.
-
-        Crossing the threshold penalizes the artifact's cost model (when
-        the pool holds a ``cost_store`` and the caller knows the cost
-        key), demoting its predicted cost so admission routes its cases
-        to the capped long slots.  The penalty fires once per artifact —
-        it ratchets, so repeated flapping doesn't multiply forever.
-        """
+        moment the artifact crosses the flap threshold (once per
+        artifact — further restarts keep counting, but never re-flag)."""
         if restarts <= 0:
             return False
         self._count_artifact(artifact_key, "restarts", restarts)
@@ -148,18 +133,7 @@ class ServerPool:
             self._flapped.add(artifact_key)
             self.counters["flapped_artifacts"] += 1
         telemetry.counter_inc("runner.server.flapped_artifacts")
-        if self._cost_store is not None and cost_key is not None:
-            if self._flap_penalty is None:
-                self._cost_store.penalize(cost_key)
-            else:
-                self._cost_store.penalize(cost_key, self._flap_penalty)
         return True
-
-    @staticmethod
-    def _cost_key_for(model: "CompiledModel") -> str:
-        from repro.runner.costmodel import cost_key
-
-        return cost_key("accmos", model.prog, model.options)
 
     def _sweep_idle_locked(self, now: float) -> None:
         if self.idle_ttl_seconds is None:
@@ -271,13 +245,7 @@ class ServerPool:
         with self._lock:
             self._count("restarts", restarts)
         if restarts:
-            # Feed the flap detector: an artifact whose streams keep
-            # restarting gets its predicted cost demoted for admission.
-            self.note_restarts(
-                self.artifact_key(model),
-                restarts,
-                cost_key=self._cost_key_for(model),
-            )
+            self.note_restarts(self.artifact_key(model), restarts)
         self.release(model, server)
         return outcomes
 
@@ -307,15 +275,6 @@ class ServerPool:
         with self._lock:
             return dict(self.counters)
 
-    def pop_stats(self) -> dict[str, int]:
-        """Counters since the last pop (delta semantics, for shipping
-        across a process boundary)."""
-        with self._lock:
-            out = dict(self.counters)
-            for name in self.counters:
-                self.counters[name] = 0
-        return out
-
 
 def merge_server_stats(
     into: "Optional[dict[str, int]]", stats: "Optional[dict[str, int]]"
@@ -328,27 +287,3 @@ def merge_server_stats(
     for name, value in stats.items():
         into[name] = into.get(name, 0) + value
     return into
-
-
-# ----------------------------------------------------------------------
-# per-worker-process pool (process-mode run_jobs)
-# ----------------------------------------------------------------------
-_worker_pool: Optional[ServerPool] = None
-_worker_pool_lock = threading.Lock()
-
-
-def worker_pool() -> ServerPool:
-    """The process-local pool used by process-mode workers.
-
-    Created on first use and closed at interpreter exit; chunks executed
-    by the same worker process share it, so warm servers survive from
-    one chunk to the next.
-    """
-    global _worker_pool
-    with _worker_pool_lock:
-        if _worker_pool is None:
-            import atexit
-
-            _worker_pool = ServerPool()
-            atexit.register(_worker_pool.close)
-        return _worker_pool

@@ -176,10 +176,7 @@ class CampaignService:
         if server_pool is None:
             from repro.runner.servers import ServerPool
 
-            server_pool = ServerPool(
-                max_servers=max(4, max_concurrent * 4),
-                cost_store=self._cost_store,
-            )
+            server_pool = ServerPool(max_servers=max(4, max_concurrent * 4))
         self._server_pool = server_pool
 
         self._lock = threading.Lock()
@@ -262,7 +259,6 @@ class CampaignService:
             "running_by_tenant": running,
             "server_pool": self._server_pool.stats(),
             "artifacts": self._server_pool.artifact_stats(),
-            "cost_model_generation": self._cost_store.generation,
             "telemetry": session.snapshot() if session is not None else None,
         }
 

@@ -29,7 +29,7 @@ from typing import Any, Optional, Union
 DEFAULT_TENANT = "default"
 
 # Knobs forwarded verbatim to iter_campaign, with (type, validator).
-_BOOL_KNOBS = ("serve", "inproc", "adaptive")
+_BOOL_KNOBS = ("serve", "inproc")
 _INT_KNOBS = {
     # name: (minimum, description)
     "steps": (1, "steps must be at least 1"),
@@ -37,12 +37,11 @@ _INT_KNOBS = {
     "plateau_patience": (1, "plateau_patience must be at least 1"),
     "workers": (1, "workers must be at least 1"),
     "batch_size": (1, "batch_size must be at least 1"),
-    "window": (1, "window must be at least 1"),
     "threads": (0, "threads must be non-negative"),
     "base_seed": (None, None),
 }
 _ALLOWED_KEYS = (
-    {"model", "engine", "mode", "timeout_seconds", "tenant"}
+    {"model", "engine", "timeout_seconds", "tenant"}
     | set(_BOOL_KNOBS)
     | set(_INT_KNOBS)
 )
@@ -144,10 +143,6 @@ def parse_spec(document: Any) -> CampaignSpec:
             if minimum is not None and value < minimum:
                 raise SpecError(message)
             knobs[name] = value
-    if "mode" in document:
-        if document["mode"] not in ("thread", "process"):
-            raise SpecError("'mode' must be 'thread' or 'process'")
-        knobs["mode"] = document["mode"]
     if "timeout_seconds" in document:
         value = document["timeout_seconds"]
         if isinstance(value, bool) or not isinstance(value, (int, float)):

@@ -5,10 +5,10 @@ Three collectors behind one process-wide switch:
 * :mod:`repro.telemetry.trace` — hierarchical span tracer threaded
   through preprocess -> instrument -> codegen -> gcc -> execute -> parse,
   all four engines, and the runner (per-job spans nest under the
-  dispatching ``run_jobs`` span, across threads *and* processes);
+  dispatching ``run_jobs`` span, across worker threads);
 * :mod:`repro.telemetry.metrics` — counters/gauges/histograms (cache
   hit/miss, compile seconds, steps/sec per engine, retry/timeout
-  counts), with worker-process snapshots folded back into the parent;
+  counts);
 * :mod:`repro.telemetry.profiler` — sampling profiler attributing SSE
   step time to actor block types (the paper's §2 interpretation-overhead
   argument, measured).

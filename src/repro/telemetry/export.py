@@ -2,8 +2,8 @@
 
 The Chrome format (one ``traceEvents`` array of complete ``"ph": "X"``
 events, microsecond timestamps) loads directly in ``chrome://tracing``
-and Perfetto.  Span start times are epoch-based, so spans recorded in
-worker processes line up with the parent's on the same timeline.
+and Perfetto.  Span start times are epoch-based, so every thread's
+spans line up on one timeline.
 
 Metrics snapshots persist as JSON at :func:`default_metrics_path`
 (``$ACCMOS_METRICS_FILE``, else ``~/.cache/accmos/metrics.json``) —

@@ -6,11 +6,8 @@ touch, thread-safe under one lock (every operation is a dict update; the
 lock is uncontended in practice because the hot paths record into local
 state and fold in bulk).
 
-Snapshots are plain JSON-able dicts, which is what crosses process
-boundaries: a worker in ``mode="process"`` pools snapshots its registry
-into the :class:`~repro.runner.jobs.JobResult` and the parent
-:meth:`merges <MetricsRegistry.merge>` it back in — counters add,
-gauges keep the latest write, histograms combine their moments.
+Snapshots are plain JSON-able dicts: the persistence form ``repro
+metrics`` reads back and the campaign service's status reports.
 """
 
 from __future__ import annotations
@@ -49,16 +46,6 @@ class HistogramData:
             "min": self.min,
             "max": self.max,
         }
-
-    def merge_dict(self, data: dict) -> None:
-        self.count += int(data.get("count", 0))
-        self.total += float(data.get("sum", 0.0))
-        for bound, better in (("min", min), ("max", max)):
-            other = data.get(bound)
-            if other is None:
-                continue
-            ours = getattr(self, bound)
-            setattr(self, bound, other if ours is None else better(ours, other))
 
 
 class MetricsRegistry:
@@ -106,19 +93,6 @@ class MetricsRegistry:
                     for name, hist in self._histograms.items()
                 },
             }
-
-    # -- folding ---------------------------------------------------------
-    def merge(self, snapshot: dict) -> None:
-        """Fold another registry's snapshot in (worker -> parent)."""
-        with self._lock:
-            for name, value in snapshot.get("counters", {}).items():
-                self._counters[name] = self._counters.get(name, 0) + value
-            self._gauges.update(snapshot.get("gauges", {}))
-            for name, data in snapshot.get("histograms", {}).items():
-                hist = self._histograms.get(name)
-                if hist is None:
-                    hist = self._histograms[name] = HistogramData()
-                hist.merge_dict(data)
 
     def clear(self) -> None:
         with self._lock:

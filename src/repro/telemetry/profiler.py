@@ -83,7 +83,8 @@ class SseProfiler:
             }
 
     def merge(self, snapshot: dict) -> None:
-        """Fold a worker process's profile snapshot in."""
+        """Fold another profiler's :meth:`snapshot` in (``repro
+        metrics`` renders persisted profiles this way)."""
         actors = snapshot.get("actors", {})
         self.add_run(
             {bt: data.get("seconds", 0.0) for bt, data in actors.items()},

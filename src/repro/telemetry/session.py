@@ -10,9 +10,7 @@ instrumented call site runs.
 
 One :class:`TelemetrySession` bundles the three collectors (tracer,
 metrics registry, optional SSE profiler).  :func:`enable` installs a
-fresh session process-wide; worker processes in ``mode="process"``
-pools enable their own and ship the results back as plain dicts (see
-:meth:`TelemetrySession.export` / :meth:`TelemetrySession.absorb`).
+fresh session process-wide.
 """
 
 from __future__ import annotations
@@ -33,31 +31,6 @@ class TelemetrySession:
     tracer: Tracer
     metrics: MetricsRegistry
     profiler: Optional[SseProfiler] = None
-
-    def export(self) -> dict:
-        """Everything collected, as JSON-able dicts (crosses pickling
-        and process boundaries; feeds the exporters)."""
-        return {
-            "spans": [span.to_dict() for span in self.tracer.finished()],
-            "metrics": self.metrics.snapshot(),
-            "profile_sse": (
-                self.profiler.snapshot() if self.profiler is not None else None
-            ),
-        }
-
-    def absorb(self, payload: dict, *, parent_span_id: Optional[str] = None) -> None:
-        """Fold a worker's :meth:`export` back into this session."""
-        if not payload:
-            return
-        self.tracer.absorb(
-            payload.get("spans", []), parent_id=parent_span_id
-        )
-        metrics = payload.get("metrics")
-        if metrics:
-            self.metrics.merge(metrics)
-        profile = payload.get("profile_sse")
-        if profile and self.profiler is not None:
-            self.profiler.merge(profile)
 
     def snapshot(self) -> dict:
         """The persistence form ``repro metrics`` reads back."""

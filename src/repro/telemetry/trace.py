@@ -8,10 +8,8 @@ the dispatcher captures its span id and each worker adopts it with
 :meth:`Tracer.adopt`, so job spans nest under the dispatch span no
 matter which thread ran them.
 
-Span ids embed the pid, so spans recorded in a worker *process* and
-shipped back to the parent (see :mod:`repro.runner.pool`) merge into one
-tree without collisions; :meth:`Tracer.absorb` re-parents the worker's
-root spans under the dispatch span.
+Span ids embed the pid, so spans from different processes never
+collide in an exported trace.
 
 Timing uses two clocks: ``perf_counter`` deltas for durations (immune to
 wall-clock steps) and an epoch timestamp for the start (comparable
@@ -59,19 +57,6 @@ class Span:
             "tid": self.tid,
             "attrs": dict(self.attrs),
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Span":
-        return cls(
-            name=data["name"],
-            span_id=data["span_id"],
-            parent_id=data.get("parent_id"),
-            start_time=data["start_time"],
-            duration=data.get("duration", 0.0),
-            pid=data.get("pid", 0),
-            tid=data.get("tid", 0),
-            attrs=dict(data.get("attrs", ())),
-        )
 
 
 class _SpanContext:
@@ -194,23 +179,6 @@ class Tracer:
         """Snapshot of all completed spans, in completion order."""
         with self._lock:
             return list(self._finished)
-
-    def absorb(
-        self,
-        span_dicts: list,
-        *,
-        parent_id: Optional[str] = None,
-    ) -> int:
-        """Fold spans recorded elsewhere (a worker process) into this
-        tracer, re-parenting their roots under ``parent_id``."""
-        spans = [Span.from_dict(d) for d in span_dicts]
-        if parent_id is not None:
-            for span in spans:
-                if span.parent_id is None:
-                    span.parent_id = parent_id
-        with self._lock:
-            self._finished.extend(spans)
-        return len(spans)
 
     def clear(self) -> None:
         with self._lock:

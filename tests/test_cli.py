@@ -133,7 +133,7 @@ class TestCampaignScheduler:
                      "--workers", "2", "--timings"]) == 0
         out = capsys.readouterr().out
         assert "campaign:" in out
-        assert "scheduler: stream" in out
+        assert "scheduler: stream (thread), window 4, batch 1" in out
         assert "utilization" in out
 
     def test_scheduler_flag_rejected(self, capsys):
@@ -147,13 +147,17 @@ class TestCampaignScheduler:
         assert "usage:" in err
         assert "--scheduler" in err
 
-    def test_window_and_no_adaptive_flags_parse(self, capsys):
-        assert main(["campaign", "bench:SPV", "--engine", "sse",
-                     "--steps", "300", "--cases", "4", "--patience", "100",
-                     "--workers", "2", "--window", "3",
-                     "--no-adaptive", "--timings"]) == 0
-        out = capsys.readouterr().out
-        assert "window 3->3" in out
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_mode_flag_rejected(self, mode, capsys):
+        # One FIFO stream on worker threads: no pool flavour to pick.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", "bench:SPV", "--engine", "sse",
+                  "--steps", "300", "--cases", "4", "--workers", "2",
+                  "--mode", mode])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "--mode" in err
 
 
 class TestCacheCli:

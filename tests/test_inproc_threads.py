@@ -27,7 +27,9 @@ from repro.inproc.library import _dlclose
 from repro.runner.cache import ArtifactCache
 from repro.runner.costmodel import (
     CaseCostModel,
-    default_cost_model,
+    CostModelStore,
+    cost_key,
+    default_cost_store,
     makespan,
     pack_shards,
 )
@@ -280,7 +282,10 @@ class TestCostModel:
         assert m.observations == 0
 
     def test_default_model_is_shared(self):
-        assert default_cost_model() is default_cost_model()
+        key = "accmos:SPV:a88"
+        assert default_cost_store().model(key) is default_cost_store().model(
+            key
+        )
 
 
 def _rr_makespan(costs, n_shards):
@@ -369,6 +374,9 @@ def test_run_jobs_inproc_threads_routes_non_accmos_jobs(zoo_programs=None):
 def test_run_jobs_rejects_unknown_mode():
     with pytest.raises(ValueError, match="inproc-threads"):
         run_jobs([], mode="bogus")
+    # Process pools are gone: chunks run on threads or in-process.
+    with pytest.raises(ValueError, match="inproc-threads"):
+        run_jobs([], mode="process")
 
 
 @requires_cc
@@ -402,6 +410,26 @@ def test_threaded_campaign_one_gcc_zero_spawns(
     assert outcome.n_cases >= 1
     assert gcc_calls["n"] == 1
     assert cache.stats().misses == 1
+
+
+@requires_cc
+def test_threaded_campaign_observes_into_injected_cost_store(zoo_programs):
+    """Shard packing reads from, and observes into, the store the
+    campaign was given — never the process default."""
+    from repro.campaign import iter_campaign
+
+    prog, _ = zoo_programs[sorted(ZOO)[0]]
+    store = CostModelStore(None)
+    default = default_cost_store()
+    key = cost_key("accmos", prog, SimulationOptions(steps=STEPS))
+    before = default.model(key).observations
+    run = iter_campaign(
+        prog, steps=STEPS, max_cases=4, plateau_patience=100,
+        cache=False, threads=2, cost_store=store,
+    )
+    assert len(list(run)) == 4
+    assert store.model(key).observations > 0
+    assert default.model(key).observations == before
 
 
 @requires_cc

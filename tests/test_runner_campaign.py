@@ -62,7 +62,7 @@ class TestParallelIdentity:
     @pytest.mark.parametrize("workers,batch_size,mode", [
         (1, 4, "thread"),
         (3, 4, "thread"),
-        (2, 3, "process"),
+        (2, 3, "inproc-threads"),
     ])
     def test_batched_campaign_identical_one_compile(
         self, workers, batch_size, mode, tmp_path
@@ -74,8 +74,9 @@ class TestParallelIdentity:
         kwargs = dict(steps=400, max_cases=10, plateau_patience=100)
         serial = run_campaign(prog, workers=1, cache=False, **kwargs)
         cache = ArtifactCache(tmp_path / "cache")
+        threads = workers if mode == "inproc-threads" else 1
         batched = run_campaign(
-            prog, workers=workers, batch_size=batch_size, mode=mode,
+            prog, workers=workers, batch_size=batch_size, threads=threads,
             cache=cache, **kwargs,
         )
         _assert_outcomes_identical(serial, batched)

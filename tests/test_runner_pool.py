@@ -139,19 +139,13 @@ class TestRunJobs:
         results = run_jobs(self._jobs(2), workers=1)
         assert [r.seed for r in results] == [1, 2]
 
-    def test_process_mode(self):
-        results = run_jobs(self._jobs(3), workers=2, mode="process",
-                           cache=False)
-        assert [r.seed for r in results] == [1, 2, 3]
-        assert all(r.ok for r in results)
-        checks = [r.result.checksums for r in results]
-        assert len({tuple(sorted(c.items())) for c in checks}) == 3
-
     def test_validation(self):
         with pytest.raises(ValueError, match="workers"):
             run_jobs(self._jobs(2), workers=0)
         with pytest.raises(ValueError, match="mode"):
             run_jobs(self._jobs(2), mode="fiber")
+        with pytest.raises(ValueError, match="mode"):
+            run_jobs(self._jobs(2), mode="process")
 
     @requires_cc
     def test_one_compile_serves_identical_jobs(self, tmp_path):

@@ -23,7 +23,6 @@ from repro.engines.accmos import ModelServer, compile_model
 from repro.inproc import LibraryFault, encode_case_binary
 from repro.model.builder import ModelBuilder
 from repro.runner.cache import ArtifactCache
-from repro.runner.costmodel import FLAP_PENALTY, CostModelStore
 from repro.runner.servers import (
     FLAP_RESTART_THRESHOLD,
     ServerPool,
@@ -412,82 +411,55 @@ def test_merge_server_stats():
 
 
 # ----------------------------------------------------------------------
-# flap detection: restart counters feed cost admission
+# flap detection: per-artifact restart counters
 # ----------------------------------------------------------------------
 class TestFlapDetection:
     """Counter-driven: note_restarts is the same entry point run_batch
     calls after a stream restarts its server, so these tests exercise
-    the full admission-feedback path without needing a compiler."""
+    the detector without needing a compiler."""
 
     def test_below_threshold_no_penalty(self):
-        store = CostModelStore(None)
-        with ServerPool(cost_store=store, flap_restart_threshold=3) as pool:
-            assert pool.note_restarts("art", 2, cost_key="k") is False
+        with ServerPool(flap_restart_threshold=3) as pool:
+            assert pool.note_restarts("art", 2) is False
             assert pool.restart_count("art") == 2
-            assert store.model("k").penalty == 1.0
-            assert store.generation == 0
             assert pool.stats()["flapped_artifacts"] == 0
 
-    def test_threshold_crossing_penalizes_once(self):
-        store = CostModelStore(None)
-        baseline = store.predict("k", 10_000, 10)
-        with ServerPool(cost_store=store, flap_restart_threshold=3) as pool:
-            assert pool.note_restarts("art", 1, cost_key="k") is False
+    def test_threshold_crossing_flags_once(self):
+        with ServerPool(flap_restart_threshold=3) as pool:
+            assert pool.note_restarts("art", 1) is False
             # Restarts accumulate across streams; the third one trips it.
-            assert pool.note_restarts("art", 2, cost_key="k") is True
+            assert pool.note_restarts("art", 2) is True
             assert pool.restart_count("art") == 3
-            assert store.model("k").penalty == FLAP_PENALTY
-            assert store.predict("k", 10_000, 10) == pytest.approx(
-                baseline * FLAP_PENALTY
-            )
-            assert store.generation == 1
             assert pool.stats()["flapped_artifacts"] == 1
-            # Fires once per artifact: more flapping neither re-counts
-            # nor multiplies the penalty forever.
-            assert pool.note_restarts("art", 5, cost_key="k") is False
+            # Fires once per artifact: more flapping keeps counting
+            # restarts but never re-flags.
+            assert pool.note_restarts("art", 5) is False
             assert pool.restart_count("art") == 8
-            assert store.model("k").penalty == FLAP_PENALTY
-            assert store.generation == 1
             assert pool.stats()["flapped_artifacts"] == 1
 
     def test_zero_restarts_never_counted(self):
         with ServerPool() as pool:
-            assert pool.note_restarts("art", 0, cost_key="k") is False
-            assert pool.note_restarts("art", -1, cost_key="k") is False
+            assert pool.note_restarts("art", 0) is False
+            assert pool.note_restarts("art", -1) is False
             assert pool.restart_count("art") == 0
             assert pool.artifact_stats() == {}
 
-    def test_custom_penalty_and_threshold(self):
-        store = CostModelStore(None)
-        with ServerPool(
-            cost_store=store, flap_restart_threshold=1, flap_penalty=16.0
-        ) as pool:
-            assert pool.note_restarts("art", 1, cost_key="k") is True
-            assert store.model("k").penalty == 16.0
-
-    def test_flap_without_store_or_key_still_detected(self):
-        """Detection is independent of the demotion plumbing: a pool
-        without a cost store (or a caller without a key) still counts."""
-        with ServerPool(flap_restart_threshold=2) as pool:
-            assert pool.note_restarts("art", 2, cost_key=None) is True
+    def test_custom_threshold(self):
+        with ServerPool(flap_restart_threshold=1) as pool:
+            assert pool.note_restarts("art", 1) is True
             assert pool.stats()["flapped_artifacts"] == 1
-        store = CostModelStore(None)
-        with ServerPool(cost_store=store, flap_restart_threshold=2) as pool:
-            assert pool.note_restarts("art", 2, cost_key=None) is True
-            assert store.generation == 0  # no key, no demotion
 
     def test_per_artifact_isolation(self):
-        store = CostModelStore(None)
-        with ServerPool(cost_store=store, flap_restart_threshold=3) as pool:
-            pool.note_restarts("a", 2, cost_key="ka")
-            pool.note_restarts("b", 2, cost_key="kb")
+        with ServerPool(flap_restart_threshold=3) as pool:
+            pool.note_restarts("a", 2)
+            pool.note_restarts("b", 2)
             assert pool.stats()["flapped_artifacts"] == 0
-            assert pool.note_restarts("a", 1, cost_key="ka") is True
-            assert store.model("ka").penalty == FLAP_PENALTY
-            assert store.model("kb").penalty == 1.0
+            assert pool.note_restarts("a", 1) is True
+            assert pool.note_restarts("b", 0) is False
             stats = pool.artifact_stats()
             assert stats["a"]["restarts"] == 3
             assert stats["b"]["restarts"] == 2
+            assert pool.stats()["flapped_artifacts"] == 1
 
     def test_default_threshold_sane(self):
         assert FLAP_RESTART_THRESHOLD >= 2

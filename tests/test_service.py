@@ -158,6 +158,13 @@ class TestSpec:
     def test_scheduler_key_rejected_even_with_a_once_valid_value(self):
         with pytest.raises(SpecError, match="unknown spec key.*'scheduler'"):
             parse_spec({"model": "bench:SPV", "scheduler": "stream"})
+        # Deleted dispatch knobs: one FIFO stream, no pool flavour,
+        # window or controller to pick.
+        for key, value in (
+            ("mode", "thread"), ("window", 8), ("adaptive", True),
+        ):
+            with pytest.raises(SpecError, match=f"unknown spec key.*'{key}'"):
+                parse_spec({"model": "bench:SPV", key: value})
 
     def test_inline_generic_model_loads(self):
         document = model_to_generic(ZOO["int_arith"]()[0])
@@ -220,10 +227,14 @@ class TestLifecycle:
         with pytest.raises(ServiceError) as excinfo:
             server.client.submit({"model": "bench:NOPE"})
         assert excinfo.value.status == 400
-        with pytest.raises(ServiceError) as excinfo:
-            server.client.submit({"model": "bench:SPV", "scheduler": "stream"})
-        assert excinfo.value.status == 400
-        assert "scheduler" in str(excinfo.value.body)
+        for key, value in (
+            ("scheduler", "stream"), ("mode", "thread"), ("window", 8),
+            ("adaptive", False),
+        ):
+            with pytest.raises(ServiceError) as excinfo:
+                server.client.submit({"model": "bench:SPV", key: value})
+            assert excinfo.value.status == 400
+            assert f"'{key}'" in str(excinfo.value.body)
 
     def test_cancel_running_campaign_drains_and_reports(self, server):
         client = server.client
@@ -290,6 +301,12 @@ class TestByteIdentity:
             preprocess(model), engine="sse",
             steps=400, max_cases=5, workers=2,
         )
+        # Scheduler stats describe how the campaign ran; none of them
+        # reaches the canonical bytes.
+        canonical = encode(outcome_record(reference))
+        assert reference.scheduler_stats
+        for key in reference.scheduler_stats:
+            assert f'"{key}"' not in canonical
         # The canonical encoding the CLI prints (`repro campaign --json`)
         # must equal the streamed terminal outcome, byte for byte.
         assert (
