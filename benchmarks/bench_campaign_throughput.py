@@ -67,7 +67,7 @@ def test_campaign_throughput():
     cases, steps = _cases(), _steps()
     workers, batch = _workers(), _batch()
     campaign_kwargs = dict(
-        steps=steps, max_cases=cases, plateau_patience=cases + 1,
+        steps=steps, max_cases=cases, plateau_patience=cases + 1, threads=1,
     )
 
     # Baseline: every case compiles its own program (the pre-optimization

@@ -97,6 +97,7 @@ def test_parallel_campaign_scaling():
             outcome = run_campaign(
                 prog, steps=STEPS, max_cases=seeds,
                 plateau_patience=seeds + 1, cache=cache, workers=n_workers,
+                threads=1,
             )
             return time.perf_counter() - start, outcome
 

@@ -35,7 +35,7 @@ from repro.engines import (
     run_sse_rac,
     simulate,
 )
-from repro.campaign import CampaignOutcome, run_campaign
+from repro.campaign import CampaignConfig, CampaignOutcome, run_campaign
 from repro.runner import (
     ArtifactCache,
     JobResult,
@@ -74,6 +74,7 @@ __all__ = [
     "run_sse_rac",
     "run_accmos",
     "run_campaign",
+    "CampaignConfig",
     "CampaignOutcome",
     "ArtifactCache",
     "SimulationJob",

@@ -7,16 +7,22 @@ AccMoS speed: generate differently-seeded random test cases, simulate each
 points — the classic saturation criterion.  All diagnostics found by any
 case are pooled, with the seed that first exposed each.
 
-With ``workers > 1`` the seed sweep fans out across the
-:mod:`repro.runner` pool — compiles served by the artifact cache, cases
-executed concurrently — while the coverage merge stays in seed order, so
-parallel and serial campaigns produce byte-identical outcomes.
+A :class:`CampaignConfig` holds a campaign's settings.  It is the one
+place that names each field and states its default and valid range: the
+library's keywords, ``repro campaign``'s flags and the campaign
+service's spec keys all build one, so the three surfaces share defaults
+and reject the same bad values.
+
+Cases run in-process on up to four threads by default, or stream across
+the :mod:`repro.runner` worker pool, while the coverage merge stays in
+seed order, so every dispatch path produces byte-identical outcomes.
 
 ::
 
-    from repro.campaign import run_campaign
+    from repro.campaign import CampaignConfig, run_campaign
 
-    outcome = run_campaign(prog, steps=100_000, max_cases=20, workers=4)
+    config = CampaignConfig(steps=100_000, max_cases=20, workers=4)
+    outcome = run_campaign(prog, config)  # or run_campaign(prog, steps=...)
     print(outcome.summary())
     for event, seed in outcome.diagnostics:
         print(f"seed {seed}: {event}")
@@ -30,7 +36,6 @@ from typing import TYPE_CHECKING, Optional, Union
 from repro.coverage.metrics import Metric
 from repro.coverage.report import CoverageReport
 from repro.diagnosis.events import DiagnosticEvent
-from repro.engines.base import SimulationOptions
 from repro.schedule.program import FlatProgram
 
 if TYPE_CHECKING:
@@ -100,173 +105,154 @@ class CampaignOutcome:
         return "\n".join(lines)
 
 
+@dataclass(frozen=True)
+class CampaignConfig:
+    """One campaign's settings, checked on construction.
+
+    A bad value raises ``ValueError`` naming the field.  Bools must be
+    bools; ints must be ints, not bools.
+
+    ``engine``
+        Simulation engine, a key of :data:`repro.engines.api.ENGINES`.
+    ``steps``
+        Steps per test case (at least 1).
+    ``max_cases``
+        Case budget: seeds ``base_seed`` up to ``base_seed + max_cases
+        - 1`` (at least 1).
+    ``plateau_patience``
+        Saturate, and stop, once this many consecutive cases uncover no
+        new coverage point (at least 1).
+    ``base_seed``
+        Stimulus seed of the first case.
+    ``workers``
+        Worker threads streaming cases through a fixed in-flight window
+        of ``2 × workers × batch_size`` cases (at least 1).
+    ``batch_size``
+        Cases run back-to-back on one loaded program per dispatch (at
+        least 1).  ``None`` sizes it automatically: the per-worker share
+        of ``max_cases``, capped at 8, for AccMoS; 1 for the
+        interpreters.
+    ``threads``
+        Thread-parallel in-process execution: that many private library
+        instances run C loops in this process, with zero process
+        spawns, in place of the worker pool.  ``None`` (or 0) picks the
+        core count, capped at 4, when the engine is AccMoS and a C
+        compiler is available, else 1.  ``1`` runs the worker pool.
+    ``serve``
+        On the worker pool: stream batches through warm host processes
+        reused across chunks.  ``False`` runs a private host process per
+        batch.
+    ``inproc``
+        On the worker pool: run batches in-process through the compiled
+        shared library, falling back to a host process on any library
+        fault.
+    ``timeout_seconds``
+        Per-case wall-clock limit, a number above 0; ``None`` sets none.
+
+    ``serve`` and ``inproc`` apply only where batches exist: AccMoS with
+    a batch size above 1.  ``workers``, ``batch_size``, ``threads``,
+    ``serve`` and ``inproc`` change speed, never the outcome: the merge
+    runs in seed order, so every combination is byte-identical to a
+    serial run.
+    """
+
+    engine: str = "accmos"
+    steps: int = DEFAULT_STEPS
+    max_cases: int = 16
+    plateau_patience: int = 3
+    base_seed: int = 1
+    workers: int = 1
+    batch_size: Optional[int] = None
+    threads: Optional[int] = None
+    serve: bool = True
+    inproc: bool = False
+    timeout_seconds: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        from repro.engines.api import ENGINES
+
+        if not isinstance(self.engine, str) or self.engine not in ENGINES:
+            raise ValueError(
+                f"unknown engine {self.engine!r}; valid engines: "
+                f"{', '.join(sorted(ENGINES))}"
+            )
+        for name in ("steps", "max_cases", "plateau_patience", "workers"):
+            _check_int(name, getattr(self, name), minimum=1)
+        _check_int("base_seed", self.base_seed)
+        if self.batch_size is not None:
+            _check_int("batch_size", self.batch_size, minimum=1)
+        if self.threads is not None:
+            _check_int("threads", self.threads)
+            if self.threads < 0:
+                raise ValueError("threads must be non-negative (0 = auto)")
+        for name in ("serve", "inproc"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"'{name}' must be a boolean")
+        timeout = self.timeout_seconds
+        if timeout is not None:
+            if isinstance(timeout, bool) or not isinstance(
+                timeout, (int, float)
+            ):
+                raise ValueError("'timeout_seconds' must be a number")
+            if timeout <= 0:
+                raise ValueError("'timeout_seconds' must be positive")
+
+
+def _check_int(name: str, value, *, minimum: Optional[int] = None) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"'{name}' must be an integer")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}")
+
+
 def iter_campaign(
     prog: FlatProgram,
+    config: Optional[CampaignConfig] = None,
     *,
-    engine: str = "accmos",
-    steps: Optional[int] = None,
-    max_cases: int = 16,
-    plateau_patience: int = 3,
-    base_seed: int = 1,
-    options: Optional[SimulationOptions] = None,
-    workers: int = 1,
     cache: "Union[ArtifactCache, None, bool]" = None,
-    timeout_seconds: Optional[float] = None,
-    batch_size: Optional[int] = None,
-    serve: bool = True,
-    inproc: bool = False,
-    threads: Optional[int] = 1,
     server_pool=None,
     cost_store=None,
+    **fields,
 ):
-    """The embeddable form of :func:`run_campaign`: a validated,
-    cancellable iteration over the campaign's fold loop.
+    """A campaign as a cancellable iteration over its fold loop.
 
-    Returns a :class:`~repro.runner.campaign.CampaignRun` — iterate it
-    to receive each folded :class:`CaseOutcome` in seed order; read
+    Pass a :class:`CampaignConfig`, or its fields as keywords, not both.
+    Returns a :class:`~repro.runner.campaign.CampaignRun`: iterate it to
+    receive each folded :class:`CaseOutcome` in seed order, read
     ``.outcome`` for the merged :class:`CampaignOutcome` once iteration
-    ends; call ``.cancel()`` (thread-safe) to stop submission and drain
-    in-flight work into ``outcome.speculated_cases``.  All knobs mean
-    exactly what they mean on :func:`run_campaign`; the fold is the same
-    code, so the drained iteration is byte-identical to the one-shot
-    call.
+    ends, and call ``.cancel()`` (thread-safe) to stop submission and
+    drain in-flight work into ``outcome.speculated_cases``.
 
-    Long-lived embedders (e.g. the campaign service) may pass a shared
-    ``server_pool`` and ``cost_store``; the campaign borrows them
-    without closing or saving — the owner controls those lifetimes.
+    ``cache`` routes compiles through an artifact cache (default: the
+    process-wide one).  Long-lived embedders (e.g. the campaign service)
+    may pass a shared ``server_pool`` and ``cost_store``; the campaign
+    borrows them without closing or saving — the owner controls those
+    lifetimes.
     """
-    from repro.engines.api import ENGINES
-
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; valid engines: "
-            f"{', '.join(sorted(ENGINES))}"
+    if config is None:
+        config = CampaignConfig(**fields)
+    elif fields:
+        raise TypeError(
+            "pass either a CampaignConfig or its fields as keywords, "
+            "not both"
         )
-    if max_cases < 1:
-        raise ValueError("max_cases must be at least 1")
-    if plateau_patience < 1:
-        raise ValueError("plateau_patience must be at least 1")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    if batch_size is not None and batch_size < 1:
-        raise ValueError("batch_size must be at least 1 (None = auto)")
-    if threads is not None and threads < 0:
-        raise ValueError("threads must be non-negative (0/None = auto)")
-    if options is not None and steps is not None:
-        raise ValueError(
-            "pass either steps= or options= (which carries its own step "
-            "count), not both"
-        )
-
     from repro.runner.campaign import CampaignRun
 
     return CampaignRun(
-        prog,
-        engine=engine,
-        steps=DEFAULT_STEPS if steps is None else steps,
-        max_cases=max_cases,
-        plateau_patience=plateau_patience,
-        base_seed=base_seed,
-        options=options,
-        workers=workers,
-        cache=cache,
-        timeout_seconds=timeout_seconds,
-        batch_size=batch_size,
-        serve=serve,
-        inproc=inproc,
-        threads=threads,
-        server_pool=server_pool,
-        cost_store=cost_store,
+        prog, config,
+        cache=cache, server_pool=server_pool, cost_store=cost_store,
     )
 
 
 def run_campaign(
     prog: FlatProgram,
+    config: Optional[CampaignConfig] = None,
     *,
-    engine: str = "accmos",
-    steps: Optional[int] = None,
-    max_cases: int = 16,
-    plateau_patience: int = 3,
-    base_seed: int = 1,
-    options: Optional[SimulationOptions] = None,
-    workers: int = 1,
     cache: "Union[ArtifactCache, None, bool]" = None,
-    timeout_seconds: Optional[float] = None,
-    batch_size: Optional[int] = None,
-    serve: bool = True,
-    inproc: bool = False,
-    threads: Optional[int] = 1,
+    **fields,
 ) -> CampaignOutcome:
-    """Run up to ``max_cases`` differently-seeded random test cases.
-
-    Stops early once ``plateau_patience`` consecutive cases uncover no new
-    coverage point (saturation).  Pass *either* ``steps`` (a default
-    :class:`SimulationOptions` with that step count; 50 000 when omitted)
-    *or* a full ``options`` — both together raise ``ValueError``, since
-    ``options`` carries its own step count.
-
-    ``workers > 1`` streams cases across the :mod:`repro.runner`
-    scheduler's worker threads through a fixed in-flight window of
-    ``2 × workers × batch_size`` cases — a completion is immediately
-    followed by a submission, no barrier — while the coverage merge
-    stays in seed order (a reorder buffer restores it), so the outcome
-    is byte-identical to a serial run.  ``cache`` routes compiles through an artifact cache (default: the
-    process-wide one); ``timeout_seconds`` bounds each case's binary
-    run.
-
-    ``batch_size > 1`` runs that many cases back-to-back per process
-    spawn on one reused binary (the compile-once / run-many path) — the
-    big throughput lever for many-case campaigns.  ``None`` (the
-    default) sizes it automatically — the per-worker share of
-    ``max_cases``, capped at 8.  Outcomes stay byte-identical to
-    ``batch_size=1``; only the speculation bound at saturation grows
-    with the in-flight window.  The run report lands in
-    ``CampaignOutcome.scheduler_stats``; discarded speculation is
-    counted in ``CampaignOutcome.speculated_cases``.
-
-    ``serve`` (default on) streams batched cases through warm host
-    processes kept alive across chunks — steady-state zero process
-    spawns; ``serve=False`` runs a private host process per batch.  A
-    host that fails twice in a row sends its batch down to the per-job
-    path, so results are byte-identical either way.  It only applies
-    where batches are available, i.e. the AccMoS engine with
-    ``batch_size > 1``.
-
-    ``inproc`` (default off) runs batched cases in-process through the
-    compiled program's shared library and the packed binary ABI — zero
-    process spawns.  It sits above the host rung in the fallback ladder
-    (inproc → host stream → restart once → per-job) and shares its gate:
-    AccMoS engine with ``batch_size > 1``.  A library fault quarantines
-    the in-process rung and finishes on a host process, so results stay
-    byte-identical either way.
-
-    ``threads`` engages thread-parallel in-process execution: chunks are
-    grouped onto one shared compiled model and run by that many threads
-    holding private library instances — N C simulation loops on N cores
-    with *zero* process spawns (``ctypes`` releases the GIL).  Cases are
-    packed into per-thread shards by the cost model, and the merge stays
-    in seed order, so ``threads=N`` is byte-identical to ``threads=1``.
-    ``threads=None`` (or 0) picks automatically: the core count (capped
-    at 4) when the toolchain supports shared objects and the engine is
-    AccMoS, else 1.  Only applies to the AccMoS engine; a library fault
-    mid-campaign falls down the usual ladder.
-    """
-    run = iter_campaign(
-        prog,
-        engine=engine,
-        steps=steps,
-        max_cases=max_cases,
-        plateau_patience=plateau_patience,
-        base_seed=base_seed,
-        options=options,
-        workers=workers,
-        cache=cache,
-        timeout_seconds=timeout_seconds,
-        batch_size=batch_size,
-        serve=serve,
-        inproc=inproc,
-        threads=threads,
-    )
+    """Run a campaign to its end: :func:`iter_campaign`, drained."""
+    run = iter_campaign(prog, config, cache=cache, **fields)
     for _ in run:
         pass
     return run.outcome

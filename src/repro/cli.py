@@ -30,10 +30,12 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 
 from repro.benchmarks import TABLE1, build_benchmark
 from repro.benchmarks.motivating import build_motivating_model, motivating_stimuli
+from repro.campaign import CampaignConfig
 from repro.diagnosis.events import DiagnosticKind
 from repro.engines import ENGINES, SimulationOptions, simulate
 from repro.model.model import Model
@@ -228,16 +230,24 @@ def _print_timings(cases) -> None:
         print(row)
 
 
-def _parse_threads(value) -> "int | None":
-    """``--threads auto`` (the default) -> None, else an int."""
-    if value is None or value == "auto":
+def _parse_threads(value: str) -> "int | None":
+    """``--threads auto`` -> None (auto), else an int."""
+    if value == "auto":
         return None
     try:
         return int(value)
     except ValueError:
-        raise SystemExit(
-            f"--threads must be an integer or 'auto', not {value!r}"
+        raise argparse.ArgumentTypeError(
+            f"must be an integer or 'auto', not {value!r}"
         )
+
+
+def campaign_config(args):
+    """The :class:`~repro.campaign.CampaignConfig` that ``campaign``'s
+    parsed flags describe (each flag's ``dest`` is the field name)."""
+    return CampaignConfig(
+        **{f.name: getattr(args, f.name) for f in fields(CampaignConfig)}
+    )
 
 
 def cmd_campaign(args) -> int:
@@ -245,23 +255,14 @@ def cmd_campaign(args) -> int:
     from repro.campaign import run_campaign
     from repro.coverage import coverage_listing
 
+    try:
+        config = campaign_config(args)
+    except ValueError as exc:
+        args.parser.error(str(exc))
     with _traced(args):
         model = _load(args.model)
         prog = preprocess(model, dt=args.dt)
-        outcome = run_campaign(
-            prog,
-            engine=args.engine,
-            steps=args.steps,
-            max_cases=args.cases,
-            plateau_patience=args.patience,
-            base_seed=args.seed,
-            workers=args.workers,
-            timeout_seconds=args.timeout,
-            batch_size=args.batch_size,
-            serve=args.serve,
-            inproc=args.inproc,
-            threads=_parse_threads(args.threads),
-        )
+        outcome = run_campaign(prog, config)
     if args.json:
         # The canonical service encoding: this exact byte string is what
         # the campaign service streams as its terminal outcome record,
@@ -710,39 +711,48 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(fn=cmd_compare)
 
+    defaults = CampaignConfig()
     p = sub.add_parser("campaign", help="seed-sweep test campaign")
     p.add_argument("model", help="model XML/JSON file, or bench:NAME")
-    p.add_argument("--steps", type=int, default=50_000)
+    p.add_argument("--steps", type=int, default=defaults.steps)
     p.add_argument("--dt", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=1, help="base seed")
-    p.add_argument("--cases", type=int, default=16)
-    p.add_argument("--patience", type=int, default=3,
+    p.add_argument("--seed", dest="base_seed", type=int,
+                   default=defaults.base_seed, metavar="SEED",
+                   help="base seed")
+    p.add_argument("--cases", dest="max_cases", type=int,
+                   default=defaults.max_cases, metavar="N")
+    p.add_argument("--patience", dest="plateau_patience", type=int,
+                   default=defaults.plateau_patience, metavar="N",
                    help="stop after this many cases without new coverage")
-    p.add_argument("--engine", choices=["sse", "accmos"], default="accmos")
+    p.add_argument("--engine", choices=["sse", "accmos"],
+                   default=defaults.engine)
     p.add_argument("--uncovered", type=int, default=0, metavar="N",
                    help="also list up to N uncovered points")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=int, default=defaults.workers,
                    help="parallel worker slots (merge stays in seed order)")
-    p.add_argument("--batch-size", type=int, default=None, metavar="M",
+    p.add_argument("--batch-size", type=int, default=defaults.batch_size,
+                   metavar="M",
                    help="cases run back-to-back per process on one reused "
                         "binary (1 disables batching; default auto-sizes)")
     p.add_argument("--serve", action=argparse.BooleanOptionalAction,
-                   default=True,
+                   default=defaults.serve,
                    help="stream batched cases through warm host "
                         "processes reused across chunks (--no-serve spawns "
                         "one host process per batch instead)")
     p.add_argument("--inproc", action=argparse.BooleanOptionalAction,
-                   default=False,
+                   default=defaults.inproc,
                    help="run batched cases in-process through the compiled "
                         "shared library (zero spawns; falls back to a host "
                         "process on any library trouble)")
-    p.add_argument("--threads", default="auto", metavar="N",
+    p.add_argument("--threads", type=_parse_threads,
+                   default=defaults.threads, metavar="N",
                    help="thread-parallel in-process execution: N private "
                         "library instances run N C loops in this process, "
-                        "zero spawns ('auto' picks the core count, capped "
-                        "at 4, when a C compiler is available; 1 "
-                        "disables)")
-    p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
+                        "zero spawns ('auto', the default, picks the core "
+                        "count, capped at 4, when a C compiler is "
+                        "available; 1 disables)")
+    p.add_argument("--timeout", dest="timeout_seconds", type=float,
+                   default=defaults.timeout_seconds, metavar="SECONDS",
                    help="per-case wall-clock limit for the compiled binary")
     p.add_argument("--timings", action="store_true",
                    help="print the per-phase wall-time breakdown per case")
@@ -752,7 +762,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "of the summary tables")
     p.add_argument("--trace", metavar="FILE",
                    help="record a Chrome trace_event timeline to FILE")
-    p.set_defaults(fn=cmd_campaign)
+    p.set_defaults(fn=cmd_campaign, parser=p)
 
     p = sub.add_parser(
         "serve-api",

@@ -33,6 +33,7 @@ from repro.runner.scheduler import StreamScheduler
 from repro.schedule.program import FlatProgram
 
 if TYPE_CHECKING:
+    from repro.campaign import CampaignConfig
     from repro.runner.cache import ArtifactCache
 
 # Auto batch size for batch-capable (AccMoS) campaigns; bounded by the
@@ -182,35 +183,18 @@ class CampaignRun:
     def __init__(
         self,
         prog: FlatProgram,
+        config: "CampaignConfig",
         *,
-        engine: str,
-        steps: int,
-        max_cases: int,
-        plateau_patience: int,
-        base_seed: int,
-        options: Optional[SimulationOptions],
-        workers: int = 1,
         cache: "Union[ArtifactCache, None, bool]" = None,
-        timeout_seconds: Optional[float] = None,
-        retries: int = 1,
-        batch_size: Optional[int] = None,
-        serve: bool = False,
-        inproc: bool = False,
-        threads: Optional[int] = 1,
         server_pool=None,
         cost_store: Optional[CostModelStore] = None,
     ) -> None:
         from repro.campaign import CampaignOutcome
 
+        engine = config.engine
         self._prog = prog
-        self._engine = engine
-        self._opts = options or SimulationOptions(steps=steps)
-        self._max_cases = max_cases
-        self._plateau_patience = plateau_patience
-        self._base_seed = base_seed
+        self._config = config
         self._cache = cache
-        self._timeout_seconds = timeout_seconds
-        self._retries = retries
 
         # Thread-parallel in-process execution replaces the worker pool
         # wholesale: chunks route to the inproc-threads executor, which
@@ -218,8 +202,9 @@ class CampaignRun:
         # inside this process.  The server/spawn rungs stay reachable
         # through the executor's own fault ladder, so the serve/inproc
         # knobs (which configure the pooled dispatchers) are moot here.
-        threads = resolve_threads(threads, engine=engine)
-        mode = "thread"
+        threads = resolve_threads(config.threads, engine=engine)
+        mode, workers = "thread", config.workers
+        serve, inproc = config.serve, config.inproc
         if threads > 1 and engine == "accmos":
             mode = "inproc-threads"
             workers = threads
@@ -230,7 +215,8 @@ class CampaignRun:
         self._workers = workers
 
         self._batch_size = resolve_batch_size(
-            batch_size, engine=engine, max_cases=max_cases, workers=workers
+            config.batch_size, engine=engine, max_cases=config.max_cases,
+            workers=workers,
         )
 
         # One warm-server pool for the whole campaign: servers survive
@@ -293,8 +279,9 @@ class CampaignRun:
         outcome = self.outcome
         try:
             with telemetry.span(
-                "campaign", model=self._prog.model.name, engine=self._engine,
-                max_cases=self._max_cases, workers=self._workers,
+                "campaign", model=self._prog.model.name,
+                engine=self._config.engine,
+                max_cases=self._config.max_cases, workers=self._workers,
                 mode=self._mode, batch_size=self._batch_size,
                 serve=self._serve, inproc=self._inproc,
                 threads=self._threads,
@@ -320,20 +307,22 @@ class CampaignRun:
 
     # -- dispatch ---------------------------------------------------------
     def _jobs(self) -> "list[SimulationJob]":
+        config = self._config
+        options = SimulationOptions(steps=config.steps)
         return [
             SimulationJob(
-                prog=self._prog, seed=self._base_seed + i,
-                engine=self._engine, options=self._opts,
+                prog=self._prog, seed=config.base_seed + i,
+                engine=config.engine, options=options,
             )
-            for i in range(self._max_cases)
+            for i in range(config.max_cases)
         ]
 
     def _stream(self):
         """Fold results the moment seed order allows."""
         outcome = self.outcome
         fold = _CampaignFold(
-            outcome, engine=self._engine,
-            plateau_patience=self._plateau_patience,
+            outcome, engine=self._config.engine,
+            plateau_patience=self._config.plateau_patience,
         )
         scheduler = StreamScheduler(
             self._jobs(),
@@ -341,8 +330,7 @@ class CampaignRun:
             mode=self._mode,
             batch_size=self._batch_size,
             cache=self._cache,
-            timeout_seconds=self._timeout_seconds,
-            retries=self._retries,
+            timeout_seconds=self._config.timeout_seconds,
             serve=self._serve,
             inproc=self._inproc,
             server_pool=self._server_pool,

@@ -9,8 +9,8 @@ across campaigns instead of paying a cold process per run.
 Pieces:
 
 * :mod:`repro.service.spec` — the campaign-spec JSON schema (model
-  reference + the :func:`~repro.campaign.run_campaign` knobs) and its
-  validation.
+  reference, tenant and the :class:`~repro.campaign.CampaignConfig`
+  fields) and its validation.
 * :mod:`repro.service.codec` — canonical wire records for per-case and
   merged outcomes: deterministic fields only, sorted-key compact JSON,
   so "byte-identical to the CLI" is a checkable equality.

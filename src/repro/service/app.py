@@ -363,10 +363,10 @@ class CampaignService:
 
             run = iter_campaign(
                 record.program,
+                record.spec.config,
                 cache=self._cache,
                 server_pool=self._server_pool,
                 cost_store=self._cost_store,
-                **record.spec.campaign_kwargs(),
             )
             record.run = run
             if record.cancel_requested:

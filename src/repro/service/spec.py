@@ -1,7 +1,7 @@
 """Campaign-spec JSON: what ``POST /campaigns`` accepts.
 
-A spec is a JSON object naming a model plus any of the
-:func:`repro.campaign.run_campaign` knobs::
+A spec is a JSON object naming a model and a tenant plus any
+:class:`repro.campaign.CampaignConfig` field::
 
     {
       "model": "bench:SPV",          // or an inline generic-IR document,
@@ -13,38 +13,22 @@ A spec is a JSON object naming a model plus any of the
       "tenant": "team-a"             // quota / fairness bucket
     }
 
-Validation is strict — unknown keys are rejected, every knob is type-
-and range-checked *before* a campaign id is handed out — because the
-service runs specs long after the submitting request returned; a late
-``ValueError`` deep in the runner would otherwise be the first sign of a
-typo.  The checks mirror :func:`repro.campaign.run_campaign`'s so a spec
-that validates here cannot fail validation there.
+Validation is strict and happens *before* a campaign id is handed out,
+because the service runs specs long after the submitting request
+returned: unknown keys are rejected, and the config fields go through
+:class:`~repro.campaign.CampaignConfig`'s own checks, so an omitted key
+takes the library's default and a bad value fails exactly as it would
+on ``run_campaign`` or ``repro campaign``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional, Union
+from dataclasses import dataclass, field, fields
+from typing import Any, Union
+
+from repro.campaign import CampaignConfig
 
 DEFAULT_TENANT = "default"
-
-# Knobs forwarded verbatim to iter_campaign, with (type, validator).
-_BOOL_KNOBS = ("serve", "inproc")
-_INT_KNOBS = {
-    # name: (minimum, description)
-    "steps": (1, "steps must be at least 1"),
-    "max_cases": (1, "max_cases must be at least 1"),
-    "plateau_patience": (1, "plateau_patience must be at least 1"),
-    "workers": (1, "workers must be at least 1"),
-    "batch_size": (1, "batch_size must be at least 1"),
-    "threads": (0, "threads must be non-negative"),
-    "base_seed": (None, None),
-}
-_ALLOWED_KEYS = (
-    {"model", "engine", "timeout_seconds", "tenant"}
-    | set(_BOOL_KNOBS)
-    | set(_INT_KNOBS)
-)
 
 
 class SpecError(ValueError):
@@ -57,14 +41,7 @@ class CampaignSpec:
 
     model: "Union[str, dict]"
     tenant: str = DEFAULT_TENANT
-    engine: str = "accmos"
-    knobs: "dict[str, Any]" = field(default_factory=dict)
-
-    def campaign_kwargs(self) -> "dict[str, Any]":
-        """Keyword arguments for :func:`repro.campaign.iter_campaign`."""
-        kwargs = dict(self.knobs)
-        kwargs["engine"] = self.engine
-        return kwargs
+    config: CampaignConfig = field(default_factory=CampaignConfig)
 
     def load_program(self):
         """Resolve the model reference to a preprocessed FlatProgram."""
@@ -95,7 +72,8 @@ def parse_spec(document: Any) -> CampaignSpec:
     """
     if not isinstance(document, dict):
         raise SpecError("campaign spec must be a JSON object")
-    unknown = sorted(set(document) - _ALLOWED_KEYS)
+    config_keys = {f.name for f in fields(CampaignConfig)}
+    unknown = sorted(set(document) - config_keys - {"model", "tenant"})
     if unknown:
         raise SpecError(
             "unknown spec key(s): "
@@ -115,42 +93,14 @@ def parse_spec(document: Any) -> CampaignSpec:
             "file path, or an inline generic-IR document"
         )
 
-    engine = document.get("engine", "accmos")
-    from repro.engines.api import ENGINES
-
-    if engine not in ENGINES:
-        raise SpecError(
-            f"unknown engine {engine!r}; valid engines: "
-            f"{', '.join(sorted(ENGINES))}"
-        )
-
     tenant = document.get("tenant", DEFAULT_TENANT)
     if not isinstance(tenant, str) or not tenant:
         raise SpecError("'tenant' must be a non-empty string")
 
-    knobs: "dict[str, Any]" = {}
-    for name in _BOOL_KNOBS:
-        if name in document:
-            value = document[name]
-            if not isinstance(value, bool):
-                raise SpecError(f"'{name}' must be a boolean")
-            knobs[name] = value
-    for name, (minimum, message) in _INT_KNOBS.items():
-        if name in document:
-            value = document[name]
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise SpecError(f"'{name}' must be an integer")
-            if minimum is not None and value < minimum:
-                raise SpecError(message)
-            knobs[name] = value
-    if "timeout_seconds" in document:
-        value = document["timeout_seconds"]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SpecError("'timeout_seconds' must be a number")
-        if value <= 0:
-            raise SpecError("'timeout_seconds' must be positive")
-        knobs["timeout_seconds"] = float(value)
-
-    return CampaignSpec(
-        model=model, tenant=tenant, engine=engine, knobs=knobs
-    )
+    try:
+        config = CampaignConfig(
+            **{key: document[key] for key in config_keys & set(document)}
+        )
+    except ValueError as exc:
+        raise SpecError(str(exc)) from None
+    return CampaignSpec(model=model, tenant=tenant, config=config)

@@ -1,4 +1,5 @@
-"""Shared test utilities: the model zoo and result-comparison helpers.
+"""Shared test utilities: the model zoo, result-comparison helpers and a
+threaded campaign-service harness.
 
 The zoo is a set of small models that together exercise every registered
 actor type, every dtype family, guards, stores, and merges.  The
@@ -9,7 +10,9 @@ anywhere in the library fails loudly here.
 
 from __future__ import annotations
 
+import asyncio
 import math
+import threading
 
 from repro.dtypes import BOOL, F32, F64, I8, I16, I32, I64, U8, U16, U32, U64
 from repro.model.builder import ModelBuilder
@@ -345,3 +348,34 @@ ZOO = {
     "mixed_types": zoo_mixed_types,
     "sequence_inputs": zoo_sequence_inputs,
 }
+
+
+class ServiceThread:
+    """A CampaignServer on a background event loop, for blocking tests."""
+
+    def __init__(self, service) -> None:
+        from repro.service import CampaignServer
+        from repro.service.client import ServiceClient
+
+        self.server = CampaignServer(service)
+        self.loop = asyncio.new_event_loop()
+        self._thread = threading.Thread(target=self._run, daemon=True)
+        self._started = threading.Event()
+        self._thread.start()
+        assert self._started.wait(10), "server failed to start"
+        self.client = ServiceClient(self.server.host, self.server.port)
+
+    def _run(self) -> None:
+        asyncio.set_event_loop(self.loop)
+        self.loop.run_until_complete(self.server.start())
+        self._started.set()
+        self.loop.run_forever()
+
+    def close(self) -> None:
+        future = asyncio.run_coroutine_threadsafe(
+            self.server.close(), self.loop
+        )
+        future.result(30)
+        self.loop.call_soon_threadsafe(self.loop.stop)
+        self._thread.join(10)
+        self.loop.close()

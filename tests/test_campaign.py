@@ -77,23 +77,6 @@ class TestCampaign:
         with pytest.raises(ValueError, match="no coverage"):
             run_campaign(prog, engine="sse_rac", steps=5, max_cases=1)
 
-    def test_steps_and_options_conflict_rejected(self):
-        from repro.engines.base import SimulationOptions
-
-        prog = _prog()
-        with pytest.raises(ValueError, match="not both"):
-            run_campaign(prog, steps=100,
-                         options=SimulationOptions(steps=100))
-
-    def test_options_alone_is_honored(self):
-        from repro.engines.base import SimulationOptions
-
-        prog = _prog()
-        outcome = run_campaign(prog, engine="sse", max_cases=2,
-                               plateau_patience=10,
-                               options=SimulationOptions(steps=7))
-        assert all(case.steps_run == 7 for case in outcome.cases)
-
     def test_coverage_curve_is_per_metric(self):
         """Regression: the curve must track only the requested metric,
         not the all-metric total."""

@@ -357,7 +357,7 @@ def test_campaign_inproc_one_gcc_zero_spawns(zoo_programs, tmp_path, monkeypatch
 
     outcome = run_campaign(
         prog, steps=STEPS, max_cases=6, batch_size=3,
-        cache=cache, serve=False, inproc=True,
+        cache=cache, serve=False, inproc=True, threads=1,
     )
     assert outcome.n_cases >= 1
     assert gcc_calls["n"] == 1
@@ -365,11 +365,12 @@ def test_campaign_inproc_one_gcc_zero_spawns(zoo_programs, tmp_path, monkeypatch
 
 
 @requires_cc
-def test_campaign_inproc_matches_default_path(zoo_programs):
+def test_campaign_inproc_matches_host_path(zoo_programs):
     from repro.campaign import run_campaign
 
     prog, _ = zoo_programs[sorted(ZOO)[0]]
-    kwargs = dict(steps=STEPS, max_cases=4, batch_size=2, cache=False)
+    kwargs = dict(steps=STEPS, max_cases=4, batch_size=2, cache=False,
+                  threads=1)
     via_inproc = run_campaign(prog, inproc=True, serve=False, **kwargs)
     via_spawn = run_campaign(prog, inproc=False, serve=False, **kwargs)
     assert via_inproc.n_cases == via_spawn.n_cases

@@ -45,7 +45,7 @@ class TestParallelIdentity:
         cache = ArtifactCache(tmp_path / "cache")
         prog = preprocess(build_benchmark(name))
         kwargs = dict(steps=400, max_cases=8, plateau_patience=100,
-                      cache=cache)
+                      cache=cache, threads=1)
         serial = run_campaign(prog, workers=1, **kwargs)
         parallel = run_campaign(prog, workers=4, **kwargs)
         assert serial.n_cases == parallel.n_cases == 8
@@ -72,7 +72,9 @@ class TestParallelIdentity:
         cold cache sees exactly one compiler invocation."""
         prog = preprocess(build_benchmark("SPV"))
         kwargs = dict(steps=400, max_cases=10, plateau_patience=100)
-        serial = run_campaign(prog, workers=1, cache=False, **kwargs)
+        serial = run_campaign(
+            prog, workers=1, threads=1, cache=False, **kwargs
+        )
         cache = ArtifactCache(tmp_path / "cache")
         threads = workers if mode == "inproc-threads" else 1
         batched = run_campaign(
@@ -87,7 +89,7 @@ class TestParallelIdentity:
         cache = ArtifactCache(tmp_path / "cache")
         prog = preprocess(build_benchmark("SPV"))
         kwargs = dict(steps=2_000, max_cases=12, plateau_patience=2,
-                      cache=cache)
+                      cache=cache, threads=1)
         serial = run_campaign(prog, workers=1, **kwargs)
         parallel = run_campaign(prog, workers=5, **kwargs)
         assert serial.saturated

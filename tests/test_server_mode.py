@@ -494,10 +494,10 @@ def test_campaign_server_mode_spawn_bound(zoo_programs, tmp_path):
     workers = 2
     common = dict(steps=STEPS, max_cases=12, plateau_patience=12)
     serial = run_campaign(prog, workers=1, batch_size=1, cache=False,
-                          serve=False, **common)
+                          serve=False, threads=1, **common)
     cache = ArtifactCache(tmp_path / "cache")
     served = run_campaign(prog, workers=workers, batch_size=3, cache=cache,
-                          serve=True, **common)
+                          serve=True, threads=1, **common)
 
     assert cache.stats().misses == 1  # exactly one gcc for the campaign
     assert served.server_stats is not None
@@ -524,7 +524,7 @@ def test_campaign_no_serve_has_no_server_stats(zoo_programs):
     prog, _ = zoo_programs["int_arith"]
     outcome = run_campaign(prog, steps=STEPS, max_cases=2,
                            plateau_patience=2, batch_size=2,
-                           cache=False, serve=False)
+                           cache=False, serve=False, threads=1)
     assert outcome.server_stats is None
 
 

@@ -20,28 +20,25 @@ Four contracts under test, straight from the service's design:
 
 from __future__ import annotations
 
-import asyncio
 import json
 import socket
-import threading
 import time
 
 import pytest
 
 from conftest import requires_cc
-from helpers import ZOO
-from repro.campaign import run_campaign
+from helpers import ZOO, ServiceThread
+from repro.campaign import CampaignConfig, run_campaign
 from repro.runner.costmodel import CostModelStore, set_default_cost_store
 from repro.schedule import preprocess
 from repro.service import (
-    CampaignServer,
     CampaignService,
     SpecError,
     encode,
     outcome_record,
     parse_spec,
 )
-from repro.service.client import ServiceClient, ServiceError
+from repro.service.client import ServiceError
 from repro.service.codec import case_record
 from repro.service.wire import ws_client_handshake, ws_read_frame_sync
 from repro.slx.generic import model_to_generic
@@ -66,34 +63,6 @@ def _wait(predicate, timeout=DEADLINE, interval=0.01):
     return False
 
 
-class _Server:
-    """A CampaignServer on a background event loop, for blocking tests."""
-
-    def __init__(self, service: CampaignService) -> None:
-        self.server = CampaignServer(service)
-        self.loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self._started = threading.Event()
-        self._thread.start()
-        assert self._started.wait(10), "server failed to start"
-        self.client = ServiceClient(self.server.host, self.server.port)
-
-    def _run(self) -> None:
-        asyncio.set_event_loop(self.loop)
-        self.loop.run_until_complete(self.server.start())
-        self._started.set()
-        self.loop.run_forever()
-
-    def close(self) -> None:
-        future = asyncio.run_coroutine_threadsafe(
-            self.server.close(), self.loop
-        )
-        future.result(30)
-        self.loop.call_soon_threadsafe(self.loop.stop)
-        self._thread.join(10)
-        self.loop.close()
-
-
 @pytest.fixture
 def server(tmp_path):
     service = CampaignService(
@@ -101,7 +70,7 @@ def server(tmp_path):
         max_concurrent=2,
         cost_store=CostModelStore(tmp_path / "service-cm.json"),
     )
-    running = _Server(service)
+    running = ServiceThread(service)
     yield running
     running.close()
 
@@ -120,17 +89,14 @@ class TestSpec:
         spec = parse_spec({"model": "bench:SPV"})
         assert spec.model == "bench:SPV"
         assert spec.tenant == "default"
-        assert spec.engine == "accmos"
-        assert spec.campaign_kwargs() == {"engine": "accmos"}
+        assert spec.config == CampaignConfig()
 
     def test_knobs_forwarded(self):
         spec = parse_spec(_spec(workers=2, tenant="t", serve=False))
-        kwargs = spec.campaign_kwargs()
-        assert kwargs["engine"] == "sse"
-        assert kwargs["steps"] == 300
-        assert kwargs["workers"] == 2
-        assert kwargs["serve"] is False
-        assert "tenant" not in kwargs  # service-level, not a runner knob
+        assert spec.tenant == "t"  # service-level, not a config field
+        assert spec.config == CampaignConfig(
+            engine="sse", steps=300, max_cases=6, workers=2, serve=False,
+        )
 
     @pytest.mark.parametrize(
         "document, message",
