@@ -2,17 +2,18 @@
 
 The paper's workflow is many test cases against one model.  Before this
 optimization every case paid its own codegen + gcc; now one
-stimulus-agnostic binary serves the whole campaign (a single compiler
-invocation, cold cache) and ``batch_size`` cases run back-to-back per
-process spawn.  This bench measures cases/second through four regimes:
+stimulus-agnostic library serves the whole campaign (a single compiler
+invocation, cold cache), loaded in-process, and each chunk of ``threads
+× batch_size`` cases runs on ``threads`` private instances.  This bench
+measures cases/second through four regimes:
 
 * ``per-case-compile`` — the old cost model: every case generates and
   compiles its own program (cache disabled);
-* ``campaign serial``  — compile once via the artifact cache, one
-  process spawn per case (``workers=1, batch_size=1``);
-* ``campaign parallel`` — the same, fanned out over workers;
-* ``campaign batched``  — workers x batch_size cases per wave, each
-  batch one process running many cases on the reused binary.
+* ``campaign serial``  — compile once via the artifact cache, one case
+  per chunk (``threads=1, batch_size=1``);
+* ``campaign threaded`` — chunks of one case per thread
+  (``threads=N, batch_size=1``);
+* ``campaign batched``  — chunks of ``threads × batch_size`` cases.
 
 Asserted claims: the batched campaign does **exactly one** compiler
 invocation from a cold cache, is at least 5x the per-case-compile
@@ -21,7 +22,7 @@ reference.
 
 Knobs: ``ACCMOS_BENCH_CAMPAIGN_CASES`` (default 100),
 ``ACCMOS_BENCH_CAMPAIGN_STEPS`` (default 2000), ``ACCMOS_BENCH_WORKERS``
-(default 4), ``ACCMOS_BENCH_BATCH`` (default 8).  The per-case-compile
+(the thread count, default 4), ``ACCMOS_BENCH_BATCH`` (default 8).  The per-case-compile
 baseline is timed over at most 10 cases (its per-case cost is constant —
 that's the very pathology being removed) and reported as a rate.
 """
@@ -54,7 +55,7 @@ def _steps() -> int:
     return int(os.environ.get("ACCMOS_BENCH_CAMPAIGN_STEPS", "2000"))
 
 
-def _workers() -> int:
+def _threads() -> int:
     return int(os.environ.get("ACCMOS_BENCH_WORKERS", "4"))
 
 
@@ -65,9 +66,9 @@ def _batch() -> int:
 def test_campaign_throughput():
     prog = preprocess(build_benchmark(MODEL))
     cases, steps = _cases(), _steps()
-    workers, batch = _workers(), _batch()
+    threads, batch = _threads(), _batch()
     campaign_kwargs = dict(
-        steps=steps, max_cases=cases, plateau_patience=cases + 1, threads=1,
+        steps=steps, max_cases=cases, plateau_patience=cases + 1,
     )
 
     # Baseline: every case compiles its own program (the pre-optimization
@@ -81,26 +82,29 @@ def test_campaign_throughput():
         )
     baseline_rate = baseline_cases / (time.perf_counter() - start)
 
-    def timed_campaign(n_workers, batch_size):
+    def timed_campaign(n_threads, batch_size):
         with tempfile.TemporaryDirectory() as tmp:
             cache = ArtifactCache(tmp)
             start = time.perf_counter()
             outcome = run_campaign(
-                prog, workers=n_workers, batch_size=batch_size,
+                prog, threads=n_threads, batch_size=batch_size,
                 cache=cache, **campaign_kwargs,
             )
             elapsed = time.perf_counter() - start
             return outcome, cases / elapsed, cache.stats()
 
     serial, serial_rate, _ = timed_campaign(1, 1)
-    parallel, parallel_rate, _ = timed_campaign(workers, 1)
-    batched, batched_rate, batched_stats = timed_campaign(workers, batch)
+    threaded, threaded_rate, _ = timed_campaign(threads, 1)
+    batched, batched_rate, batched_stats = timed_campaign(threads, batch)
 
     # One binary, one gcc: the whole cold-cache campaign misses once.
     assert batched_stats.misses == 1, batched_stats
     # Batching cannot change outcomes, only speed.
-    assert batched.merged.bitmaps == serial.merged.bitmaps
-    assert [c.seed for c in batched.cases] == [c.seed for c in serial.cases]
+    for outcome in (threaded, batched):
+        assert outcome.merged.bitmaps == serial.merged.bitmaps
+        assert [c.seed for c in outcome.cases] == [
+            c.seed for c in serial.cases
+        ]
 
     # Byte-identity against the interpreted reference for a spot seed.
     seed = 1 + cases // 2
@@ -113,18 +117,18 @@ def test_campaign_throughput():
     rows = [
         ("per-case-compile", 1, 1, baseline_rate),
         ("campaign serial", 1, 1, serial_rate),
-        ("campaign parallel", workers, 1, parallel_rate),
-        ("campaign batched", workers, batch, batched_rate),
+        ("campaign threaded", threads, 1, threaded_rate),
+        ("campaign batched", threads, batch, batched_rate),
     ]
     lines = [
         f"model {MODEL}, {steps} steps/case, {cases} cases "
         f"(baseline sampled over {baseline_cases}):",
-        f"  {'regime':<18s} {'workers':>7s} {'batch':>5s} "
+        f"  {'regime':<18s} {'threads':>7s} {'batch':>5s} "
         f"{'cases/sec':>10s} {'vs baseline':>11s}",
     ]
-    for name, w, b, rate in rows:
+    for name, t, b, rate in rows:
         lines.append(
-            f"  {name:<18s} {w:7d} {b:5d} {rate:10.2f} "
+            f"  {name:<18s} {t:7d} {b:5d} {rate:10.2f} "
             f"{rate / baseline_rate:10.1f}x"
         )
     lines.append(
@@ -137,13 +141,13 @@ def test_campaign_throughput():
         "campaign_throughput",
         {
             "model": MODEL, "steps": steps, "cases": cases,
-            "workers": workers, "batch_size": batch,
+            "threads": threads, "batch_size": batch,
             "baseline_cases": baseline_cases,
         },
         [
-            {"regime": name, "workers": w, "batch_size": b,
+            {"regime": name, "threads": t, "batch_size": b,
              "cases_per_sec": rate}
-            for name, w, b, rate in rows
+            for name, t, b, rate in rows
         ],
         "cases/second",
     )

@@ -39,7 +39,6 @@ import time
 
 from repro.benchmarks import build_benchmark
 from repro.campaign import run_campaign
-from repro.runner.costmodel import CostModelStore, set_default_cost_store
 from repro.schedule import preprocess
 from repro.service import CampaignServer, CampaignService, encode, outcome_record
 from repro.service.client import ServiceClient
@@ -65,12 +64,8 @@ def _max_overhead() -> float:
     return float(os.environ.get("ACCMOS_BENCH_SERVICE_MAX_OVERHEAD", "0.10"))
 
 
-def test_service_overhead(tmp_path):
-    previous = set_default_cost_store(CostModelStore(tmp_path / "cm.json"))
-    service = CampaignService(
-        max_concurrent=1,
-        cost_store=CostModelStore(tmp_path / "service-cm.json"),
-    )
+def test_service_overhead():
+    service = CampaignService(max_concurrent=1)
     server = CampaignServer(service)
     loop = asyncio.new_event_loop()
     started = threading.Event()
@@ -91,14 +86,14 @@ def test_service_overhead(tmp_path):
     # direct and streamed runs equally short and the ratio noise.
     spec = {
         "model": f"bench:{MODEL}", "engine": "sse", "steps": steps,
-        "max_cases": cases, "plateau_patience": cases, "workers": 1,
+        "max_cases": cases, "plateau_patience": cases,
     }
     prog = preprocess(build_benchmark(MODEL))
 
     def run_direct():
         return run_campaign(
             prog, engine="sse", steps=steps, max_cases=cases,
-            plateau_patience=cases, workers=1,
+            plateau_patience=cases,
         )
 
     def run_streamed():
@@ -118,7 +113,7 @@ def test_service_overhead(tmp_path):
         return total, first_case, final
 
     try:
-        # Warmup both sides (imports, allocator, cost model)...
+        # Warmup both sides (imports, allocator)...
         reference = run_direct()
         _, _, warm_final = run_streamed()
         # ...and pin byte-identity before timing anything.
@@ -138,7 +133,6 @@ def test_service_overhead(tmp_path):
         loop.call_soon_threadsafe(loop.stop)
         thread.join(10)
         loop.close()
-        set_default_cost_store(previous)
 
     overhead = streamed_best / direct_best - 1.0
     per_case_direct = direct_best / cases

@@ -13,15 +13,15 @@ library's keywords, ``repro campaign``'s flags and the campaign
 service's spec keys all build one, so the three surfaces share defaults
 and reject the same bad values.
 
-Cases run in-process on up to four threads by default, or stream across
-the :mod:`repro.runner` worker pool, while the coverage merge stays in
-seed order, so every dispatch path produces byte-identical outcomes.
+AccMoS cases run in chunks, in-process on up to four threads by
+default, while the coverage merge stays in seed order, so every thread
+count and batch size produces byte-identical outcomes.
 
 ::
 
     from repro.campaign import CampaignConfig, run_campaign
 
-    config = CampaignConfig(steps=100_000, max_cases=20, workers=4)
+    config = CampaignConfig(steps=100_000, max_cases=20, threads=4)
     outcome = run_campaign(prog, config)  # or run_campaign(prog, steps=...)
     print(outcome.summary())
     for event, seed in outcome.diagnostics:
@@ -71,15 +71,11 @@ class CampaignOutcome:
     # (event, seed of the case that first exposed it)
     diagnostics: list[tuple[DiagnosticEvent, int]] = field(default_factory=list)
     saturated: bool = False
-    # Warm-server pool counters (spawns/reuses/restarts/retired_*) for
-    # server-mode campaigns; None when the campaign didn't serve.
-    server_stats: Optional[dict] = None
-    # Cases that ran (or were already in flight) past the saturation
-    # point and were discarded by the ordered merge — speculation waste,
-    # bounded by the scheduler's in-flight window.
+    # Cases that ran past the saturation point (the rest of the open
+    # chunk) and were discarded by the ordered merge — speculation waste.
     speculated_cases: int = 0
-    # The scheduler's run report (window, batch size, utilization,
-    # reorder depth, speculation); None until the campaign has run.
+    # The scheduler's run report (threads, batch size, chunks,
+    # speculation); None until the campaign has run.
     scheduler_stats: Optional[dict] = None
 
     @property
@@ -109,8 +105,8 @@ class CampaignOutcome:
 class CampaignConfig:
     """One campaign's settings, checked on construction.
 
-    A bad value raises ``ValueError`` naming the field.  Bools must be
-    bools; ints must be ints, not bools.
+    A bad value raises ``ValueError`` naming the field; ints must be
+    ints, not bools.
 
     ``engine``
         Simulation engine, a key of :data:`repro.engines.api.ENGINES`.
@@ -124,36 +120,23 @@ class CampaignConfig:
         new coverage point (at least 1).
     ``base_seed``
         Stimulus seed of the first case.
-    ``workers``
-        Worker threads streaming cases through a fixed in-flight window
-        of ``2 × workers × batch_size`` cases (at least 1).
     ``batch_size``
-        Cases run back-to-back on one loaded program per dispatch (at
-        least 1).  ``None`` sizes it automatically: the per-worker share
-        of ``max_cases``, capped at 8, for AccMoS; 1 for the
-        interpreters.
+        AccMoS cases each thread runs back-to-back per chunk (at least
+        1).  ``None`` sizes it automatically: the per-thread share of
+        ``max_cases``, capped at 8, for AccMoS; 1 for the interpreters.
     ``threads``
-        Thread-parallel in-process execution: that many private library
-        instances run C loops in this process, with zero process
-        spawns, in place of the worker pool.  ``None`` (or 0) picks the
-        core count, capped at 4, when the engine is AccMoS and a C
-        compiler is available, else 1.  ``1`` runs the worker pool.
-    ``serve``
-        On the worker pool: stream batches through warm host processes
-        reused across chunks.  ``False`` runs a private host process per
-        batch.
-    ``inproc``
-        On the worker pool: run batches in-process through the compiled
-        shared library, falling back to a host process on any library
-        fault.
+        The one parallelism knob: each chunk of ``threads ×
+        batch_size`` AccMoS cases runs in this process on that many
+        private library instances, with zero process spawns.  ``None``
+        (or 0) picks the core count, capped at 4, when the engine is
+        AccMoS and a C compiler is available, else 1.  Interpreted
+        cases run one at a time whatever the value.
     ``timeout_seconds``
         Per-case wall-clock limit, a number above 0; ``None`` sets none.
 
-    ``serve`` and ``inproc`` apply only where batches exist: AccMoS with
-    a batch size above 1.  ``workers``, ``batch_size``, ``threads``,
-    ``serve`` and ``inproc`` change speed, never the outcome: the merge
-    runs in seed order, so every combination is byte-identical to a
-    serial run.
+    ``batch_size`` and ``threads`` change speed, never the outcome: the
+    merge runs in seed order, so every combination is byte-identical to
+    a serial run.
     """
 
     engine: str = "accmos"
@@ -161,11 +144,8 @@ class CampaignConfig:
     max_cases: int = 16
     plateau_patience: int = 3
     base_seed: int = 1
-    workers: int = 1
     batch_size: Optional[int] = None
     threads: Optional[int] = None
-    serve: bool = True
-    inproc: bool = False
     timeout_seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -176,7 +156,7 @@ class CampaignConfig:
                 f"unknown engine {self.engine!r}; valid engines: "
                 f"{', '.join(sorted(ENGINES))}"
             )
-        for name in ("steps", "max_cases", "plateau_patience", "workers"):
+        for name in ("steps", "max_cases", "plateau_patience"):
             _check_int(name, getattr(self, name), minimum=1)
         _check_int("base_seed", self.base_seed)
         if self.batch_size is not None:
@@ -185,9 +165,6 @@ class CampaignConfig:
             _check_int("threads", self.threads)
             if self.threads < 0:
                 raise ValueError("threads must be non-negative (0 = auto)")
-        for name in ("serve", "inproc"):
-            if not isinstance(getattr(self, name), bool):
-                raise ValueError(f"'{name}' must be a boolean")
         timeout = self.timeout_seconds
         if timeout is not None:
             if isinstance(timeout, bool) or not isinstance(
@@ -210,8 +187,6 @@ def iter_campaign(
     config: Optional[CampaignConfig] = None,
     *,
     cache: "Union[ArtifactCache, None, bool]" = None,
-    server_pool=None,
-    cost_store=None,
     **fields,
 ):
     """A campaign as a cancellable iteration over its fold loop.
@@ -224,10 +199,7 @@ def iter_campaign(
     drain in-flight work into ``outcome.speculated_cases``.
 
     ``cache`` routes compiles through an artifact cache (default: the
-    process-wide one).  Long-lived embedders (e.g. the campaign service)
-    may pass a shared ``server_pool`` and ``cost_store``; the campaign
-    borrows them without closing or saving — the owner controls those
-    lifetimes.
+    process-wide one).
     """
     if config is None:
         config = CampaignConfig(**fields)
@@ -238,10 +210,7 @@ def iter_campaign(
         )
     from repro.runner.campaign import CampaignRun
 
-    return CampaignRun(
-        prog, config,
-        cache=cache, server_pool=server_pool, cost_store=cost_store,
-    )
+    return CampaignRun(prog, config, cache=cache)
 
 
 def run_campaign(

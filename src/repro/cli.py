@@ -282,24 +282,11 @@ def cmd_campaign(args) -> int:
         print(f"  (seed {seed}) {event}")
     if args.timings:
         _print_timings(outcome.cases)
-        if outcome.server_stats is not None:
-            s = outcome.server_stats
-            retired = (s.get("retired_idle", 0) + s.get("retired_lru", 0)
-                       + s.get("retired_error", 0))
-            print(f"warm servers: {s.get('spawns', 0)} spawn(s), "
-                  f"{s.get('reuses', 0)} reuse(s), "
-                  f"{s.get('restarts', 0)} restart(s), "
-                  f"{retired} retired")
         if outcome.scheduler_stats is not None:
             st = outcome.scheduler_stats
-            print(f"scheduler: stream ({st.get('mode', '?')}), "
-                  f"window {st.get('window', 0)}, "
-                  f"batch {st.get('batch_size', 0)}, "
-                  f"{st.get('chunks', 0)} chunk(s)")
-            print(f"  utilization {st.get('utilization', 0.0):.0%}, "
-                  f"max in-flight {st.get('max_in_flight', 0)}, "
-                  f"max reorder depth {st.get('max_reorder_depth', 0)}, "
-                  f"{st.get('throughput', 0.0):.1f} cases/s")
+            print(f"scheduler: stream, threads {st['threads']}, "
+                  f"batch {st['batch_size']}, {st['chunks']} chunk(s), "
+                  f"{st['throughput']:.1f} cases/s")
         if outcome.speculated_cases:
             print(f"speculated cases discarded at saturation: "
                   f"{outcome.speculated_cases}")
@@ -728,29 +715,17 @@ def build_parser() -> argparse.ArgumentParser:
                    default=defaults.engine)
     p.add_argument("--uncovered", type=int, default=0, metavar="N",
                    help="also list up to N uncovered points")
-    p.add_argument("--workers", type=int, default=defaults.workers,
-                   help="parallel worker slots (merge stays in seed order)")
     p.add_argument("--batch-size", type=int, default=defaults.batch_size,
                    metavar="M",
-                   help="cases run back-to-back per process on one reused "
-                        "binary (1 disables batching; default auto-sizes)")
-    p.add_argument("--serve", action=argparse.BooleanOptionalAction,
-                   default=defaults.serve,
-                   help="stream batched cases through warm host "
-                        "processes reused across chunks (--no-serve spawns "
-                        "one host process per batch instead)")
-    p.add_argument("--inproc", action=argparse.BooleanOptionalAction,
-                   default=defaults.inproc,
-                   help="run batched cases in-process through the compiled "
-                        "shared library (zero spawns; falls back to a host "
-                        "process on any library trouble)")
+                   help="cases each thread runs back-to-back per chunk on "
+                        "one loaded library (default auto-sizes)")
     p.add_argument("--threads", type=_parse_threads,
                    default=defaults.threads, metavar="N",
-                   help="thread-parallel in-process execution: N private "
-                        "library instances run N C loops in this process, "
-                        "zero spawns ('auto', the default, picks the core "
+                   help="N private library instances run N C loops in "
+                        "this process, zero spawns; the merge stays in "
+                        "seed order ('auto', the default, picks the core "
                         "count, capped at 4, when a C compiler is "
-                        "available; 1 disables)")
+                        "available)")
     p.add_argument("--timeout", dest="timeout_seconds", type=float,
                    default=defaults.timeout_seconds, metavar="SECONDS",
                    help="per-case wall-clock limit for the compiled binary")

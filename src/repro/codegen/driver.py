@@ -182,16 +182,36 @@ def compile_c_program(
     served from the content-addressed artifact cache when the same
     (source, compiler, flags) triple was compiled before — zero compiler
     invocations on a hit; on a miss the artifact is moved into the
-    cache atomically so later calls (from any process) hit.
+    cache atomically so later calls (from any process) hit.  Concurrent
+    calls for one key in one process wait on the key's lock, so the
+    compiler runs once and the others hit.
     """
     compiler = _require_compiler(compiler)
 
     with telemetry.span("compile") as compile_span:
-        use_cache = cache is not None and workdir is None
-        key = None
-        if use_cache:
-            start = time.perf_counter()
-            key = cache.key(source, compiler, _cache_flags("shared"))
+        if cache is None or workdir is not None:
+            compile_span.set(cache_hit=False)
+            tmp = None
+            if workdir is None:
+                tmp = tempfile.TemporaryDirectory(prefix="accmos_")
+                workdir = Path(tmp.name)
+            workdir.mkdir(parents=True, exist_ok=True)
+            c_path = workdir / "simulation.c"
+            out_path = workdir / PROGRAM_NAME
+            c_path.write_text(source)
+            elapsed = _run_compiler(compiler, c_path, out_path, "shared")
+            return CompiledSimulation(
+                shared=out_path,
+                source=c_path,
+                layout=layout,
+                compile_seconds=elapsed,
+                workdir=tmp,
+                compiler=compiler,
+            )
+
+        start = time.perf_counter()
+        key = cache.key(source, compiler, _cache_flags("shared"))
+        with cache.key_lock(key):
             entry = cache.lookup(key, names=(PROGRAM_NAME,))
             if entry is not None:
                 telemetry.counter_inc("cache.hits")
@@ -207,38 +227,21 @@ def compile_c_program(
                     cache_key=key,
                 )
             telemetry.counter_inc("cache.misses")
-        compile_span.set(cache_hit=False)
-
-        tmp = None
-        if workdir is None:
-            tmp = tempfile.TemporaryDirectory(prefix="accmos_")
-            workdir = Path(tmp.name)
-        workdir.mkdir(parents=True, exist_ok=True)
-        c_path = workdir / "simulation.c"
-        out_path = workdir / PROGRAM_NAME
-        c_path.write_text(source)
-
-        elapsed = _run_compiler(compiler, c_path, out_path, "shared")
-        if use_cache:
-            entry = cache.store(key, c_path, shared_path=out_path)
-            if tmp is not None:
-                tmp.cleanup()
-            return CompiledSimulation(
-                shared=entry.shared,
-                source=entry.source,
-                layout=layout,
-                compile_seconds=elapsed,
-                compiler=compiler,
-                cache=cache,
-                cache_key=key,
-            )
+            compile_span.set(cache_hit=False)
+            with tempfile.TemporaryDirectory(prefix="accmos_") as tmp:
+                c_path = Path(tmp) / "simulation.c"
+                out_path = Path(tmp) / PROGRAM_NAME
+                c_path.write_text(source)
+                elapsed = _run_compiler(compiler, c_path, out_path, "shared")
+                entry = cache.store(key, c_path, shared_path=out_path)
         return CompiledSimulation(
-            shared=out_path,
-            source=c_path,
+            shared=entry.shared,
+            source=entry.source,
             layout=layout,
             compile_seconds=elapsed,
-            workdir=tmp,
             compiler=compiler,
+            cache=cache,
+            cache_key=key,
         )
 
 

@@ -48,7 +48,11 @@ from repro.codegen.driver import (
 from repro.engines.base import SimulationOptions, SimulationResult
 from repro.inproc.abi import ResultDecoder, encode_case_binary
 from repro.inproc.library import LibraryFault, LoadedModel
-from repro.inproc.parallel import InstancePool, default_instance_pool
+from repro.inproc.parallel import (
+    InstancePool,
+    default_instance_pool,
+    pack_shards,
+)
 from repro.instrument import build_plan
 from repro.instrument.plan import InstrumentationPlan
 from repro.model.errors import (
@@ -168,9 +172,8 @@ class CompiledModel:
         """Spawn a warm host process serving this model's library.
 
         The returned :class:`ModelServer` accepts an unbounded stream of
-        cases with zero respawns; hand it to :meth:`run_stream` (or keep
-        it in a :class:`~repro.runner.servers.ServerPool`) to amortize
-        process startup across batches and jobs.
+        cases with zero respawns; hand it to :meth:`run_stream` to
+        amortize process startup across batches.
         """
         return ModelServer(self, handshake_timeout=handshake_timeout)
 
@@ -193,10 +196,10 @@ class CompiledModel:
         per-case deadline (state is fully reset before the next case
         either way).
 
-        ``server`` reuses an existing warm :class:`ModelServer` (e.g.
-        from a pool); without it a private host is spawned and closed
-        around the stream.  On a crash, protocol desync, or a host that
-        goes quiet past its read deadline, the server is restarted once
+        ``server`` reuses an existing warm :class:`ModelServer`; without
+        it a private host is spawned and closed around the stream.  On a
+        crash, protocol desync, or a host that goes quiet past its read
+        deadline, the server is restarted once
         and the unfinished cases are resubmitted; a second consecutive
         failure raises :class:`ServerError` (the runner then finishes the
         group per job).
@@ -341,7 +344,6 @@ class CompiledModel:
         timeout_seconds: Optional[float] = None,
         library: Optional[LoadedModel] = None,
         threads: int = 1,
-        shards: Optional[Sequence[Sequence[int]]] = None,
     ) -> list[Union[SimulationResult, SimulationTimeout]]:
         """Run M cases in-process: zero spawns, zero pipes.
 
@@ -361,9 +363,9 @@ class CompiledModel:
         so the C simulation loops genuinely run in parallel.  Outcomes
         are written into a preallocated slot per case index, so the
         merge is deterministic by construction — ``threads=N`` is
-        bit-for-bit identical to ``threads=1``.  ``shards`` optionally
-        supplies an explicit index partition (the runner's cost model
-        packs by LPT); the default is a round-robin stride.
+        bit-for-bit identical to ``threads=1``.  The cases are packed
+        into shards by :func:`~repro.inproc.parallel.pack_shards`: LPT
+        on their step counts, a round-robin stride when they are equal.
 
         ``library`` runs the batch sequentially on an explicit
         :class:`~repro.inproc.library.LoadedModel` instead of a pooled
@@ -374,12 +376,14 @@ class CompiledModel:
             return []
         normalized, records = self._encode(cases, timeout_seconds)
         threads = max(1, int(threads))
-        if library is None and (threads > 1 or shards is not None):
+        if library is None and threads > 1:
+            shards = pack_shards(
+                [options.steps for options, _ in normalized], threads
+            )
             outcomes = self._run_inproc_threaded(
                 cases,
                 normalized,
                 records,
-                threads=threads,
                 shards=shards,
                 timeout_seconds=timeout_seconds,
             )
@@ -435,8 +439,7 @@ class CompiledModel:
         normalized: list,
         records: "list[bytes]",
         *,
-        threads: int,
-        shards: Optional[Sequence[Sequence[int]]],
+        shards: "list[list[int]]",
         timeout_seconds: Optional[float],
     ) -> list[Union[SimulationResult, SimulationTimeout]]:
         """The thread-parallel body of :meth:`run_inproc`.
@@ -449,14 +452,6 @@ class CompiledModel:
         bytes, as the sequential path.
         """
         n = len(cases)
-        if shards is None:
-            shards = [list(range(t, n, threads)) for t in range(threads)]
-        shards = [list(shard) for shard in shards if len(shard)]
-        flat = sorted(i for shard in shards for i in shard)
-        if flat != list(range(n)):
-            raise ValueError(
-                "shards must partition the case indices exactly once"
-            )
         outcomes: "list" = [None] * n
         pending: "list[int]" = []
         errors: "list[BaseException]" = []
@@ -705,7 +700,7 @@ class ModelServer:
 
     Thin lifecycle wrapper over the wire-level
     :class:`~repro.codegen.driver.SimulationServer`: it knows how to
-    respawn the process in place (:meth:`restart`) so pool handles stay
+    respawn the process in place (:meth:`restart`) so its handle stays
     valid across crashes, and it books the spawn/restart telemetry.
     """
 

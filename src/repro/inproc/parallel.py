@@ -9,28 +9,34 @@ thread — private inode, private C globals), so instances must be
 retired on fault, and bounded LRU-style so corpus-scale campaigns that
 touch thousands of distinct models do not accumulate mappings forever.
 
-The pool mirrors :class:`repro.runner.servers.ServerPool` (the warm
-host process pool one rung down): ``acquire`` reuses the
-most-recently-released healthy instance for the key or loads a fresh
-one on a miss, ``release`` reinserts MRU and evicts LRU beyond the
-bound, ``retire`` drops a faulted instance without reinsertion.  Keys
-are ``(shared-object path, result size)``: the path is content-addressed
-by the artifact cache, so two :class:`~repro.engines.accmos.CompiledModel`
-handles over the same structure share instances — this is what lets
+``acquire`` reuses the most-recently-released healthy instance for the
+key or loads a fresh one on a miss, ``release`` reinserts MRU and evicts
+LRU beyond the bound, ``retire`` drops a faulted instance without
+reinsertion.  Keys are ``(shared-object path, result size)``: the path
+is content-addressed by the artifact cache, so two
+:class:`~repro.engines.accmos.CompiledModel` handles over the same
+structure share instances — this is what lets
 ``probe_coverage`` reuse pooled instances across guided-fuzz replay
 compiles instead of paying a fresh ``dlopen`` per probe.
 
 Instances are never shared between two holders at once: a checked-out
 instance belongs to exactly one thread until released, and the
 instance's own lock makes misuse fail loudly rather than corrupt state.
+
+:func:`pack_shards` splits one batch across the worker threads: LPT
+(longest first) on each case's step count, guarded never to predict a
+longer makespan than a round-robin stride.  Cases of equal steps (every
+campaign) get exactly the round-robin stride.  Shard membership changes
+only which thread runs a case, never its result.
 """
 
 from __future__ import annotations
 
+import heapq
 import os
 import threading
 from collections import OrderedDict
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 from repro import telemetry
 from repro.inproc.library import LoadedModel
@@ -189,3 +195,49 @@ def default_instance_pool() -> InstancePool:
             _default_pool = InstancePool()
             atexit.register(_default_pool.close)
         return _default_pool
+
+
+# ----------------------------------------------------------------------
+# shard packing
+# ----------------------------------------------------------------------
+def makespan(shards: Sequence[Sequence[int]], costs: Sequence[int]) -> int:
+    """The predicted wall clock of a partition: its largest shard sum."""
+    return max((sum(costs[i] for i in shard) for shard in shards), default=0)
+
+
+def _round_robin(n_cases: int, n_shards: int) -> "list[list[int]]":
+    return [list(range(slot, n_cases, n_shards)) for slot in range(n_shards)]
+
+
+def _lpt(costs: Sequence[int], n_shards: int) -> "list[list[int]]":
+    # Longest first; equal costs keep case order, so equal steps deal
+    # the cases out round-robin.
+    order = sorted(range(len(costs)), key=lambda i: (-costs[i], i))
+    heap = [(0, slot) for slot in range(n_shards)]
+    shards: "list[list[int]]" = [[] for _ in range(n_shards)]
+    for index in order:
+        load, slot = heapq.heappop(heap)
+        shards[slot].append(index)
+        heapq.heappush(heap, (load + costs[index], slot))
+    # Within a shard, run cases in submission order.
+    for shard in shards:
+        shard.sort()
+    return shards
+
+
+def pack_shards(steps: Sequence[int], n_shards: int) -> "list[list[int]]":
+    """Partition case indices into at most ``n_shards`` non-empty shards,
+    by LPT on ``steps`` (each case's step count).
+
+    Keeps whichever of LPT and the round-robin stride has the smaller
+    makespan, so it is never worse than round-robin.  Deterministic.
+    """
+    n = len(steps)
+    if n_shards < 1:
+        raise ValueError("n_shards must be at least 1")
+    if n_shards == 1 or n <= 1:
+        return [list(range(n))]
+    n_shards = min(n_shards, n)
+    lpt = _lpt(steps, n_shards)
+    rr = _round_robin(n, n_shards)
+    return lpt if makespan(lpt, steps) <= makespan(rr, steps) else rr

@@ -1,28 +1,19 @@
-"""Parallel simulation-job runner with a compiled-artifact cache.
+"""Simulation-job runner with a compiled-artifact cache.
 
 The pieces:
 
 * :mod:`repro.runner.cache` — persistent, content-addressed cache of
-  compiled AccMoS binaries (key: SHA-256 of source + compiler + flags);
-  repeated simulations of an unchanged model skip gcc entirely;
+  compiled AccMoS libraries (key: SHA-256 of source + compiler + flags);
+  repeated simulations of an unchanged model skip gcc entirely, and
+  concurrent compiles of one key in one process run gcc once;
 * :mod:`repro.runner.jobs` / :mod:`repro.runner.pool` — seeded
   :class:`SimulationJob` specs with per-job timeout, bounded retry with
   backoff, and structured :class:`JobResult` records (outcome,
   attempts, per-phase timings); :func:`run_jobs` runs a list of them;
-* :mod:`repro.runner.servers` — warm-process pool of persistent host
-  processes serving compiled libraries, keyed by artifact, reused
-  across batches and chunks (idle-TTL / LRU retirement);
-* :mod:`repro.runner.inproc_threads` / :mod:`repro.runner.costmodel` —
-  the thread-parallel in-process dispatcher behind
-  ``run_jobs(mode="inproc-threads")``, which packs each group's cases
-  into per-thread shards by LPT on predicted ``steps × actors`` cost
-  (coefficients persisted per (engine, compile key) and warm-started
-  across campaigns);
 * :mod:`repro.runner.scheduler` — the one dispatch loop: a FIFO
-  streaming scheduler (same-key chunks, fixed in-flight window,
-  seed-ordered reorder buffer) running chunks on worker threads or
-  in-process library instances, behind both :func:`run_jobs` and every
-  campaign;
+  scheduler that runs one same-key chunk at a time, in-process on
+  ``threads`` private library instances, and delivers results in seed
+  order, behind both :func:`run_jobs` and every campaign;
 * :mod:`repro.runner.campaign` — the campaign core whose parallel
   merges are byte-identical to serial runs.
 """
@@ -44,26 +35,10 @@ from repro.runner.jobs import (
     SimulationJob,
     run_job,
 )
-from repro.runner.costmodel import (
-    CaseCostModel,
-    CostModelStore,
-    cost_key,
-    default_cost_store,
-    pack_shards,
-    set_default_cost_store,
-)
-from repro.runner.pool import default_workers, run_jobs
+from repro.runner.pool import run_jobs
 from repro.runner.scheduler import ReorderBuffer, StreamScheduler
-from repro.runner.servers import ServerPool
 
 __all__ = [
-    "ServerPool",
-    "CaseCostModel",
-    "CostModelStore",
-    "cost_key",
-    "default_cost_store",
-    "set_default_cost_store",
-    "pack_shards",
     "ReorderBuffer",
     "StreamScheduler",
     "ArtifactCache",
@@ -77,7 +52,6 @@ __all__ = [
     "JobResult",
     "run_job",
     "run_jobs",
-    "default_workers",
     "OUTCOME_OK",
     "OUTCOME_TIMEOUT",
     "OUTCOME_FAILED",

@@ -123,6 +123,7 @@ class ArtifactCache:
         self.max_bytes = max_bytes
         self.root.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
+        self._key_locks: dict[str, threading.Lock] = {}
         self._hits = 0
         self._misses = 0
         self._evictions = 0
@@ -130,6 +131,13 @@ class ArtifactCache:
     # -- key ------------------------------------------------------------
     def key(self, source: str, compiler: str, cflags: Sequence[str]) -> str:
         return cache_key(source, compiler, cflags)
+
+    def key_lock(self, key: str) -> threading.Lock:
+        """The lock a compiler holds around lookup-compile-store of
+        ``key``, so concurrent cold compiles of one key in this process
+        run the compiler once and the rest hit the cache."""
+        with self._lock:
+            return self._key_locks.setdefault(key, threading.Lock())
 
     def _entry_dir(self, key: str) -> Path:
         return self.root / key[:2] / key

@@ -4,16 +4,16 @@ This is the engine room behind :func:`repro.campaign.run_campaign`.
 Results are always folded into the outcome **in seed order** — that is
 what makes the merged coverage report, the per-case new-point counts,
 the first-exposing-seed attribution of every diagnostic, and the
-saturation verdict byte-identical between ``workers=1`` and
-``workers=N`` — the plateau criterion is evaluated on the ordered
+saturation verdict byte-identical between ``threads=1`` and
+``threads=N`` — the plateau criterion is evaluated on the ordered
 merge, exactly as the serial loop would.
 
 The ordered stream comes from the FIFO
-:class:`~repro.runner.scheduler.StreamScheduler`: a fixed in-flight
-window refilled the moment capacity frees and a reorder buffer
-restoring seed order.  On saturation or cancel only the cases
-actually in flight are wasted, and they are *counted*, not silently
-burned: ``CampaignOutcome.speculated_cases`` and the
+:class:`~repro.runner.scheduler.StreamScheduler`, which runs one
+same-key chunk of ``threads × batch_size`` cases at a time, in-process
+on ``threads`` threads.  On saturation or cancel only the rest of the
+open chunk is wasted, and it is *counted*, not silently burned:
+``CampaignOutcome.speculated_cases`` and the
 ``campaign.speculated_cases`` telemetry counter report the waste.
 """
 
@@ -27,7 +27,6 @@ from repro.coverage.metrics import ALL_METRICS
 from repro.coverage.report import CoverageReport
 from repro.engines.base import SimulationOptions
 from repro.model.errors import SimulationError
-from repro.runner.costmodel import CostModelStore, default_cost_store
 from repro.runner.jobs import JobResult, SimulationJob
 from repro.runner.scheduler import StreamScheduler
 from repro.schedule.program import FlatProgram
@@ -37,7 +36,7 @@ if TYPE_CHECKING:
     from repro.runner.cache import ArtifactCache
 
 # Auto batch size for batch-capable (AccMoS) campaigns; bounded by the
-# per-worker share of the case budget so small parallel campaigns still
+# per-thread share of the case budget so small parallel campaigns still
 # fan out.
 AUTO_BATCH_CAP = 8
 
@@ -47,11 +46,10 @@ def resolve_threads(
 ) -> int:
     """Resolve the campaign ``threads`` knob to a concrete count.
 
-    ``None``/``0`` means auto: thread-parallel in-process execution when
-    it can actually engage — the AccMoS engine with a C compiler — sized
-    to the core count (capped at 4: the shard merge and decode are serial
-    Python, so returns diminish past a handful of C loops).  Everything
-    else resolves to 1.
+    ``None``/``0`` means auto: for the AccMoS engine with a C compiler,
+    the core count capped at 4 (the shard merge and decode are serial
+    Python, so returns diminish past a handful of C loops); 1 for
+    everything else.
     """
     if threads:
         return max(1, int(threads))
@@ -70,9 +68,9 @@ def resolve_batch_size(
     """Resolve ``batch_size=None`` (auto) to a concrete size.
 
     Auto batching engages only where batches exist at all (the AccMoS
-    engine) and never starves the worker fleet: the size is the
-    per-worker share of the case budget, capped at :data:`AUTO_BATCH_CAP`
-    so a cold first chunk is never disastrously large.
+    engine) and never starves the threads: the size is the per-thread
+    share of the case budget, capped at :data:`AUTO_BATCH_CAP` so a cold
+    first chunk is never disastrously large.
     """
     if batch_size is not None:
         return batch_size
@@ -89,7 +87,7 @@ class _CampaignFold:
     fold mutates ``outcome`` (cases, diagnostics, saturation) and
     returns True once the plateau criterion fires.  It depends only on
     the results and their order, never on how they were dispatched —
-    which is what makes every worker/batch combination
+    which is what makes every thread/batch combination
     byte-identical to a serial loop over the same seeds.
     """
 
@@ -163,21 +161,12 @@ class CampaignRun:
     strictly in seed order, and :attr:`outcome` holds the merged
     :class:`~repro.campaign.CampaignOutcome` once iteration ends —
     normally (budget / saturation), via :meth:`cancel`, or because the
-    consumer abandoned the iterator (``close()``/GC drains in-flight
-    work exactly like a finished run, so speculation stays counted).
+    consumer abandoned the iterator (``close()``/GC finishes the run
+    exactly like a normal end, so speculation stays counted).
 
-    Embedders (the campaign service) may inject a shared ``server_pool``
-    and ``cost_store``; caller-owned resources are *not* closed or
-    saved here — the campaign only borrows them — and the pool's
-    lifetime counters are then left out of ``outcome.server_stats``
-    (they describe the pool, not this campaign).  With neither injected
-    the behavior is exactly the classic one-shot CLI campaign: private
-    pool, process-wide persistent cost store, stats reported and saved
-    on the way out.
-
-    ``cancel()`` is thread-safe and cooperative: submission stops, the
-    in-flight window drains, and the discarded work is reported in
-    ``outcome.speculated_cases``.
+    ``cancel()`` is thread-safe and cooperative: the iterator ends after
+    the current fold, and the discarded rest of the open chunk is
+    reported in ``outcome.speculated_cases``.
     """
 
     def __init__(
@@ -186,62 +175,16 @@ class CampaignRun:
         config: "CampaignConfig",
         *,
         cache: "Union[ArtifactCache, None, bool]" = None,
-        server_pool=None,
-        cost_store: Optional[CostModelStore] = None,
     ) -> None:
         from repro.campaign import CampaignOutcome
 
-        engine = config.engine
         self._prog = prog
         self._config = config
         self._cache = cache
-
-        # Thread-parallel in-process execution replaces the worker pool
-        # wholesale: chunks route to the inproc-threads executor, which
-        # runs same-key groups on `threads` private library instances
-        # inside this process.  The server/spawn rungs stay reachable
-        # through the executor's own fault ladder, so the serve/inproc
-        # knobs (which configure the pooled dispatchers) are moot here.
-        threads = resolve_threads(config.threads, engine=engine)
-        mode, workers = "thread", config.workers
-        serve, inproc = config.serve, config.inproc
-        if threads > 1 and engine == "accmos":
-            mode = "inproc-threads"
-            workers = threads
-            serve = False
-            inproc = False
-        self._threads = threads
-        self._mode = mode
-        self._workers = workers
-
+        self._threads = resolve_threads(config.threads, engine=config.engine)
         self._batch_size = resolve_batch_size(
-            config.batch_size, engine=engine, max_cases=config.max_cases,
-            workers=workers,
-        )
-
-        # One warm-server pool for the whole campaign: servers survive
-        # across chunks, so the steady state respawns nothing.
-        self._serve = serve and engine == "accmos" and self._batch_size > 1
-        # The in-process rung shares the batching gate: it only pays off
-        # (and only applies) when batches of accmos cases share an
-        # artifact.
-        self._inproc = inproc and engine == "accmos" and self._batch_size > 1
-        self._own_pool = False
-        if server_pool is None and self._serve:
-            from repro.runner.servers import ServerPool
-
-            server_pool = ServerPool(max_servers=max(workers * 2, 4))
-            self._own_pool = True
-        self._server_pool = server_pool if self._serve else None
-
-        # The threaded rung packs its shards from this store and feeds
-        # its observed execute timings back in, keyed by (engine,
-        # compile key), so the *next* campaign starts from this
-        # machine's real rates.  A caller-owned store is observed into
-        # but never saved here — its owner decides when to persist.
-        self._own_store = cost_store is None
-        self._cost_store = (
-            default_cost_store() if cost_store is None else cost_store
+            config.batch_size, engine=config.engine,
+            max_cases=config.max_cases, workers=self._threads,
         )
 
         self.outcome = CampaignOutcome(merged=None)  # type: ignore[arg-type]
@@ -257,8 +200,8 @@ class CampaignRun:
     def cancel(self) -> None:
         """Stop submitting new cases (thread-safe, cooperative).
 
-        The iterator ends after the current fold; in-flight work drains
-        into ``outcome.speculated_cases``.
+        The iterator ends after the current fold; the rest of the open
+        chunk is counted in ``outcome.speculated_cases``.
         """
         self._cancelled = True
         live = self._scheduler
@@ -271,8 +214,8 @@ class CampaignRun:
 
     def cases(self):
         """Yield each folded :class:`~repro.campaign.CaseOutcome` in
-        seed order; finalization (pool close, cost-store save, stats)
-        runs however iteration ends."""
+        seed order; finalization (stats, counters) runs however
+        iteration ends."""
         if self._iterated:
             raise RuntimeError("a CampaignRun can only be iterated once")
         self._iterated = True
@@ -281,10 +224,8 @@ class CampaignRun:
             with telemetry.span(
                 "campaign", model=self._prog.model.name,
                 engine=self._config.engine,
-                max_cases=self._config.max_cases, workers=self._workers,
-                mode=self._mode, batch_size=self._batch_size,
-                serve=self._serve, inproc=self._inproc,
-                threads=self._threads,
+                max_cases=self._config.max_cases, threads=self._threads,
+                batch_size=self._batch_size,
             ) as campaign_span:
                 yield from self._stream()
                 campaign_span.set(
@@ -292,16 +233,6 @@ class CampaignRun:
                     speculated=outcome.speculated_cases,
                 )
         finally:
-            if self._own_pool and self._server_pool is not None:
-                from repro.runner.servers import merge_server_stats
-
-                outcome.server_stats = merge_server_stats(
-                    outcome.server_stats, self._server_pool.stats()
-                )
-                self._server_pool.close()
-                self._server_pool = None
-            if self._own_store:
-                self._cost_store.save()
             telemetry.counter_inc("campaign.runs")
             telemetry.counter_inc("campaign.cases", len(outcome.cases))
 
@@ -326,15 +257,10 @@ class CampaignRun:
         )
         scheduler = StreamScheduler(
             self._jobs(),
-            workers=self._workers,
-            mode=self._mode,
+            threads=self._threads,
             batch_size=self._batch_size,
             cache=self._cache,
             timeout_seconds=self._config.timeout_seconds,
-            serve=self._serve,
-            inproc=self._inproc,
-            server_pool=self._server_pool,
-            cost_store=self._cost_store,
         )
         self._scheduler = scheduler
         if self._cancelled:

@@ -15,11 +15,11 @@ exponential backoff.  A wall-clock timeout is *not* transient — the next
 attempt would burn the same budget — so it is reported immediately as
 ``timeout``.
 
-Batching: AccMoS jobs that share a program and structural options can
-run *many cases* on one reused library (the compile-once / run-many
-path).  :func:`batch_key` names the group a job may share (the scheduler
-forms chunks from it) and :func:`run_job_batch` executes one group — one
-``compile_model`` + one in-process or host-process run of every case —
+Batching: AccMoS jobs that share a program and structural options run
+*many cases* on one reused library (the compile-once / run-many path).
+:func:`batch_key` names the group a job may share (the scheduler forms
+chunks from it) and :func:`run_job_batch` executes one group — one
+``compile_model`` + one in-process run of every case on N threads —
 still returning one :class:`JobResult` per job.  Anything that breaks
 mid-batch falls back to the per-job path, so batching can only change
 speed, not outcomes.
@@ -241,27 +241,25 @@ def batch_key(job: SimulationJob) -> Optional[tuple]:
 def run_job_batch(
     jobs: "list[SimulationJob]",
     *,
+    threads: int = 1,
     cache: "Union[ArtifactCache, None, bool]" = None,
     timeout_seconds: Optional[float] = None,
     retries: int = 1,
     backoff_seconds: float = 0.05,
-    server_pool=None,
-    inproc: bool = False,
     _sleep=time.sleep,
 ) -> "list[JobResult]":
     """Execute one same-key group of jobs on a single compiled library.
 
     One ``compile_model`` (retried on transient compiler failures) serves
-    the whole group, whose cases run on the first rung of the ladder
-    that applies: in-process with ``inproc`` (a library fault finishes
-    the affected cases on a host process), else streamed through a
-    pooled warm host with ``server_pool`` (a
-    :class:`~repro.runner.servers.ServerPool`), else through a private
-    host process spawned for this group.  A host that fails twice in a
-    row — or anything else going wrong mid-batch — sends the whole group
-    down to the per-job :func:`run_job` path, so batching can change
-    throughput, never results.  Per-case deadline trips become
-    ``timeout`` outcomes without disturbing the other cases.
+    the whole group, whose cases run in-process on ``threads`` private
+    library instances (:meth:`CompiledModel.run_inproc
+    <repro.engines.accmos.CompiledModel.run_inproc>`; a library fault
+    finishes the affected cases on a host process).  Any compile,
+    simulation or OS error around that run sends the whole group down to
+    the per-job :func:`run_job` path, so batching can change throughput,
+    never results.  Per-case deadline trips become ``timeout`` outcomes
+    without disturbing the other cases.  Non-AccMoS jobs always take the
+    per-job path.
     """
     from repro.engines.accmos import compile_model
 
@@ -275,11 +273,11 @@ def run_job_batch(
             for job in jobs
         ]
 
-    if batch_key(jobs[0]) is None or (len(jobs) == 1 and not inproc):
+    if batch_key(jobs[0]) is None:
         return _fallback()
 
     with telemetry.span(
-        "runner.job_batch", jobs=len(jobs),
+        "runner.job_batch", jobs=len(jobs), threads=threads,
         seeds=[job.seed for job in jobs],
     ) as batch_span:
         model = None
@@ -300,23 +298,14 @@ def run_job_batch(
             for job in jobs
         ]
         try:
-            if inproc:
-                outcomes = model.run_inproc(
-                    case_list, timeout_seconds=timeout_seconds
-                )
-            elif server_pool is not None:
-                outcomes = server_pool.run_batch(
-                    model, case_list, timeout_seconds=timeout_seconds
-                )
-            else:
-                outcomes = list(model.run_stream(
-                    case_list, timeout_seconds=timeout_seconds
-                ))
+            outcomes = model.run_inproc(
+                case_list, timeout_seconds=timeout_seconds, threads=threads,
+            )
         except (CompilationError, SimulationError, OSError):
-            # Two host failures in a row (ServerError), a library the
-            # handshake refused (LibraryFault), a host that would not
-            # build or spawn, or a case input the batch rejected: re-run
-            # the group case by case, which reports each job on its own.
+            # The quarantine host failed twice in a row (ServerError),
+            # would not build or spawn, or a case input was rejected:
+            # re-run the group case by case, which reports each job on
+            # its own.
             batch_span.set(outcome="fallback")
             telemetry.counter_inc("runner.batch_fallbacks")
             return _fallback()
@@ -329,8 +318,7 @@ def results_from_outcomes(
     jobs: "list[SimulationJob]", outcomes, model
 ) -> "list[JobResult]":
     """Convert one group's batch outcomes into per-job
-    :class:`JobResult`\\ s, preserving the timing convention shared by
-    every batched dispatcher: the group compiled (or cache-resolved)
+    :class:`JobResult`\\ s.  The group compiled (or cache-resolved)
     exactly once, so the first successful case carries the codegen /
     compile cost and the rest reuse the library — a cache hit by
     construction."""

@@ -2,23 +2,14 @@
 
 :func:`run_jobs` hands a job list to the one dispatch loop,
 :class:`~repro.runner.scheduler.StreamScheduler`, and collects its
-results, one :class:`JobResult` per job in submission order regardless
-of completion order — the property the deterministic campaign merge
-builds on.  The scheduler runs chunks in one of two modes:
-
-* ``"thread"`` (the default) — worker threads sharing one in-process
-  :class:`~repro.runner.cache.ArtifactCache` (hit/miss counters
-  included).  The heavy phases of an AccMoS job — the gcc invocation
-  and the compiled binary's run — happen in child processes, during
-  which CPython releases the GIL, so threads already use every core.
-* ``"inproc-threads"`` — no pool: each chunk runs on one shared
-  compiled model by private library instances inside this process
-  (:mod:`repro.runner.inproc_threads`).
+results, one :class:`JobResult` per job in submission order — the
+property the deterministic campaign merge builds on.  Same-key AccMoS
+jobs run in chunks, in-process on ``threads`` private library
+instances; every other job runs on its own.
 """
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from repro import telemetry
@@ -29,77 +20,46 @@ if TYPE_CHECKING:
     from repro.runner.cache import ArtifactCache
 
 
-def default_workers() -> int:
-    return min(32, os.cpu_count() or 1)
-
-
 def run_jobs(
     jobs: Sequence[SimulationJob],
     *,
-    workers: Optional[int] = None,
-    mode: str = "thread",
+    threads: Optional[int] = None,
     cache: "Union[ArtifactCache, None, bool]" = None,
     timeout_seconds: Optional[float] = None,
     retries: int = 1,
     backoff_seconds: float = 0.05,
     batch_size: int = 1,
-    serve: bool = False,
-    server_pool=None,
-    inproc: bool = False,
     stats_sink: Optional[dict] = None,
 ) -> list[JobResult]:
     """Execute every job; returns one :class:`JobResult` per job, in order.
 
-    The jobs are dispatched by a
-    :class:`~repro.runner.scheduler.StreamScheduler`: FIFO chunks of
-    same-key jobs, a fixed in-flight window of ``2 × workers ×
-    batch_size`` cases refilled the moment capacity frees.
-    ``workers=None`` picks ``min(32, cpu_count)``; ``workers=1`` runs
-    every chunk inline on the calling thread.  Individual job failures are *reported*, not raised
-    — check ``JobResult.outcome``.
-
-    ``batch_size > 1`` groups AccMoS jobs that share a program and
-    structural options into multi-case chunks of up to that many jobs,
-    each served by one compiled library and one multi-case run (see
-    :func:`repro.runner.jobs.run_job_batch`); results are still one per
-    job, in submission order.
-
-    ``serve`` streams batched chunks through warm host processes instead
-    of spawning a private host per chunk.  ``server_pool`` supplies a
-    caller-owned :class:`~repro.runner.servers.ServerPool` that outlives
-    this call; without it (and with ``serve``) a dispatch-local pool is
-    created and closed on return.  ``inproc`` runs batched chunks inside
-    the loaded shared library — the rung above ``serve`` on the ladder.
-
-    ``mode="inproc-threads"`` skips worker pools entirely: each chunk of
-    ``workers × batch_size`` same-key jobs runs on one shared
-    :class:`CompiledModel` by ``workers`` threads holding private
-    library instances inside *this* process (see
-    :mod:`repro.runner.inproc_threads`), its shards packed from the
-    process-wide cost store.  ``stats_sink``, if given, receives the
-    scheduler's stats dict.
+    Same-key AccMoS jobs (:func:`~repro.runner.jobs.batch_key`) run in
+    chunks of up to ``threads × batch_size``, each on one compiled
+    library, in-process on ``threads`` threads.  ``threads=None`` picks
+    the campaign's auto count
+    (:func:`~repro.runner.campaign.resolve_threads`).  Individual job
+    failures are *reported*, not raised — check ``JobResult.outcome``.
+    ``stats_sink``, if given, receives the scheduler's stats dict.
     """
-    workers = default_workers() if workers is None else workers
+    from repro.runner.campaign import resolve_threads
+
+    if threads is None:
+        # Only AccMoS chunks run threaded, so auto resolves as for AccMoS.
+        threads = resolve_threads(None, engine="accmos")
     jobs = list(jobs)
     with telemetry.span(
-        "runner.run_jobs", jobs=len(jobs), workers=workers, mode=mode,
+        "runner.run_jobs", jobs=len(jobs), threads=threads,
         batch_size=batch_size,
     ):
-        # Built inside the span: the scheduler adopts the current span
-        # as the parent of every job span on its worker threads.  Its
-        # constructor validates mode, workers and batch_size.
+        # The constructor validates threads and batch_size.
         scheduler = StreamScheduler(
             jobs,
-            workers=workers,
-            mode=mode,
+            threads=threads,
             batch_size=batch_size,
             cache=cache,
             timeout_seconds=timeout_seconds,
             retries=retries,
             backoff_seconds=backoff_seconds,
-            serve=serve,
-            inproc=inproc,
-            server_pool=server_pool,
         )
         try:
             results = list(scheduler.results())

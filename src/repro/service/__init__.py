@@ -3,7 +3,7 @@
 The compile-once/run-many runner is embeddable
 (:func:`repro.campaign.iter_campaign`); this package puts a long-lived
 network front end on it so programmatic clients and model corpora can
-share one artifact cache, one warm-server pool, and one cost-model store
+share one artifact cache and one pool of loaded in-process libraries
 across campaigns instead of paying a cold process per run.
 
 Pieces:

@@ -1,11 +1,11 @@
 """The transport-agnostic campaign service core.
 
 :class:`CampaignService` owns what the endpoints merely expose: the
-campaign registry, the per-tenant admission queues, the worker pool that
-drives :func:`repro.campaign.iter_campaign`, and the long-lived shared
-resources — one :class:`~repro.runner.servers.ServerPool`, one
-:class:`~repro.runner.costmodel.CostModelStore`, one artifact cache —
-that make the second campaign cheaper than the first.
+campaign registry, the per-tenant admission queues, and the threads
+that drive :func:`repro.campaign.iter_campaign`.  Every campaign runs
+on the one artifact cache and the process-wide in-process instance pool
+(:func:`~repro.inproc.parallel.default_instance_pool`), so the second
+campaign of a model compiles and loads nothing.
 
 Everything here is plain threads and condition variables, deliberately:
 the runner core is synchronous, campaigns are minutes-long and few, and
@@ -13,7 +13,7 @@ a sync core is directly usable from tests without an event loop.  The
 asyncio layer in :mod:`repro.service.server` adapts by polling
 :meth:`CampaignRecord.wait_events` in the default executor.
 
-Two structural decisions carry the ISSUE's guarantees:
+Two structural decisions carry the service's guarantees:
 
 * **Append-only event logs.**  Every campaign accumulates its lifecycle
   as an immutable list of JSON-able events (``started``, one ``case``
@@ -134,7 +134,6 @@ class CampaignRecord:
             record["saturated"] = outcome.saturated
             record["speculated_cases"] = outcome.speculated_cases
             record["scheduler_stats"] = outcome.scheduler_stats
-            record["server_stats"] = outcome.server_stats
         elif last is not None and last.get("type") == "outcome":
             # Cancelled while still queued: no CampaignOutcome exists,
             # but the terminal event still reports the (zero) drain.
@@ -143,7 +142,12 @@ class CampaignRecord:
 
 
 class CampaignService:
-    """Submit / observe / cancel campaigns over shared warm resources."""
+    """Submit / observe / cancel campaigns over one artifact cache.
+
+    ``cost_store`` is accepted and ignored: the learned cost model it
+    configured is gone, and the keyword stays only for callers that
+    still pass it.
+    """
 
     def __init__(
         self,
@@ -152,7 +156,6 @@ class CampaignService:
         max_concurrent: int = 2,
         cache=None,
         cost_store=None,
-        server_pool=None,
     ) -> None:
         if tenant_quota < 1:
             raise ValueError("tenant_quota must be at least 1")
@@ -161,23 +164,8 @@ class CampaignService:
         self.tenant_quota = tenant_quota
         self.max_concurrent = max_concurrent
 
-        # The shared warm state: every campaign the service runs borrows
-        # these, so artifacts, warm servers, and learned cost rates
-        # survive across campaigns and tenants.  None cache means the
-        # process-wide default (runner semantics).
-        from repro.runner.costmodel import default_cost_store
-
+        # None means the process-wide default cache (runner semantics).
         self._cache = cache
-        self._own_store = cost_store is None
-        self._cost_store = (
-            default_cost_store() if cost_store is None else cost_store
-        )
-        self._own_pool = server_pool is None
-        if server_pool is None:
-            from repro.runner.servers import ServerPool
-
-            server_pool = ServerPool(max_servers=max(4, max_concurrent * 4))
-        self._server_pool = server_pool
 
         self._lock = threading.Lock()
         self._campaigns: "OrderedDict[str, CampaignRecord]" = OrderedDict()
@@ -229,9 +217,9 @@ class CampaignService:
         return record
 
     def status(self, campaign_id: str) -> dict:
-        """Campaign status plus the shared-resource view the ISSUE asks
-        for: scheduler stats ride on the record, pool counters and the
-        telemetry snapshot describe the service."""
+        """Campaign status plus the service view: scheduler stats ride
+        on the record; queue counts and the telemetry snapshot describe
+        the service."""
         record = self.get(campaign_id)
         status = record.status()
         status["service"] = self.stats()
@@ -257,8 +245,6 @@ class CampaignService:
             "campaigns": states,
             "queued_by_tenant": queued,
             "running_by_tenant": running,
-            "server_pool": self._server_pool.stats(),
-            "artifacts": self._server_pool.artifact_stats(),
             "telemetry": session.snapshot() if session is not None else None,
         }
 
@@ -295,7 +281,7 @@ class CampaignService:
         return record.status()
 
     def close(self, *, timeout: Optional[float] = 60.0) -> None:
-        """Cancel everything, drain workers, release shared resources."""
+        """Cancel everything and drain the campaign threads."""
         with self._lock:
             if self._closed:
                 return
@@ -308,10 +294,6 @@ class CampaignService:
                 except UnknownCampaignError:  # pragma: no cover
                     pass
         self._executor.shutdown(wait=True)
-        if self._own_pool:
-            self._server_pool.close()
-        if self._own_store:
-            self._cost_store.save()
 
     # -- admission ---------------------------------------------------------
     def _admit_locked(self) -> None:
@@ -362,11 +344,7 @@ class CampaignService:
             from repro.campaign import iter_campaign
 
             run = iter_campaign(
-                record.program,
-                record.spec.config,
-                cache=self._cache,
-                server_pool=self._server_pool,
-                cost_store=self._cost_store,
+                record.program, record.spec.config, cache=self._cache
             )
             record.run = run
             if record.cancel_requested:

@@ -9,7 +9,7 @@ A spec is a JSON object naming a model and a tenant plus any
       "steps": 2000,
       "max_cases": 8,
       "plateau_patience": 3,
-      "workers": 2,
+      "threads": 2,
       "tenant": "team-a"             // quota / fairness bucket
     }
 

@@ -1,6 +1,6 @@
 """One CampaignConfig behind the library, ``repro campaign`` and the
 campaign service's spec: the same defaults, and the same bad values
-rejected the same way on every surface."""
+rejected the same way on every surface — retired knobs included."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from helpers import ServiceThread
 from repro.benchmarks import build_benchmark
 from repro.campaign import CampaignConfig, iter_campaign, run_campaign
 from repro.cli import build_parser, campaign_config, main
-from repro.runner.costmodel import CostModelStore
 from repro.schedule import preprocess
 from repro.service import CampaignService, SpecError, parse_spec
 from repro.service.client import ServiceError
@@ -28,7 +27,14 @@ BAD_VALUES = [
     ("timeout_seconds", -1, ["--timeout", "-1"]),
     ("engine", "nope", ["--engine", "nope"]),
     ("serve", 1, ["--serve", "1"]),
+    ("workers", 2, ["--workers", "2"]),
+    ("serve", True, ["--serve"]),
+    ("inproc", True, ["--inproc"]),
 ]
+
+# Knobs of the deleted dispatch routes: no longer fields, so each
+# surface rejects them as unknown rather than checking their value.
+RETIRED = {"workers", "serve", "inproc"}
 
 
 @pytest.fixture(scope="module")
@@ -37,9 +43,8 @@ def prog():
 
 
 @pytest.fixture(scope="module")
-def service(tmp_path_factory):
-    store = CostModelStore(tmp_path_factory.mktemp("cm") / "cm.json")
-    running = ServiceThread(CampaignService(cost_store=store))
+def service():
+    running = ServiceThread(CampaignService())
     yield running
     running.close()
 
@@ -52,9 +57,10 @@ def service(tmp_path_factory):
 def test_bad_value_fails_on_every_surface(
     surface, name, value, argv, request, capsys
 ):
+    retired = name in RETIRED
     if surface == "library":
         prog = request.getfixturevalue("prog")
-        with pytest.raises(ValueError, match=name):
+        with pytest.raises(TypeError if retired else ValueError, match=name):
             run_campaign(prog, **{name: value})
     elif surface == "cli":
         with pytest.raises(SystemExit) as excinfo:
@@ -68,6 +74,8 @@ def test_bad_value_fails_on_every_surface(
             client.submit({"model": "bench:SPV", name: value})
         assert excinfo.value.status == 400
         assert name in str(excinfo.value.body)
+        if retired:
+            assert "unknown spec key(s)" in str(excinfo.value.body)
 
 
 def test_cli_config_error_is_one_usage_error(capsys):
@@ -106,7 +114,7 @@ class TestCampaignConfig:
         with pytest.raises(FrozenInstanceError):
             CampaignConfig().steps = 5  # type: ignore[misc]
 
-    @pytest.mark.parametrize("name", ["steps", "workers", "base_seed"])
+    @pytest.mark.parametrize("name", ["steps", "max_cases", "base_seed"])
     def test_ints_reject_bools(self, name):
         with pytest.raises(ValueError, match=f"'{name}' must be an integer"):
             CampaignConfig(**{name: True})

@@ -130,17 +130,17 @@ class TestCampaignScheduler:
     def test_timings_report_stream_scheduler(self, capsys):
         assert main(["campaign", "bench:SPV", "--engine", "sse",
                      "--steps", "300", "--cases", "4", "--patience", "100",
-                     "--workers", "2", "--timings"]) == 0
+                     "--threads", "2", "--timings"]) == 0
         out = capsys.readouterr().out
         assert "campaign:" in out
-        assert "scheduler: stream (thread), window 4, batch 1" in out
-        assert "utilization" in out
+        assert "scheduler: stream, threads 2, batch 1, 4 chunk(s)" in out
+        assert "cases/s" in out
 
     def test_scheduler_flag_rejected(self, capsys):
         # One dispatch loop: there is no scheduler to select.
         with pytest.raises(SystemExit) as excinfo:
             main(["campaign", "bench:SPV", "--engine", "sse",
-                  "--steps", "300", "--cases", "4", "--workers", "2",
+                  "--steps", "300", "--cases", "4", "--threads", "2",
                   "--scheduler", "wave"])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
@@ -149,10 +149,10 @@ class TestCampaignScheduler:
 
     @pytest.mark.parametrize("mode", ["thread", "process"])
     def test_mode_flag_rejected(self, mode, capsys):
-        # One FIFO stream on worker threads: no pool flavour to pick.
+        # One FIFO stream of in-process chunks: no pool flavour to pick.
         with pytest.raises(SystemExit) as excinfo:
             main(["campaign", "bench:SPV", "--engine", "sse",
-                  "--steps", "300", "--cases", "4", "--workers", "2",
+                  "--steps", "300", "--cases", "4", "--threads", "2",
                   "--mode", mode])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
@@ -180,7 +180,7 @@ class TestCacheCli:
         monkeypatch.setattr(cache_mod, "_default_resolved", False)
         assert main(["campaign", "bench:SPV", "--steps", "300",
                      "--cases", "4", "--patience", "4",
-                     "--workers", "2"]) == 0
+                     "--threads", "2"]) == 0
         out = capsys.readouterr().out
         assert "campaign:" in out
         assert main(["cache", "stats"]) == 0

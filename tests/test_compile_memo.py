@@ -210,21 +210,22 @@ def test_cold_campaign_runs_one_codegen_and_one_gcc(tmp_path, gcc_calls):
 
 @requires_cc
 def test_server_then_threaded_campaign_share_one_gcc(tmp_path):
-    """One artifact per program: a cold-cache campaign on the host rung,
-    then an in-process threaded campaign on the same cache, compile the
-    program once between them, plus one host build for the cache."""
+    """One artifact per program: a cold-cache sweep on the host rung (one
+    private host per seed), then an in-process threaded campaign on the
+    same cache, compile the program once between them, plus one host
+    build for the cache."""
+    from test_scheduler import _serial_oracle
+
     prog = _gain_program(2.0)
     cache = ArtifactCache(tmp_path / "cache")
     common = dict(steps=32, max_cases=16, plateau_patience=16, cache=cache)
     with telemetry.capture() as session:
-        served = run_campaign(prog, threads=1, serve=True, **common)
+        served = _serial_oracle(prog, **common)
         threaded = run_campaign(prog, threads=2, **common)
-    gcc = [
-        span.attrs.get("artifact")
-        for span in session.tracer.finished() if span.name == "gcc"
-    ]
+    spans = session.tracer.finished()
+    gcc = [span.attrs.get("artifact") for span in spans if span.name == "gcc"]
     assert sorted(gcc) == ["host", "shared"]
-    assert served.server_stats["spawns"] >= 1
+    assert sum(span.name == "server.spawn" for span in spans) == 16
     assert threaded.merged.bitmaps == served.merged.bitmaps
     assert [c.new_points for c in threaded.cases] == [
         c.new_points for c in served.cases

@@ -356,8 +356,7 @@ def test_campaign_inproc_one_gcc_zero_spawns(zoo_programs, tmp_path, monkeypatch
     monkeypatch.setattr(driver_mod.SimulationServer, "__init__", no_spawn)
 
     outcome = run_campaign(
-        prog, steps=STEPS, max_cases=6, batch_size=3,
-        cache=cache, serve=False, inproc=True, threads=1,
+        prog, steps=STEPS, max_cases=6, batch_size=3, cache=cache, threads=1,
     )
     assert outcome.n_cases >= 1
     assert gcc_calls["n"] == 1
@@ -366,13 +365,15 @@ def test_campaign_inproc_one_gcc_zero_spawns(zoo_programs, tmp_path, monkeypatch
 
 @requires_cc
 def test_campaign_inproc_matches_host_path(zoo_programs):
+    """A batched in-process campaign folds exactly like one private host
+    run per seed (the per-job path)."""
     from repro.campaign import run_campaign
+    from test_scheduler import _serial_oracle
 
     prog, _ = zoo_programs[sorted(ZOO)[0]]
-    kwargs = dict(steps=STEPS, max_cases=4, batch_size=2, cache=False,
-                  threads=1)
-    via_inproc = run_campaign(prog, inproc=True, serve=False, **kwargs)
-    via_spawn = run_campaign(prog, inproc=False, serve=False, **kwargs)
+    kwargs = dict(steps=STEPS, max_cases=4, plateau_patience=3, cache=False)
+    via_inproc = run_campaign(prog, batch_size=2, threads=1, **kwargs)
+    via_spawn = _serial_oracle(prog, **kwargs)
     assert via_inproc.n_cases == via_spawn.n_cases
     assert via_inproc.saturated == via_spawn.saturated
     assert via_inproc.merged.bitmaps == via_spawn.merged.bitmaps

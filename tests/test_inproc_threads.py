@@ -1,12 +1,13 @@
 """Thread-parallel in-process execution: pool, packing, determinism.
 
-Pins the PR's contract: running N private library instances on N threads
-(``run_inproc(threads=N)``, ``run_jobs(mode="inproc-threads")``,
+Pins the contract: running N private library instances on N threads
+(``run_inproc(threads=N)``, ``run_jobs(threads=N)``,
 ``run_campaign(threads=N)``) is a pure throughput lever — byte-identical
 to ``threads=1`` and to the SSE reference on every zoo model, zero
 process spawns, with a mid-batch fault on one thread falling down the
-existing ladder without changing a single bit.  The cost-model packer is
-pinned to never predict a worse makespan than naive round-robin.
+existing ladder without changing a single bit.  The shard packer (LPT on
+step counts) is pinned to never predict a worse makespan than naive
+round-robin.
 """
 
 from __future__ import annotations
@@ -24,15 +25,8 @@ from repro.engines.accmos import compile_model
 from repro.engines.base import SimulationResult
 from repro.inproc import InstancePool, LibraryFault, LoadedModel
 from repro.inproc.library import _dlclose
+from repro.inproc.parallel import makespan, pack_shards
 from repro.runner.cache import ArtifactCache
-from repro.runner.costmodel import (
-    CaseCostModel,
-    CostModelStore,
-    cost_key,
-    default_cost_store,
-    makespan,
-    pack_shards,
-)
 from repro.runner.jobs import SimulationJob
 from repro.runner.pool import run_jobs
 from repro.schedule import preprocess
@@ -89,30 +83,19 @@ def test_threaded_matches_sequential_and_sse(zoo_programs, name):
 
 @requires_cc
 def test_explicit_shards_identity(zoo_programs):
-    """Cost-model-packed shards produce the same bytes as the default
-    round-robin stride (shard membership must never matter)."""
+    """LPT-packed shards (unequal steps, so not the round-robin stride)
+    produce the same bytes as one thread: shard membership never
+    matters."""
     prog, stimuli = zoo_programs[sorted(ZOO)[0]]
     opts = SimulationOptions(steps=STEPS, coverage=True, diagnostics=True)
     model = compile_model(prog, opts, cache=False)
     cases = _varied_cases(stimuli, 8)
-    costs = [float(o.steps) for _, o in cases]
-    shards = pack_shards(costs, 3)
-    packed = model.run_inproc(cases, threads=3, shards=shards)
-    default = model.run_inproc(cases, threads=3)
-    for a, b in zip(packed, default):
+    steps = [o.steps for _, o in cases]
+    assert pack_shards(steps, 3) != [[0, 3, 6], [1, 4, 7], [2, 5]]
+    packed = model.run_inproc(cases, threads=3)
+    sequential = model.run_inproc(cases)
+    for a, b in zip(packed, sequential):
         assert_results_agree(a, b)
-
-
-@requires_cc
-def test_bad_shards_rejected(zoo_programs):
-    prog, stimuli = zoo_programs[sorted(ZOO)[0]]
-    opts = SimulationOptions(steps=STEPS)
-    model = compile_model(prog, opts, cache=False)
-    cases = [(stimuli(), None) for _ in range(3)]
-    with pytest.raises(ValueError, match="partition"):
-        model.run_inproc(cases, threads=2, shards=[[0, 1], [1, 2]])
-    with pytest.raises(ValueError, match="partition"):
-        model.run_inproc(cases, threads=2, shards=[[0], [2]])
 
 
 # ----------------------------------------------------------------------
@@ -256,38 +239,8 @@ class TestInstancePool:
 
 
 # ----------------------------------------------------------------------
-# cost model + packing
+# shard packing: LPT on step counts
 # ----------------------------------------------------------------------
-class TestCostModel:
-    def test_predict_monotone(self):
-        m = CaseCostModel()
-        assert m.predict(1000, 4) > m.predict(100, 4) > 0
-        assert m.predict(100, 8) > m.predict(100, 2)
-
-    def test_observe_converges_on_rate(self):
-        m = CaseCostModel()
-        for _ in range(50):
-            m.observe(10_000, 10, seconds=m.base_seconds + 1.0)
-        # 100k step-actor units took 1s beyond base -> 1e-5 s/unit.
-        assert m.predict(10_000, 10) == pytest.approx(
-            m.base_seconds + 1.0, rel=0.05
-        )
-
-    def test_observe_rejects_nonpositive(self):
-        m = CaseCostModel()
-        before = m.predict(100, 1)
-        m.observe(100, 1, seconds=0.0)
-        m.observe(100, 1, seconds=-1.0)
-        assert m.predict(100, 1) == before
-        assert m.observations == 0
-
-    def test_default_model_is_shared(self):
-        key = "accmos:SPV:a88"
-        assert default_cost_store().model(key) is default_cost_store().model(
-            key
-        )
-
-
 def _rr_makespan(costs, n_shards):
     shards = [list(range(s, len(costs), n_shards)) for s in range(n_shards)]
     return makespan(shards, costs)
@@ -295,66 +248,46 @@ def _rr_makespan(costs, n_shards):
 
 class TestPackShards:
     def test_partition_is_exact(self):
-        costs = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0]
-        shards = pack_shards(costs, 3)
+        steps = [3, 1, 4, 1, 5, 9, 2]
+        shards = pack_shards(steps, 3)
         flat = sorted(i for shard in shards for i in shard)
-        assert flat == list(range(len(costs)))
+        assert flat == list(range(len(steps)))
 
     def test_single_shard_keeps_order(self):
-        assert pack_shards([1.0, 2.0, 3.0], 1) == [[0, 1, 2]]
+        assert pack_shards([1, 2, 3], 1) == [[0, 1, 2]]
 
     def test_lpt_balances_obvious_case(self):
         # One long case + shorts: LPT isolates the long one.
-        costs = [10.0, 1.0, 1.0, 1.0, 1.0, 1.0]
-        shards = pack_shards(costs, 2)
-        assert makespan(shards, costs) == 10.0
+        steps = [10, 1, 1, 1, 1, 1]
+        shards = pack_shards(steps, 2)
+        assert makespan(shards, steps) == 10
 
     def test_deterministic(self):
-        costs = [2.0, 2.0, 2.0, 2.0, 2.0]
-        assert pack_shards(costs, 2) == pack_shards(costs, 2)
+        # Equal steps (every campaign chunk) deal out round-robin.
+        steps = [2, 2, 2, 2, 2]
+        assert pack_shards(steps, 2) == pack_shards(steps, 2)
+        assert pack_shards(steps, 2) == [[0, 2, 4], [1, 3]]
 
     @settings(max_examples=200, deadline=None)
     @given(
-        costs=st.lists(
-            st.floats(
-                min_value=0.0, max_value=1e6,
-                allow_nan=False, allow_infinity=False,
-            ),
+        steps=st.lists(
+            st.integers(min_value=0, max_value=10**6),
             min_size=1, max_size=40,
         ),
         n_shards=st.integers(min_value=1, max_value=8),
     )
-    def test_never_worse_than_round_robin(self, costs, n_shards):
-        shards = pack_shards(costs, n_shards)
+    def test_never_worse_than_round_robin(self, steps, n_shards):
+        shards = pack_shards(steps, n_shards)
         flat = sorted(i for shard in shards for i in shard)
-        assert flat == list(range(len(costs)))
+        assert flat == list(range(len(steps)))
         assert len(shards) <= max(1, n_shards)
-        effective = min(n_shards, len(costs))
-        assert makespan(shards, costs) <= _rr_makespan(costs, effective) + 1e-9
+        effective = min(n_shards, len(steps))
+        assert makespan(shards, steps) <= _rr_makespan(steps, effective)
 
 
 # ----------------------------------------------------------------------
-# runner mode="inproc-threads": identity, grouping, zero spawns
+# runner and campaigns: grouping, zero spawns, identity
 # ----------------------------------------------------------------------
-@requires_cc
-def test_run_jobs_inproc_threads_matches_thread_mode(zoo_programs):
-    prog, _ = zoo_programs[sorted(ZOO)[0]]
-    opts = SimulationOptions(steps=STEPS, coverage=True, diagnostics=True)
-    jobs = [
-        SimulationJob(prog=prog, seed=seed, options=opts)
-        for seed in range(1, 7)
-    ]
-    baseline = run_jobs(
-        jobs, workers=1, mode="thread", cache=False,
-        batch_size=3, serve=False,
-    )
-    threaded = run_jobs(jobs, workers=3, mode="inproc-threads", cache=False)
-    assert [r.seed for r in threaded] == [r.seed for r in baseline]
-    for a, b in zip(baseline, threaded):
-        assert a.ok and b.ok
-        assert_results_agree(a.result, b.result)
-
-
 def test_run_jobs_inproc_threads_routes_non_accmos_jobs(zoo_programs=None):
     """Non-batchable jobs (interpreted engines) take the per-job path."""
     model, _ = ZOO[sorted(ZOO)[0]]()
@@ -364,19 +297,21 @@ def test_run_jobs_inproc_threads_routes_non_accmos_jobs(zoo_programs=None):
         SimulationJob(prog=prog, seed=seed, engine="sse", options=opts)
         for seed in (1, 2)
     ]
-    results = run_jobs(jobs, workers=2, mode="inproc-threads", cache=False)
+    results = run_jobs(jobs, threads=2, cache=False)
     assert all(r.ok for r in results)
-    ref = run_jobs(jobs, workers=1, mode="thread", cache=False)
+    ref = run_jobs(jobs, threads=1, cache=False)
     for a, b in zip(ref, results):
         assert_results_agree(a.result, b.result)
 
 
 def test_run_jobs_rejects_unknown_mode():
-    with pytest.raises(ValueError, match="inproc-threads"):
-        run_jobs([], mode="bogus")
-    # Process pools are gone: chunks run on threads or in-process.
-    with pytest.raises(ValueError, match="inproc-threads"):
-        run_jobs([], mode="process")
+    # One route: there is no mode (nor workers/serve/inproc) to pick.
+    for knob, value in (
+        ("mode", "inproc-threads"), ("mode", "process"), ("workers", 2),
+        ("serve", True), ("inproc", True),
+    ):
+        with pytest.raises(TypeError, match=knob):
+            run_jobs([], **{knob: value})
 
 
 @requires_cc
@@ -413,32 +348,12 @@ def test_threaded_campaign_one_gcc_zero_spawns(
 
 
 @requires_cc
-def test_threaded_campaign_observes_into_injected_cost_store(zoo_programs):
-    """Shard packing reads from, and observes into, the store the
-    campaign was given — never the process default."""
-    from repro.campaign import iter_campaign
-
-    prog, _ = zoo_programs[sorted(ZOO)[0]]
-    store = CostModelStore(None)
-    default = default_cost_store()
-    key = cost_key("accmos", prog, SimulationOptions(steps=STEPS))
-    before = default.model(key).observations
-    run = iter_campaign(
-        prog, steps=STEPS, max_cases=4, plateau_patience=100,
-        cache=False, threads=2, cost_store=store,
-    )
-    assert len(list(run)) == 4
-    assert store.model(key).observations > 0
-    assert default.model(key).observations == before
-
-
-@requires_cc
 def test_threaded_campaign_matches_serial(zoo_programs):
     from repro.campaign import run_campaign
 
     prog, _ = zoo_programs[sorted(ZOO)[0]]
     kwargs = dict(steps=STEPS, max_cases=6, cache=False)
-    serial = run_campaign(prog, threads=1, workers=1, **kwargs)
+    serial = run_campaign(prog, threads=1, **kwargs)
     threaded = run_campaign(prog, threads=4, **kwargs)
     assert threaded.n_cases == serial.n_cases
     assert threaded.saturated == serial.saturated

@@ -154,6 +154,48 @@ class TestCacheCompile:
         # No stage-* debris left behind by the losing writer.
         assert not [p for p in cache.root.iterdir() if p.name.startswith("stage-")]
 
+    def test_concurrent_cold_compiles_of_one_key_run_gcc_once(self, tmp_path):
+        """Threads released together on a cold key (more threads than
+        cores, frequent thread switches): the key's lock makes one of
+        them compile and the others hit the cache."""
+        import sys
+
+        from repro import telemetry
+
+        cache = ArtifactCache(tmp_path / "cache")
+        source, layout = _generated()
+        n = 4
+        barrier = threading.Barrier(n)
+        hits, errors = [], []
+
+        def compete():
+            try:
+                barrier.wait(timeout=30)
+                hits.append(
+                    compile_c_program(source, layout, cache=cache).cache_hit
+                )
+            except BaseException as exc:  # surfaced below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with telemetry.capture() as session:
+                threads = [threading.Thread(target=compete) for _ in range(n)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        gcc = [s for s in session.tracer.finished() if s.name == "gcc"]
+        assert len(gcc) == 1
+        assert sorted(hits) == [False] + [True] * (n - 1)
+        stats = cache.stats()
+        assert (stats.misses, stats.hits) == (1, n - 1)
+
 
 class TestMultiArtifact:
     """One cache entry can hold an executable and a shared object under

@@ -131,20 +131,33 @@ class TestRunJobs:
         ]
 
     def test_results_in_submission_order(self):
-        results = run_jobs(self._jobs(6), workers=3)
+        results = run_jobs(self._jobs(6), threads=3)
         assert [r.seed for r in results] == [1, 2, 3, 4, 5, 6]
         assert all(isinstance(r, JobResult) and r.ok for r in results)
 
-    def test_single_worker_runs_inline(self):
-        results = run_jobs(self._jobs(2), workers=1)
+    def test_single_worker_runs_inline(self, monkeypatch):
+        import threading
+
+        import repro.runner.jobs as jobs_mod
+
+        seen = []
+        real = jobs_mod._run_once
+
+        def recording(*args, **kwargs):
+            seen.append(threading.current_thread())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(jobs_mod, "_run_once", recording)
+        results = run_jobs(self._jobs(2), threads=1)
         assert [r.seed for r in results] == [1, 2]
+        assert seen == [threading.current_thread()] * 2
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="workers"):
-            run_jobs(self._jobs(2), workers=0)
-        with pytest.raises(ValueError, match="mode"):
-            run_jobs(self._jobs(2), mode="fiber")
-        with pytest.raises(ValueError, match="mode"):
+        with pytest.raises(ValueError, match="threads"):
+            run_jobs(self._jobs(2), threads=0)
+        with pytest.raises(ValueError, match="batch_size"):
+            run_jobs(self._jobs(2), batch_size=0)
+        with pytest.raises(TypeError, match="mode"):
             run_jobs(self._jobs(2), mode="process")
 
     @requires_cc
@@ -157,7 +170,7 @@ class TestRunJobs:
             SimulationJob(prog=prog, seed=7, options=opts)
             for _ in range(4)
         ]
-        results = run_jobs(jobs, workers=1, cache=cache)
+        results = run_jobs(jobs, threads=1, cache=cache)
         assert all(r.ok for r in results)
         stats = cache.stats()
         assert (stats.misses, stats.hits) == (1, 3)

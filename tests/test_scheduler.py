@@ -1,28 +1,20 @@
-"""Streaming work-conserving campaign scheduler.
+"""Streaming campaign scheduler: one same-key chunk at a time.
 
-Pins the three invariants :mod:`repro.runner.scheduler` promises:
+Pins the invariants :mod:`repro.runner.scheduler` promises:
 
 * **Seed-order delivery** — the reorder buffer turns *any* completion
-  order back into submission order (hypothesis property), so streaming
-  campaigns fold exactly like serial ones;
+  order back into submission order (hypothesis property), so a chunk
+  that skips over another key's jobs still folds like a serial loop;
 * **Byte-identity** — streaming vs a serial oracle (one ``run_job`` per
-  seed, folded in seed order, no scheduler) across the model zoo and
-  every dispatch mode (spawn / serve / inproc / inproc-threads): merged
-  bitmaps, per-case new points, diagnostic attribution, coverage
-  curves, saturation verdict all equal;
-* **Bounded, counted speculation** — a mid-stream saturation stops
-  submission immediately; the waste is reported in
-  ``CampaignOutcome.speculated_cases`` and never exceeds the window.
-
-Plus the cost model the threaded rung packs shards from:
-``CaseCostModel`` base-term recalibration from small cases, and the
-persistent per-(engine, compile key) :class:`CostModelStore` with
-warm-start.
+  seed, folded in seed order, no scheduler): merged bitmaps, per-case
+  new points, diagnostic attribution, coverage curves, saturation
+  verdict all equal;
+* **Bounded, counted speculation** — a mid-stream saturation stops at
+  once; the waste (the rest of the open chunk) is reported in
+  ``CampaignOutcome.speculated_cases``.
 """
 
 from __future__ import annotations
-
-import json
 
 import pytest
 from hypothesis import given, settings
@@ -33,13 +25,6 @@ from repro.campaign import CampaignOutcome, run_campaign
 from repro.engines.base import SimulationOptions
 from repro.model.errors import SimulationError
 from repro.runner.cache import ArtifactCache
-from repro.runner.costmodel import (
-    CaseCostModel,
-    CostModelStore,
-    cost_key,
-    default_cost_store,
-    set_default_cost_store,
-)
 from repro.runner.campaign import _CampaignFold
 from repro.runner.jobs import SimulationJob, run_job
 from repro.runner.pool import run_jobs
@@ -48,17 +33,6 @@ from repro.schedule import preprocess
 
 from conftest import requires_cc
 from test_runner_campaign import _assert_outcomes_identical
-
-
-
-@pytest.fixture(autouse=True)
-def _isolated_cost_store(tmp_path):
-    """Campaigns observe into (and persist) the process-wide cost store;
-    point it at a throwaway file so tests neither read nor pollute the
-    user's cache directory."""
-    previous = set_default_cost_store(CostModelStore(tmp_path / "cm.json"))
-    yield
-    set_default_cost_store(previous)
 
 
 # ----------------------------------------------------------------------
@@ -122,120 +96,12 @@ class TestReorderBuffer:
 
 
 # ----------------------------------------------------------------------
-# cost model: base recalibration + persistent store
-# ----------------------------------------------------------------------
-class TestCostModelBase:
-    def test_base_recalibrates_from_small_cases(self):
-        """Tiny cases are dominated by per-case freight; observing them
-        must fit the base term, not poison the rate."""
-        true_base, true_rate = 0.01, 1e-6
-        model = CaseCostModel(small_units=4096)
-        for _ in range(60):
-            model.observe(50, 2, true_base + 100 * true_rate)  # small
-            model.observe(1_000_000, 1, true_base + 1e6 * true_rate)  # large
-        assert model.base_seconds == pytest.approx(true_base, rel=0.3)
-        assert model.rate_seconds == pytest.approx(true_rate, rel=0.3)
-        # And predictions converge at both ends of the size spectrum.
-        assert model.predict(50, 2) == pytest.approx(
-            true_base + 100 * true_rate, rel=0.3
-        )
-        assert model.predict(1_000_000, 1) == pytest.approx(
-            true_base + 1e6 * true_rate, rel=0.3
-        )
-
-    def test_tiny_only_corpus_does_not_over_predict(self):
-        """Before base recalibration, a corpus of sub-millisecond cases
-        kept the cold 2e-4 base forever; now the base converges onto the
-        observed per-case cost."""
-        model = CaseCostModel()
-        for _ in range(30):
-            model.observe(10, 4, 5e-5)
-        assert model.predict(10, 4) == pytest.approx(5e-5, rel=0.5)
-
-    def test_nonpositive_observation_ignored(self):
-        model = CaseCostModel()
-        model.observe(10, 4, 0.0)
-        model.observe(10, 4, -1.0)
-        assert model.observations == 0 and model.base_observations == 0
-
-class TestCostModelStore:
-    def test_persist_and_warm_start(self, tmp_path):
-        path = tmp_path / "costmodel.json"
-        store = CostModelStore(path)
-        store.observe("accmos:SPV:a88", 100_000, 88, 0.5)
-        store.observe("accmos:SPV:a88", 100_000, 88, 0.5)
-        learned = store.model("accmos:SPV:a88")
-        assert store.save() == path
-
-        fresh = CostModelStore(path)
-        warm = fresh.model("accmos:SPV:a88")
-        assert warm.rate_seconds == pytest.approx(learned.rate_seconds)
-        assert warm.base_seconds == pytest.approx(learned.base_seconds)
-        assert warm.observations == learned.observations
-        # Warm-started models EMA-blend new observations instead of
-        # hard-resetting the rate like a cold first observation would.
-        before = warm.rate_seconds
-        warm.observe(100_000, 88, 5.0)
-        assert warm.rate_seconds != pytest.approx(before)
-        assert warm.rate_seconds < 5.0 / (100_000 * 88) + before
-
-    def test_unobserved_models_not_persisted(self, tmp_path):
-        store = CostModelStore(tmp_path / "cm.json")
-        store.model("cold-key")  # predicted from, never observed
-        assert store.save() is None
-        assert not (tmp_path / "cm.json").exists()
-
-    def test_corrupt_file_tolerated(self, tmp_path):
-        path = tmp_path / "cm.json"
-        path.write_text("{not json")
-        store = CostModelStore(path)
-        assert store.keys() == []
-        store.observe("k", 10_000, 10, 0.1)
-        assert store.save() == path
-        assert "k" in json.loads(path.read_text())["models"]
-
-    def test_save_merges_with_concurrent_writer(self, tmp_path):
-        path = tmp_path / "cm.json"
-        a, b = CostModelStore(path), CostModelStore(path)
-        a.observe("key-a", 10_000, 10, 0.1)
-        b.observe("key-b", 10_000, 10, 0.2)
-        a.save()
-        b.save()
-        models = json.loads(path.read_text())["models"]
-        assert set(models) == {"key-a", "key-b"}
-
-    def test_cost_key_stable_across_instances(self):
-        prog_a = preprocess(build_benchmark("SPV"))
-        prog_b = preprocess(build_benchmark("SPV"))
-        opts = SimulationOptions(steps=100)
-        assert cost_key("accmos", prog_a, opts) == cost_key(
-            "accmos", prog_b, opts
-        )
-        # Steps are per-case, not structural: same compiled unit.
-        assert cost_key("accmos", prog_a, SimulationOptions(steps=999)) == (
-            cost_key("accmos", prog_a, opts)
-        )
-        # Structural options change the compiled unit and the key.
-        assert cost_key(
-            "accmos", prog_a, SimulationOptions(steps=100, coverage=False)
-        ) != cost_key("accmos", prog_a, opts)
-        assert cost_key("sse", prog_a, opts) != cost_key("accmos", prog_a, opts)
-
-    def test_default_cost_store_is_a_singleton(self):
-        assert default_cost_store() is default_cost_store()
-        key = "accmos:SPV:a88"
-        assert default_cost_store().model(key) is default_cost_store().model(
-            key
-        )
-
-
-# ----------------------------------------------------------------------
-# streaming dispatch: pool-level identity (no compiler needed)
+# streaming dispatch: run_jobs identity
 # ----------------------------------------------------------------------
 class TestRunJobsStreaming:
     def _jobs(self, n=10):
         prog = preprocess(build_benchmark("SPV"))
-        # Varied step counts -> varied costs -> real reorder pressure.
+        # Varied step counts: cases of unequal cost.
         return [
             SimulationJob(
                 prog=prog, seed=1 + i, engine="sse",
@@ -249,7 +115,7 @@ class TestRunJobsStreaming:
         reference = [run_job(job) for job in jobs]
         stats: dict = {}
         streamed = run_jobs(
-            jobs, workers=4, batch_size=3, stats_sink=stats
+            jobs, threads=4, batch_size=3, stats_sink=stats
         )
         assert [r.seed for r in streamed] == [r.seed for r in reference]
         for ref, got in zip(reference, streamed):
@@ -258,8 +124,31 @@ class TestRunJobsStreaming:
             assert got.result.coverage.bitmaps == ref.result.coverage.bitmaps
         assert stats["submitted"] == stats["folded"] == len(jobs)
         assert stats["speculated"] == 0
-        assert stats["window"] == 2 * 4 * 3
-        assert stats["max_in_flight"] <= stats["window"]
+        assert (stats["threads"], stats["batch_size"]) == (4, 3)
+        # Interpreted jobs have no batch key: one chunk per job.
+        assert stats["chunks"] == len(jobs)
+
+    @requires_cc
+    def test_interleaved_keys_deliver_seed_order(self, tmp_path):
+        """A chunk takes its key's successors past another key's jobs;
+        the reorder buffer still hands results back in seed order."""
+        progs = [preprocess(build_benchmark(n)) for n in ("SPV", "RAC")]
+        options = SimulationOptions(steps=50)
+        jobs = [
+            SimulationJob(prog=progs[i % 2], seed=1 + i, options=options)
+            for i in range(8)
+        ]
+        reference = [run_job(job, cache=False) for job in jobs]
+        stats: dict = {}
+        streamed = run_jobs(
+            jobs, threads=2, batch_size=2, stats_sink=stats,
+            cache=ArtifactCache(tmp_path / "cache"),
+        )
+        assert [r.seed for r in streamed] == list(range(1, 9))
+        for ref, got in zip(reference, streamed):
+            assert got.ok and ref.ok
+            assert got.result.checksums == ref.result.checksums
+        assert stats["chunks"] == 2  # one per key, each of 4 jobs
 
     def test_failures_reported_not_raised(self, monkeypatch):
         import repro.runner.jobs as jobs_mod
@@ -268,13 +157,13 @@ class TestRunJobsStreaming:
             raise RuntimeError("engine exploded")
 
         monkeypatch.setattr(jobs_mod, "_run_once", boom)
-        results = run_jobs(self._jobs(4), workers=2)
+        results = run_jobs(self._jobs(4), threads=2)
         assert [r.ok for r in results] == [False] * 4
         assert all("engine exploded" in r.error for r in results)
 
 
 # ----------------------------------------------------------------------
-# campaign identity: streaming vs a serial oracle, all modes
+# campaign identity: streaming vs a serial oracle
 # ----------------------------------------------------------------------
 def _serial_oracle(
     prog, *, steps: int, max_cases: int, plateau_patience: int, cache
@@ -295,46 +184,11 @@ def _serial_oracle(
     return outcome
 
 
-def _campaign_kwargs(mode: str) -> dict:
-    """Streaming-fleet knobs for each dispatch mode under test."""
-    if mode == "spawn":
-        return dict(workers=3, batch_size=2, serve=False, threads=1)
-    if mode == "serve":
-        return dict(workers=3, batch_size=2, serve=True, threads=1)
-    if mode == "inproc":
-        return dict(workers=3, batch_size=2, inproc=True, threads=1)
-    if mode == "inproc-threads":
-        return dict(threads=3)
-    raise AssertionError(mode)
-
-
-ALL_MODES = ["spawn", "serve", "inproc", "inproc-threads"]
-
-
-@requires_cc
-@pytest.mark.parametrize("mode", ALL_MODES)
-@pytest.mark.parametrize("name", ["SPV", "RAC", "CSEV"])
-def test_streaming_identical_to_serial(name, mode, tmp_path):
-    """The acceptance criterion: streaming == the serial oracle, for
-    every dispatch mode, on the benchmark zoo — merged bitmaps,
-    per-case new points, diagnostics, curves, saturation verdict."""
-    cache = ArtifactCache(tmp_path / "cache")
-    prog = preprocess(build_benchmark(name))
-    kwargs = dict(steps=300, max_cases=6, plateau_patience=100, cache=cache)
-
-    serial = _serial_oracle(prog, **kwargs)
-    stream = run_campaign(prog, **_campaign_kwargs(mode), **kwargs)
-    assert stream.n_cases == serial.n_cases == 6
-    _assert_outcomes_identical(serial, stream)
-    assert stream.scheduler_stats is not None
-    assert stream.scheduler_stats["folded"] == 6
-
-
 @requires_cc
 def test_mid_stream_saturation_cutoff(tmp_path):
-    """Saturation lands mid-stream: the scheduler stops submitting at
-    once, the outcome equals the serial verdict, and the discarded
-    speculation is counted, bounded by what was in flight."""
+    """Saturation lands mid-stream: the scheduler stops at once, the
+    outcome equals the serial verdict, and the discarded speculation is
+    counted, bounded by the open chunk."""
     cache = ArtifactCache(tmp_path / "cache")
     prog = preprocess(build_benchmark("SPV"))
     kwargs = dict(steps=2000, max_cases=12, plateau_patience=3, cache=cache)
@@ -342,17 +196,15 @@ def test_mid_stream_saturation_cutoff(tmp_path):
     serial = _serial_oracle(prog, **kwargs)
     assert serial.saturated and serial.n_cases < 12
 
-    stream = run_campaign(
-        prog, workers=2, batch_size=1, serve=False, threads=1, **kwargs,
-    )
+    stream = run_campaign(prog, threads=2, batch_size=2, **kwargs)
     _assert_outcomes_identical(serial, stream)
     stats = stream.scheduler_stats
-    assert stats["window"] == 4  # 2 x workers x batch
-    # Never submitted past the window once saturation folded...
-    assert stream.speculated_cases <= 4
+    # Chunks of threads x batch = 4: at most the rest of the open chunk
+    # is discarded once saturation folds...
+    assert stream.speculated_cases <= 3
     assert stats["speculated"] == stream.speculated_cases
-    # ...and never got anywhere near the case budget.
-    assert stats["submitted"] <= serial.n_cases + 4
+    # ...and the scheduler never got anywhere near the case budget.
+    assert stats["submitted"] <= serial.n_cases + 3
 
 
 @requires_cc
@@ -363,7 +215,7 @@ def test_threaded_streaming_campaign_matches_serial(tmp_path):
     serial = _serial_oracle(prog, **kwargs)
     threaded = run_campaign(prog, threads=4, **kwargs)
     _assert_outcomes_identical(serial, threaded)
-    assert threaded.scheduler_stats["mode"] == "inproc-threads"
+    assert threaded.scheduler_stats["threads"] == 4
 
 
 # ----------------------------------------------------------------------
@@ -386,31 +238,25 @@ def test_failed_case_chains_worker_exception(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# scheduler internals: no deadlock, fixed window
+# scheduler internals: speculation, idempotent finish
 # ----------------------------------------------------------------------
 class TestStreamScheduler:
-    def _jobs(self, n):
+    def _jobs(self, n, engine="sse"):
         prog = preprocess(build_benchmark("SPV"))
         return [
             SimulationJob(
-                prog=prog, seed=1 + i, engine="sse",
+                prog=prog, seed=1 + i, engine=engine,
                 options=SimulationOptions(steps=60),
             )
             for i in range(n)
         ]
 
-    def test_window_one_never_deadlocks(self):
-        scheduler = StreamScheduler(self._jobs(5), workers=3)
-        scheduler._window = 1  # tighter than any chunk the fleet wants
-        try:
-            seeds = [r.seed for r in scheduler.results()]
-        finally:
-            stats = scheduler.finish()
-        assert seeds == [1, 2, 3, 4, 5]
-        assert stats["speculated"] == 0
-
+    @requires_cc
     def test_stop_midway_counts_speculation(self):
-        scheduler = StreamScheduler(self._jobs(8), workers=2, batch_size=1)
+        scheduler = StreamScheduler(
+            self._jobs(8, engine="accmos"), threads=2, batch_size=2,
+            cache=False,
+        )
         folded = 0
         try:
             for _ in scheduler.results():
@@ -421,12 +267,12 @@ class TestStreamScheduler:
         finally:
             stats = scheduler.finish()
         assert stats["folded"] == 2
-        assert stats["window"] == 4  # 2 x workers x batch
-        assert stats["speculated"] == stats["submitted"] - 2
-        assert stats["speculated"] <= 4  # never past the window
+        assert stats["chunks"] == 1  # chunks of 2 x 2; the next never ran
+        assert stats["submitted"] == 4
+        assert stats["speculated"] == 2
 
     def test_finish_is_idempotent(self):
-        scheduler = StreamScheduler(self._jobs(2), workers=1)
+        scheduler = StreamScheduler(self._jobs(2))
         list(scheduler.results())
         first = scheduler.finish()
         second = scheduler.finish()
@@ -434,7 +280,9 @@ class TestStreamScheduler:
 
 
 # ----------------------------------------------------------------------
-# pre-warm compile failures: reported per job by the chunk path
+# chunk compile failures: reported per job (the pre-warm that used to
+# compile ahead of the chunks is gone; the chunk's compile is the one
+# that fails now)
 # ----------------------------------------------------------------------
 class TestPrewarmFailures:
     def _jobs(self, n=4):
@@ -461,10 +309,10 @@ class TestPrewarmFailures:
 
         monkeypatch.setattr(driver_mod, "_run_compiler", failing_compiler)
         results = run_jobs(
-            self._jobs(), workers=2, batch_size=2,
+            self._jobs(), threads=2, batch_size=2,
             cache=ArtifactCache(tmp_path / "cache"), backoff_seconds=0.0,
         )
-        assert calls["n"] > 1  # the pre-warm and the chunk path both tried
+        assert calls["n"] > 1  # the chunk and the per-job path both tried
         assert [r.ok for r in results] == [False] * 4
         assert all(
             r.error == "CompilationError: induced gcc failure"
@@ -480,6 +328,6 @@ class TestPrewarmFailures:
         monkeypatch.setattr(accmos_mod, "compile_model", broken)
         with pytest.raises(RuntimeError, match="bug in compile_model"):
             run_jobs(
-                self._jobs(), workers=2, batch_size=2,
+                self._jobs(), threads=2, batch_size=2,
                 cache=ArtifactCache(tmp_path / "cache"),
             )

@@ -4,7 +4,7 @@
 handshake; every failure shape — child exits before greeting (stdout
 EOF), child hangs (handshake timeout), child sends a wrong greeting (the
 ABI check refuses it) — must reap the process and close all three, or a
-flood of failed spawns (a crashing host retried by a pool, a bad
+flood of failed spawns (a crashing host restarted again and again, a bad
 artifact) exhausts the fd table.
 """
 
@@ -99,15 +99,6 @@ def test_child_hangs_without_ready(tmp_path):
 def test_model_server_spawn_failure_no_leak(tmp_path):
     model = _fake_model(_script(tmp_path, "dies.sh", "exit 7"))
     _flood(lambda: ModelServer(model, handshake_timeout=5.0))
-
-
-def test_server_pool_spawn_failure_no_leak(tmp_path):
-    from repro.runner.servers import ServerPool
-
-    model = _fake_model(_script(tmp_path, "dies.sh", "exit 9"))
-    model.serve = lambda **kw: ModelServer(model, handshake_timeout=5.0)
-    with ServerPool(max_servers=2) as pool:
-        _flood(lambda: pool.acquire(model))
 
 
 def test_failed_handshake_reaps_child(tmp_path):

@@ -3,15 +3,14 @@
 Pins the core invariant of the process rungs: a host serving the
 program's shared library is a pure throughput lever — byte-identical
 results to the SSE reference across the zoo and every stimulus kind,
-whether the host is private to one batch or pooled and warm, surviving
-crashes mid-stream (restart + resubmit), finishing per job when the host
-keeps dying, and bounded by the pool's idle-TTL/LRU lifecycle.
+whether the host is private to one batch or warm and reused, surviving
+crashes mid-stream (restart + resubmit), and finishing per job when the
+host keeps dying.
 """
 
 from __future__ import annotations
 
 import os
-import time
 
 import pytest
 
@@ -19,15 +18,9 @@ from repro import SimulationOptions, simulate, telemetry
 from repro.codegen.descriptor import descriptors_for
 from repro.codegen.driver import ServerError, SimulationServer
 from repro.dtypes import F64, I32
-from repro.engines.accmos import ModelServer, compile_model
+from repro.engines.accmos import CompiledModel, ModelServer, compile_model
 from repro.inproc import LibraryFault, encode_case_binary
 from repro.model.builder import ModelBuilder
-from repro.runner.cache import ArtifactCache
-from repro.runner.servers import (
-    FLAP_RESTART_THRESHOLD,
-    ServerPool,
-    merge_server_stats,
-)
 from repro.schedule import preprocess
 from repro.stimuli import (
     ConstantStimulus,
@@ -56,22 +49,32 @@ def zoo_programs():
 
 
 # ----------------------------------------------------------------------
-# byte identity: SSE vs a private host per batch vs a pooled warm host
+# byte identity: SSE vs a private host per batch vs a reused warm host
 # ----------------------------------------------------------------------
 @requires_cc
 @pytest.mark.parametrize("name", sorted(ZOO))
 def test_stream_matches_sse_and_batch(zoo_programs, name):
-    """Every case of a batch on a private host, and of a batch streamed
-    through a pooled warm host, is byte-identical to SSE."""
+    """Every case of a batch on a private host, and of two batches
+    streamed through one warm host, is byte-identical to SSE."""
     prog, stimuli = zoo_programs[name]
     opts = SimulationOptions(steps=STEPS, coverage=True, diagnostics=True)
     model = compile_model(prog, opts, cache=False)
     sse = simulate(prog, stimuli(), engine="sse", options=opts)
     batch = list(model.run_stream([(stimuli(), None) for _ in range(3)]))
-    with ServerPool() as pool:
-        pooled = pool.run_batch(model, [(stimuli(), None) for _ in range(3)])
-    assert len(batch) == len(pooled) == 3
-    for got in batch + pooled:
+    server = model.serve()
+    try:
+        warm = [
+            outcome
+            for _ in range(2)
+            for outcome in model.run_stream(
+                [(stimuli(), None) for _ in range(3)], server=server
+            )
+        ]
+        assert server.restarts == 0
+    finally:
+        server.close()
+    assert len(batch) == 3 and len(warm) == 6
+    for got in batch + warm:
         assert_results_agree(sse, got)
 
 
@@ -202,7 +205,9 @@ def test_crash_mid_stream_matches(zoo_programs):
 def test_double_crash_finishes_per_job(zoo_programs, monkeypatch):
     """Two host failures in a row: the stream raises ServerError, and the
     batched dispatcher finishes the group per job — every job still
-    byte-identical to SSE."""
+    byte-identical to SSE.  In the dispatcher the host is the rung under
+    a quarantined in-process library, so the library is made to fail
+    first."""
     from repro.runner.jobs import SimulationJob, run_job_batch
 
     prog, stimuli = zoo_programs["guarded"]
@@ -222,20 +227,28 @@ def test_double_crash_finishes_per_job(zoo_programs, monkeypatch):
     finally:
         server.kill()
 
-    class DeadPool(ServerPool):
-        """Hands out a host that is already dead."""
+    def no_library(self):
+        raise LibraryFault("induced load failure")
 
-        def acquire(self, model):
-            server = super().acquire(model)
+    real_serve = CompiledModel.serve
+    served = []
+
+    def dead_first_host(self, **kwargs):
+        """The first host (the quarantine rung's) is already dead."""
+        server = real_serve(self, **kwargs)
+        if not served:
             os.kill(server.pid, 9)
-            return server
+        served.append(server)
+        return server
 
+    monkeypatch.setattr(CompiledModel, "_acquire_instance", no_library)
+    monkeypatch.setattr(CompiledModel, "serve", dead_first_host)
     jobs = [
         SimulationJob(prog=prog, options=opts, stimuli=stimuli(), seed=s)
         for s in range(4)
     ]
-    with DeadPool() as pool, telemetry.capture() as session:
-        results = run_job_batch(jobs, cache=False, server_pool=pool)
+    with telemetry.capture() as session:
+        results = run_job_batch(jobs, cache=False)
     assert session.metrics.snapshot()["counters"]["runner.batch_fallbacks"] == 1
     assert [r.outcome for r in results] == ["ok"] * 4
     for result in results:
@@ -319,221 +332,17 @@ def test_missing_library_exits_nonzero_with_stderr(zoo_programs, tmp_path):
     assert "gone.so" in message
 
 
-# ----------------------------------------------------------------------
-# warm-server pool lifecycle
-# ----------------------------------------------------------------------
-@requires_cc
-def test_pool_reuses_warm_server(zoo_programs):
-    prog, stimuli = zoo_programs["int_arith"]
-    opts = SimulationOptions(steps=STEPS, coverage=True, diagnostics=True)
-    model = compile_model(prog, opts, cache=False)
-    with ServerPool(max_servers=2) as pool:
-        first = pool.run_batch(model, [(stimuli(), None) for _ in range(2)])
-        second = pool.run_batch(model, [(stimuli(), None) for _ in range(2)])
-        stats = pool.stats()
-    assert stats["spawns"] == 1
-    assert stats["reuses"] == 1
-    sse = simulate(prog, stimuli(), engine="sse", options=opts)
-    for via_pool in first + second:
-        assert_results_agree(sse, via_pool)
-
-
-@requires_cc
-def test_pool_lru_bound_retires_oldest(zoo_programs):
-    prog_a, stim_a = zoo_programs["int_arith"]
-    prog_b, stim_b = zoo_programs["unsigned"]
-    opts = SimulationOptions(steps=STEPS)
-    model_a = compile_model(prog_a, opts, cache=False)
-    model_b = compile_model(prog_b, opts, cache=False)
-    with ServerPool(max_servers=1) as pool:
-        pool.run_batch(model_a, [(stim_a(), None)])
-        assert pool.active == 1
-        pool.run_batch(model_b, [(stim_b(), None)])
-        assert pool.active == 1  # a's server was evicted, LRU-first
-        stats = pool.stats()
-        assert stats["retired_lru"] == 1
-        # b is warm, a needs a respawn
-        pool.run_batch(model_b, [(stim_b(), None)])
-        pool.run_batch(model_a, [(stim_a(), None)])
-        stats = pool.stats()
-    assert stats["spawns"] == 3
-    assert stats["reuses"] == 1
-
-
-@requires_cc
-def test_pool_idle_ttl_retires(zoo_programs):
-    prog, stimuli = zoo_programs["int_arith"]
-    opts = SimulationOptions(steps=STEPS)
-    model = compile_model(prog, opts, cache=False)
-    now = [0.0]
-    pool = ServerPool(max_servers=4, idle_ttl_seconds=10.0,
-                      _clock=lambda: now[0])
-    try:
-        pool.run_batch(model, [(stimuli(), None)])
-        assert pool.active == 1
-        now[0] = 11.0  # past the TTL: the sweep on next acquire retires it
-        pool.run_batch(model, [(stimuli(), None)])
-        stats = pool.stats()
-        assert stats["retired_idle"] == 1
-        assert stats["spawns"] == 2
-        assert stats["reuses"] == 0
-    finally:
-        pool.close()
-
-
-@requires_cc
-def test_pool_retires_dead_server_and_respawns(zoo_programs):
-    prog, stimuli = zoo_programs["int_arith"]
-    opts = SimulationOptions(steps=STEPS)
-    model = compile_model(prog, opts, cache=False)
-    with ServerPool() as pool:
-        handle = pool.acquire(model)
-        pid = handle.pid
-        pool.release(model, handle)
-        os.kill(pid, 9)
-        time.sleep(0.05)  # let the process die
-        again = pool.acquire(model)
-        assert again.pid != pid
-        assert again.alive
-        pool.release(model, again)
-        stats = pool.stats()
-    assert stats["retired_error"] == 1
-    assert stats["spawns"] == 2
-
-
-def test_merge_server_stats():
-    assert merge_server_stats(None, None) is None
-    acc = merge_server_stats(None, {"spawns": 2, "reuses": 1})
-    acc = merge_server_stats(acc, {"spawns": 1, "restarts": 3})
-    assert acc["spawns"] == 3
-    assert acc["reuses"] == 1
-    assert acc["restarts"] == 3
-
-
-# ----------------------------------------------------------------------
-# flap detection: per-artifact restart counters
-# ----------------------------------------------------------------------
-class TestFlapDetection:
-    """Counter-driven: note_restarts is the same entry point run_batch
-    calls after a stream restarts its server, so these tests exercise
-    the detector without needing a compiler."""
-
-    def test_below_threshold_no_penalty(self):
-        with ServerPool(flap_restart_threshold=3) as pool:
-            assert pool.note_restarts("art", 2) is False
-            assert pool.restart_count("art") == 2
-            assert pool.stats()["flapped_artifacts"] == 0
-
-    def test_threshold_crossing_flags_once(self):
-        with ServerPool(flap_restart_threshold=3) as pool:
-            assert pool.note_restarts("art", 1) is False
-            # Restarts accumulate across streams; the third one trips it.
-            assert pool.note_restarts("art", 2) is True
-            assert pool.restart_count("art") == 3
-            assert pool.stats()["flapped_artifacts"] == 1
-            # Fires once per artifact: more flapping keeps counting
-            # restarts but never re-flags.
-            assert pool.note_restarts("art", 5) is False
-            assert pool.restart_count("art") == 8
-            assert pool.stats()["flapped_artifacts"] == 1
-
-    def test_zero_restarts_never_counted(self):
-        with ServerPool() as pool:
-            assert pool.note_restarts("art", 0) is False
-            assert pool.note_restarts("art", -1) is False
-            assert pool.restart_count("art") == 0
-            assert pool.artifact_stats() == {}
-
-    def test_custom_threshold(self):
-        with ServerPool(flap_restart_threshold=1) as pool:
-            assert pool.note_restarts("art", 1) is True
-            assert pool.stats()["flapped_artifacts"] == 1
-
-    def test_per_artifact_isolation(self):
-        with ServerPool(flap_restart_threshold=3) as pool:
-            pool.note_restarts("a", 2)
-            pool.note_restarts("b", 2)
-            assert pool.stats()["flapped_artifacts"] == 0
-            assert pool.note_restarts("a", 1) is True
-            assert pool.note_restarts("b", 0) is False
-            stats = pool.artifact_stats()
-            assert stats["a"]["restarts"] == 3
-            assert stats["b"]["restarts"] == 2
-            assert pool.stats()["flapped_artifacts"] == 1
-
-    def test_default_threshold_sane(self):
-        assert FLAP_RESTART_THRESHOLD >= 2
-        with pytest.raises(ValueError):
-            ServerPool(flap_restart_threshold=0)
-
-
-@requires_cc
-def test_pool_artifact_counters_track_reuse(zoo_programs):
-    prog, stimuli = zoo_programs["int_arith"]
-    opts = SimulationOptions(steps=STEPS)
-    model = compile_model(prog, opts, cache=False)
-    with ServerPool(max_servers=2) as pool:
-        pool.run_batch(model, [(stimuli(), None)])
-        pool.run_batch(model, [(stimuli(), None)])
-        key = ServerPool.artifact_key(model)
-        stats = pool.artifact_stats()
-    assert stats[key] == {"spawns": 1, "reuses": 1, "restarts": 0}
-
-
-# ----------------------------------------------------------------------
-# campaign: spawn bound + identity
-# ----------------------------------------------------------------------
-@requires_cc
-def test_campaign_server_mode_spawn_bound(zoo_programs, tmp_path):
-    """Cold-cache N-case single-artifact campaign in server mode: exactly
-    one compiler invocation, at most ``workers`` process spawns, and a
-    byte-identical outcome to serial non-server execution."""
-    from repro.campaign import run_campaign
-
-    prog, _ = zoo_programs["guarded"]
-    workers = 2
-    common = dict(steps=STEPS, max_cases=12, plateau_patience=12)
-    serial = run_campaign(prog, workers=1, batch_size=1, cache=False,
-                          serve=False, threads=1, **common)
-    cache = ArtifactCache(tmp_path / "cache")
-    served = run_campaign(prog, workers=workers, batch_size=3, cache=cache,
-                          serve=True, threads=1, **common)
-
-    assert cache.stats().misses == 1  # exactly one gcc for the campaign
-    assert served.server_stats is not None
-    assert 1 <= served.server_stats["spawns"] <= workers
-    assert served.server_stats["restarts"] == 0
-
-    assert [c.seed for c in served.cases] == [c.seed for c in serial.cases]
-    for a, b in zip(serial.cases, served.cases):
-        assert (a.steps_run, a.new_points, a.n_diagnostics,
-                a.new_points_by_metric) == (
-            b.steps_run, b.new_points, b.n_diagnostics,
-            b.new_points_by_metric)
-    assert served.merged.bitmaps == serial.merged.bitmaps
-    assert [(str(e), s) for e, s in served.diagnostics] == [
-        (str(e), s) for e, s in serial.diagnostics
-    ]
-    assert served.saturated == serial.saturated
-
-
-@requires_cc
-def test_campaign_no_serve_has_no_server_stats(zoo_programs):
-    from repro.campaign import run_campaign
-
-    prog, _ = zoo_programs["int_arith"]
-    outcome = run_campaign(prog, steps=STEPS, max_cases=2,
-                           plateau_patience=2, batch_size=2,
-                           cache=False, serve=False, threads=1)
-    assert outcome.server_stats is None
-
-
 def test_cli_serve_flag():
+    """The warm-host pool is gone, and so are ``--serve``/``--no-serve``:
+    argparse rejects them (exit 2) instead of ignoring them."""
     from repro.cli import build_parser
 
     parser = build_parser()
-    assert parser.parse_args(["campaign", "m.xml"]).serve is True
-    assert parser.parse_args(["campaign", "m.xml", "--no-serve"]).serve is False
+    assert not hasattr(parser.parse_args(["campaign", "m.xml"]), "serve")
+    for flag in ("--serve", "--no-serve"):
+        with pytest.raises(SystemExit) as excinfo:
+            parser.parse_args(["campaign", "m.xml", flag])
+        assert excinfo.value.code == 2
 
 
 # ----------------------------------------------------------------------

@@ -14,8 +14,8 @@ Four contracts under test, straight from the service's design:
 * **Fairness** — per-tenant quotas with round-robin admission: one
   tenant's backlog cannot starve another tenant's first submission.
 * **Resilience** — a client that vanishes mid-stream kills its
-  connection, not its campaign, and leaves the shared pool healthy for
-  the next submission.
+  connection, not its campaign, and leaves the service healthy for the
+  next submission.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import pytest
 from conftest import requires_cc
 from helpers import ZOO, ServiceThread
 from repro.campaign import CampaignConfig, run_campaign
-from repro.runner.costmodel import CostModelStore, set_default_cost_store
 from repro.schedule import preprocess
 from repro.service import (
     CampaignService,
@@ -46,14 +45,6 @@ from repro.slx.generic import model_to_generic
 DEADLINE = 90.0  # generous upper bound on any campaign in this file
 
 
-@pytest.fixture(autouse=True)
-def _isolated_cost_store(tmp_path):
-    """Never read or pollute the user's persistent cost model."""
-    previous = set_default_cost_store(CostModelStore(tmp_path / "cm.json"))
-    yield
-    set_default_cost_store(previous)
-
-
 def _wait(predicate, timeout=DEADLINE, interval=0.01):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -64,12 +55,8 @@ def _wait(predicate, timeout=DEADLINE, interval=0.01):
 
 
 @pytest.fixture
-def server(tmp_path):
-    service = CampaignService(
-        tenant_quota=1,
-        max_concurrent=2,
-        cost_store=CostModelStore(tmp_path / "service-cm.json"),
-    )
+def server():
+    service = CampaignService(tenant_quota=1, max_concurrent=2)
     running = ServiceThread(service)
     yield running
     running.close()
@@ -92,10 +79,10 @@ class TestSpec:
         assert spec.config == CampaignConfig()
 
     def test_knobs_forwarded(self):
-        spec = parse_spec(_spec(workers=2, tenant="t", serve=False))
+        spec = parse_spec(_spec(threads=2, tenant="t", batch_size=3))
         assert spec.tenant == "t"  # service-level, not a config field
         assert spec.config == CampaignConfig(
-            engine="sse", steps=300, max_cases=6, workers=2, serve=False,
+            engine="sse", steps=300, max_cases=6, threads=2, batch_size=3,
         )
 
     @pytest.mark.parametrize(
@@ -109,9 +96,9 @@ class TestSpec:
             ({"model": "bench:SPV", "engine": "matlab"}, "unknown engine"),
             ({"model": "bench:SPV", "tenant": ""}, "'tenant'"),
             ({"model": "bench:SPV", "workers": 0}, "workers"),
-            ({"model": "bench:SPV", "workers": True}, "must be an integer"),
+            ({"model": "bench:SPV", "threads": True}, "must be an integer"),
             ({"model": "bench:SPV", "steps": "many"}, "must be an integer"),
-            ({"model": "bench:SPV", "serve": 1}, "must be a boolean"),
+            ({"model": "bench:SPV", "serve": 1}, "'serve'"),
             ({"model": "bench:SPV", "mode": "fork"}, "'mode'"),
             ({"model": "bench:SPV", "scheduler": "lifo"}, "'scheduler'"),
             ({"model": "bench:SPV", "timeout_seconds": 0}, "positive"),
@@ -165,7 +152,7 @@ class TestLifecycle:
         assert status["state"] == "done"
         assert status["cases"] == len(seeds)
         assert status["scheduler_stats"] is not None
-        assert "server_pool" in status["service"]
+        assert "queued_by_tenant" in status["service"]
         assert "telemetry" in status["service"]
 
     def test_events_endpoint_pages_the_log(self, server):
@@ -221,12 +208,8 @@ class TestLifecycle:
         # Cancel is idempotent once terminal.
         assert client.cancel(campaign_id)["state"] == "cancelled"
 
-    def test_cancel_queued_campaign_never_runs(self, tmp_path):
-        service = CampaignService(
-            tenant_quota=1,
-            max_concurrent=1,
-            cost_store=CostModelStore(tmp_path / "cm2.json"),
-        )
+    def test_cancel_queued_campaign_never_runs(self):
+        service = CampaignService(tenant_quota=1, max_concurrent=1)
         try:
             blocker = service.submit(
                 _spec(steps=20_000, max_cases=200, plateau_patience=200)
@@ -255,7 +238,7 @@ class TestByteIdentity:
         document = model_to_generic(model)
         spec = {
             "model": document, "engine": "sse",
-            "steps": 400, "max_cases": 5, "workers": 2,
+            "steps": 400, "max_cases": 5, "threads": 2,
         }
         campaign_id = server.client.submit(spec)
         frames = list(server.client.stream_raw(campaign_id))
@@ -265,7 +248,7 @@ class TestByteIdentity:
 
         reference = run_campaign(
             preprocess(model), engine="sse",
-            steps=400, max_cases=5, workers=2,
+            steps=400, max_cases=5, threads=2,
         )
         # Scheduler stats describe how the campaign ran; none of them
         # reaches the canonical bytes.
@@ -293,7 +276,7 @@ class TestByteIdentity:
         ]
 
     def test_reconnect_replay_is_byte_identical(self, server):
-        campaign_id = server.client.submit(_spec(workers=2))
+        campaign_id = server.client.submit(_spec(threads=2))
         first = list(server.client.stream_raw(campaign_id))
         assert len(first) >= 3
         # A reconnect with cursor=N replays exactly the missed suffix.
@@ -332,13 +315,9 @@ def _bench_prog():
 # tenant quotas and fair admission
 # ----------------------------------------------------------------------
 class TestTenantFairness:
-    def test_round_robin_across_tenants(self, tmp_path):
+    def test_round_robin_across_tenants(self):
         """A's backlog must not starve B's first submission."""
-        service = CampaignService(
-            tenant_quota=1,
-            max_concurrent=1,
-            cost_store=CostModelStore(tmp_path / "cm3.json"),
-        )
+        service = CampaignService(tenant_quota=1, max_concurrent=1)
         slow = _spec(steps=20_000, max_cases=200, plateau_patience=200)
         try:
             a1 = service.submit(dict(slow, tenant="a"))
@@ -359,14 +338,10 @@ class TestTenantFairness:
         finally:
             service.close()
 
-    def test_tenant_quota_caps_concurrency(self, tmp_path):
+    def test_tenant_quota_caps_concurrency(self):
         """One tenant cannot occupy both global slots; a second tenant
         can run alongside."""
-        service = CampaignService(
-            tenant_quota=1,
-            max_concurrent=2,
-            cost_store=CostModelStore(tmp_path / "cm4.json"),
-        )
+        service = CampaignService(tenant_quota=1, max_concurrent=2)
         slow = _spec(steps=20_000, max_cases=200, plateau_patience=200)
         try:
             a1 = service.submit(dict(slow, tenant="a"))
@@ -386,6 +361,26 @@ class TestTenantFairness:
             CampaignService(tenant_quota=0)
         with pytest.raises(ValueError, match="max_concurrent"):
             CampaignService(max_concurrent=0)
+
+    def test_cost_store_keyword_is_inert(self, tmp_path):
+        """The learned cost model is gone; ``cost_store`` is still
+        accepted (and ignored), and nothing is written to its path."""
+        from repro.runner.costmodel import (
+            CostModelStore,
+            set_default_cost_store,
+        )
+
+        path = tmp_path / "cm.json"
+        previous = set_default_cost_store(CostModelStore(path))
+        try:
+            service = CampaignService(cost_store=CostModelStore(path))
+            record = service.submit(_spec(max_cases=2))
+            assert record.wait_terminal(DEADLINE)
+            assert record.state == "done"
+            service.close()
+        finally:
+            set_default_cost_store(previous)
+        assert not path.exists()
 
 
 # ----------------------------------------------------------------------
@@ -428,27 +423,33 @@ class TestDisconnect:
         assert status["state"] == "running"
         assert client.cancel(campaign_id)["state"] == "cancelled"
 
-        # The service (and its shared pool) serves the next campaign.
+        # The service serves the next campaign.
         follow_up = client.submit(_spec())
         events = list(client.stream(follow_up))
         assert events[-1]["type"] == "outcome"
         assert events[-1]["state"] == "done"
-        assert client.status(follow_up)["service"]["server_pool"] is not None
+        assert client.status(follow_up)["service"]["campaigns"]["done"] == 1
 
     @requires_cc
     def test_warm_pool_is_shared_across_campaigns(self, server):
-        """Two AccMoS campaigns of one model reuse warm servers across
-        the campaign boundary — the shared pool's reason to exist."""
+        """Two AccMoS campaigns of one model share loaded library
+        instances across the campaign boundary: the second one loads
+        nothing and reuses the first one's instance.  (One thread, so
+        each campaign holds exactly one instance at a time.)"""
+        from repro.inproc import default_instance_pool
+
         spec = {
             "model": "bench:SPV", "engine": "accmos",
             "steps": 120, "max_cases": 4, "plateau_patience": 4,
-            "batch_size": 2, "serve": True, "threads": 1,
+            "batch_size": 2, "threads": 1,
         }
         client = server.client
+        pool = default_instance_pool()
         first = client.submit(spec)
         assert list(client.stream(first))[-1]["state"] == "done"
+        after_first = pool.stats()
         second = client.submit(spec)
         assert list(client.stream(second))[-1]["state"] == "done"
-        pool = client.status(second)["service"]["server_pool"]
-        assert pool["spawns"] >= 1
-        assert pool["reuses"] >= 1, pool
+        after_second = pool.stats()
+        assert after_second["loads"] == after_first["loads"]
+        assert after_second["reuses"] - after_first["reuses"] >= 1

@@ -215,7 +215,7 @@ class TestPipelineSpans:
             for s in (1, 2, 3)
         ]
         with telemetry.capture() as session:
-            results = run_jobs(jobs, workers=2, mode="thread", cache=False)
+            results = run_jobs(jobs, threads=2, cache=False)
         assert all(r.ok for r in results)
         spans = session.tracer.finished()
         pool = [s for s in spans if s.name == "runner.run_jobs"][0]
@@ -234,14 +234,14 @@ class TestPipelineSpans:
             for s in (1, 2)
         ]
         with telemetry.capture() as session:
-            results = run_jobs(jobs, workers=2, mode="thread", cache=False)
+            results = run_jobs(jobs, threads=2, cache=False)
         assert all(r.ok for r in results)
         spans = session.tracer.finished()
         pool = [s for s in spans if s.name == "runner.run_jobs"][0]
         job_spans = [s for s in spans if s.name == "runner.job"]
         assert len(job_spans) == 2
         assert all(s.parent_id == pool.span_id for s in job_spans)
-        # Worker threads record into the one process-wide session.
+        # Every job records into the one process-wide session.
         assert all(s.pid == pool.pid for s in job_spans)
         snap = session.metrics.snapshot()
         assert snap["counters"]["engine.sse.runs"] == 2
@@ -256,11 +256,12 @@ class TestPipelineSpans:
                           options=SimulationOptions(steps=20))
             for s in (1, 2)
         ]
-        results = run_jobs(jobs, workers=2, mode="thread", cache=cache)
+        results = run_jobs(jobs, threads=1, cache=cache)
         assert all(r.ok for r in results)
-        # Every worker thread looked the artifact up through this handle.
+        # Every chunk (one per job at one thread, batch 1) looked the
+        # artifact up through this handle.
         stats = cache.stats()
-        assert stats.hits + stats.misses == 2
+        assert (stats.misses, stats.hits) == (1, 1)
 
 
 # ----------------------------------------------------------------------
