@@ -74,7 +74,7 @@ class CampaignOutcome:
     # Cases that ran past the saturation point (the rest of the open
     # chunk) and were discarded by the ordered merge — speculation waste.
     speculated_cases: int = 0
-    # The scheduler's run report (threads, batch size, chunks,
+    # The chunk loop's run report (threads, batch size, chunks,
     # speculation); None until the campaign has run.
     scheduler_stats: Optional[dict] = None
 

@@ -32,9 +32,12 @@ from __future__ import annotations
 import threading
 import time
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Sequence, Union
+from typing import (
+    TYPE_CHECKING, Callable, Iterator, Mapping, Optional, Sequence, Union,
+)
 
 from repro import telemetry
 from repro.codegen.compose import ProgramLayout, generate_reusable_c_program
@@ -65,6 +68,10 @@ from repro.stimuli.base import Stimulus
 
 if TYPE_CHECKING:
     from repro.runner.cache import ArtifactCache
+
+# Cases :meth:`CompiledModel.run_stream` keeps submitted ahead of the
+# one it is decoding, so the host always has work queued.
+STREAM_WINDOW = 4
 
 # One batch case: a stimuli mapping, or (stimuli, options) to override
 # the per-case runtime options (steps / time_budget).
@@ -138,7 +145,9 @@ class CompiledModel:
     source_lines: int
     decoder: ResultDecoder = field(repr=False, compare=False)
     _fingerprint: tuple = field(repr=False)
-    _inproc_disabled: bool = field(default=False, repr=False, compare=False)
+    _inproc_fault: Optional[str] = field(
+        default=None, repr=False, compare=False
+    )
     _inproc_lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
@@ -183,15 +192,14 @@ class CompiledModel:
         *,
         timeout_seconds: Optional[float] = None,
         server: "Optional[ModelServer]" = None,
-        window: int = 4,
     ) -> Iterator[Union[SimulationResult, SimulationTimeout]]:
         """Stream M cases through a host process, yielding results as
         each case's frame completes.
 
-        Submission runs ``window`` cases ahead of decoding so the host
-        always has work queued while Python decodes earlier frames —
-        execution and decoding overlap instead of serializing.  Outcomes
-        arrive in submit order, one per case: a result, or a
+        Submission runs :data:`STREAM_WINDOW` cases ahead of decoding so
+        the host always has work queued while Python decodes earlier
+        frames — execution and decoding overlap instead of serializing.
+        Outcomes arrive in submit order, one per case: a result, or a
         :class:`SimulationTimeout` instance for a case that blew the
         per-case deadline (state is fully reset before the next case
         either way).
@@ -228,7 +236,7 @@ class CompiledModel:
                     try:
                         sub = done
                         submit_times: dict[int, float] = {}
-                        while sub < min(done + max(1, window), n):
+                        while sub < min(done + STREAM_WINDOW, n):
                             server.server.submit(records[sub])
                             submit_times[sub] = time.perf_counter()
                             sub += 1
@@ -274,7 +282,7 @@ class CompiledModel:
     @property
     def inproc_available(self) -> bool:
         """False once a fault has quarantined the in-process rung."""
-        return not self._inproc_disabled
+        return self._inproc_fault is None
 
     def load(self) -> LoadedModel:
         """A fresh private in-process instance of this model's library,
@@ -301,41 +309,14 @@ class CompiledModel:
     def _quarantine_inproc(self, reason: Exception) -> None:
         """Retire the in-process rung for this model: all subsequent
         ``run_inproc`` calls drop straight to the host process rung.
-        Idempotent and thread-safe — with N worker threads, the first
-        fault wins and the rest observe the flag."""
+        Idempotent and thread-safe — with N shard threads, the first
+        fault wins (its text is kept as the fallback's reason) and the
+        rest observe the flag."""
         with self._inproc_lock:
-            if self._inproc_disabled:
+            if self._inproc_fault is not None:
                 return
-            self._inproc_disabled = True
+            self._inproc_fault = f"{type(reason).__name__}: {reason}"
         telemetry.counter_inc("engine.inproc.fallbacks")
-
-    def _run_case_inproc(
-        self,
-        lib: LoadedModel,
-        record: bytes,
-        options: SimulationOptions,
-        *,
-        index: int,
-        batch_size: int,
-        timeout_seconds: Optional[float],
-    ) -> Union[SimulationResult, SimulationTimeout]:
-        """One case on one instance: run, decode, finalize, count."""
-        t0 = time.perf_counter()
-        buf = lib.run_case(record)
-        execute_seconds = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        result = self.decoder.decode(buf, self.prog, options, engine="accmos")
-        parse_seconds = time.perf_counter() - t0
-        outcome = self._finalize(
-            result,
-            index=index,
-            batch_size=batch_size,
-            timeout_seconds=timeout_seconds,
-            execute_seconds=execute_seconds,
-            parse_seconds=parse_seconds,
-        )
-        telemetry.counter_inc("engine.inproc.cases")
-        return outcome
 
     def run_inproc(
         self,
@@ -357,17 +338,18 @@ class CompiledModel:
         library (:meth:`run_stream`).  Results are byte-identical either
         way.
 
-        ``threads=N`` partitions the cases across N worker threads, each
-        holding a *private* pooled instance (private inode → private C
-        globals); ``ctypes`` releases the GIL around ``acc_lib_run_case``
-        so the C simulation loops genuinely run in parallel.  Outcomes
-        are written into a preallocated slot per case index, so the
-        merge is deterministic by construction — ``threads=N`` is
-        bit-for-bit identical to ``threads=1``.  The cases are packed
-        into shards by :func:`~repro.inproc.parallel.pack_shards`: LPT
-        on their step counts, a round-robin stride when they are equal.
+        ``threads=N`` partitions the cases across N shards, each run on
+        its own thread holding a *private* pooled instance (private
+        inode → private C globals); ``ctypes`` releases the GIL around
+        ``acc_lib_run_case`` so the C simulation loops genuinely run in
+        parallel.  Outcomes are written into a preallocated slot per
+        case index, so the merge is deterministic by construction —
+        ``threads=N`` is bit-for-bit identical to ``threads=1``.  The
+        cases are packed into shards by
+        :func:`~repro.inproc.parallel.pack_shards`: LPT on their step
+        counts, a round-robin stride when they are equal.
 
-        ``library`` runs the batch sequentially on an explicit
+        ``library`` runs the batch as one shard on an explicit
         :class:`~repro.inproc.library.LoadedModel` instead of a pooled
         instance (tests use it to induce faults).
         """
@@ -375,182 +357,41 @@ class CompiledModel:
         if not cases:
             return []
         normalized, records = self._encode(cases, timeout_seconds)
-        threads = max(1, int(threads))
-        if library is None and threads > 1:
-            shards = pack_shards(
-                [options.steps for options, _ in normalized], threads
-            )
-            outcomes = self._run_inproc_threaded(
-                cases,
-                normalized,
-                records,
-                shards=shards,
-                timeout_seconds=timeout_seconds,
-            )
-            telemetry.counter_inc("engine.inproc.runs")
-            return outcomes
-        outcomes: list[Union[SimulationResult, SimulationTimeout]] = []
-        with telemetry.span(
-            "accmos.inproc", model=self.prog.model.name, cases=len(cases)
-        ) as span:
-            lib = library
-            pool_key = None
-            if lib is None and not self._inproc_disabled:
-                try:
-                    pool_key, lib = self._acquire_instance()
-                except (CompilationError, LibraryFault, OSError) as exc:
-                    self._quarantine_inproc(exc)
-            try:
-                for index in range(len(cases)):
-                    if lib is not None:
-                        try:
-                            outcomes.append(
-                                self._run_case_inproc(
-                                    lib,
-                                    records[index],
-                                    normalized[index][0],
-                                    index=index,
-                                    batch_size=len(cases),
-                                    timeout_seconds=timeout_seconds,
-                                )
-                            )
-                            continue
-                        except LibraryFault as exc:
-                            self._quarantine_inproc(exc)
-                            lib = None
-                    # In-process rung unavailable: finish on the server
-                    # rung.
-                    span.set(fallback=True)
-                    outcomes.extend(
-                        self.run_stream(
-                            cases[index:], timeout_seconds=timeout_seconds
-                        )
-                    )
-                    break
-            finally:
-                if pool_key is not None and lib is not None:
-                    default_instance_pool().release(pool_key, lib)
-        telemetry.counter_inc("engine.inproc.runs")
-        return outcomes
+        shards = pack_shards(
+            [options.steps for options, _ in normalized],
+            1 if library is not None else max(1, int(threads)),
+        )
 
-    def _run_inproc_threaded(
-        self,
-        cases: "list[BatchCase]",
-        normalized: list,
-        records: "list[bytes]",
-        *,
-        shards: "list[list[int]]",
-        timeout_seconds: Optional[float],
-    ) -> list[Union[SimulationResult, SimulationTimeout]]:
-        """The thread-parallel body of :meth:`run_inproc`.
-
-        Each worker owns one pooled instance and one shard of case
-        indices, writing outcomes into its cases' preallocated slots.
-        The first fault quarantines the model; every worker drains its
-        remaining indices into ``pending``, and pending cases finish on
-        a host process *in index order* — the same ladder, the same
-        bytes, as the sequential path.
-        """
-        n = len(cases)
-        outcomes: "list" = [None] * n
-        pending: "list[int]" = []
-        errors: "list[BaseException]" = []
-        merge_lock = threading.Lock()
-        shard_walls: "list[float]" = [0.0] * len(shards)
-
-        def worker(slot: int, shard: "list[int]") -> None:
+        def run_case(lib: LoadedModel, index: int):
+            """One case on one instance: run, decode, finalize, count."""
             t0 = time.perf_counter()
-            lib = None
-            pool_key = None
-            try:
-                for pos, index in enumerate(shard):
-                    if lib is None:
-                        if self._inproc_disabled:
-                            with merge_lock:
-                                pending.extend(shard[pos:])
-                            return
-                        try:
-                            pool_key, lib = self._acquire_instance()
-                        except (
-                            CompilationError,
-                            LibraryFault,
-                            OSError,
-                        ) as exc:
-                            self._quarantine_inproc(exc)
-                            with merge_lock:
-                                pending.extend(shard[pos:])
-                            return
-                    try:
-                        outcome = self._run_case_inproc(
-                            lib,
-                            records[index],
-                            normalized[index][0],
-                            index=index,
-                            batch_size=n,
-                            timeout_seconds=timeout_seconds,
-                        )
-                    except LibraryFault as exc:
-                        # run_case retired the instance already; mirror
-                        # the sequential semantics — one fault
-                        # quarantines the whole model.
-                        lib = None
-                        self._quarantine_inproc(exc)
-                        with merge_lock:
-                            pending.extend(shard[pos:])
-                        return
-                    with merge_lock:
-                        outcomes[index] = outcome
-            except BaseException as exc:  # decode/finalize bugs: surface
-                with merge_lock:
-                    errors.append(exc)
-            finally:
-                if pool_key is not None and lib is not None:
-                    default_instance_pool().release(pool_key, lib)
-                shard_walls[slot] = time.perf_counter() - t0
+            buf = lib.run_case(records[index])
+            execute_seconds = time.perf_counter() - t0
+            t0 = time.perf_counter()
+            result = self.decoder.decode(
+                buf, self.prog, normalized[index][0], engine="accmos"
+            )
+            outcome = self._finalize(
+                result,
+                index=index,
+                batch_size=len(cases),
+                timeout_seconds=timeout_seconds,
+                execute_seconds=execute_seconds,
+                parse_seconds=time.perf_counter() - t0,
+            )
+            telemetry.counter_inc("engine.inproc.cases")
+            return outcome
 
-        with telemetry.span(
+        outcomes = self._run_instances(
             "accmos.inproc",
-            model=self.prog.model.name,
-            cases=n,
-            threads=len(shards),
-        ) as span:
-            telemetry.gauge_set("engine.inproc.threads", len(shards))
-            workers = [
-                threading.Thread(
-                    target=worker,
-                    args=(slot, shard),
-                    name=f"accmos-inproc-{slot}",
-                    daemon=True,
-                )
-                for slot, shard in enumerate(shards)
-            ]
-            for thread in workers:
-                thread.start()
-            for thread in workers:
-                thread.join()
-            if errors:
-                raise errors[0]
-            makespan = max(shard_walls) if shard_walls else 0.0
-            for wall in shard_walls:
-                telemetry.observe(
-                    "engine.inproc.shard_makespan_seconds", wall
-                )
-            if makespan > 0 and len(shard_walls) > 1:
-                telemetry.gauge_set(
-                    "engine.inproc.pack_efficiency",
-                    sum(shard_walls) / (len(shard_walls) * makespan),
-                )
-            if pending:
-                # Ladder fallback for faulted/drained cases, in index
-                # order so the host stream sees a deterministic batch.
-                span.set(fallback=True, pending=len(pending))
-                pending.sort()
-                fallback = self.run_stream(
-                    [cases[i] for i in pending],
-                    timeout_seconds=timeout_seconds,
-                )
-                for index, outcome in zip(pending, fallback):
-                    outcomes[index] = outcome
+            cases,
+            shards,
+            run_case,
+            lambda outcome: outcome,
+            timeout_seconds=timeout_seconds,
+            library=library,
+        )
+        telemetry.counter_inc("engine.inproc.runs")
         return outcomes
 
     def probe_coverage(
@@ -582,45 +423,124 @@ class CompiledModel:
         if not cases:
             return []
         _, records = self._encode(cases, timeout_seconds)
-        probes: list[Optional[dict]] = []
-        with telemetry.span(
-            "accmos.probe", model=self.prog.model.name, cases=len(cases)
-        ) as span:
-            lib = None
-            pool_key = None
-            if not self._inproc_disabled:
-                try:
-                    pool_key, lib = self._acquire_instance()
-                except (CompilationError, LibraryFault, OSError) as exc:
-                    self._quarantine_inproc(exc)
+
+        def probe(lib: LoadedModel, index: int) -> Optional[dict]:
+            buf = lib.run_case(records[index])
+            bitmaps = self.decoder.decode_coverage(buf)
+            telemetry.counter_inc("engine.inproc.probes")
+            return bitmaps
+
+        def host_bitmaps(outcome) -> Optional[dict]:
+            if isinstance(outcome, SimulationTimeout):
+                return None
+            if outcome.coverage is None:
+                return None
+            return dict(outcome.coverage.bitmaps)
+
+        return self._run_instances(
+            "accmos.probe",
+            cases,
+            [list(range(len(cases)))],
+            probe,
+            host_bitmaps,
+            timeout_seconds=timeout_seconds,
+        )
+
+    def _run_instances(
+        self,
+        span_name: str,
+        cases: "list[BatchCase]",
+        shards: "list[list[int]]",
+        run_case: "Callable[[LoadedModel, int], object]",
+        from_host: "Callable[[object], object]",
+        *,
+        timeout_seconds: Optional[float],
+        library: Optional[LoadedModel] = None,
+    ) -> list:
+        """The one in-process instance loop, behind :meth:`run_inproc`
+        and :meth:`probe_coverage`.
+
+        Each shard of case indices runs on one instance — ``library``,
+        or a private one from the instance pool — writing
+        ``run_case(lib, index)`` into its case's slot.  A load failure
+        or :class:`~repro.inproc.library.LibraryFault` quarantines the
+        model and drains the rest of the shard into ``pending``; every
+        pending case then finishes on :meth:`run_stream` *in index
+        order*, its outcome mapped through ``from_host`` — the same
+        ladder, the same bytes, whichever shard faulted.  One shard
+        runs inline on the calling thread; more run one thread each.
+        """
+        results: list = [None] * len(cases)
+        tails: "list[list[int]]" = [[] for _ in shards]
+        walls = [0.0] * len(shards)
+
+        def run_shard(slot: int, shard: "list[int]") -> None:
+            t0 = time.perf_counter()
+            lib, pool_key, done = library, None, 0
             try:
-                for index in range(len(cases)):
-                    if lib is not None:
-                        try:
-                            buf = lib.run_case(records[index])
-                            probes.append(self.decoder.decode_coverage(buf))
-                            telemetry.counter_inc("engine.inproc.probes")
-                            continue
-                        except LibraryFault as exc:
-                            self._quarantine_inproc(exc)
-                            lib = None
-                    # Fallback: full host run, keep only the bitmaps.
-                    span.set(fallback=True)
-                    for outcome in self.run_stream(
-                        cases[index:], timeout_seconds=timeout_seconds
-                    ):
-                        if (
-                            isinstance(outcome, SimulationTimeout)
-                            or outcome.coverage is None
-                        ):
-                            probes.append(None)
-                        else:
-                            probes.append(dict(outcome.coverage.bitmaps))
-                    break
+                if lib is None and self._inproc_fault is None:
+                    try:
+                        pool_key, lib = self._acquire_instance()
+                    except (CompilationError, LibraryFault, OSError) as exc:
+                        self._quarantine_inproc(exc)
+                while lib is not None and done < len(shard):
+                    try:
+                        results[shard[done]] = run_case(lib, shard[done])
+                    except LibraryFault as exc:
+                        # run_case retired the instance already; one
+                        # fault quarantines the whole model.
+                        self._quarantine_inproc(exc)
+                        lib = None
+                        break
+                    done += 1
             finally:
                 if pool_key is not None and lib is not None:
                     default_instance_pool().release(pool_key, lib)
-        return probes
+                walls[slot] = time.perf_counter() - t0
+            tails[slot] = shard[done:]
+
+        with telemetry.span(
+            span_name,
+            model=self.prog.model.name,
+            cases=len(cases),
+            threads=len(shards),
+        ) as span:
+            if len(shards) == 1:
+                run_shard(0, shards[0])
+            else:
+                telemetry.gauge_set("engine.inproc.threads", len(shards))
+                with ThreadPoolExecutor(
+                    len(shards), thread_name_prefix="accmos-inproc"
+                ) as pool:
+                    futures = [
+                        pool.submit(run_shard, slot, shard)
+                        for slot, shard in enumerate(shards)
+                    ]
+                for future in futures:
+                    future.result()  # decode/finalize bugs: surface
+                for wall in walls:
+                    telemetry.observe(
+                        "engine.inproc.shard_makespan_seconds", wall
+                    )
+                if max(walls) > 0:
+                    telemetry.gauge_set(
+                        "engine.inproc.pack_efficiency",
+                        sum(walls) / (len(walls) * max(walls)),
+                    )
+            pending = sorted(index for tail in tails for index in tail)
+            if pending:
+                span.set(
+                    fallback=True,
+                    pending=len(pending),
+                    reason=self._inproc_fault,
+                )
+                fallback = self.run_stream(
+                    [cases[index] for index in pending],
+                    timeout_seconds=timeout_seconds,
+                )
+                for index, outcome in zip(pending, fallback):
+                    results[index] = from_host(outcome)
+        return results
 
     # ------------------------------------------------------------------
     def _normalize(self, case: BatchCase):

@@ -8,11 +8,12 @@ saturation verdict byte-identical between ``threads=1`` and
 ``threads=N`` — the plateau criterion is evaluated on the ordered
 merge, exactly as the serial loop would.
 
-The ordered stream comes from the FIFO
-:class:`~repro.runner.scheduler.StreamScheduler`, which runs one
-same-key chunk of ``threads × batch_size`` cases at a time, in-process
-on ``threads`` threads.  On saturation or cancel only the rest of the
-open chunk is wasted, and it is *counted*, not silently burned:
+The ordered stream comes from the chunk loop
+:func:`~repro.runner.pool.run_chunks`, which runs one chunk of
+``threads × batch_size`` cases at a time, in-process on ``threads``
+threads; a campaign's jobs share one key, so they come out in seed
+order.  On saturation or cancel only the rest of the open chunk is
+wasted, and it is *counted*, not silently burned:
 ``CampaignOutcome.speculated_cases`` and the
 ``campaign.speculated_cases`` telemetry counter report the waste.
 """
@@ -28,7 +29,7 @@ from repro.coverage.report import CoverageReport
 from repro.engines.base import SimulationOptions
 from repro.model.errors import SimulationError
 from repro.runner.jobs import JobResult, SimulationJob
-from repro.runner.scheduler import StreamScheduler
+from repro.runner.pool import run_chunks
 from repro.schedule.program import FlatProgram
 
 if TYPE_CHECKING:
@@ -63,7 +64,7 @@ def resolve_threads(
 
 
 def resolve_batch_size(
-    batch_size: Optional[int], *, engine: str, max_cases: int, workers: int
+    batch_size: Optional[int], *, engine: str, max_cases: int, threads: int
 ) -> int:
     """Resolve ``batch_size=None`` (auto) to a concrete size.
 
@@ -76,8 +77,8 @@ def resolve_batch_size(
         return batch_size
     if engine != "accmos":
         return 1
-    per_worker = -(-max_cases // max(1, workers))  # ceil division
-    return max(1, min(AUTO_BATCH_CAP, per_worker))
+    per_thread = -(-max_cases // max(1, threads))  # ceil division
+    return max(1, min(AUTO_BATCH_CAP, per_thread))
 
 
 class _CampaignFold:
@@ -184,12 +185,11 @@ class CampaignRun:
         self._threads = resolve_threads(config.threads, engine=config.engine)
         self._batch_size = resolve_batch_size(
             config.batch_size, engine=config.engine,
-            max_cases=config.max_cases, workers=self._threads,
+            max_cases=config.max_cases, threads=self._threads,
         )
 
         self.outcome = CampaignOutcome(merged=None)  # type: ignore[arg-type]
         self._cancelled = False
-        self._scheduler: Optional[StreamScheduler] = None
         self._iterated = False
 
     # -- control ---------------------------------------------------------
@@ -204,9 +204,6 @@ class CampaignRun:
         chunk is counted in ``outcome.speculated_cases``.
         """
         self._cancelled = True
-        live = self._scheduler
-        if live is not None:
-            live.stop()
 
     # -- iteration -------------------------------------------------------
     def __iter__(self):
@@ -255,26 +252,24 @@ class CampaignRun:
             outcome, engine=self._config.engine,
             plateau_patience=self._config.plateau_patience,
         )
-        scheduler = StreamScheduler(
+        stats: dict = {}
+        stream = run_chunks(
             self._jobs(),
             threads=self._threads,
             batch_size=self._batch_size,
+            stats=stats,
+            stop=lambda: self._cancelled,
             cache=self._cache,
             timeout_seconds=self._config.timeout_seconds,
         )
-        self._scheduler = scheduler
-        if self._cancelled:
-            scheduler.stop()  # cancel raced construction: submit nothing
         try:
-            for job_result in scheduler.results():
+            for _, job_result in stream:
                 saturated = fold.fold(job_result)
                 yield outcome.cases[-1]
                 if saturated or self._cancelled:
-                    scheduler.stop()
                     break
         finally:
-            self._scheduler = None
-            stats = scheduler.finish()
+            stream.close()  # fills stats, counting the open chunk's rest
             outcome.scheduler_stats = stats
             outcome.speculated_cases = stats.get("speculated", 0)
             outcome.merged = fold.merged

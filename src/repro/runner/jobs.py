@@ -17,7 +17,7 @@ attempt would burn the same budget — so it is reported immediately as
 
 Batching: AccMoS jobs that share a program and structural options run
 *many cases* on one reused library (the compile-once / run-many path).
-:func:`batch_key` names the group a job may share (the scheduler forms
+:func:`batch_key` names the group a job may share (the chunk loop forms
 chunks from it) and :func:`run_job_batch` executes one group — one
 ``compile_model`` + one in-process run of every case on N threads —
 still returning one :class:`JobResult` per job.  Anything that breaks

@@ -66,7 +66,7 @@ class CampaignRecord:
         self.error: Optional[str] = None
         self.cancel_requested = False
         # Set by the worker once iter_campaign constructs the run; the
-        # cancel path uses it to reach the live scheduler.
+        # cancel path uses it to stop the live chunk loop.
         self.run = None
         self.outcome = None
         self._cond = threading.Condition()

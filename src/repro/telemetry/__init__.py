@@ -5,7 +5,8 @@ Three collectors behind one process-wide switch:
 * :mod:`repro.telemetry.trace` — hierarchical span tracer threaded
   through preprocess -> instrument -> codegen -> gcc -> execute -> parse,
   all four engines, and the runner (per-job spans nest under the
-  dispatching ``run_jobs`` span, across worker threads);
+  dispatching ``run_jobs`` span, on the calling thread that runs every
+  chunk);
 * :mod:`repro.telemetry.metrics` — counters/gauges/histograms (cache
   hit/miss, compile seconds, steps/sec per engine, retry/timeout
   counts);

@@ -11,12 +11,13 @@ changing a single bit.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import SimulationOptions, simulate
+from repro import SimulationOptions, simulate, telemetry
 from repro.codegen.descriptor import descriptors_for
 from repro.codegen import driver as driver_mod
 from repro.dtypes import F64, I32
@@ -295,10 +296,17 @@ def test_induced_fault_quarantines_and_falls_back(zoo_programs):
         return real_invoke(record)
 
     lib._invoke = flaky_invoke
-    outcomes = model.run_inproc(
-        [(stimuli(), None) for _ in range(3)], library=lib
-    )
+    with telemetry.capture() as session:
+        outcomes = model.run_inproc(
+            [(stimuli(), None) for _ in range(3)], library=lib
+        )
     assert len(outcomes) == 3
+    # The fallback is on the record, with the fault that caused it.
+    (span,) = [
+        s for s in session.tracer.finished() if s.name == "accmos.inproc"
+    ]
+    assert span.attrs["fallback"] is True
+    assert span.attrs["reason"].startswith("LibraryFault: ")
     # Every case — before and after the fault — is byte-identical to SSE.
     for outcome in outcomes:
         assert isinstance(outcome, SimulationResult)
@@ -309,6 +317,51 @@ def test_induced_fault_quarantines_and_falls_back(zoo_programs):
     # …and later batches go straight to the process rungs, still equal.
     again = model.run_inproc([(stimuli(), None)])
     assert_results_agree(sse, again[0])
+
+
+def _varied_cases(stimuli, opts):
+    """Three cases of unequal length, so their bitmaps can differ."""
+    return [
+        (stimuli(), replace(opts, steps=steps))
+        for steps in (STEPS // 4, STEPS, STEPS // 2)
+    ]
+
+
+@requires_cc
+@pytest.mark.parametrize("name", sorted(ZOO))
+def test_probe_coverage_matches_run_inproc(zoo_programs, name):
+    prog, stimuli = zoo_programs[name]
+    opts = SimulationOptions(steps=STEPS, coverage=True)
+    model = compile_model(prog, opts, cache=False)
+    cases = _varied_cases(stimuli, opts)
+    expected = [r.coverage.bitmaps for r in model.run_inproc(cases)]
+    assert model.probe_coverage(cases) == expected
+    assert model.inproc_available
+
+
+@requires_cc
+def test_probe_fault_quarantines_and_falls_back(zoo_programs, monkeypatch):
+    """A fault on the second probe quarantines the model; the probes
+    left over finish on a host process with the same bitmaps."""
+    prog, stimuli = zoo_programs[sorted(ZOO)[0]]
+    opts = SimulationOptions(steps=STEPS, coverage=True)
+    model = compile_model(prog, opts, cache=False)
+    cases = _varied_cases(stimuli, opts)
+    expected = [r.coverage.bitmaps for r in model.run_inproc(cases)]
+
+    calls = {"n": 0}
+    real_invoke = LoadedModel._invoke
+
+    def flaky_invoke(self, record):
+        calls["n"] += 1
+        if calls["n"] == 2:
+            return -1  # induced in-library fault on the second case
+        return real_invoke(self, record)
+
+    monkeypatch.setattr(LoadedModel, "_invoke", flaky_invoke)
+    assert model.probe_coverage(cases) == expected
+    assert calls["n"] == 2  # the third probe never reached the library
+    assert not model.inproc_available
 
 
 @requires_cc

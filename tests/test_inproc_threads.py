@@ -12,7 +12,9 @@ round-robin.
 
 from __future__ import annotations
 
+import itertools
 import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -158,6 +160,41 @@ def test_threaded_load_failure_falls_back(zoo_programs, monkeypatch):
     assert len(outcomes) == 4
     for outcome in outcomes:
         assert_results_agree(sse, outcome, coverage=False, diagnostics=False)
+    assert not model.inproc_available
+
+
+@requires_cc
+def test_threaded_fault_under_thread_churn(zoo_programs, monkeypatch):
+    """More shard threads than cores, a tiny switch interval and a
+    fault mid-run: every slot still ends up holding the sequential
+    run's bytes, so no write was lost or misplaced."""
+    prog, stimuli = zoo_programs[sorted(ZOO)[0]]
+    opts = SimulationOptions(steps=STEPS, coverage=True, diagnostics=True)
+    model = compile_model(prog, opts, cache=False)
+    cases = _varied_cases(stimuli, 24)
+    reference = model.run_inproc(cases)
+
+    # Whichever instance makes the fifth library call overall faults
+    # (warm pooled instances from other tests included).
+    real_invoke = LoadedModel._invoke
+    calls = itertools.count(1)
+
+    def flaky_invoke(self, record):
+        if next(calls) == 5:
+            return -1
+        return real_invoke(self, record)
+
+    monkeypatch.setattr(LoadedModel, "_invoke", flaky_invoke)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        outcomes = model.run_inproc(cases, threads=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(outcomes) == len(cases)
+    for expected, outcome in zip(reference, outcomes):
+        assert isinstance(outcome, SimulationResult)
+        assert_results_agree(expected, outcome)
     assert not model.inproc_available
 
 

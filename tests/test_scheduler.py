@@ -1,10 +1,13 @@
-"""Streaming campaign scheduler: one same-key chunk at a time.
+"""The chunk loop: one same-key chunk at a time.
 
-Pins the invariants :mod:`repro.runner.scheduler` promises:
+Pins the invariants :func:`repro.runner.pool.run_chunks` promises:
 
-* **Seed-order delivery** — the reorder buffer turns *any* completion
-  order back into submission order (hypothesis property), so a chunk
-  that skips over another key's jobs still folds like a serial loop;
+* **Key-grouped chunks** — whatever the interleaving of keys, every job
+  runs exactly once, in a chunk of its own key no larger than
+  ``threads × batch_size``, groups in first-appearance order and
+  indices ascending within a group (hypothesis property); so a
+  one-key campaign folds in seed order like a serial loop, and
+  :func:`run_jobs` hands every result back in its submission slot;
 * **Byte-identity** — streaming vs a serial oracle (one ``run_job`` per
   seed, folded in seed order, no scheduler): merged bitmaps, per-case
   new points, diagnostic attribution, coverage curves, saturation
@@ -16,9 +19,13 @@ Pins the invariants :mod:`repro.runner.scheduler` promises:
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import repro.runner.pool as pool_mod
 
 from repro.benchmarks import build_benchmark
 from repro.campaign import CampaignOutcome, run_campaign
@@ -27,8 +34,7 @@ from repro.model.errors import SimulationError
 from repro.runner.cache import ArtifactCache
 from repro.runner.campaign import _CampaignFold
 from repro.runner.jobs import SimulationJob, run_job
-from repro.runner.pool import run_jobs
-from repro.runner.scheduler import ReorderBuffer, StreamScheduler
+from repro.runner.pool import run_chunks, run_jobs
 from repro.schedule import preprocess
 
 from conftest import requires_cc
@@ -36,63 +42,51 @@ from test_runner_campaign import _assert_outcomes_identical
 
 
 # ----------------------------------------------------------------------
-# reorder buffer
+# chunk formation
 # ----------------------------------------------------------------------
-class TestReorderBuffer:
-    def test_in_order_passthrough(self):
-        buf = ReorderBuffer()
-        for i in range(5):
-            released = buf.push(i, f"r{i}")
-            assert released == [(i, f"r{i}")]
-        assert buf.depth == 0 and buf.max_depth == 1
+@given(
+    keys=st.lists(st.sampled_from([None, "a", "b", "c"]), max_size=16),
+    threads=st.integers(min_value=1, max_value=3),
+    batch_size=st.integers(min_value=1, max_value=3),
+)
+@settings(max_examples=60, deadline=None)
+def test_any_key_interleaving_chunks_by_key(keys, threads, batch_size):
+    """Each job stands for its own key; a fake batch runner records the
+    chunks.  Keyless jobs are one-job chunks; keyed ones are cut from
+    their key's group in index order."""
+    chunks = []
 
-    def test_out_of_order_held_until_frontier(self):
-        buf = ReorderBuffer()
-        assert buf.push(2, "c") == []
-        assert buf.push(1, "b") == []
-        assert buf.depth == 2
-        assert buf.push(0, "a") == [(0, "a"), (1, "b"), (2, "c")]
-        assert buf.depth == 0
-        assert buf.max_depth == 3
-        assert buf.next_index == 3
+    def fake_batch(jobs, **kwargs):
+        chunks.append(list(jobs))
+        return list(jobs)
 
-    def test_duplicate_push_rejected(self):
-        buf = ReorderBuffer()
-        buf.push(1, "x")
-        with pytest.raises(ValueError, match="pushed twice"):
-            buf.push(1, "y")
+    indices = list(range(len(keys)))
+    stats: dict = {}
+    with mock.patch.object(pool_mod, "batch_key", lambda job: keys[job]), \
+            mock.patch.object(pool_mod, "run_job_batch", fake_batch):
+        delivered = list(run_chunks(
+            indices, threads=threads, batch_size=batch_size, stats=stats,
+        ))
+    assert all(index == result for index, result in delivered)
+    assert sorted(index for index, _ in delivered) == indices
+    assert [i for chunk in chunks for i in chunk] == [i for i, _ in delivered]
+    for chunk in chunks:
+        assert len({keys[i] for i in chunk}) == 1
+        assert chunk == sorted(chunk)
+        limit = 1 if keys[chunk[0]] is None else threads * batch_size
+        assert len(chunk) <= limit
+    # Groups run whole, one after another, in first-appearance order.
+    def group(i):
+        return i if keys[i] is None else keys[i]
 
-    def test_stale_push_below_frontier_distinct_message(self):
-        """A released index is *stale*, not duplicated: the error names
-        the frontier so service users can tell the two apart."""
-        buf = ReorderBuffer()
-        buf.push(1, "x")
-        buf.push(0, "a")  # releases 0 and 1; frontier is now 2
-        with pytest.raises(ValueError, match=r"below the frontier 2"):
-            buf.push(0, "again")
-        with pytest.raises(ValueError, match="already released"):
-            buf.push(1, "again")
-        # A genuine duplicate still reads "pushed twice".
-        buf.push(3, "held")
-        with pytest.raises(ValueError, match="pushed twice"):
-            buf.push(3, "held-dup")
-
-    @given(st.permutations(list(range(12))))
-    @settings(max_examples=60, deadline=None)
-    def test_any_completion_order_releases_seed_order(self, order):
-        """The property the byte-identity contract rests on: whatever
-        order results complete in, the consumer sees submission order,
-        and every release is the contiguous frontier run."""
-        buf = ReorderBuffer()
-        delivered = []
-        for index in order:
-            released = buf.push(index, index)
-            if released:
-                assert released[0][0] == len(delivered)
-            delivered.extend(item for _, item in released)
-            assert delivered == list(range(len(delivered)))
-        assert delivered == list(range(len(order)))
-        assert buf.depth == 0
+    order = [group(chunk[0]) for chunk in chunks]
+    runs = [g for n, g in enumerate(order) if n == 0 or order[n - 1] != g]
+    assert len(runs) == len(set(runs))
+    firsts = [min(i for i in indices if group(i) == g) for g in runs]
+    assert firsts == sorted(firsts)
+    assert stats["chunks"] == len(chunks)
+    assert stats["submitted"] == stats["folded"] == len(keys)
+    assert stats["speculated"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -130,8 +124,8 @@ class TestRunJobsStreaming:
 
     @requires_cc
     def test_interleaved_keys_deliver_seed_order(self, tmp_path):
-        """A chunk takes its key's successors past another key's jobs;
-        the reorder buffer still hands results back in seed order."""
+        """A chunk takes its key's jobs past another key's; run_jobs
+        still hands results back in seed order."""
         progs = [preprocess(build_benchmark(n)) for n in ("SPV", "RAC")]
         options = SimulationOptions(steps=50)
         jobs = [
@@ -238,9 +232,12 @@ def test_failed_case_chains_worker_exception(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# scheduler internals: speculation, idempotent finish
+# the stream's internals: speculation, idempotent finish
 # ----------------------------------------------------------------------
 class TestStreamScheduler:
+    """:func:`run_chunks` is the stream scheduler (its stats say
+    ``"scheduler": "stream"``)."""
+
     def _jobs(self, n, engine="sse"):
         prog = preprocess(build_benchmark("SPV"))
         return [
@@ -253,30 +250,33 @@ class TestStreamScheduler:
 
     @requires_cc
     def test_stop_midway_counts_speculation(self):
-        scheduler = StreamScheduler(
-            self._jobs(8, engine="accmos"), threads=2, batch_size=2,
-            cache=False,
-        )
+        stats: dict = {}
         folded = 0
+        stream = run_chunks(
+            self._jobs(8, engine="accmos"), threads=2, batch_size=2,
+            stats=stats, stop=lambda: folded >= 2, cache=False,
+        )
         try:
-            for _ in scheduler.results():
+            for _ in stream:
                 folded += 1
-                if folded == 2:
-                    scheduler.stop()
-                    break
         finally:
-            stats = scheduler.finish()
+            stream.close()
         assert stats["folded"] == 2
         assert stats["chunks"] == 1  # chunks of 2 x 2; the next never ran
         assert stats["submitted"] == 4
         assert stats["speculated"] == 2
 
     def test_finish_is_idempotent(self):
-        scheduler = StreamScheduler(self._jobs(2))
-        list(scheduler.results())
-        first = scheduler.finish()
-        second = scheduler.finish()
-        assert first["folded"] == second["folded"] == 2
+        """The stats are filled once, when the stream ends; closing it
+        again changes nothing."""
+        stats: dict = {}
+        stream = run_chunks(self._jobs(2), threads=1, batch_size=1,
+                            stats=stats)
+        list(stream)
+        first = dict(stats)
+        stream.close()
+        assert stats == first
+        assert stats["folded"] == 2
 
 
 # ----------------------------------------------------------------------
