@@ -21,8 +21,8 @@ throughput, and its results are byte-identical to the interpreted SSE
 reference.
 
 Knobs: ``ACCMOS_BENCH_CAMPAIGN_CASES`` (default 100),
-``ACCMOS_BENCH_CAMPAIGN_STEPS`` (default 2000), ``ACCMOS_BENCH_WORKERS``
-(the thread count, default 4), ``ACCMOS_BENCH_BATCH`` (default 8).  The per-case-compile
+``ACCMOS_BENCH_CAMPAIGN_STEPS`` (default 2000), ``ACCMOS_BENCH_THREADS``
+(default 4), ``ACCMOS_BENCH_BATCH`` (default 8).  The per-case-compile
 baseline is timed over at most 10 cases (its per-case cost is constant —
 that's the very pathology being removed) and reported as a rate.
 """
@@ -56,7 +56,7 @@ def _steps() -> int:
 
 
 def _threads() -> int:
-    return int(os.environ.get("ACCMOS_BENCH_WORKERS", "4"))
+    return int(os.environ.get("ACCMOS_BENCH_THREADS", "4"))
 
 
 def _batch() -> int:

@@ -1,10 +1,11 @@
 """gcc compilation and the out-of-process host.
 
-Every program is compiled once, as a shared library; the in-process rung
-loads it with ``ctypes`` (:mod:`repro.inproc.library`) and the process
-rungs run it under the generic host executable
+Every program is compiled once, as a shared library.  Every case runs
+it in-process through ``ctypes`` (:mod:`repro.inproc.library`); only
+the quarantine rung under a faulted library runs it out of process,
+under the generic host executable
 (:data:`repro.codegen.runtime.HOST_SOURCE`), which is itself compiled
-once per compiler and cache.
+once per compiler and cache, on first use.
 
 Compile flags matter for the bit-for-bit equivalence contract:
 
@@ -132,8 +133,8 @@ class CompiledSimulation:
     """A compiled simulation program — its shared library — plus
     everything to interpret its runs.
 
-    The in-process rung loads :attr:`shared` directly; the process rungs
-    run it under the generic host, built lazily by :meth:`ensure_host`
+    The in-process rung loads :attr:`shared` directly; the quarantine
+    rung runs it under the generic host, built lazily by :meth:`ensure_host`
     (into the artifact cache, or next to the source when the cache is
     bypassed).
     """
@@ -256,9 +257,9 @@ class ServerError(SimulationError):
     """A host process crashed, desynced, or went quiet.
 
     Unlike a plain :class:`SimulationError` this is recoverable by
-    design: the caller kills the handle, restarts it once, and resubmits
-    from the last completed case; a second failure finishes the work on
-    the per-job path.
+    design: the caller kills the process, spawns another once, and
+    resubmits from the last completed case; a second failure sends the
+    work to per-job retries.
     """
 
 

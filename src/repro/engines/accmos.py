@@ -10,11 +10,12 @@ stimulus-agnostic — it imports stimulus descriptors, step counts, and
 per-case deadlines at run time — so one shared library per
 ``(FlatProgram, InstrumentationPlan)`` serves every test case, and the
 artifact cache turns a whole seed campaign into a single gcc invocation.
-:func:`compile_model` returns a :class:`CompiledModel` that runs cases
-in-process (:meth:`~CompiledModel.run_inproc`) or streams them through a
-host process serving the same library (:meth:`~CompiledModel.run_stream`,
-:meth:`~CompiledModel.run`), with full per-case state/coverage/diagnostic
-reset either way.  Every :class:`Stimulus` reaches C through
+:func:`compile_model` returns a :class:`CompiledModel` that runs every
+case in-process (:meth:`~CompiledModel.run_inproc`; :meth:`~CompiledModel.run`
+is its one-case call).  A host process serving the same library
+(:meth:`~CompiledModel.run_stream`) is the quarantine rung under a
+faulted library.  Either way each case gets a full state/coverage/
+diagnostic reset.  Every :class:`Stimulus` reaches C through
 :func:`~repro.codegen.descriptor.descriptors_for`: built-in generators
 as closed-form descriptors, custom subclasses materialized into
 sequence tables.
@@ -168,49 +169,38 @@ class CompiledModel:
         *,
         timeout_seconds: Optional[float] = None,
     ) -> SimulationResult:
-        """Run one case on a private host; raises
+        """Run one case through :meth:`run_inproc`; raises
         :class:`SimulationTimeout` when ``timeout_seconds`` is exceeded."""
-        case = [(stimuli, options)]
-        (outcome,) = self.run_stream(case, timeout_seconds=timeout_seconds)
+        (outcome,) = self.run_inproc(
+            [(stimuli, options)], timeout_seconds=timeout_seconds
+        )
         if isinstance(outcome, SimulationTimeout):
             raise outcome
         return outcome
-
-    # ------------------------------------------------------------------
-    def serve(self, *, handshake_timeout: float = 10.0) -> "ModelServer":
-        """Spawn a warm host process serving this model's library.
-
-        The returned :class:`ModelServer` accepts an unbounded stream of
-        cases with zero respawns; hand it to :meth:`run_stream` to
-        amortize process startup across batches.
-        """
-        return ModelServer(self, handshake_timeout=handshake_timeout)
 
     def run_stream(
         self,
         cases: Sequence[BatchCase],
         *,
         timeout_seconds: Optional[float] = None,
-        server: "Optional[ModelServer]" = None,
     ) -> Iterator[Union[SimulationResult, SimulationTimeout]]:
-        """Stream M cases through a host process, yielding results as
-        each case's frame completes.
+        """Stream M cases through a private host process, yielding
+        results as each case's frame completes.
 
-        Submission runs :data:`STREAM_WINDOW` cases ahead of decoding so
-        the host always has work queued while Python decodes earlier
-        frames — execution and decoding overlap instead of serializing.
-        Outcomes arrive in submit order, one per case: a result, or a
-        :class:`SimulationTimeout` instance for a case that blew the
-        per-case deadline (state is fully reset before the next case
-        either way).
+        This is the quarantine rung: :meth:`run_inproc` finishes its
+        cases here once a library fault has retired the in-process
+        library.  Submission runs :data:`STREAM_WINDOW` cases ahead of
+        decoding so the host always has work queued while Python
+        decodes earlier frames.  Outcomes arrive in submit order, one
+        per case: a result, or a :class:`SimulationTimeout` instance for
+        a case that blew the per-case deadline (state is fully reset
+        before the next case either way).
 
-        ``server`` reuses an existing warm :class:`ModelServer`; without
-        it a private host is spawned and closed around the stream.  On a
-        crash, protocol desync, or a host that goes quiet past its read
-        deadline, the server is restarted once
-        and the unfinished cases are resubmitted; a second consecutive
-        failure raises :class:`ServerError` (the runner then finishes the
-        group per job).
+        On a crash, protocol desync, or a host that goes quiet past its
+        read deadline, the host is killed and respawned once and the
+        unfinished cases are resubmitted; a second consecutive failure
+        raises :class:`ServerError` (the runner then retries each job on
+        its own).
         """
         cases = list(cases)
         if not cases:
@@ -222,9 +212,18 @@ class CompiledModel:
         read_timeout = (
             None if timeout_seconds is None else timeout_seconds + 5.0
         )
-        owned = server is None
-        if owned:
-            server = self.serve()
+
+        def spawn() -> SimulationServer:
+            with telemetry.span("server.spawn", model=self.prog.model.name):
+                host = SimulationServer(
+                    self.compiled.ensure_host(),
+                    self.compiled.shared,
+                    result_size=self.decoder.size,
+                )
+            telemetry.counter_inc("runner.server.spawns")
+            return host
+
+        server = spawn()
         n = len(cases)
         done = 0
         failures = 0
@@ -237,11 +236,11 @@ class CompiledModel:
                         sub = done
                         submit_times: dict[int, float] = {}
                         while sub < min(done + STREAM_WINDOW, n):
-                            server.server.submit(records[sub])
+                            server.submit(records[sub])
                             submit_times[sub] = time.perf_counter()
                             sub += 1
                         while done < n:
-                            buf = server.server.read_frame(timeout=read_timeout)
+                            buf = server.read_frame(timeout=read_timeout)
                             latency = (
                                 time.perf_counter() - submit_times[done]
                             )
@@ -265,7 +264,7 @@ class CompiledModel:
                             done += 1
                             failures = 0
                             if sub < n:
-                                server.server.submit(records[sub])
+                                server.submit(records[sub])
                                 submit_times[sub] = time.perf_counter()
                                 sub += 1
                             yield outcome
@@ -273,10 +272,12 @@ class CompiledModel:
                         failures += 1
                         if failures >= 2:
                             raise
-                        server.restart()  # then resubmit from `done`
+                        # Respawn, then resubmit from `done`.
+                        server.kill()
+                        server = spawn()
+                        telemetry.counter_inc("runner.server.restarts")
         finally:
-            if owned:
-                server.close()
+            server.close()
 
     # ------------------------------------------------------------------
     @property
@@ -613,63 +614,6 @@ class CompiledModel:
             batch_index=index,
         )
         return result
-
-
-class ModelServer:
-    """A warm host process serving one :class:`CompiledModel`'s library.
-
-    Thin lifecycle wrapper over the wire-level
-    :class:`~repro.codegen.driver.SimulationServer`: it knows how to
-    respawn the process in place (:meth:`restart`) so its handle stays
-    valid across crashes, and it books the spawn/restart telemetry.
-    """
-
-    def __init__(
-        self, model: CompiledModel, *, handshake_timeout: float = 10.0
-    ) -> None:
-        self.model = model
-        self.restarts = 0
-        self._handshake_timeout = handshake_timeout
-        self._server = self._spawn()
-
-    def _spawn(self) -> SimulationServer:
-        with telemetry.span(
-            "server.spawn", model=self.model.prog.model.name
-        ):
-            compiled = self.model.compiled
-            server = SimulationServer(
-                compiled.ensure_host(),
-                compiled.shared,
-                result_size=self.model.decoder.size,
-                handshake_timeout=self._handshake_timeout,
-            )
-        telemetry.counter_inc("runner.server.spawns")
-        return server
-
-    @property
-    def server(self) -> SimulationServer:
-        return self._server
-
-    @property
-    def alive(self) -> bool:
-        return self._server.alive
-
-    @property
-    def pid(self) -> int:
-        return self._server.pid
-
-    def restart(self) -> None:
-        """Kill the process and spawn a fresh one on the same handle."""
-        self._server.kill()
-        self._server = self._spawn()
-        self.restarts += 1
-        telemetry.counter_inc("runner.server.restarts")
-
-    def close(self) -> None:
-        self._server.close()
-
-    def kill(self) -> None:
-        self._server.kill()
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,12 @@ rung must reproduce it exactly:
 
 * ``sse_ac`` — the Accelerator analog (MEX-compiled actor functions);
 * ``sse_rac`` — Rapid Accelerator (whole-model generated Python);
-* ``accmos`` — the compiled program run for one case on a private host
-  process (compile once, run via the packed descriptor record);
-* ``accmos_stream`` — the same host streaming several copies of the case
-  back to back (exercises the frame stream and the per-case reset);
-* ``accmos_inproc`` — the same library loaded in-process and driven
-  through the packed binary ABI (exercises ``repro.inproc``);
+* ``accmos`` — the compiled program run for one case, in-process through
+  the packed binary ABI (compile once, run via the packed descriptor
+  record; exercises ``repro.inproc``);
+* ``accmos_stream`` — the same library on a private host process,
+  streaming several copies of the case back to back (exercises the
+  quarantine rung's frame stream and the per-case reset);
 * ``accmos_inproc_mt`` — the same library driven thread-parallel: the
   case runs as several copies sharded across private instances
   (exercises the instance pool and the deterministic threaded merge).
@@ -37,11 +37,10 @@ from repro.schedule import preprocess
 #: Comparison rungs in execution order.  ``sse`` is the reference and is
 #: always run; it is not itself a rung.
 ALL_RUNGS = (
-    "sse_ac", "sse_rac", "accmos", "accmos_stream", "accmos_inproc",
-    "accmos_inproc_mt",
+    "sse_ac", "sse_rac", "accmos", "accmos_stream", "accmos_inproc_mt",
 )
 PYTHON_RUNGS = ("sse_ac", "sse_rac")
-C_RUNGS = ("accmos", "accmos_stream", "accmos_inproc", "accmos_inproc_mt")
+C_RUNGS = ("accmos", "accmos_stream", "accmos_inproc_mt")
 
 
 def available_rungs() -> tuple[str, ...]:
@@ -254,10 +253,6 @@ def run_case(
             record("accmos_stream", lambda: first_of(list(compiled.run_stream(
                 copies(3), timeout_seconds=timeout_seconds,
             ))))
-        if "accmos_inproc" in rungs:
-            record("accmos_inproc", lambda: first_of(compiled.run_inproc(
-                copies(1), timeout_seconds=timeout_seconds,
-            )))
         if "accmos_inproc_mt" in rungs:
             # Three copies across three private instances: exercises the
             # pool, the shard merge, and inter-instance isolation.

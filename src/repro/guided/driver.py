@@ -49,13 +49,12 @@ def default_guided_rungs() -> tuple[str, ...]:
 
     Guidance wants throughput, not breadth: one fast rung keeps the
     oracle in the loop (divergences still surface) while the full
-    six-rung sweep stays the blind campaign's job.  Preference order is
-    the speed ladder top down: in-process shared library, then the
-    one-case host-process C path, then the Accelerator-analog Python
-    rung.
+    five-rung sweep stays the blind campaign's job.  Preference order is
+    the speed ladder top down: the one-case in-process C path, then the
+    Accelerator-analog Python rung.
     """
     usable = available_rungs()
-    for rung in ("accmos_inproc", "accmos", "sse_ac"):
+    for rung in ("accmos", "sse_ac"):
         if rung in usable:
             return (rung,)
     return (usable[0],) if usable else ("sse_ac",)

@@ -1,4 +1,4 @@
-"""In-process shared-library engine: the fifth rung of the speed ladder.
+"""In-process shared-library engine: where every AccMoS case runs.
 
 ``repro.inproc`` loads the reusable compiled program (built once with
 ``-shared -fPIC``, content-addressed next to the executable) via

@@ -1,6 +1,6 @@
 """Loading and driving the compiled program in-process via ``ctypes``.
 
-The fifth rung of the speed ladder: no spawn, no fork, no pipes, no text.
+Where every AccMoS case runs: no spawn, no fork, no pipes, no text.
 A :class:`LoadedModel` wraps one ``dlopen`` of the reusable program built
 with ``-shared -fPIC`` and pushes packed case records through
 ``acc_lib_run_case``.
@@ -16,7 +16,7 @@ thread — ``ctypes`` releases the GIL around the call.
 Faults: any non-zero return from the library, a failed handshake, or use
 after :meth:`retire` raises :class:`LibraryFault`.  The engine layer
 treats a fault as a quarantine signal — the instance is retired (best
-effort ``dlclose``) and the caller drops down to the host process rung,
+effort ``dlclose``) and the caller drops down to the quarantine host,
 which serves the same library crash-isolated.
 """
 
@@ -37,7 +37,7 @@ from repro.inproc.abi import ABI_VERSION
 class LibraryFault(SimulationError):
     """The in-process library misbehaved (bad handshake, non-zero run
     status, or use after retirement).  The owning engine quarantines the
-    instance and falls back to process-isolated rungs."""
+    instance and falls back to the process-isolated quarantine host."""
 
 
 def check_handshake(abi: int, result_size: int, expected_size: int) -> None:

@@ -11,18 +11,19 @@ tear down a whole campaign.
 Retry policy: transient failures (a compiler race on a shared tmpfs, an
 OOM-killed child — anything raising ``CompilationError`` or
 ``SimulationError``) are retried up to ``retries`` times with
-exponential backoff.  A wall-clock timeout is *not* transient — the next
-attempt would burn the same budget — so it is reported immediately as
+exponential backoff, by one loop (``_retry``) that every attempt —
+an interpreted run, a group's compile, a per-job AccMoS retry — goes
+through.  A wall-clock timeout is *not* transient — the next attempt
+would burn the same budget — so it is reported immediately as
 ``timeout``.
 
-Batching: AccMoS jobs that share a program and structural options run
-*many cases* on one reused library (the compile-once / run-many path).
+AccMoS jobs that share a program and structural options run *many
+cases* on one reused library (the compile-once / run-many path).
 :func:`batch_key` names the group a job may share (the chunk loop forms
 chunks from it) and :func:`run_job_batch` executes one group — one
 ``compile_model`` + one in-process run of every case on N threads —
-still returning one :class:`JobResult` per job.  Anything that breaks
-mid-batch falls back to the per-job path, so batching can only change
-speed, not outcomes.
+still returning one :class:`JobResult` per job.  It is the one AccMoS
+job path: :func:`run_job` on an AccMoS job is a one-job group.
 """
 
 from __future__ import annotations
@@ -106,6 +107,50 @@ def _transient(exc: BaseException) -> bool:
     return isinstance(exc, (CompilationError, SimulationError, OSError))
 
 
+def _retry(attempt, *, retries, backoff_seconds, _sleep, catch=Exception):
+    """The one retry loop: call ``attempt()`` up to ``retries + 1`` times.
+
+    Returns ``(value, None, attempts)`` on success, or ``(None, exc,
+    attempts)`` once a failure is final — at once for a timeout or a
+    non-transient error, after the last retry for a transient one.
+    Backoff doubles per retry starting at ``backoff_seconds``.
+    Exceptions outside ``catch`` propagate.
+    """
+    if retries < 0:
+        raise ValueError("retries must be non-negative")
+    for n in range(retries + 1):
+        try:
+            return attempt(), None, n + 1
+        except catch as exc:  # recorded by the caller
+            if not _transient(exc) or n == retries:
+                return None, exc, n + 1
+            _sleep(backoff_seconds * (2**n))
+
+
+def _settle(out: JobResult, outcome, attempts: int) -> JobResult:
+    """Record ``outcome`` — a result, or the exception that ended the
+    job — on ``out`` and count it."""
+    out.attempts = attempts
+    if isinstance(outcome, BaseException):
+        out.error = f"{type(outcome).__name__}: {outcome}"
+        out.exception = outcome
+        timeout = isinstance(outcome, SimulationTimeout)
+        out.outcome = OUTCOME_TIMEOUT if timeout else OUTCOME_FAILED
+    else:
+        out.outcome = OUTCOME_OK
+        out.result = outcome
+    telemetry.counter_inc(f"runner.jobs.{out.outcome}")
+    if attempts > 1:
+        telemetry.counter_inc("runner.retries", attempts - 1)
+    if out.outcome == OUTCOME_TIMEOUT:
+        telemetry.counter_inc("runner.timeouts")
+    return out
+
+
+def _new_result(job: "SimulationJob") -> JobResult:
+    return JobResult(seed=job.seed, label=job.label or f"seed-{job.seed}")
+
+
 def run_job(
     job: SimulationJob,
     *,
@@ -117,71 +162,31 @@ def run_job(
 ) -> JobResult:
     """Execute one job; never raises for run failures.
 
-    ``retries`` bounds the *extra* attempts after the first; backoff
-    doubles per retry starting at ``backoff_seconds``.
+    An AccMoS job is a one-job :func:`run_job_batch`.  ``retries``
+    bounds the *extra* attempts after the first; backoff doubles per
+    retry starting at ``backoff_seconds``.
     """
-    if retries < 0:
-        raise ValueError("retries must be non-negative")
-    out = JobResult(seed=job.seed, label=job.label or f"seed-{job.seed}")
+    policy = dict(
+        retries=retries, backoff_seconds=backoff_seconds, _sleep=_sleep
+    )
+    if batch_key(job) is not None:
+        (out,) = run_job_batch(
+            [job], cache=cache, timeout_seconds=timeout_seconds, **policy
+        )
+        return out
+    out = _new_result(job)
     options = job.resolved_options()
     stimuli = job.resolved_stimuli()
-
     with telemetry.span(
         "runner.job", seed=job.seed, engine=job.engine, label=out.label,
         timeout_seconds=timeout_seconds,
     ) as job_span:
-        _attempt_loop(
-            job, stimuli, options, out,
-            cache=cache, timeout_seconds=timeout_seconds,
-            retries=retries, backoff_seconds=backoff_seconds, _sleep=_sleep,
+        result, exc, attempts = _retry(
+            lambda: _run_once(job, stimuli, options, out.timings), **policy
         )
-        job_span.set(
-            outcome=out.outcome, attempts=out.attempts,
-            cache_hit=out.cache_hit,
-        )
-    telemetry.counter_inc(f"runner.jobs.{out.outcome}")
-    if out.attempts > 1:
-        telemetry.counter_inc("runner.retries", out.attempts - 1)
-    if out.outcome == OUTCOME_TIMEOUT:
-        telemetry.counter_inc("runner.timeouts")
+        _settle(out, result if exc is None else exc, attempts)
+        job_span.set(outcome=out.outcome, attempts=out.attempts)
     return out
-
-
-def _attempt_loop(
-    job: SimulationJob,
-    stimuli: Mapping[str, Stimulus],
-    options: SimulationOptions,
-    out: JobResult,
-    *,
-    cache: "Union[ArtifactCache, None, bool]",
-    timeout_seconds: Optional[float],
-    retries: int,
-    backoff_seconds: float,
-    _sleep,
-) -> None:
-    """Mutate ``out`` through up to ``retries + 1`` attempts."""
-    for attempt in range(retries + 1):
-        out.attempts = attempt + 1
-        try:
-            out.result = _run_once(
-                job, stimuli, options, out.timings,
-                cache=cache, timeout_seconds=timeout_seconds,
-            )
-            out.outcome = OUTCOME_OK
-            out.error = None
-            out.exception = None
-            out.cache_hit = bool(out.result.extra.get("cache_hit", False))
-            return
-        except Exception as exc:  # recorded, classified below
-            out.error = f"{type(exc).__name__}: {exc}"
-            out.exception = exc
-            if isinstance(exc, SimulationTimeout):
-                out.outcome = OUTCOME_TIMEOUT
-                return
-            if not _transient(exc) or attempt == retries:
-                out.outcome = OUTCOME_FAILED
-                return
-            _sleep(backoff_seconds * (2**attempt))
 
 
 def _run_once(
@@ -189,28 +194,10 @@ def _run_once(
     stimuli: Mapping[str, Stimulus],
     options: SimulationOptions,
     timings: dict[str, float],
-    *,
-    cache: "Union[ArtifactCache, None, bool]",
-    timeout_seconds: Optional[float],
 ) -> SimulationResult:
-    if job.engine == "accmos":
-        from repro.engines.accmos import run_accmos
-
-        result = run_accmos(
-            job.prog, stimuli, options,
-            cache=cache,
-            timeout_seconds=timeout_seconds,
-        )
-        timings.update(
-            codegen=result.extra.get("generate_seconds", 0.0),
-            compile=result.extra.get("compile_seconds", 0.0),
-            execute=result.extra.get("execute_seconds", 0.0),
-            parse=result.extra.get("parse_seconds", 0.0),
-        )
-        return result
-
-    # Interpreted engines run in-process: one "execute" phase, and the
-    # wall-clock timeout cannot be enforced from outside the GIL.
+    """One attempt of an interpreted-engine job.  These run in-process:
+    one "execute" phase, and the wall-clock timeout cannot be enforced
+    from outside the GIL."""
     from repro.engines.api import simulate
 
     start = time.perf_counter()
@@ -220,7 +207,7 @@ def _run_once(
 
 
 # ----------------------------------------------------------------------
-# batched execution (compile-once / run-many)
+# AccMoS jobs (compile-once / run-many)
 # ----------------------------------------------------------------------
 def batch_key(job: SimulationJob) -> Optional[tuple]:
     """The grouping key under which jobs may share one compiled library,
@@ -248,50 +235,47 @@ def run_job_batch(
     backoff_seconds: float = 0.05,
     _sleep=time.sleep,
 ) -> "list[JobResult]":
-    """Execute one same-key group of jobs on a single compiled library.
+    """Execute one same-key group of jobs on a single compiled library:
+    the one AccMoS job path.
 
     One ``compile_model`` (retried on transient compiler failures) serves
-    the whole group, whose cases run in-process on ``threads`` private
-    library instances (:meth:`CompiledModel.run_inproc
+    the whole group; if it still fails, every job is ``failed`` with the
+    compiler's error and nothing is recompiled.  The cases run
+    in-process on ``threads`` private library instances
+    (:meth:`CompiledModel.run_inproc
     <repro.engines.accmos.CompiledModel.run_inproc>`; a library fault
-    finishes the affected cases on a host process).  Any compile,
-    simulation or OS error around that run sends the whole group down to
-    the per-job :func:`run_job` path, so batching can change throughput,
-    never results.  Per-case deadline trips become ``timeout`` outcomes
-    without disturbing the other cases.  Non-AccMoS jobs always take the
-    per-job path.
+    finishes the affected cases on a host process).  If that run raises
+    — the host failed twice, would not build or spawn, or a case input
+    was rejected — each job is retried on its own on the same compiled
+    model, so one bad case fails alone and batching never changes
+    results.  Per-case deadline trips become ``timeout`` outcomes
+    without disturbing the other cases.  Non-AccMoS jobs take the
+    per-job :func:`run_job` path.
     """
     from repro.engines.accmos import compile_model
 
-    def _fallback() -> "list[JobResult]":
+    policy = dict(
+        retries=retries, backoff_seconds=backoff_seconds, _sleep=_sleep
+    )
+    if batch_key(jobs[0]) is None:
         return [
-            run_job(
-                job, cache=cache, timeout_seconds=timeout_seconds,
-                retries=retries, backoff_seconds=backoff_seconds,
-                _sleep=_sleep,
-            )
+            run_job(job, cache=cache, timeout_seconds=timeout_seconds, **policy)
             for job in jobs
         ]
-
-    if batch_key(jobs[0]) is None:
-        return _fallback()
 
     with telemetry.span(
         "runner.job_batch", jobs=len(jobs), threads=threads,
         seeds=[job.seed for job in jobs],
     ) as batch_span:
-        model = None
-        for attempt in range(retries + 1):
-            try:
-                model = compile_model(
-                    jobs[0].prog, jobs[0].resolved_options(), cache=cache,
-                )
-                break
-            except (CodegenError, OSError) as exc:
-                if not _transient(exc) or attempt == retries:
-                    batch_span.set(outcome="compile_failed")
-                    return _fallback()
-                _sleep(backoff_seconds * (2**attempt))
+        model, exc, attempts = _retry(
+            lambda: compile_model(
+                jobs[0].prog, jobs[0].resolved_options(), cache=cache,
+            ),
+            catch=(CodegenError, OSError), **policy,
+        )
+        if exc is not None:
+            batch_span.set(outcome="compile_failed")
+            return [_settle(_new_result(job), exc, attempts) for job in jobs]
 
         case_list = [
             (job.resolved_stimuli(), job.resolved_options())
@@ -301,40 +285,40 @@ def run_job_batch(
             outcomes = model.run_inproc(
                 case_list, timeout_seconds=timeout_seconds, threads=threads,
             )
+            attempts = [1] * len(jobs)
         except (CompilationError, SimulationError, OSError):
-            # The quarantine host failed twice in a row (ServerError),
-            # would not build or spawn, or a case input was rejected:
-            # re-run the group case by case, which reports each job on
-            # its own.
             batch_span.set(outcome="fallback")
             telemetry.counter_inc("runner.batch_fallbacks")
-            return _fallback()
-        batch_span.set(outcome="ok", cache_hit=model.cache_hit)
+            outcomes, attempts = [], []
+            for stimuli, options in case_list:
+                result, exc, n = _retry(
+                    lambda: model.run(
+                        stimuli, options, timeout_seconds=timeout_seconds
+                    ),
+                    **policy,
+                )
+                outcomes.append(result if exc is None else exc)
+                attempts.append(n)
+        else:
+            batch_span.set(outcome="ok", cache_hit=model.cache_hit)
 
-    return results_from_outcomes(jobs, outcomes, model)
+    return results_from_outcomes(jobs, outcomes, model, attempts)
 
 
 def results_from_outcomes(
-    jobs: "list[SimulationJob]", outcomes, model
+    jobs: "list[SimulationJob]", outcomes, model, attempts
 ) -> "list[JobResult]":
-    """Convert one group's batch outcomes into per-job
+    """Convert one group's outcomes (a result or the exception that
+    ended the case, each after ``attempts`` tries) into per-job
     :class:`JobResult`\\ s.  The group compiled (or cache-resolved)
     exactly once, so the first successful case carries the codegen /
     compile cost and the rest reuse the library — a cache hit by
     construction."""
     results: list[JobResult] = []
     first_ok = True
-    for job, outcome in zip(jobs, outcomes):
-        out = JobResult(seed=job.seed, label=job.label or f"seed-{job.seed}")
-        out.attempts = 1
-        if isinstance(outcome, SimulationTimeout):
-            out.outcome = OUTCOME_TIMEOUT
-            out.error = f"{type(outcome).__name__}: {outcome}"
-            out.exception = outcome
-            telemetry.counter_inc("runner.timeouts")
-        else:
-            out.outcome = OUTCOME_OK
-            out.result = outcome
+    for job, outcome, tries in zip(jobs, outcomes, attempts):
+        out = _settle(_new_result(job), outcome, tries)
+        if out.ok:
             if first_ok:
                 out.timings.update(
                     codegen=model.generate_seconds,
@@ -349,6 +333,5 @@ def results_from_outcomes(
                 execute=outcome.extra.get("execute_seconds", 0.0),
                 parse=outcome.extra.get("parse_seconds", 0.0),
             )
-        telemetry.counter_inc(f"runner.jobs.{out.outcome}")
         results.append(out)
     return results

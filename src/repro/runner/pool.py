@@ -43,8 +43,6 @@ def run_chunks(
     stop: Callable[[], bool] = lambda: False,
     cache: "Union[ArtifactCache, None, bool]" = None,
     timeout_seconds: Optional[float] = None,
-    retries: int = 1,
-    backoff_seconds: float = 0.05,
 ) -> Iterator["tuple[int, JobResult]"]:
     """Yield ``(index, result)`` for every job, one chunk at a time.
 
@@ -91,8 +89,6 @@ def run_chunks(
                     threads=threads,
                     cache=cache,
                     timeout_seconds=timeout_seconds,
-                    retries=retries,
-                    backoff_seconds=backoff_seconds,
                 )
                 for index, result in zip(chunk, results):
                     if stop():
@@ -117,8 +113,6 @@ def run_jobs(
     threads: Optional[int] = None,
     cache: "Union[ArtifactCache, None, bool]" = None,
     timeout_seconds: Optional[float] = None,
-    retries: int = 1,
-    backoff_seconds: float = 0.05,
     batch_size: int = 1,
     stats_sink: Optional[dict] = None,
 ) -> list[JobResult]:
@@ -152,8 +146,6 @@ def run_jobs(
                 stats=stats,
                 cache=cache,
                 timeout_seconds=timeout_seconds,
-                retries=retries,
-                backoff_seconds=backoff_seconds,
             ):
                 results[index] = result
         finally:

@@ -2,11 +2,7 @@
 
 A *span* is one timed region — ``preprocess``, ``codegen``, ``gcc``, one
 runner job — with a name, wall-clock bounds, free-form attributes, and a
-parent link.  Spans form a tree per thread via a thread-local stack;
-cross-thread nesting (a pool fanning jobs out to workers) is explicit:
-the dispatcher captures its span id and each worker adopts it with
-:meth:`Tracer.adopt`, so job spans nest under the dispatch span no
-matter which thread ran them.
+parent link.  Spans form a tree per thread via a thread-local stack.
 
 Span ids embed the pid, so spans from different processes never
 collide in an exported trace.
@@ -79,32 +75,6 @@ class _SpanContext:
         return False
 
 
-class _AdoptedParent:
-    """Marker frame: a foreign span id adopted as the local parent."""
-
-    __slots__ = ("span_id",)
-
-    def __init__(self, span_id: str) -> None:
-        self.span_id = span_id
-
-
-class _AdoptContext:
-    __slots__ = ("_tracer", "_frame")
-
-    def __init__(self, tracer: "Tracer", parent_id: str) -> None:
-        self._tracer = tracer
-        self._frame = _AdoptedParent(parent_id)
-
-    def __enter__(self) -> None:
-        self._tracer._stack().append(self._frame)
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        stack = self._tracer._stack()
-        if stack and stack[-1] is self._frame:
-            stack.pop()
-        return False
-
-
 class Tracer:
     """Thread-safe span recorder with per-thread nesting."""
 
@@ -140,16 +110,10 @@ class Tracer:
     def span(self, name: str, **attrs) -> _SpanContext:
         """Open a child span of the thread's current span."""
         stack = self._stack()
-        parent = stack[-1] if stack else None
-        parent_id = (
-            parent.span_id
-            if isinstance(parent, (Span, _AdoptedParent))
-            else None
-        )
         span = Span(
             name=name,
             span_id=self._new_id(),
-            parent_id=parent_id,
+            parent_id=stack[-1].span_id if stack else None,
             start_time=time.time(),
             pid=os.getpid(),
             tid=threading.get_ident() & 0xFFFFFFFF,
@@ -157,23 +121,10 @@ class Tracer:
         )
         return _SpanContext(self, span)
 
-    def adopt(self, parent_id: Optional[str]) -> _AdoptContext:
-        """Make ``parent_id`` the current parent on *this* thread.
-
-        Used by pools: the dispatching thread captures its span id and
-        every worker thread enters ``adopt`` so job spans nest under the
-        dispatch span.  ``None`` adopts nothing (still a valid context).
-        """
-        if parent_id is None:
-            return _NULL_ADOPT
-        return _AdoptContext(self, parent_id)
-
     def current(self) -> Optional[Span]:
         """The innermost open span on this thread, if any."""
-        for frame in reversed(self._stack()):
-            if isinstance(frame, Span):
-                return frame
-        return None
+        stack = self._stack()
+        return stack[-1] if stack else None
 
     def finished(self) -> list[Span]:
         """Snapshot of all completed spans, in completion order."""
@@ -183,19 +134,6 @@ class Tracer:
     def clear(self) -> None:
         with self._lock:
             self._finished.clear()
-
-
-class _NullAdopt:
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc) -> bool:
-        return False
-
-
-_NULL_ADOPT = _NullAdopt()
 
 
 def walk_children(spans: list[Span], parent_id: Optional[str]) -> Iterator[Span]:

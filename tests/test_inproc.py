@@ -448,7 +448,7 @@ def test_run_fuzz_rejects_unknown_rungs():
     assert "warp_drive" in message
     for rung in ALL_RUNGS:
         assert rung in message
-    assert "accmos_inproc" in ALL_RUNGS
+    assert "accmos_inproc_mt" in ALL_RUNGS
 
 
 def test_run_campaign_rejects_unknown_engine():
@@ -474,11 +474,11 @@ def test_available_rungs_gates_inproc(monkeypatch):
 
     monkeypatch.setattr(oracle_mod, "find_c_compiler", lambda: None)
     rungs = oracle_mod.available_rungs()
-    assert "accmos_inproc" not in rungs
+    assert "accmos_inproc_mt" not in rungs
     assert "accmos" not in rungs
     monkeypatch.setattr(oracle_mod, "find_c_compiler", lambda: "/usr/bin/cc")
     rungs = oracle_mod.available_rungs()
-    assert "accmos_inproc" in rungs
+    assert "accmos_inproc_mt" in rungs
     assert "accmos" in rungs
 
 
@@ -487,12 +487,14 @@ def test_available_rungs_gates_inproc(monkeypatch):
 # ----------------------------------------------------------------------
 @requires_cc
 def test_fuzz_oracle_inproc_rung_agrees():
+    """The ``accmos`` rung runs its case in-process; it agrees with the
+    host stream rung."""
     from repro.fuzz.generate import generate_case
     from repro.fuzz.oracle import run_case
 
     for index in range(3):
         case = generate_case(1000 + index, max_actors=6, steps=24)
-        report = run_case(case, rungs=("accmos", "accmos_inproc"))
+        report = run_case(case, rungs=("accmos", "accmos_stream"))
         assert report.agreed, report.divergences
 
 
@@ -517,11 +519,13 @@ def test_one_cache_entry_one_gcc_per_program(tmp_path, monkeypatch):
 
     model = compile_model(prog, opts, cache=cache)
     (inproc,) = model.run_inproc([(KIND_CASES["ramp"](), None)])
-    assert_results_agree(inproc, model.run(KIND_CASES["ramp"]()))
+    (via_host,) = model.run_stream([(KIND_CASES["ramp"](), None)])
+    assert_results_agree(inproc, via_host)
     again = compile_model(prog, opts, cache=cache)
     assert again.compiled.cache_hit
     assert again.compiled.shared == model.compiled.shared
-    assert_results_agree(inproc, again.run(KIND_CASES["ramp"]()))
+    (via_host,) = again.run_stream([(KIND_CASES["ramp"](), None)])
+    assert_results_agree(inproc, via_host)
     assert builds == ["shared", "host"]
     stats = cache.stats()
     assert (stats.misses, stats.hits, stats.entries) == (1, 1, 2)
@@ -658,7 +662,7 @@ def test_binary_decode_equals_sse(
         diagnostics=diagnostics, monitor_limit=monitor_limit,
     )
     model = compile_model(prog, opts, cache=property_cache)
-    via_host = model.run(stimuli())
+    (via_host,) = model.run_stream([(stimuli(), None)])
     (via_inproc,) = model.run_inproc([(stimuli(), None)])
     assert model.inproc_available
     assert _canonical(via_inproc) == _canonical(via_host)

@@ -310,14 +310,45 @@ class TestPrewarmFailures:
         monkeypatch.setattr(driver_mod, "_run_compiler", failing_compiler)
         results = run_jobs(
             self._jobs(), threads=2, batch_size=2,
-            cache=ArtifactCache(tmp_path / "cache"), backoff_seconds=0.0,
+            cache=ArtifactCache(tmp_path / "cache"),
         )
-        assert calls["n"] > 1  # the chunk and the per-job path both tried
+        # One chunk of four jobs: its compile and one retry (retries=1),
+        # and no job recompiles on its own.
+        assert calls["n"] == 2
         assert [r.ok for r in results] == [False] * 4
         assert all(
             r.error == "CompilationError: induced gcc failure"
             for r in results
         )
+
+    @requires_cc
+    def test_failing_compile_of_one_job_runs_gcc_twice(
+        self, tmp_path, monkeypatch
+    ):
+        """One AccMoS job, through ``run_job`` or ``run_jobs``, is a
+        one-job chunk: its compile and one retry, then a typed failure
+        (no per-job recompile on top)."""
+        from repro.codegen import driver as driver_mod
+        from repro.model.errors import CompilationError
+
+        calls = {"n": 0}
+
+        def failing_compiler(*args, **kwargs):
+            calls["n"] += 1
+            raise CompilationError("induced gcc failure")
+
+        monkeypatch.setattr(driver_mod, "_run_compiler", failing_compiler)
+        (job,) = self._jobs(1)
+        cache = ArtifactCache(tmp_path / "cache")
+        for run in (
+            lambda: run_job(job, cache=cache, backoff_seconds=0.0),
+            lambda: run_jobs([job], threads=1, cache=cache)[0],
+        ):
+            calls["n"] = 0
+            result = run()
+            assert calls["n"] == 2
+            assert result.outcome == "failed"
+            assert result.error == "CompilationError: induced gcc failure"
 
     def test_unexpected_prewarm_error_propagates(self, tmp_path, monkeypatch):
         from repro.engines import accmos as accmos_mod

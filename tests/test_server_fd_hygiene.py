@@ -12,13 +12,18 @@ from __future__ import annotations
 
 import os
 import stat
-from types import SimpleNamespace
-
 import pytest
 
 from repro.codegen.driver import ServerError, SimulationServer
-from repro.engines.accmos import ModelServer
+from repro.dtypes import I32
+from repro.engines.accmos import compile_model
+from repro.engines.base import SimulationOptions
 from repro.inproc import LibraryFault
+from repro.model.builder import ModelBuilder
+from repro.schedule import preprocess
+from repro.stimuli import ConstantStimulus
+
+from conftest import requires_cc
 
 pytestmark = pytest.mark.skipif(
     not os.path.exists("/proc/self/fd"),
@@ -40,15 +45,6 @@ def _script(tmp_path, name: str, body: str):
 
 def _fd_count() -> int:
     return len(os.listdir("/proc/self/fd"))
-
-
-def _fake_model(host):
-    """Just enough of a CompiledModel for ModelServer to spawn ``host``."""
-    return SimpleNamespace(
-        compiled=SimpleNamespace(ensure_host=lambda: host, shared="fake.so"),
-        decoder=SimpleNamespace(size=32),
-        prog=SimpleNamespace(model=SimpleNamespace(name="fake")),
-    )
 
 
 def _server(host, timeout):
@@ -96,9 +92,18 @@ def test_child_hangs_without_ready(tmp_path):
     )
 
 
+@requires_cc
 def test_model_server_spawn_failure_no_leak(tmp_path):
-    model = _fake_model(_script(tmp_path, "dies.sh", "exit 7"))
-    _flood(lambda: ModelServer(model, handshake_timeout=5.0))
+    """A stream whose host dies at every spawn fails with ServerError,
+    and a flood of such streams leaks nothing."""
+    b = ModelBuilder("Dying")
+    b.outport("Y", b.inport("X", dtype=I32))
+    model = compile_model(
+        preprocess(b.build()), SimulationOptions(steps=4), cache=False
+    )
+    model.compiled.host = _script(tmp_path, "dies.sh", "exit 7")
+    case = [({"X": ConstantStimulus(1)}, None)]
+    _flood(lambda: list(model.run_stream(case)))
 
 
 def test_failed_handshake_reaps_child(tmp_path):

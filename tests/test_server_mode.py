@@ -1,16 +1,18 @@
 """Host processes: streaming submission, incremental decoding.
 
-Pins the core invariant of the process rungs: a host serving the
-program's shared library is a pure throughput lever — byte-identical
-results to the SSE reference across the zoo and every stimulus kind,
-whether the host is private to one batch or warm and reused, surviving
-crashes mid-stream (restart + resubmit), and finishing per job when the
-host keeps dying.
+Every AccMoS case starts in-process; a host serving the program's shared
+library is the quarantine rung under a faulted library.  Pins its core
+invariant: byte-identical results to the SSE reference across the zoo
+and every stimulus kind, surviving crashes mid-stream (respawn +
+resubmit), and finishing per job when the host keeps dying.  Host
+failures are injected through the one name the engine spawns hosts by,
+``repro.engines.accmos.SimulationServer``.
 """
 
 from __future__ import annotations
 
 import os
+import subprocess
 
 import pytest
 
@@ -18,7 +20,8 @@ from repro import SimulationOptions, simulate, telemetry
 from repro.codegen.descriptor import descriptors_for
 from repro.codegen.driver import ServerError, SimulationServer
 from repro.dtypes import F64, I32
-from repro.engines.accmos import CompiledModel, ModelServer, compile_model
+from repro.engines import accmos as accmos_mod
+from repro.engines.accmos import CompiledModel, compile_model
 from repro.inproc import LibraryFault, encode_case_binary
 from repro.model.builder import ModelBuilder
 from repro.schedule import preprocess
@@ -35,6 +38,7 @@ from repro.stimuli import (
 
 from conftest import requires_cc
 from helpers import ZOO, assert_results_agree
+from test_inproc import _canonical
 
 STEPS = 200
 
@@ -48,34 +52,53 @@ def zoo_programs():
     return programs
 
 
+def _counters(session) -> dict:
+    return session.metrics.snapshot()["counters"]
+
+
+def _spawn_seam(monkeypatch, dead: int = 0) -> list:
+    """Record every host the engine spawns; the first ``dead`` of them
+    come up already SIGKILLed."""
+    real = accmos_mod.SimulationServer
+    spawned: list = []
+
+    def spawn(*args, **kwargs):
+        server = real(*args, **kwargs)
+        if len(spawned) < dead:
+            os.kill(server.pid, 9)
+        spawned.append(server)
+        return server
+
+    monkeypatch.setattr(accmos_mod, "SimulationServer", spawn)
+    return spawned
+
+
 # ----------------------------------------------------------------------
-# byte identity: SSE vs a private host per batch vs a reused warm host
+# byte identity: SSE vs a private host per stream
 # ----------------------------------------------------------------------
 @requires_cc
 @pytest.mark.parametrize("name", sorted(ZOO))
 def test_stream_matches_sse_and_batch(zoo_programs, name):
-    """Every case of a batch on a private host, and of two batches
-    streamed through one warm host, is byte-identical to SSE."""
+    """Every case of three streams, each on its own private host, is
+    byte-identical to SSE, and no host needed a respawn."""
     prog, stimuli = zoo_programs[name]
     opts = SimulationOptions(steps=STEPS, coverage=True, diagnostics=True)
     model = compile_model(prog, opts, cache=False)
     sse = simulate(prog, stimuli(), engine="sse", options=opts)
-    batch = list(model.run_stream([(stimuli(), None) for _ in range(3)]))
-    server = model.serve()
-    try:
-        warm = [
+    with telemetry.capture() as session:
+        got = [
             outcome
-            for _ in range(2)
+            for _ in range(3)
             for outcome in model.run_stream(
-                [(stimuli(), None) for _ in range(3)], server=server
+                [(stimuli(), None) for _ in range(3)]
             )
         ]
-        assert server.restarts == 0
-    finally:
-        server.close()
-    assert len(batch) == 3 and len(warm) == 6
-    for got in batch + warm:
-        assert_results_agree(sse, got)
+    counters = _counters(session)
+    assert counters["runner.server.spawns"] == 3
+    assert "runner.server.restarts" not in counters
+    assert len(got) == 9
+    for outcome in got:
+        assert_results_agree(sse, outcome)
 
 
 def _kinds_model():
@@ -151,9 +174,9 @@ def _server(model, **kwargs) -> SimulationServer:
 
 
 @requires_cc
-def test_crash_restarts_and_matches(zoo_programs):
-    """Killing the host process externally loses nothing: the handle
-    respawns, unfinished cases are resubmitted, and every result is
+def test_crash_restarts_and_matches(zoo_programs, monkeypatch):
+    """Killing the host process externally loses nothing: the stream
+    respawns it, resubmits the unfinished cases, and every result is
     byte-identical to SSE.  The kill lands before the first submission
     so exactly one restart is guaranteed."""
     prog, stimuli = zoo_programs["stateful"]
@@ -162,21 +185,20 @@ def test_crash_restarts_and_matches(zoo_programs):
     cases = [(stimuli(), None) for _ in range(5)]
     sse = simulate(prog, stimuli(), engine="sse", options=opts)
 
-    server = model.serve()
-    try:
-        os.kill(server.pid, 9)
-        got = list(model.run_stream(cases, server=server))
-    finally:
-        server.close()
+    spawned = _spawn_seam(monkeypatch, dead=1)
+    with telemetry.capture() as session:
+        got = list(model.run_stream(cases))
     assert len(got) == 5
-    assert server.restarts == 1
+    assert len(spawned) == 2
+    assert _counters(session)["runner.server.restarts"] == 1
+    assert not any(server.alive for server in spawned)
     for via_stream in got:
         assert_results_agree(sse, via_stream)
 
 
 @requires_cc
-def test_crash_mid_stream_matches(zoo_programs):
-    """A host SIGKILLed *mid-stream* is restarted and the unfinished
+def test_crash_mid_stream_matches(zoo_programs, monkeypatch):
+    """A host SIGKILLed *mid-stream* is respawned and the unfinished
     cases are resubmitted, byte-identical to SSE.  Whether a restart is
     needed depends on how many frames were already buffered when the
     kill landed (at most one restart either way)."""
@@ -186,17 +208,13 @@ def test_crash_mid_stream_matches(zoo_programs):
     cases = [(stimuli(), None) for _ in range(5)]
     sse = simulate(prog, stimuli(), engine="sse", options=opts)
 
-    server = model.serve()
-    try:
-        it = model.run_stream(cases, server=server)
-        first = next(it)
-        os.kill(server.pid, 9)
-        rest = list(it)
-    finally:
-        server.close()
-    got = [first] + rest
+    spawned = _spawn_seam(monkeypatch)
+    it = model.run_stream(cases)
+    first = next(it)
+    os.kill(spawned[0].pid, 9)
+    got = [first] + list(it)
     assert len(got) == 5
-    assert server.restarts <= 1
+    assert len(spawned) <= 2
     for via_stream in got:
         assert_results_agree(sse, via_stream)
 
@@ -204,10 +222,10 @@ def test_crash_mid_stream_matches(zoo_programs):
 @requires_cc
 def test_double_crash_finishes_per_job(zoo_programs, monkeypatch):
     """Two host failures in a row: the stream raises ServerError, and the
-    batched dispatcher finishes the group per job — every job still
-    byte-identical to SSE.  In the dispatcher the host is the rung under
-    a quarantined in-process library, so the library is made to fail
-    first."""
+    batched dispatcher retries each job on its own on the chunk's
+    compiled model — every job still byte-identical to SSE.  In the
+    dispatcher the host is the rung under a quarantined in-process
+    library, so the library is made to fail first."""
     from repro.runner.jobs import SimulationJob, run_job_batch
 
     prog, stimuli = zoo_programs["guarded"]
@@ -215,41 +233,39 @@ def test_double_crash_finishes_per_job(zoo_programs, monkeypatch):
     model = compile_model(prog, opts, cache=False)
     sse = simulate(prog, stimuli(), engine="sse", options=opts)
 
-    def no_respawn(self):
-        raise ServerError("no respawn")
-
-    monkeypatch.setattr(ModelServer, "restart", no_respawn)
-    server = model.serve()
-    try:
-        os.kill(server.pid, 9)
-        with pytest.raises(ServerError, match="no respawn"):
-            list(model.run_stream([(stimuli(), None)] * 4, server=server))
-    finally:
-        server.kill()
+    spawned = _spawn_seam(monkeypatch, dead=2)
+    with pytest.raises(ServerError):
+        list(model.run_stream([(stimuli(), None)] * 4))
+    assert len(spawned) == 2
 
     def no_library(self):
         raise LibraryFault("induced load failure")
 
-    real_serve = CompiledModel.serve
-    served = []
+    def no_recompile(*args, **kwargs):
+        raise AssertionError("a per-job retry recompiled")
 
-    def dead_first_host(self, **kwargs):
-        """The first host (the quarantine rung's) is already dead."""
-        server = real_serve(self, **kwargs)
-        if not served:
-            os.kill(server.pid, 9)
-        served.append(server)
-        return server
-
+    # The chunk's first two hosts (its stream and that stream's respawn)
+    # come up dead; each job's own retry then gets a live one.
+    spawned = _spawn_seam(monkeypatch, dead=2)
     monkeypatch.setattr(CompiledModel, "_acquire_instance", no_library)
-    monkeypatch.setattr(CompiledModel, "serve", dead_first_host)
+    real_compile = accmos_mod.compile_model
+    compiles = []
+
+    def compile_once(*args, **kwargs):
+        monkeypatch.setattr(accmos_mod, "compile_model", no_recompile)
+        compiles.append(args)
+        return real_compile(*args, **kwargs)
+
+    monkeypatch.setattr(accmos_mod, "compile_model", compile_once)
     jobs = [
         SimulationJob(prog=prog, options=opts, stimuli=stimuli(), seed=s)
         for s in range(4)
     ]
     with telemetry.capture() as session:
         results = run_job_batch(jobs, cache=False)
-    assert session.metrics.snapshot()["counters"]["runner.batch_fallbacks"] == 1
+    assert _counters(session)["runner.batch_fallbacks"] == 1
+    assert len(compiles) == 1
+    assert len(spawned) == 2 + 4
     assert [r.outcome for r in results] == ["ok"] * 4
     for result in results:
         assert_results_agree(sse, result.result)
@@ -297,7 +313,7 @@ def test_handshake_mismatch_raises_the_loaders_error(zoo_programs, monkeypatch):
     from repro.inproc import ABI_VERSION, LoadedModel
     import repro.inproc.library as library_mod
 
-    prog, _ = zoo_programs["int_arith"]
+    prog, stimuli = zoo_programs["int_arith"]
     model = compile_model(prog, SimulationOptions(steps=STEPS), cache=False)
     host, shared = model.compiled.ensure_host(), model.compiled.shared
     wrong = model.decoder.size + 8
@@ -310,7 +326,7 @@ def test_handshake_mismatch_raises_the_loaders_error(zoo_programs, monkeypatch):
 
     monkeypatch.setattr(library_mod, "ABI_VERSION", ABI_VERSION + 1)
     with pytest.raises(LibraryFault) as via_host:
-        model.serve()
+        list(model.run_stream([(stimuli(), None)]))
     with pytest.raises(LibraryFault) as via_load:
         model.load()
     assert str(via_host.value) == str(via_load.value)
@@ -380,10 +396,102 @@ def test_execute_records_stdout_bytes(zoo_programs):
     session = telemetry.enable()
     try:
         model = compile_model(prog, opts, cache=False)
-        model.run(stimuli())
+        list(model.run_stream([(stimuli(), None)]))
     finally:
         telemetry.disable()
     snap = session.metrics.snapshot()
     hist = snap["histograms"]["engine.accmos.stdout_bytes"]
     assert hist["count"] == 1
     assert hist["sum"] > 0
+
+
+# ----------------------------------------------------------------------
+# single runs: in-process first, one host only under a faulted library
+# ----------------------------------------------------------------------
+def _single_runs(prog, stimuli, opts, cache):
+    """The same case through ``simulate`` and ``run_job``."""
+    from repro.runner import SimulationJob, run_job
+
+    via_simulate = simulate(prog, stimuli(), engine="accmos", options=opts)
+    job = run_job(
+        SimulationJob(prog=prog, options=opts, stimuli=stimuli()),
+        cache=cache,
+    )
+    assert job.ok, job.error
+    return via_simulate, job.result
+
+
+@requires_cc
+def test_single_runs_spawn_no_process(zoo_programs, tmp_path, monkeypatch):
+    """With a warm cache, ``simulate(engine="accmos")`` and ``run_job``
+    on an AccMoS job run in-process: process creation is poisoned, and
+    both still equal SSE."""
+    from repro.runner import ArtifactCache, set_default_cache
+
+    prog, stimuli = zoo_programs["guarded"]
+    opts = SimulationOptions(steps=STEPS, coverage=True, diagnostics=True)
+    cache = ArtifactCache(tmp_path / "cache")
+    previous = set_default_cache(cache)
+    try:
+        _single_runs(prog, stimuli, opts, cache)  # warm the cache
+
+        def no_spawn(*args, **kwargs):
+            raise AssertionError("a single run spawned a process")
+
+        monkeypatch.setattr(subprocess, "Popen", no_spawn)
+        via_simulate, via_job = _single_runs(prog, stimuli, opts, cache)
+    finally:
+        set_default_cache(previous)
+    sse = simulate(prog, stimuli(), engine="sse", options=opts)
+    assert_results_agree(sse, via_simulate)
+    assert_results_agree(sse, via_job)
+
+
+@requires_cc
+def test_single_run_under_library_fault_uses_one_host(
+    zoo_programs, tmp_path, monkeypatch
+):
+    """A faulted in-process library sends each kind of single run —
+    ``CompiledModel.run``, ``simulate`` and ``run_job`` — to exactly one
+    host, with byte-identical results; the in-process span names the
+    fault it fell back on."""
+    from repro.runner import (
+        ArtifactCache, SimulationJob, run_job, set_default_cache,
+    )
+
+    prog, stimuli = zoo_programs["guarded"]
+    opts = SimulationOptions(steps=STEPS, coverage=True, diagnostics=True)
+    cache = ArtifactCache(tmp_path / "cache")
+    inproc = compile_model(prog, opts, cache=cache).run(stimuli())
+
+    def no_library(self):
+        raise LibraryFault("induced load failure")
+
+    monkeypatch.setattr(CompiledModel, "_acquire_instance", no_library)
+    single_runs = {
+        "run": lambda: compile_model(prog, opts, cache=cache).run(stimuli()),
+        "simulate": lambda: simulate(
+            prog, stimuli(), engine="accmos", options=opts
+        ),
+        "run_job": lambda: run_job(
+            SimulationJob(prog=prog, options=opts, stimuli=stimuli()),
+            cache=cache,
+        ).result,
+    }
+    previous = set_default_cache(cache)
+    try:
+        for name, single_run in single_runs.items():
+            with telemetry.capture() as session:
+                got = single_run()
+            assert _counters(session)["runner.server.spawns"] == 1, name
+            assert _canonical(got) == _canonical(inproc), name
+            (span,) = [
+                s for s in session.tracer.finished()
+                if s.name == "accmos.inproc"
+            ]
+            assert span.attrs["fallback"] is True, name
+            assert span.attrs["reason"] == (
+                "LibraryFault: induced load failure"
+            ), name
+    finally:
+        set_default_cache(previous)
