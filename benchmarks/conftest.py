@@ -3,7 +3,9 @@
 Each ``bench_*`` module regenerates one table or figure of the paper's
 evaluation.  Reproduced tables are registered with :func:`report_table`;
 they are printed in the terminal summary at the end of the run and written
-to ``benchmarks/results/``.
+to ``benchmarks/results/``.  A run with any ``ACCMOS_BENCH_*`` override
+is a smoke or a scaled-down variant, not the committed full-size
+configuration: it prints its tables but writes no result file.
 
 Environment knobs (this substrate is a laptop, not the paper's testbed):
 
@@ -49,15 +51,23 @@ def bench_models() -> list[str]:
     return [name.strip().upper() for name in raw.split(",") if name.strip()]
 
 
+def _overridden() -> bool:
+    """True when any ``ACCMOS_BENCH_*`` knob is set: the run's results
+    do not describe the committed configuration."""
+    return any(name.startswith("ACCMOS_BENCH_") for name in os.environ)
+
+
 def report_table(title: str, text: str) -> None:
     """Register a reproduced table for the terminal summary + results dir."""
     _TABLES.append((title, text))
+    if _overridden():
+        return
     RESULTS_DIR.mkdir(exist_ok=True)
     slug = "".join(c if c.isalnum() else "_" for c in title.lower()).strip("_")
     (RESULTS_DIR / f"{slug}.txt").write_text(text + "\n")
 
 
-def report_json(bench: str, config: dict, samples, unit: str) -> Path:
+def report_json(bench: str, config: dict, samples, unit: str) -> None:
     """Machine-readable companion to :func:`report_table`.
 
     Writes ``results/<bench>.json`` with the fixed schema
@@ -65,6 +75,8 @@ def report_json(bench: str, config: dict, samples, unit: str) -> Path:
     or per-row objects), ``unit`` names what the numeric values mean —
     so downstream tooling can diff runs without parsing the text tables.
     """
+    if _overridden():
+        return
     RESULTS_DIR.mkdir(exist_ok=True)
     payload = {
         "bench": bench,
@@ -74,7 +86,6 @@ def report_json(bench: str, config: dict, samples, unit: str) -> Path:
     }
     target = RESULTS_DIR / f"{bench}.json"
     target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return target
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

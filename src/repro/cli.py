@@ -476,37 +476,14 @@ def cmd_fuzz(args) -> int:
     say = (lambda msg: print(msg, file=sys.stderr)) if args.json else print
     with _traced(args):
         outcome = run_fuzz(config, progress=say)
-    if args.json:
-        print(json.dumps({
-            "rungs": list(outcome.rungs),
-            "cases_run": outcome.cases_run,
-            "divergent": outcome.divergent,
-            "elapsed": outcome.elapsed,
-            "budget_exhausted": outcome.budget_exhausted,
-            "duplicates": outcome.duplicates,
-            "findings": [
-                {
-                    "seed": f.seed,
-                    "shrink": f.shrink_summary,
-                    "corpus": str(f.corpus_path) if f.corpus_path else None,
-                    "divergences": [
-                        d.to_dict() for d in f.final_report.divergences
-                    ],
-                }
-                for f in outcome.findings
-            ],
-        }, indent=2))
-    else:
-        print(outcome.summary())
-        for finding in outcome.findings:
-            shrunk = finding.final_report.case
-            print(f"  seed {finding.seed}: {shrunk.n_actors} actor(s), "
-                  f"{shrunk.steps} step(s)"
-                  + (f"  [{finding.shrink_summary}]"
-                     if finding.shrink_summary else ""))
-            for d in finding.final_report.divergences[:4]:
-                print(f"    {d.rung} {d.kind}: {d.detail[:140]}")
-    return 1 if outcome.findings else 0
+    return _report_fuzz(args, outcome, {
+        "rungs": list(outcome.rungs),
+        "cases_run": outcome.cases_run,
+        "divergent": outcome.divergent,
+        "elapsed": outcome.elapsed,
+        "budget_exhausted": outcome.budget_exhausted,
+        "duplicates": outcome.duplicates,
+    })
 
 
 def _run_guided_fuzz(args, rungs) -> int:
@@ -530,21 +507,30 @@ def _run_guided_fuzz(args, rungs) -> int:
     say = (lambda msg: print(msg, file=sys.stderr)) if args.json else print
     with _traced(args):
         outcome = run_guided(config, progress=say)
+    return _report_fuzz(args, outcome, {
+        "rungs": list(outcome.rungs),
+        "rounds": outcome.rounds,
+        "cases_run": outcome.cases_run,
+        "invalid_mutants": outcome.invalid_mutants,
+        "novel_points": outcome.novel_points,
+        "coverage_points": outcome.coverage_points,
+        "coverage_keys": outcome.coverage_keys,
+        "corpus_size": outcome.corpus_size,
+        "saturated": outcome.saturated,
+        "budget_exhausted": outcome.budget_exhausted,
+        "elapsed": outcome.elapsed,
+        "divergent": outcome.divergent,
+        "duplicates": outcome.duplicates,
+    })
+
+
+def _report_fuzz(args, outcome, fields: dict) -> int:
+    """Print a fuzz campaign's ``fields`` plus its findings, as JSON
+    under ``--json`` or as its summary and one block per finding;
+    returns the exit status (1 when anything diverged)."""
     if args.json:
         print(json.dumps({
-            "rungs": list(outcome.rungs),
-            "rounds": outcome.rounds,
-            "cases_run": outcome.cases_run,
-            "invalid_mutants": outcome.invalid_mutants,
-            "novel_points": outcome.novel_points,
-            "coverage_points": outcome.coverage_points,
-            "coverage_keys": outcome.coverage_keys,
-            "corpus_size": outcome.corpus_size,
-            "saturated": outcome.saturated,
-            "budget_exhausted": outcome.budget_exhausted,
-            "elapsed": outcome.elapsed,
-            "divergent": outcome.divergent,
-            "duplicates": outcome.duplicates,
+            **fields,
             "findings": [
                 {
                     "seed": f.seed,

@@ -57,19 +57,5 @@ def value_literal(value, dtype: DType) -> str:
     return f"({dtype.c_name}){c_int_literal(int_param(value, dtype), dtype)}"
 
 
-def to_double(expr: str, src: DType) -> str:
-    """Promote any signal value to double for transcendental maths."""
-    if src is DType.F64:
-        return expr
-    return f"(double)({expr})"
-
-
-def fn32(name: str, dtype: DType) -> str:
-    """libm function name in the right precision (sin vs sinf is NOT used:
-    the Python reference always computes transcendentals in double, so the
-    generated code does too, then narrows)."""
-    return name
-
-
 def indent(code: str, by: str = "    ") -> str:
     return "\n".join(by + line if line.strip() else line for line in code.split("\n"))

@@ -1,11 +1,15 @@
 """gcc compilation and the out-of-process host.
 
-Every program is compiled once, as a shared library.  Every case runs
-it in-process through ``ctypes`` (:mod:`repro.inproc.library`); only
-the quarantine rung under a faulted library runs it out of process,
-under the generic host executable
-(:data:`repro.codegen.runtime.HOST_SOURCE`), which is itself compiled
-once per compiler and cache, on first use.
+Every program is compiled once, as a shared library, through one
+path: an :class:`~repro.runner.cache.ArtifactCache` lookup, gcc on a
+miss, a store.  With caching off the cache is a private one in a
+scratch directory owned by the :class:`CompiledSimulation`, so the
+compile misses and every artifact goes when the handle does.  Every
+case runs the library in-process through ``ctypes``
+(:mod:`repro.inproc.library`); only the quarantine rung under a
+faulted library runs it out of process, under the generic host
+executable (:data:`repro.codegen.runtime.HOST_SOURCE`), which is
+itself compiled once per compiler and cache, on first use.
 
 Compile flags matter for the bit-for-bit equivalence contract:
 
@@ -96,26 +100,15 @@ def _run_compiler(
     return elapsed
 
 
-def build_host(
-    compiler: Optional[str],
-    cache: "Optional[ArtifactCache]",
-    workdir: Path,
-) -> Path:
+def build_host(compiler: Optional[str], cache: "ArtifactCache") -> Path:
     """The host executable for ``compiler``: an ordinary content-addressed
-    cache entry (host source + compiler + flags) when ``cache`` is set —
-    built at most once per cache — else compiled into ``workdir``.
+    ``cache`` entry (host source + compiler + flags), built at most once
+    per cache.
 
     Host lookups do not count as cache hits or misses: those counters
     describe the programs a campaign compiles.
     """
     compiler = _require_compiler(compiler)
-    if cache is None:
-        out_path = workdir / "host"
-        if not out_path.is_file():
-            c_path = workdir / "host.c"
-            c_path.write_text(HOST_SOURCE)
-            _run_compiler(compiler, c_path, out_path, "host")
-        return out_path
     key = cache.key(HOST_SOURCE, compiler, _cache_flags("host"))
     entry = cache.peek(key, names=(HOST_NAME,))
     if entry is None:
@@ -134,24 +127,23 @@ class CompiledSimulation:
     everything to interpret its runs.
 
     The in-process rung loads :attr:`shared` directly; the quarantine
-    rung runs it under the generic host, built lazily by :meth:`ensure_host`
-    (into the artifact cache, or next to the source when the cache is
-    bypassed).
+    rung runs it under the generic host, built lazily into the same
+    :attr:`cache` by :meth:`ensure_host`.  ``scratch`` is the directory
+    of a private cache (caching off): it holds both artifacts and is
+    removed with this handle.
     """
 
     shared: Path
     source: Path
     layout: ProgramLayout
     compile_seconds: float
-    workdir: Optional[tempfile.TemporaryDirectory] = field(
-        default=None, repr=False, compare=False
-    )
+    cache: "ArtifactCache" = field(repr=False, compare=False)
+    cache_key: str = field(repr=False, compare=False)
     cache_hit: bool = False
     compiler: Optional[str] = field(default=None, repr=False, compare=False)
-    cache: "Optional[ArtifactCache]" = field(
+    scratch: Optional[tempfile.TemporaryDirectory] = field(
         default=None, repr=False, compare=False
     )
-    cache_key: Optional[str] = field(default=None, repr=False, compare=False)
     host: Optional[Path] = field(default=None, repr=False, compare=False)
     _host_lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
@@ -163,9 +155,7 @@ class CompiledSimulation:
         if self.host is None:
             with self._host_lock:
                 if self.host is None:
-                    self.host = build_host(
-                        self.compiler, self.cache, self.source.parent
-                    )
+                    self.host = build_host(self.compiler, self.cache)
         return self.host
 
 
@@ -173,77 +163,58 @@ def compile_c_program(
     source: str,
     layout: ProgramLayout,
     *,
-    workdir: Optional[Path] = None,
     compiler: Optional[str] = None,
     cache: "Optional[ArtifactCache]" = None,
 ) -> CompiledSimulation:
     """Write and compile a generated program into its shared library.
 
-    With ``cache`` set (and no explicit ``workdir``), the compile is
-    served from the content-addressed artifact cache when the same
-    (source, compiler, flags) triple was compiled before — zero compiler
-    invocations on a hit; on a miss the artifact is moved into the
-    cache atomically so later calls (from any process) hit.  Concurrent
-    calls for one key in one process wait on the key's lock, so the
-    compiler runs once and the others hit.
+    The compile is served from the content-addressed artifact ``cache``
+    when the same (source, compiler, flags) triple was compiled before —
+    zero compiler invocations on a hit; on a miss the artifact is moved
+    into the cache atomically so later calls (from any process) hit.
+    Concurrent calls for one key in one process wait on the key's lock,
+    so the compiler runs once and the others hit.  Without ``cache`` the
+    program compiles into a private cache in a scratch directory that
+    lives as long as the returned handle.
     """
+    from repro.runner.cache import ArtifactCache
+
     compiler = _require_compiler(compiler)
+    scratch = None
+    if cache is None:
+        scratch = tempfile.TemporaryDirectory(prefix="accmos_")
+        cache = ArtifactCache(scratch.name)
 
     with telemetry.span("compile") as compile_span:
-        if cache is None or workdir is not None:
-            compile_span.set(cache_hit=False)
-            tmp = None
-            if workdir is None:
-                tmp = tempfile.TemporaryDirectory(prefix="accmos_")
-                workdir = Path(tmp.name)
-            workdir.mkdir(parents=True, exist_ok=True)
-            c_path = workdir / "simulation.c"
-            out_path = workdir / PROGRAM_NAME
-            c_path.write_text(source)
-            elapsed = _run_compiler(compiler, c_path, out_path, "shared")
-            return CompiledSimulation(
-                shared=out_path,
-                source=c_path,
-                layout=layout,
-                compile_seconds=elapsed,
-                workdir=tmp,
-                compiler=compiler,
-            )
-
         start = time.perf_counter()
         key = cache.key(source, compiler, _cache_flags("shared"))
         with cache.key_lock(key):
             entry = cache.lookup(key, names=(PROGRAM_NAME,))
-            if entry is not None:
-                telemetry.counter_inc("cache.hits")
-                compile_span.set(cache_hit=True)
-                return CompiledSimulation(
-                    shared=entry.shared,
-                    source=entry.source,
-                    layout=layout,
-                    compile_seconds=time.perf_counter() - start,
-                    cache_hit=True,
-                    compiler=compiler,
-                    cache=cache,
-                    cache_key=key,
-                )
-            telemetry.counter_inc("cache.misses")
-            compile_span.set(cache_hit=False)
-            with tempfile.TemporaryDirectory(prefix="accmos_") as tmp:
-                c_path = Path(tmp) / "simulation.c"
-                out_path = Path(tmp) / PROGRAM_NAME
-                c_path.write_text(source)
-                elapsed = _run_compiler(compiler, c_path, out_path, "shared")
-                entry = cache.store(key, c_path, shared_path=out_path)
-        return CompiledSimulation(
-            shared=entry.shared,
-            source=entry.source,
-            layout=layout,
-            compile_seconds=elapsed,
-            compiler=compiler,
-            cache=cache,
-            cache_key=key,
-        )
+            hit = entry is not None
+            telemetry.counter_inc("cache.hits" if hit else "cache.misses")
+            compile_span.set(cache_hit=hit)
+            if hit:
+                elapsed = time.perf_counter() - start
+            else:
+                with tempfile.TemporaryDirectory(prefix="accmos_") as tmp:
+                    c_path = Path(tmp) / "simulation.c"
+                    out_path = Path(tmp) / PROGRAM_NAME
+                    c_path.write_text(source)
+                    elapsed = _run_compiler(
+                        compiler, c_path, out_path, "shared"
+                    )
+                    entry = cache.store(key, c_path, shared_path=out_path)
+    return CompiledSimulation(
+        shared=entry.shared,
+        source=entry.source,
+        layout=layout,
+        compile_seconds=elapsed,
+        cache=cache,
+        cache_key=key,
+        cache_hit=hit,
+        compiler=compiler,
+        scratch=scratch,
+    )
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,6 @@ that block's diagnosis code; gcc's optimizer removes the dead ones.
 
 from __future__ import annotations
 
-from repro.dtypes import DType
 from repro.dtypes.dtype import INTEGER_DTYPES
 from repro.stimuli.base import DESCRIPTOR_FIELDS
 
@@ -259,16 +258,6 @@ def _float_float_cast_helpers() -> list[str]:
         "static inline double acc_cast_f32_f64(float v) "
         "{ if (isnan(v) || isinf(v)) f_nf = 1; return (double)v; }",
     ]
-
-
-def cast_helper(src: DType, dst: DType) -> str:
-    """The helper-call spelling for a checked cast, or a plain C cast when
-    no flag can fire (same type, or to bool)."""
-    if src is dst:
-        return ""  # caller uses the value unchanged
-    if dst.is_bool:
-        return "ACC_TO_BOOL"
-    return f"acc_cast_{src.short_name}_{dst.short_name}"
 
 
 _STIM_RUNTIME = r"""/* ---- runtime stimulus descriptors (compile-once / run-many) ---- */

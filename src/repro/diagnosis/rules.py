@@ -124,13 +124,3 @@ def static_downcast_warnings(prog: FlatProgram) -> list[DiagnosticEvent]:
                 )
             )
     return warnings
-
-
-def store_write_downcast(fa: FlatActor, store_dtype, in_dtype) -> bool:
-    """Static downcast test for DataStoreWrite (store narrower than input)."""
-    return (
-        store_dtype.is_integer
-        and in_dtype is not None
-        and in_dtype.is_integer
-        and in_dtype.bits > store_dtype.bits
-    )

@@ -100,19 +100,6 @@ class DType(enum.Enum):
         return self.value
 
     @property
-    def printf_format(self) -> str:
-        """printf conversion used by the generated result-output code."""
-        if self.is_float:
-            return "%.17g"
-        if self is DType.U64:
-            return "%llu"
-        if self is DType.I64:
-            return "%lld"
-        if self.is_signed:
-            return "%d"
-        return "%u"
-
-    @property
     def c_literal_suffix(self) -> str:
         if self is DType.I64:
             return "LL"

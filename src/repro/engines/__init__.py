@@ -25,7 +25,6 @@ from repro.engines.sse import run_sse
 from repro.engines.sse_ac import run_sse_ac
 from repro.engines.sse_rac import run_sse_rac
 from repro.engines.accmos import (
-    AccMoSArtifacts,
     CompiledModel,
     compile_model,
     run_accmos,
@@ -40,7 +39,6 @@ __all__ = [
     "run_sse_ac",
     "run_sse_rac",
     "run_accmos",
-    "AccMoSArtifacts",
     "CompiledModel",
     "compile_model",
     "simulate",

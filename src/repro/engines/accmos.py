@@ -9,12 +9,14 @@ The generated program is compile-once / run-many: it is
 stimulus-agnostic — it imports stimulus descriptors, step counts, and
 per-case deadlines at run time — so one shared library per
 ``(FlatProgram, InstrumentationPlan)`` serves every test case, and the
-artifact cache turns a whole seed campaign into a single gcc invocation.
-:func:`compile_model` returns a :class:`CompiledModel` that runs every
-case in-process (:meth:`~CompiledModel.run_inproc`; :meth:`~CompiledModel.run`
-is its one-case call).  A host process serving the same library
-(:meth:`~CompiledModel.run_stream`) is the quarantine rung under a
-faulted library.  Either way each case gets a full state/coverage/
+artifact cache turns a whole seed campaign into a single gcc invocation;
+with caching off, each compile goes into a private cache that lives as
+long as the model.  :func:`compile_model` returns a :class:`CompiledModel` whose
+one case path is :meth:`~CompiledModel.run_inproc`: every case runs
+in-process there (:meth:`~CompiledModel.run` is its one-case call,
+guided-corpus replay reads its coverage).  A host process serving the
+same library (:meth:`~CompiledModel.run_stream`) is the quarantine rung
+under a faulted library.  Either way each case gets a full state/coverage/
 diagnostic reset.  Every :class:`Stimulus` reaches C through
 :func:`~repro.codegen.descriptor.descriptors_for`: built-in generators
 as closed-form descriptors, custom subclasses materialized into
@@ -35,10 +37,7 @@ import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import (
-    TYPE_CHECKING, Callable, Iterator, Mapping, Optional, Sequence, Union,
-)
+from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Sequence, Union
 
 from repro import telemetry
 from repro.codegen.compose import ProgramLayout, generate_reusable_c_program
@@ -80,17 +79,6 @@ BatchCase = Union[
     Mapping[str, Stimulus],
     "tuple[Mapping[str, Stimulus], Optional[SimulationOptions]]",
 ]
-
-
-@dataclass
-class AccMoSArtifacts:
-    """Everything produced on the way to a result, for inspection."""
-
-    source: str
-    source_path: Optional[Path]
-    shared_path: Optional[Path]
-    generate_seconds: float
-    compile_seconds: float
 
 
 def _resolve_cache(cache):
@@ -327,7 +315,9 @@ class CompiledModel:
         library: Optional[LoadedModel] = None,
         threads: int = 1,
     ) -> list[Union[SimulationResult, SimulationTimeout]]:
-        """Run M cases in-process: zero spawns, zero pipes.
+        """Run M cases in-process: zero spawns, zero pipes.  This is the
+        one way a compiled model runs cases — single runs, campaign
+        chunks and guided-corpus replay alike.
 
         Same contract as :meth:`run_stream` — one outcome per case in
         order, per-case deadlines (enforced *inside* the library via the
@@ -362,120 +352,16 @@ class CompiledModel:
             [options.steps for options, _ in normalized],
             1 if library is not None else max(1, int(threads)),
         )
-
-        def run_case(lib: LoadedModel, index: int):
-            """One case on one instance: run, decode, finalize, count."""
-            t0 = time.perf_counter()
-            buf = lib.run_case(records[index])
-            execute_seconds = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            result = self.decoder.decode(
-                buf, self.prog, normalized[index][0], engine="accmos"
-            )
-            outcome = self._finalize(
-                result,
-                index=index,
-                batch_size=len(cases),
-                timeout_seconds=timeout_seconds,
-                execute_seconds=execute_seconds,
-                parse_seconds=time.perf_counter() - t0,
-            )
-            telemetry.counter_inc("engine.inproc.cases")
-            return outcome
-
-        outcomes = self._run_instances(
-            "accmos.inproc",
-            cases,
-            shards,
-            run_case,
-            lambda outcome: outcome,
-            timeout_seconds=timeout_seconds,
-            library=library,
-        )
-        telemetry.counter_inc("engine.inproc.runs")
-        return outcomes
-
-    def probe_coverage(
-        self,
-        cases: Sequence[BatchCase],
-        *,
-        timeout_seconds: Optional[float] = None,
-    ) -> list[Optional[dict]]:
-        """Coverage bitmaps only, as cheaply as this model can produce them.
-
-        The guided-fuzz replay path: runs each case on the in-process
-        library and slices just the coverage words out of the packed
-        result buffer (:meth:`ResultDecoder.decode_coverage
-        <repro.inproc.abi.ResultDecoder.decode_coverage>`),
-        skipping output/diagnostic/monitor decoding entirely.  One entry
-        per case, in order — a ``{Metric: Bitmap}`` dict, or ``None``
-        for cases that timed out or when the model collects no
-        coverage.  A library fault quarantines the in-process rung and
-        the remaining cases finish on :meth:`run_stream` (full decode,
-        same bitmaps).
-
-        Instances come from the process-wide
-        :func:`~repro.inproc.parallel.default_instance_pool`, keyed by
-        the content-addressed artifact path — guided-fuzz replay, which
-        compiles a fresh handle per seed, reuses one warm instance
-        instead of paying a copy + ``dlopen`` + handshake per probe.
-        """
-        cases = list(cases)
-        if not cases:
-            return []
-        _, records = self._encode(cases, timeout_seconds)
-
-        def probe(lib: LoadedModel, index: int) -> Optional[dict]:
-            buf = lib.run_case(records[index])
-            bitmaps = self.decoder.decode_coverage(buf)
-            telemetry.counter_inc("engine.inproc.probes")
-            return bitmaps
-
-        def host_bitmaps(outcome) -> Optional[dict]:
-            if isinstance(outcome, SimulationTimeout):
-                return None
-            if outcome.coverage is None:
-                return None
-            return dict(outcome.coverage.bitmaps)
-
-        return self._run_instances(
-            "accmos.probe",
-            cases,
-            [list(range(len(cases)))],
-            probe,
-            host_bitmaps,
-            timeout_seconds=timeout_seconds,
-        )
-
-    def _run_instances(
-        self,
-        span_name: str,
-        cases: "list[BatchCase]",
-        shards: "list[list[int]]",
-        run_case: "Callable[[LoadedModel, int], object]",
-        from_host: "Callable[[object], object]",
-        *,
-        timeout_seconds: Optional[float],
-        library: Optional[LoadedModel] = None,
-    ) -> list:
-        """The one in-process instance loop, behind :meth:`run_inproc`
-        and :meth:`probe_coverage`.
-
-        Each shard of case indices runs on one instance — ``library``,
-        or a private one from the instance pool — writing
-        ``run_case(lib, index)`` into its case's slot.  A load failure
-        or :class:`~repro.inproc.library.LibraryFault` quarantines the
-        model and drains the rest of the shard into ``pending``; every
-        pending case then finishes on :meth:`run_stream` *in index
-        order*, its outcome mapped through ``from_host`` — the same
-        ladder, the same bytes, whichever shard faulted.  One shard
-        runs inline on the calling thread; more run one thread each.
-        """
         results: list = [None] * len(cases)
         tails: "list[list[int]]" = [[] for _ in shards]
         walls = [0.0] * len(shards)
 
         def run_shard(slot: int, shard: "list[int]") -> None:
+            """Each case of ``shard`` on one instance — ``library``, or a
+            private one from the instance pool — into its slot.  A load
+            failure or :class:`~repro.inproc.library.LibraryFault`
+            quarantines the model and leaves the rest of the shard in
+            ``tails`` for the host."""
             t0 = time.perf_counter()
             lib, pool_key, done = library, None, 0
             try:
@@ -485,14 +371,30 @@ class CompiledModel:
                     except (CompilationError, LibraryFault, OSError) as exc:
                         self._quarantine_inproc(exc)
                 while lib is not None and done < len(shard):
+                    index = shard[done]
+                    t1 = time.perf_counter()
                     try:
-                        results[shard[done]] = run_case(lib, shard[done])
+                        buf = lib.run_case(records[index])
                     except LibraryFault as exc:
                         # run_case retired the instance already; one
                         # fault quarantines the whole model.
                         self._quarantine_inproc(exc)
                         lib = None
                         break
+                    execute_seconds = time.perf_counter() - t1
+                    t1 = time.perf_counter()
+                    result = self.decoder.decode(
+                        buf, self.prog, normalized[index][0], engine="accmos"
+                    )
+                    results[index] = self._finalize(
+                        result,
+                        index=index,
+                        batch_size=len(cases),
+                        timeout_seconds=timeout_seconds,
+                        execute_seconds=execute_seconds,
+                        parse_seconds=time.perf_counter() - t1,
+                    )
+                    telemetry.counter_inc("engine.inproc.cases")
                     done += 1
             finally:
                 if pool_key is not None and lib is not None:
@@ -501,7 +403,7 @@ class CompiledModel:
             tails[slot] = shard[done:]
 
         with telemetry.span(
-            span_name,
+            "accmos.inproc",
             model=self.prog.model.name,
             cases=len(cases),
             threads=len(shards),
@@ -528,6 +430,8 @@ class CompiledModel:
                         "engine.inproc.pack_efficiency",
                         sum(walls) / (len(walls) * max(walls)),
                     )
+            # Every pending case finishes on the host in index order:
+            # the same ladder, the same bytes, whichever shard faulted.
             pending = sorted(index for tail in tails for index in tail)
             if pending:
                 span.set(
@@ -540,7 +444,8 @@ class CompiledModel:
                     timeout_seconds=timeout_seconds,
                 )
                 for index, outcome in zip(pending, fallback):
-                    results[index] = from_host(outcome)
+                    results[index] = outcome
+        telemetry.counter_inc("engine.inproc.runs")
         return results
 
     # ------------------------------------------------------------------
@@ -706,7 +611,6 @@ def compile_model(
     options: Optional[SimulationOptions] = None,
     *,
     cache: "Union[ArtifactCache, None, bool]" = None,
-    workdir: Optional[Path] = None,
 ) -> CompiledModel:
     """Instrument + generate + compile the reusable simulation library.
 
@@ -723,24 +627,23 @@ def compile_model(
     and result decoder (``generate_seconds`` is then 0).  They still go
     through the cache lookup, so an evicted or damaged entry recompiles,
     and each call returns a fresh :class:`CompiledModel` whose
-    in-process quarantine is its own.  ``cache=False`` and an explicit
-    ``workdir`` regenerate every time.
+    in-process quarantine is its own.  Without a cache (``cache=False``,
+    or the default cache disabled) codegen and gcc run on every call,
+    into a private cache that lives as long as the model.
     """
     options = options if options is not None else SimulationOptions()
     cache = _resolve_cache(cache)
     fingerprint = _structural_fingerprint(options)
     t0 = time.perf_counter()
     hit = False
-    if cache is None or workdir is not None:
+    if cache is None:
         product = _codegen(prog, options)
     else:
         product, hit = _CODEGEN_MEMO.get(
             prog, fingerprint, lambda: _codegen(prog, options)
         )
     generate_seconds = 0.0 if hit else time.perf_counter() - t0
-    compiled = compile_c_program(
-        product.source, product.layout, workdir=workdir, cache=cache
-    )
+    compiled = compile_c_program(product.source, product.layout, cache=cache)
     telemetry.observe("accmos.generate_seconds", generate_seconds)
     telemetry.observe("accmos.compile_seconds", compiled.compile_seconds)
     return CompiledModel(
@@ -762,8 +665,6 @@ def run_accmos(
     stimuli: Mapping[str, Stimulus],
     options: SimulationOptions,
     *,
-    workdir: Optional[Path] = None,
-    keep_artifacts: bool = False,
     cache: "Union[ArtifactCache, None, bool]" = None,
     timeout_seconds: Optional[float] = None,
 ) -> SimulationResult:
@@ -777,18 +678,13 @@ def run_accmos(
     :class:`~repro.runner.cache.ArtifactCache`, ``None`` for the
     process-wide default (``~/.cache/accmos``; disable globally with
     ``ACCMOS_NO_CACHE=1``), or ``False`` to bypass caching for this
-    call.  An explicit ``workdir`` also bypasses the cache so the
-    artifacts land where the caller asked.  ``timeout_seconds`` bounds
-    the case's wall clock (raises ``SimulationTimeout``).
+    call.  ``timeout_seconds`` bounds the case's wall clock (raises
+    ``SimulationTimeout``).
     """
-    cache = _resolve_cache(cache)
     with telemetry.span(
         "accmos.run", model=prog.model.name, steps=options.steps
     ) as run_span:
-        model = compile_model(
-            prog, options, cache=cache if cache is not None else False,
-            workdir=workdir,
-        )
+        model = compile_model(prog, options, cache=cache)
         result = model.run(
             stimuli, options, timeout_seconds=timeout_seconds
         )
@@ -796,13 +692,5 @@ def run_accmos(
     telemetry.observe(
         "accmos.execute_seconds", result.extra["execute_seconds"]
     )
-    if keep_artifacts:
-        result.extra["artifacts"] = AccMoSArtifacts(
-            source=model.source,
-            source_path=model.compiled.source if workdir else None,
-            shared_path=model.compiled.shared if workdir else None,
-            generate_seconds=model.generate_seconds,
-            compile_seconds=model.compiled.compile_seconds,
-        )
     return result
 

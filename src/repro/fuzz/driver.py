@@ -103,10 +103,6 @@ def case_seed(base_seed: int, index: int) -> int:
     return (base_seed << 32) + index
 
 
-#: Backwards-compatible alias (pre-existing callers used the old name).
-_case_seed = case_seed
-
-
 def process_finding(
     case: CaseSpec,
     report: OracleReport,

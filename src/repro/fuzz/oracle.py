@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 from repro.coverage.report import CoverageReport
 from repro.codegen.driver import find_c_compiler
 from repro.engines import SimulationOptions, SimulationResult, simulate
-from repro.engines.accmos import _resolve_cache, compile_model
+from repro.engines.accmos import compile_model
 from repro.engines.base import signal_bits
 from repro.fuzz.generate import CaseSpec, build_model, build_stimuli
 from repro.schedule import preprocess
@@ -190,7 +190,6 @@ def run_case(
     prog = preprocess(model)
     out_dtypes = {b.name: b.dtype for b in prog.outports}
     options = SimulationOptions(steps=case.steps)
-    resolved_cache = _resolve_cache(cache)
 
     reference = simulate(prog, build_stimuli(case), engine="sse", options=options)
     report.coverage = reference.coverage
@@ -220,10 +219,7 @@ def run_case(
             ))
 
     if any(rung in rungs for rung in C_RUNGS):
-        compiled = compile_model(
-            prog, options,
-            cache=resolved_cache if resolved_cache is not None else False,
-        )
+        compiled = compile_model(prog, options, cache=cache)
         if "accmos" in rungs:
             record("accmos", lambda: compiled.run(
                 build_stimuli(case), options,

@@ -20,6 +20,11 @@ Saturation ends campaigns early: after ``saturation_rounds`` consecutive
 rounds contributing zero novel points, the structure space reachable
 from the corpus is considered exhausted and the remaining case budget is
 returned unspent.
+
+:func:`replay_corpus` checks a saved corpus: each seed runs once more,
+through the compiled model's one case path
+(:meth:`~repro.engines.accmos.CompiledModel.run_inproc`), and the
+rebuilt coverage map must equal the stored one bit for bit.
 """
 
 from __future__ import annotations
@@ -362,9 +367,9 @@ def replay_corpus(
 ) -> ReplayReport:
     """Re-run every saved seed and check the stored coverage map.
 
-    Each seed is simulated afresh — through the in-process coverage
-    probe (:meth:`CompiledModel.probe_coverage`) when a C compiler is
-    available, through the SSE reference otherwise (the
+    Each seed is simulated afresh — in-process
+    (:meth:`CompiledModel.run_inproc`) when a C compiler is available,
+    through the SSE reference otherwise or when the C run times out (the
     bitmaps are identical by the oracle invariant) — and folded into a
     fresh :class:`CoverageMap`.  ``matched`` is True iff the rebuilt map
     equals the persisted one bit for bit: the corpus is exactly its
@@ -374,13 +379,14 @@ def replay_corpus(
     from repro.engines import SimulationOptions, simulate
     from repro.engines.accmos import compile_model
     from repro.fuzz.generate import build_model, build_stimuli
+    from repro.model.errors import SimulationTimeout
     from repro.schedule import preprocess
 
     corpus = SeedCorpus.load(corpus_dir)
     report = ReplayReport(
         seeds=len(corpus), points_expected=corpus.coverage.points()
     )
-    use_probe = find_c_compiler() is not None
+    use_c = find_c_compiler() is not None
     rebuilt = CoverageMap()
 
     with telemetry.span("guided.replay", seeds=len(corpus)):
@@ -390,12 +396,16 @@ def replay_corpus(
                 stimuli = build_stimuli(entry.case)
                 options = SimulationOptions(steps=entry.case.steps)
                 bitmaps = None
-                if use_probe:
+                if use_c:
                     compiled = compile_model(prog, options, cache=None)
-                    (bitmaps,) = compiled.probe_coverage(
+                    (outcome,) = compiled.run_inproc(
                         [(stimuli, options)],
                         timeout_seconds=timeout_seconds,
                     )
+                    if not isinstance(outcome, SimulationTimeout) and (
+                        outcome.coverage is not None
+                    ):
+                        bitmaps = outcome.coverage.bitmaps
                 if bitmaps is None:
                     result = simulate(
                         prog, stimuli, engine="sse", options=options

@@ -309,23 +309,3 @@ class ResultDecoder:
         if flags & 1:
             result.extra["deadline_exceeded"] = True
         return result
-
-    def decode_coverage(self, buf: bytes) -> Optional[dict[Metric, Bitmap]]:
-        """Slice ONLY the coverage words out of a filled result buffer.
-
-        The cheap path for coverage probing (``repro corpus replay``):
-        skips output/diagnostic/monitor reconstruction and slices the
-        coverage words out of the fixed prefix.  Returns ``None``
-        when the program collects no coverage or when the per-case
-        deadline tripped (a truncated run's bitmap would under-report
-        and poison an accumulated map).
-        """
-        if not self._coverage:
-            return None
-        words = self._unpack_prefix(buf)
-        if words[3] & 1:  # flags: deadline_exceeded
-            return None
-        return {
-            metric: Bitmap.from_words(n, words[start:end])
-            for metric, n, start, end in self._coverage
-        }

@@ -15,9 +15,9 @@ LRU beyond the bound, ``retire`` drops a faulted instance without
 reinsertion.  Keys are ``(shared-object path, result size)``: the path
 is content-addressed by the artifact cache, so two
 :class:`~repro.engines.accmos.CompiledModel` handles over the same
-structure share instances — this is what lets
-``probe_coverage`` reuse pooled instances across guided-fuzz replay
-compiles instead of paying a fresh ``dlopen`` per probe.
+structure share instances — this is what lets guided-fuzz replay,
+which compiles a fresh handle per seed, reuse one warm instance through
+``run_inproc`` instead of paying a fresh ``dlopen`` per seed.
 
 Instances are never shared between two holders at once: a checked-out
 instance belongs to exactly one thread until released, and the

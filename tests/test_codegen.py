@@ -3,6 +3,8 @@ custom predicate substitution, and the Python backend."""
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro import SimulationOptions, simulate
@@ -189,11 +191,15 @@ class TestCompileAndParse:
     def test_find_c_compiler(self):
         assert find_c_compiler() is not None
 
-    def test_workdir_artifacts_kept(self, tmp_path):
+    def test_workdir_artifacts_kept(self):
+        """Without a cache the source and the library are kept in the
+        handle's private scratch directory while the handle lives."""
         _, _, _, source, layout = _generate()
-        compiled = compile_c_program(source, layout, workdir=tmp_path)
-        assert (tmp_path / "simulation.c").exists()
-        assert (tmp_path / "simulation.so").exists()
+        compiled = compile_c_program(source, layout)
+        scratch = Path(compiled.scratch.name)
+        assert compiled.source.read_text() == source
+        assert compiled.shared.is_file()
+        assert scratch in compiled.shared.parents
         assert compiled.compile_seconds > 0
 
     def test_accmos_run_reports_extras(self):
@@ -203,16 +209,18 @@ class TestCompileAndParse:
         assert result.extra["source_lines"] > 100
 
     def test_accmos_keep_artifacts(self, tmp_path):
-        from repro.engines import run_accmos
+        """A compiled model keeps its generated source and its library
+        reachable: the library and a copy of the source in the cache."""
+        from repro.engines import compile_model
+        from repro.runner.cache import ArtifactCache
 
-        prog = _prog()
-        result = run_accmos(
-            prog, default_stimuli(prog), SimulationOptions(steps=10),
-            workdir=tmp_path, keep_artifacts=True,
+        model = compile_model(
+            _prog(), SimulationOptions(steps=10),
+            cache=ArtifactCache(tmp_path),
         )
-        artifacts = result.extra["artifacts"]
-        assert artifacts.source_path.exists()
-        assert artifacts.shared_path.exists()
+        assert model.compiled.source.read_text() == model.source
+        assert model.compiled.shared.is_file()
+        assert tmp_path in model.compiled.shared.parents
 
 
 class TestPyBackend:

@@ -22,6 +22,7 @@ from repro.engines import accmos as accmos_mod
 from repro.engines.accmos import compile_model
 from repro.inproc import LibraryFault
 from repro.model.builder import ModelBuilder
+from repro.runner import cache as cache_mod
 from repro.runner.cache import ArtifactCache
 from repro.schedule import preprocess
 from repro.stimuli import default_stimuli
@@ -118,17 +119,23 @@ def test_evicted_entry_recompiles_on_a_memo_hit(tmp_path, gcc_calls):
 
 
 @requires_cc
-@pytest.mark.parametrize("bypass", ["no-cache", "workdir"])
-def test_no_cache_and_workdir_bypass_the_memo(tmp_path, bypass):
+@pytest.mark.parametrize("bypass", ["no-cache", "default-cache-off"])
+def test_uncached_compiles_bypass_the_memo(monkeypatch, bypass):
+    """``cache=False`` and a disabled default cache both regenerate the
+    source on every call."""
+    cache = False
+    if bypass == "default-cache-off":
+        cache = None
+        monkeypatch.setenv(cache_mod.CACHE_DISABLE_ENV, "1")
+        monkeypatch.setattr(cache_mod, "_default_cache", None)
+        monkeypatch.setattr(cache_mod, "_default_resolved", False)
     prog = _gain_program(2.0)
     opts = SimulationOptions(steps=10)
     with telemetry.capture() as session:
-        for run in range(2):
-            if bypass == "no-cache":
-                model = compile_model(prog, opts, cache=False)
-            else:
-                model = compile_model(prog, opts, workdir=tmp_path / f"w{run}")
+        for _ in range(2):
+            model = compile_model(prog, opts, cache=cache)
             assert model.generate_seconds > 0.0
+            assert not model.cache_hit
     assert _codegen_spans(session) == 2
 
 

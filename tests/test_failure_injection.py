@@ -86,7 +86,7 @@ class TestBinaryFailures:
         """A host that cannot load its library exits non-zero, and the
         error carries the exit status and the host's stderr."""
         _, plan, options, source, layout = generated
-        compiled = compile_c_program(source, layout, workdir=tmp_path)
+        compiled = compile_c_program(source, layout)
         with pytest.raises(ServerError) as excinfo:
             SimulationServer(
                 compiled.ensure_host(), tmp_path / "missing.so",
@@ -95,7 +95,7 @@ class TestBinaryFailures:
         assert "exit 3" in str(excinfo.value)
         assert "missing.so" in str(excinfo.value)
 
-    def test_crash_reported(self, generated, tmp_path):
+    def test_crash_reported(self, generated):
         prog, plan, options, source, layout = generated
         crashing = source.replace(
             "clock_gettime(CLOCK_MONOTONIC, &_t0);",
@@ -104,7 +104,7 @@ class TestBinaryFailures:
             1,
         )
         assert crashing != source
-        compiled = compile_c_program(crashing, layout, workdir=tmp_path)
+        compiled = compile_c_program(crashing, layout)
         server = SimulationServer(
             compiled.ensure_host(), compiled.shared,
             result_size=ResultDecoder(layout, plan, options).size,
@@ -125,11 +125,11 @@ class TestProtocolFailures:
         with pytest.raises(LibraryFault, match="ABI version"):
             SimulationServer(host, "16", result_size=16)
 
-    def test_coverage_size_mismatch(self, generated, tmp_path):
+    def test_coverage_size_mismatch(self, generated):
         """Coverage tables shape the result buffer: a library built with
         them cannot serve a decoder laid out without them."""
         prog, _, options, source, layout = generated
-        compiled = compile_c_program(source, layout, workdir=tmp_path)
+        compiled = compile_c_program(source, layout)
         no_coverage = build_plan(prog, coverage=False)
         size = ResultDecoder(layout, no_coverage, options).size
         with pytest.raises(LibraryFault, match="result size"):
@@ -154,11 +154,11 @@ class TestProtocolFailures:
         finally:
             server.kill()
 
-    def test_rejected_record_raises_typed_error(self, generated, tmp_path):
+    def test_rejected_record_raises_typed_error(self, generated):
         """A record the library rejects (non-zero status) is a typed
         ServerError naming the status."""
         prog, plan, options, source, layout = generated
-        compiled = compile_c_program(source, layout, workdir=tmp_path)
+        compiled = compile_c_program(source, layout)
         server = SimulationServer(
             compiled.ensure_host(), compiled.shared,
             result_size=ResultDecoder(layout, plan, options).size,

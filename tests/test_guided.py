@@ -37,6 +37,8 @@ from repro.guided import (
     seed_score,
 )
 
+from conftest import requires_cc
+
 
 def _bitmaps(**hits) -> dict[Metric, Bitmap]:
     """Tiny 4-metric bitmap set: sizes 8/4/4/4, hits per metric value."""
@@ -378,6 +380,29 @@ class TestGuidedCampaign:
         assert report.matched
         assert report.replayed == report.seeds > 0
         assert report.points_rebuilt == report.points_expected
+
+    @requires_cc
+    def test_replay_falls_back_to_sse_on_timeout(self, tmp_path, monkeypatch):
+        """A seed whose C run times out replays through SSE instead, and
+        the rebuilt map still matches."""
+        from repro.engines.accmos import CompiledModel
+        from repro.model.errors import SimulationTimeout
+
+        corpus_dir = tmp_path / "corpus"
+        run_guided(GuidedConfig(
+            cases=10, seed=1, rungs=("sse_ac",), round_size=10,
+            corpus_dir=corpus_dir, shrink=False, timeout_seconds=30.0,
+        ))
+        runs = {"n": 0}
+
+        def timed_out(self, cases, **kwargs):
+            runs["n"] += 1
+            return [SimulationTimeout("induced") for _ in cases]
+
+        monkeypatch.setattr(CompiledModel, "run_inproc", timed_out)
+        report = replay_corpus(corpus_dir, timeout_seconds=30.0)
+        assert report.matched and not report.errors
+        assert report.replayed == report.seeds == runs["n"] > 0
 
     def test_resume_extends_existing_corpus(self, tmp_path):
         corpus_dir = tmp_path / "corpus"

@@ -330,19 +330,24 @@ def _varied_cases(stimuli, opts):
 @requires_cc
 @pytest.mark.parametrize("name", sorted(ZOO))
 def test_probe_coverage_matches_run_inproc(zoo_programs, name):
+    """The coverage probe of a corpus replay — a one-case ``run_inproc``
+    call per seed on a warm pooled instance — gives each case the
+    bitmaps it gets inside a batch."""
     prog, stimuli = zoo_programs[name]
     opts = SimulationOptions(steps=STEPS, coverage=True)
     model = compile_model(prog, opts, cache=False)
     cases = _varied_cases(stimuli, opts)
     expected = [r.coverage.bitmaps for r in model.run_inproc(cases)]
-    assert model.probe_coverage(cases) == expected
+    probes = [model.run_inproc([case])[0].coverage.bitmaps for case in cases]
+    assert probes == expected
     assert model.inproc_available
 
 
 @requires_cc
 def test_probe_fault_quarantines_and_falls_back(zoo_programs, monkeypatch):
-    """A fault on the second probe quarantines the model; the probes
-    left over finish on a host process with the same bitmaps."""
+    """A fault on the second case of a coverage run quarantines the
+    model; the cases left over finish on a host process with the same
+    bitmaps."""
     prog, stimuli = zoo_programs[sorted(ZOO)[0]]
     opts = SimulationOptions(steps=STEPS, coverage=True)
     model = compile_model(prog, opts, cache=False)
@@ -359,8 +364,8 @@ def test_probe_fault_quarantines_and_falls_back(zoo_programs, monkeypatch):
         return real_invoke(self, record)
 
     monkeypatch.setattr(LoadedModel, "_invoke", flaky_invoke)
-    assert model.probe_coverage(cases) == expected
-    assert calls["n"] == 2  # the third probe never reached the library
+    assert [r.coverage.bitmaps for r in model.run_inproc(cases)] == expected
+    assert calls["n"] == 2  # the third case never reached the library
     assert not model.inproc_available
 
 
@@ -608,10 +613,14 @@ def test_decoder_rejects_monitor_count_above_limit(decoded_case):
 
 
 @requires_cc
-def test_coverage_probe_matches_full_decode(decoded_case):
+def test_coverage_probe_matches_full_decode(decoded_case, zoo_programs):
+    """The bitmaps a corpus replay reads off a decoded result are the
+    SSE reference's for the same case."""
     model, opts, buf = decoded_case
+    _, stimuli = zoo_programs["logic_decisions"]
     full = model.decoder.decode(buf, model.prog, opts)
-    assert model.decoder.decode_coverage(buf) == full.coverage.bitmaps
+    sse = simulate(model.prog, stimuli(), engine="sse", options=opts)
+    assert full.coverage.bitmaps == sse.coverage.bitmaps
 
 
 # ----------------------------------------------------------------------

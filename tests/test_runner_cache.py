@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import gc
 import os
 import threading
+from pathlib import Path
 
 import pytest
 
+from repro import telemetry
 from repro.codegen import descriptors_for, generate_reusable_c_program
 from repro.codegen.driver import CFLAGS, compile_c_program, find_c_compiler
 from repro.inproc import LoadedModel, ResultDecoder, encode_case_binary
@@ -118,16 +121,41 @@ class TestCacheCompile:
         assert not compiled.cache_hit
         assert cache.stats().entries == 2
 
-    def test_explicit_workdir_bypasses_cache(self, tmp_path):
-        cache = ArtifactCache(tmp_path / "cache")
-        source, layout = _generated()
-        compiled = compile_c_program(
-            source, layout, workdir=tmp_path / "wd", cache=cache
-        )
-        assert not compiled.cache_hit
-        assert (tmp_path / "wd" / "simulation.so").exists()
-        stats = cache.stats()
+    def test_uncached_compile_uses_a_private_scratch_cache(
+        self, tmp_path, monkeypatch
+    ):
+        """``cache=False`` leaves the default cache alone and compiles
+        into a private one: the library and the host built for it share
+        one scratch directory, which goes with the model, and every
+        uncached compile runs gcc."""
+        from repro.engines.accmos import compile_model
+
+        shared_cache = ArtifactCache(tmp_path / "cache")
+        monkeypatch.setattr(cache_mod, "_default_cache", shared_cache)
+        monkeypatch.setattr(cache_mod, "_default_resolved", True)
+        prog = _prog()
+        options = SimulationOptions(steps=10)
+        with telemetry.capture() as session:
+            model = compile_model(prog, options, cache=False)
+            again = compile_model(prog, options, cache=False)
+            host = model.compiled.ensure_host()
+            model.run(default_stimuli(prog), options)
+        stats = shared_cache.stats()
         assert (stats.hits, stats.misses, stats.entries) == (0, 0, 0)
+        assert not model.cache_hit
+        scratch = Path(model.compiled.scratch.name)
+        assert scratch in model.compiled.shared.parents
+        assert scratch in host.parents
+        assert scratch not in again.compiled.shared.parents
+        gcc = [
+            span.attrs["artifact"]
+            for span in session.tracer.finished()
+            if span.name == "gcc"
+        ]
+        assert sorted(gcc) == ["host", "shared", "shared"]
+        del model
+        gc.collect()
+        assert not scratch.exists()
 
     def test_concurrent_same_key_leaves_one_valid_artifact(self, tmp_path):
         cache = ArtifactCache(tmp_path / "cache")

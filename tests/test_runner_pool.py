@@ -196,9 +196,11 @@ class TestExecuteTimeout:
 
     @staticmethod
     def _compiled(tmp_path):
-        """The pool test program compiled into ``tmp_path``."""
+        """The pool test program compiled into a cache in ``tmp_path``."""
         from repro.engines.accmos import compile_model
+        from repro.runner.cache import ArtifactCache
 
         return compile_model(
-            _prog(), SimulationOptions(steps=10), workdir=tmp_path
+            _prog(), SimulationOptions(steps=10),
+            cache=ArtifactCache(tmp_path),
         )
