@@ -7,9 +7,11 @@ out:
 * instrumentation overhead: AccMoS with full coverage+diagnosis vs the
   bare generated loop (the paper's §2 notes Simulink's fast modes *drop*
   these features for speed — AccMoS keeps them; how much do they cost?);
-* compiler optimization: -O0 vs -O3 on the generated code (the paper's
-  Table-2 analysis credits compiler optimization for the biggest wins on
-  computation-heavy models);
+* compiler optimization: the -O sweep, -O0 to -O3, on the generated code
+  — gcc seconds, C-loop time, and each level's break-even against the
+  shipped level (the paper's Table-2 analysis credits compiler
+  optimization for the biggest wins on computation-heavy models; here
+  gcc time decides which level ships);
 * interpretation overhead decomposition: SSE -> SSE_ac (dispatch
   precompiled) -> SSE_rac (whole-model generated Python) -> AccMoS
   (generated C).
@@ -41,10 +43,12 @@ def lans(programs):
     return programs[MODEL]
 
 
-def _run_accmos_variant(prog, *, coverage, diagnostics, flags=None, steps=None):
+def _run_accmos_variant(
+    prog, *, coverage, diagnostics, flags=None, steps=None, repeats=1
+):
     """One case on a freshly compiled program (``flags`` replaces the
     compiler flags; the artifact cache is bypassed so they take
-    effect)."""
+    effect), run ``repeats`` times; the fastest run is returned."""
     steps = steps or max(bench_steps() * 20, 200_000)
     options = SimulationOptions(
         steps=steps, coverage=coverage, diagnostics=diagnostics,
@@ -56,7 +60,10 @@ def _run_accmos_variant(prog, *, coverage, diagnostics, flags=None, steps=None):
         model = compile_model(prog, options, cache=False)
     finally:
         driver.CFLAGS[:] = original
-    return model.run(benchmark_stimuli(prog), options)
+    runs = [
+        model.run(benchmark_stimuli(prog), options) for _ in range(repeats)
+    ]
+    return min(runs, key=lambda result: result.wall_time)
 
 
 def test_instrumentation_overhead(benchmark, lans):
@@ -94,34 +101,73 @@ def test_instrumentation_overhead(benchmark, lans):
     assert overhead < 50, "instrumentation must not devour the codegen win"
 
 
+LEVELS = ("-O0", "-O1", "-O2", "-O3")
+
+
+def _break_even(level, shipped) -> int | None:
+    """Steps per compile at which ``level`` and ``shipped`` cost the same
+    end to end (gcc + C loop); past it the faster loop of the two wins.
+    None when one of them is better on both counts."""
+    gcc_gap = level.extra["compile_seconds"] - shipped.extra["compile_seconds"]
+    loop_gap = (shipped.wall_time - level.wall_time) / level.steps_run
+    if gcc_gap * loop_gap <= 0:
+        return None
+    return round(gcc_gap / loop_gap)
+
+
 def test_compiler_optimization_ablation(benchmark, lans):
-    o3 = benchmark.pedantic(
-        lambda: _run_accmos_variant(
+    def variant(level):
+        return _run_accmos_variant(
             lans, coverage=True, diagnostics=True,
-            flags=["-O3", "-ffp-contract=off", "-std=c11"],
-        ),
-        rounds=1, iterations=1,
-    )
-    o0 = _run_accmos_variant(
-        lans, coverage=True, diagnostics=True,
-        flags=["-O0", "-ffp-contract=off", "-std=c11"],
-    )
+            flags=[level, "-ffp-contract=off", "-std=c11"], repeats=3,
+        )
+
+    runs = {"-O3": benchmark.pedantic(
+        lambda: variant("-O3"), rounds=1, iterations=1,
+    )}
+    for level in LEVELS:
+        if level not in runs:
+            runs[level] = variant(level)
+    o0, o3 = runs["-O0"], runs["-O3"]
     assert o0.checksums == o3.checksums
+    for run in runs.values():  # results do not depend on the level
+        assert run.checksums == o3.checksums
     speedup = o0.wall_time / max(o3.wall_time, 1e-9)
+    shipped = next(flag for flag in driver.CFLAGS if flag.startswith("-O"))
+    break_even = {
+        level: _break_even(run, runs[shipped]) for level, run in runs.items()
+    }
     rows = [
-        f"model {MODEL}, {o3.steps_run:,} steps",
-        f"-O0: {o0.wall_time:.4f}s   -O3: {o3.wall_time:.4f}s   "
-        f"optimization gain: {speedup:.1f}x",
-        "(the paper attributes the biggest Table-2 ratios to compiler",
-        " optimization of computational actor chains)",
+        f"model {MODEL}, {o3.steps_run:,} steps, shipped level {shipped}",
+        f"{'level':6s} {'gcc':>8s} {'C loop':>9s} {'ns/step':>8s} "
+        f"{'break-even vs ' + shipped:>20s}",
     ]
-    report_table("Ablation: compiler optimization (-O0 vs -O3)", "\n".join(rows))
+    for level in LEVELS:
+        run = runs[level]
+        steps = break_even[level]
+        rows.append(
+            f"{level:6s} {run.extra['compile_seconds']:7.2f}s "
+            f"{run.wall_time:8.4f}s "
+            f"{run.wall_time / run.steps_run * 1e9:8.0f} "
+            f"{'—' if steps is None else f'{steps:,} steps':>20s}"
+        )
+    rows += [
+        f"-O0 -> -O3 optimization gain: {speedup:.1f}x",
+        "(break-even: steps per compile past which the level with the",
+        " faster loop wins end to end; — = one level wins on both counts)",
+    ]
+    report_table("Ablation: compiler optimization (-O sweep)", "\n".join(rows))
     report_json(
         "ablation_compiler_opt",
-        {"model": MODEL, "steps": o3.steps_run},
+        {"model": MODEL, "steps": o3.steps_run, "shipped": shipped},
         [
-            {"flags": "-O0", "wall_time": o0.wall_time},
-            {"flags": "-O3", "wall_time": o3.wall_time},
+            {
+                "flags": level,
+                "wall_time": runs[level].wall_time,
+                "compile_seconds": runs[level].extra["compile_seconds"],
+                "break_even_steps": break_even[level],
+            }
+            for level in LEVELS
         ],
         "seconds",
     )
@@ -147,7 +193,7 @@ def test_interpretation_overhead_decomposition(benchmark, lans):
         f"{'interpreted, full instrumentation (SSE)':44s} {times['sse']:11.4f}s",
         f"{'precompiled dispatch, per-step sync (ac)':44s} {times['sse_ac']:11.4f}s",
         f"{'generated Python, batched sync (rac)':44s} {times['sse_rac']:11.4f}s",
-        f"{'generated C -O3, instrumented (AccMoS)':44s} {times['accmos']:11.4f}s",
+        f"{'generated C, instrumented (AccMoS)':44s} {times['accmos']:11.4f}s",
     ]
     report_table("Ablation: interpretation overhead decomposition",
                  "\n".join(rows))

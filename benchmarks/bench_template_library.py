@@ -95,7 +95,8 @@ def test_codegen_throughput(benchmark, programs, name):
 
 @pytest.mark.parametrize("name", ["CSEV"])
 def test_compile_throughput(benchmark, programs, name):
-    """gcc -O3 compilation cost for a generated simulation."""
+    """gcc compilation cost, at the shipped ``CFLAGS``, for a generated
+    simulation."""
     if name not in programs:
         pytest.skip(f"{name} excluded by ACCMOS_BENCH_MODELS")
     prog = programs[name]

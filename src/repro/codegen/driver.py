@@ -11,9 +11,13 @@ faulted library runs it out of process, under the generic host
 executable (:data:`repro.codegen.runtime.HOST_SOURCE`), which is
 itself compiled once per compiler and cache, on first use.
 
-Compile flags matter for the bit-for-bit equivalence contract:
+:data:`CFLAGS` is the one flag vector, and part of every cache key:
 
-* ``-O3`` — the paper's optimization level;
+* ``-O1`` — the level that minimises end-to-end time: gcc is most of a
+  cold campaign, and ``-O3``'s faster loop pays back its extra compile
+  time only after millions of steps (the ``-O`` sweep is
+  ``benchmarks/bench_ablations.py``); results are identical at every
+  level (``tests/test_opt_levels.py``);
 * ``-ffp-contract=off`` — forbid fused multiply-add contraction, which
   would change float results relative to the Python reference;
 * strict IEEE (gcc's default; never ``-ffast-math``).
@@ -41,7 +45,7 @@ from repro.model.errors import CompilationError, SimulationError
 if TYPE_CHECKING:  # avoids importing the runner package at module load
     from repro.runner.cache import ArtifactCache
 
-CFLAGS = ["-O3", "-ffp-contract=off", "-std=c11"]
+CFLAGS = ["-O1", "-ffp-contract=off", "-std=c11"]
 SHARED_FLAGS = ["-shared", "-fPIC"]
 # Link libraries per artifact; -ldl: dlopen lives in libdl before
 # glibc 2.34.

@@ -12,7 +12,7 @@ Four engines run the same :class:`~repro.schedule.FlatProgram`:
   generated Python, batched execution with periodic host data transfer, no
   diagnostics/coverage;
 * :mod:`~repro.engines.accmos` — the paper's system: instrumented C code
-  generated from the template library, compiled with gcc -O3, executed,
+  generated from the template library, compiled with gcc, executed,
   results parsed back.
 
 All four return a :class:`~repro.engines.base.SimulationResult` with the

@@ -2,8 +2,8 @@
 
 This is the paper's system end to end: plan instrumentation (Algorithm 1),
 synthesize the simulation code from the actor template library, import the
-test cases, compile with ``-O3``, execute, and parse coverage/diagnosis/
-monitor results back into the shared schema.
+test cases, compile with :data:`repro.codegen.driver.CFLAGS`, execute,
+and parse coverage/diagnosis/monitor results back into the shared schema.
 
 The generated program is compile-once / run-many: it is
 stimulus-agnostic — it imports stimulus descriptors, step counts, and

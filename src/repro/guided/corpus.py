@@ -68,7 +68,6 @@ class SeedEntry:
     case: CaseSpec
     key: str  # coverage/compile key
     novel_points: int  # points this seed itself contributed on admission
-    cost_seconds: float  # wall cost of its differential evaluation
     round_added: int = 0
     times_fuzzed: int = 0  # rounds in which this seed was mutated
     child_novel_points: int = 0  # novelty its mutants contributed since
@@ -78,12 +77,18 @@ class SeedEntry:
         if not self.sig:
             self.sig = case_signature(self.case)
 
+    @property
+    def cost(self) -> int:
+        """What evaluating this seed costs, in actor-steps: a function of
+        the case alone, so a seeded campaign schedules the same way on
+        every run and every machine."""
+        return max(1, self.case.n_actors) * max(1, self.case.steps)
+
     def to_dict(self) -> dict:
         return {
             "sig": self.sig,
             "key": self.key,
             "novel_points": self.novel_points,
-            "cost_seconds": round(self.cost_seconds, 6),
             "round_added": self.round_added,
             "times_fuzzed": self.times_fuzzed,
             "child_novel_points": self.child_novel_points,
@@ -92,11 +97,12 @@ class SeedEntry:
 
     @staticmethod
     def from_dict(d: dict) -> "SeedEntry":
+        # Seed files written before the cost became actor-steps also
+        # carry a measured "cost_seconds"; it is ignored.
         return SeedEntry(
             case=CaseSpec.from_dict(d["case"]),
             key=d["key"],
             novel_points=int(d["novel_points"]),
-            cost_seconds=float(d.get("cost_seconds", 0.0)),
             round_added=int(d.get("round_added", 0)),
             times_fuzzed=int(d.get("times_fuzzed", 0)),
             child_novel_points=int(d.get("child_novel_points", 0)),

@@ -186,7 +186,6 @@ def run_guided(
 
     def evaluate(case, *, parent: Optional[SeedEntry], label: str) -> int:
         """Oracle one case, fold its coverage in, admit/attribute/report."""
-        case_started = time.perf_counter()
         try:
             with telemetry.span(
                 "guided.case", actors=case.n_actors, kind=label
@@ -203,7 +202,6 @@ def run_guided(
             outcome.invalid_mutants += 1
             telemetry.counter_inc("guided.invalid_mutants")
             return 0
-        cost = time.perf_counter() - case_started
         outcome.cases_run += 1
         telemetry.counter_inc("guided.cases")
 
@@ -220,7 +218,6 @@ def run_guided(
                     case=case,
                     key=key,
                     novel_points=novelty,
-                    cost_seconds=cost,
                     round_added=round_no,
                 ))
                 if parent is not None:

@@ -2,10 +2,12 @@
 
 AFL's insight, transplanted: budget is finite, so spend it where the
 coverage yield is.  A seed's *score* is its novelty yield per time it
-has been fuzzed, discounted by its evaluation cost (expensive seeds must
-pay rent); its *energy* is the mutant count it gets when scheduled —
-never-fuzzed seeds get a double first shot, seeds whose mutants have
-stopped producing wind down to a maintenance trickle.
+has been fuzzed, discounted by its evaluation cost in actor-steps
+(expensive seeds must pay rent; a measured wall time would make a
+seeded campaign's schedule differ from run to run); its *energy* is the
+mutant count it gets when scheduled — never-fuzzed seeds get a double
+first shot, seeds whose mutants have stopped producing wind down to a
+maintenance trickle.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ def seed_score(entry: SeedEntry) -> float:
     )
     # sqrt keeps big (costly) models competitive: their per-case yield is
     # higher, and a linear cost penalty would cancel exactly that edge.
-    cost = max(entry.cost_seconds, 1e-3) ** 0.5
-    return yield_per_fuzz / cost
+    return yield_per_fuzz / entry.cost ** 0.5
 
 
 def assign_energy(entry: SeedEntry, *, base: int = 4, cap: int = 16) -> int:

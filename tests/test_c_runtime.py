@@ -1,10 +1,11 @@
 """Fuzz the generated C runtime helpers against the Python reference.
 
-One harness binary is compiled per session from the real runtime prelude
-(:func:`repro.codegen.runtime.runtime_header`); it reads operation requests
-on stdin and reports result + flags.  Hypothesis supplies the operands, and
-every response must match ``checked_*`` / ``checked_cast`` exactly — value
-and flags both.
+One harness is compiled per session from the real runtime prelude
+(:func:`repro.codegen.runtime.runtime_header`), once at the shipped
+``CFLAGS`` and once at ``-O3``; it reads operation requests on stdin and
+reports result + flags.  Hypothesis supplies the operands, both builds
+must answer alike, and every response must match ``checked_*`` /
+``checked_cast`` exactly — value and flags both.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.codegen.driver import CFLAGS
 from repro.codegen.runtime import runtime_header
 from repro.dtypes import DType, F32, F64
 from repro.dtypes.arith import (
@@ -102,28 +104,45 @@ int main(void) {
     return "\n".join(lines)
 
 
+# The shipped flag vector, and -O3: the helpers must answer alike at
+# the level that ships and at the one the paper used.
+_LEVELS = list(dict.fromkeys(
+    [tuple(CFLAGS), ("-O3", "-ffp-contract=off", "-std=c11")]
+))
+
+
+def _run_binary(binary, requests: list[str]) -> list[tuple]:
+    proc = subprocess.run(
+        [str(binary)], input="\n".join(requests) + "\n",
+        capture_output=True, text=True, check=True,
+    )
+    out = []
+    for line in proc.stdout.splitlines():
+        value, ov, dz, pl, nf = line.split()
+        out.append((value, int(ov), int(dz), int(pl), int(nf)))
+    return out
+
+
 @pytest.fixture(scope="module")
 def harness(tmp_path_factory):
+    """Runs requests on the harness compiled at every level of
+    ``_LEVELS``; the levels must agree, and their answer is returned."""
     workdir = tmp_path_factory.mktemp("c_runtime")
     c_file = workdir / "harness.c"
     c_file.write_text(_harness_source())
-    binary = workdir / "harness"
-    subprocess.run(
-        ["gcc", "-O3", "-ffp-contract=off", "-std=c11",
-         "-o", str(binary), str(c_file), "-lm"],
-        check=True, capture_output=True,
-    )
+    binaries = []
+    for i, flags in enumerate(_LEVELS):
+        binary = workdir / f"harness{i}"
+        subprocess.run(
+            ["gcc", *flags, "-o", str(binary), str(c_file), "-lm"],
+            check=True, capture_output=True,
+        )
+        binaries.append(binary)
 
     def run(requests: list[str]) -> list[tuple]:
-        proc = subprocess.run(
-            [str(binary)], input="\n".join(requests) + "\n",
-            capture_output=True, text=True, check=True,
-        )
-        out = []
-        for line in proc.stdout.splitlines():
-            value, ov, dz, pl, nf = line.split()
-            out.append((value, int(ov), int(dz), int(pl), int(nf)))
-        return out
+        first, *rest = [_run_binary(b, requests) for b in binaries]
+        assert all(answer == first for answer in rest), _LEVELS
+        return first
 
     return run
 

@@ -7,6 +7,8 @@ bit-identical to the C rungs' by the oracle invariant.
 
 from __future__ import annotations
 
+import json
+import re
 import time
 
 import pytest
@@ -165,11 +167,12 @@ class TestMutation:
 
 
 class TestEnergy:
-    def _entry(self, sig: str, novel=10, fuzzed=0, child=0, cost=0.01):
+    def _entry(self, sig: str, novel=10, fuzzed=0, child=0, steps=20):
+        case = generate_case(5)
+        case.steps = steps
         return SeedEntry(
-            case=generate_case(5), key="k", novel_points=novel,
-            cost_seconds=cost, times_fuzzed=fuzzed,
-            child_novel_points=child, sig=sig,
+            case=case, key="k", novel_points=novel,
+            times_fuzzed=fuzzed, child_novel_points=child, sig=sig,
         )
 
     def test_score_decays_with_fuzz_count(self):
@@ -178,8 +181,13 @@ class TestEnergy:
         assert seed_score(fresh) > seed_score(tired)
 
     def test_score_discounts_cost(self):
-        cheap = self._entry("a", cost=0.01)
-        costly = self._entry("b", cost=4.0)
+        # The cost is the case's actor-steps: deterministic, so equal
+        # seeds score equally on every run, and longer ones score less.
+        cheap = self._entry("a", steps=10)
+        costly = self._entry("b", steps=400)
+        assert cheap.cost == cheap.case.n_actors * 10
+        assert costly.cost == 40 * cheap.cost
+        assert seed_score(cheap) == seed_score(self._entry("c", steps=10))
         assert seed_score(cheap) > seed_score(costly)
 
     def test_first_shot_is_doubled_and_dry_halved(self):
@@ -207,18 +215,16 @@ class TestSeedCorpus:
             key = coverage_key(case, bitmaps)
             corpus.coverage.observe(key, bitmaps)
             corpus.add(SeedEntry(
-                case=case, key=key, novel_points=novel, cost_seconds=0.01,
+                case=case, key=key, novel_points=novel,
             ))
         return corpus
 
     def test_duplicate_cases_rejected(self):
         corpus = SeedCorpus()
         case = generate_case(3)
-        entry = SeedEntry(case=case, key="k", novel_points=1, cost_seconds=0)
+        entry = SeedEntry(case=case, key="k", novel_points=1)
         assert corpus.add(entry)
-        assert not corpus.add(
-            SeedEntry(case=case, key="k", novel_points=9, cost_seconds=0)
-        )
+        assert not corpus.add(SeedEntry(case=case, key="k", novel_points=9))
         assert len(corpus) == 1
 
     def test_ranking_prefers_higher_yield(self):
@@ -331,10 +337,10 @@ class TestGuidedCampaign:
         assert (tmp_path / "corpus" / "corpus.json").exists()
 
     def test_fresh_rounds_are_deterministic(self):
-        # A single all-fresh round has no cost-aware scheduling in it
-        # (mutant scheduling ranks by measured wall cost, which is
-        # legitimately timing-dependent), so two runs must agree
-        # exactly.  Mutant determinism is pinned by TestMutation.
+        # A single all-fresh round schedules no mutants, so two runs
+        # must agree exactly.  Mutant determinism is pinned by
+        # TestMutation, whole seeded campaigns by
+        # test_seeded_cli_runs_print_the_same_bytes.
         config = dict(
             cases=20, seed=7, rungs=("sse_ac",), round_size=20,
             shrink=False, timeout_seconds=30.0,
@@ -380,6 +386,51 @@ class TestGuidedCampaign:
         assert report.matched
         assert report.replayed == report.seeds > 0
         assert report.points_rebuilt == report.points_expected
+
+    def test_corpus_with_measured_costs_loads_and_replays(self, tmp_path):
+        """Seed files written when a seed's cost was its measured wall
+        time carry a ``cost_seconds`` field: they still load, and the
+        corpus still replays bit for bit."""
+        corpus_dir = tmp_path / "corpus"
+        run_guided(GuidedConfig(
+            cases=10, seed=1, rungs=("sse_ac",), round_size=10,
+            corpus_dir=corpus_dir, shrink=False, timeout_seconds=30.0,
+        ))
+        seed_files = sorted((corpus_dir / "seeds").glob("seed-*.json"))
+        assert seed_files
+        for path in seed_files:
+            record = json.loads(path.read_text())
+            assert "cost_seconds" not in record
+            record["cost_seconds"] = 0.25
+            path.write_text(json.dumps(record))
+        assert len(SeedCorpus.load(corpus_dir)) == len(seed_files)
+        report = replay_corpus(corpus_dir, timeout_seconds=30.0)
+        assert report.matched
+        assert report.replayed == report.seeds == len(seed_files)
+
+    def test_seeded_cli_runs_print_the_same_bytes(self, tmp_path, capsys):
+        """A seed's cost is its actor-steps, not a measured time, so a
+        seeded guided campaign schedules the same mutants every run:
+        two runs print the same bytes, elapsed time aside.  The first
+        run compiles every case into an empty cache and the second hits
+        it, so any wall-clock input to the schedule would show."""
+        from repro.cli import main
+        from repro.runner import ArtifactCache, set_default_cache
+
+        argv = ["fuzz", "--guided", "--cases", "30", "--seed", "0", "--json"]
+        previous = set_default_cache(ArtifactCache(tmp_path / "cache"))
+        try:
+            outputs = []
+            for _ in range(2):
+                assert main(argv) == 0
+                outputs.append(re.sub(
+                    r'"elapsed": [0-9.eE+-]+', '"elapsed": 0',
+                    capsys.readouterr().out,
+                ))
+        finally:
+            set_default_cache(previous)
+        assert json.loads(outputs[0])["rounds"] > 1  # mutants scheduled
+        assert outputs[0] == outputs[1]
 
     @requires_cc
     def test_replay_falls_back_to_sse_on_timeout(self, tmp_path, monkeypatch):
