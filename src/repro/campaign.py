@@ -13,8 +13,9 @@ library's keywords, ``repro campaign``'s flags and the campaign
 service's spec keys all build one, so the three surfaces share defaults
 and reject the same bad values.
 
-AccMoS cases run in chunks, in-process on up to four threads by
-default, while the coverage merge stays in seed order, so every thread
+AccMoS cases run in chunks, in-process on one thread by default, or on
+up to four once a case's C work (steps × actors) is large enough to pay
+for a second; the coverage merge stays in seed order, so every thread
 count and batch size produces byte-identical outcomes.
 
 ::
@@ -128,9 +129,12 @@ class CampaignConfig:
         The one parallelism knob: each chunk of ``threads ×
         batch_size`` AccMoS cases runs in this process on that many
         private library instances, with zero process spawns.  ``None``
-        (or 0) picks the core count, capped at 4, when the engine is
-        AccMoS and a C compiler is available, else 1.  Interpreted
-        cases run one at a time whatever the value.
+        (or 0) sizes it by the work: the core count, capped at 4, when
+        the engine is AccMoS, a C compiler is available and one case's
+        ``steps × len(prog.actors)`` reaches
+        :data:`~repro.runner.campaign.AUTO_THREAD_WORK`; else 1 (a
+        short case's C loop is shorter than a thread hand-off).
+        Interpreted cases run one at a time whatever the value.
     ``timeout_seconds``
         Per-case wall-clock limit, a number above 0; ``None`` sets none.
 

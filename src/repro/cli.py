@@ -709,9 +709,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default=defaults.threads, metavar="N",
                    help="N private library instances run N C loops in "
                         "this process, zero spawns; the merge stays in "
-                        "seed order ('auto', the default, picks the core "
-                        "count, capped at 4, when a C compiler is "
-                        "available)")
+                        "seed order ('auto', the default, picks 1, or the "
+                        "core count capped at 4 once a case's steps x "
+                        "actors make threads pay)")
     p.add_argument("--timeout", dest="timeout_seconds", type=float,
                    default=defaults.timeout_seconds, metavar="SECONDS",
                    help="per-case wall-clock limit for the compiled binary")

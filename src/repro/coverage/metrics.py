@@ -13,6 +13,10 @@ class Metric(enum.Enum):
     DECISION = "decision"
     MCDC = "mcdc"
 
+    # Members are singletons compared by identity; the identity hash
+    # skips Enum's Python-level name hash on every dict lookup.
+    __hash__ = object.__hash__
+
     @property
     def title(self) -> str:
         return {"actor": "Actor", "condition": "Condition",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.coverage.bitmap import Bitmap
 from repro.coverage.metrics import ALL_METRICS, Metric
@@ -34,17 +34,12 @@ class CoverageReport:
 
     bitmaps: dict[Metric, Bitmap]
     points: CoveragePoints = None  # type: ignore[assignment]
-    metrics: dict[Metric, MetricReport] = field(default_factory=dict)
 
     @classmethod
     def from_bitmaps(
         cls, points: CoveragePoints, bitmaps: dict[Metric, Bitmap]
     ) -> "CoverageReport":
-        report = cls(bitmaps=bitmaps, points=points)
-        for metric in ALL_METRICS:
-            bm = bitmaps[metric]
-            report.metrics[metric] = MetricReport(metric, bm.count(), len(bm))
-        return report
+        return cls(bitmaps=bitmaps, points=points)
 
     @classmethod
     def empty(cls, points: CoveragePoints) -> "CoverageReport":
@@ -56,15 +51,22 @@ class CoverageReport:
         }
         return cls.from_bitmaps(points, bitmaps)
 
+    @property
+    def metrics(self) -> dict[Metric, MetricReport]:
+        """Covered/total per metric, counted from the bitmaps."""
+        return {metric: self._metric(metric) for metric in ALL_METRICS}
+
+    def _metric(self, metric: Metric) -> MetricReport:
+        bm = self.bitmaps[metric]
+        return MetricReport(metric, bm.count(), len(bm))
+
     def percent(self, metric: Metric) -> float:
-        return self.metrics[metric].percent
+        return self._metric(metric).percent
 
     def merge(self, other: "CoverageReport") -> None:
         """Accumulate another run's hits into this report (same program)."""
         for metric in ALL_METRICS:
             self.bitmaps[metric].merge(other.bitmaps[metric])
-            bm = self.bitmaps[metric]
-            self.metrics[metric] = MetricReport(metric, bm.count(), len(bm))
 
     def mcdc_covered_conditions(self) -> int:
         """Conditions whose *both* independence sides were demonstrated.

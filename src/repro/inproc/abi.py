@@ -51,6 +51,7 @@ Bumping :data:`ABI_VERSION` invalidates every previously built library:
 
 from __future__ import annotations
 
+import operator
 import struct
 from typing import Optional, Sequence
 
@@ -66,17 +67,42 @@ from repro.stimuli.base import DESCRIPTOR_FIELDS, StimulusDescriptor
 #: Bumped whenever the record or result layout changes shape.
 ABI_VERSION = 1
 
-_I64 = struct.Struct("<q")
 _U64 = struct.Struct("<Q")
-_F64 = struct.Struct("<d")
+
+#: struct code and wire conversion per DESCRIPTOR_FIELDS kind.
+_SLOT_CODES = {"i": "q", "u": "Q", "f": "d"}
+_SLOT_CONVERT = {"i": _i64, "u": _u64, "f": float}
+_PORT_FIELDS = struct.Struct(
+    "<" + "".join(_SLOT_CODES[kind] for _a, _m, kind in DESCRIPTOR_FIELDS)
+    + "q"  # tab_len
+)
+_PORT_VALUES = operator.attrgetter(
+    *(attr for attr, _m, _kind in DESCRIPTOR_FIELDS)
+)
+_PORT_CONVERT = [_SLOT_CONVERT[kind] for _a, _m, kind in DESCRIPTOR_FIELDS]
+_CASE_HEADER = struct.Struct("<qddq")
 
 
-def _pack_slot(kind: str, value) -> bytes:
-    if kind == "i":
-        return _I64.pack(_i64(value))
-    if kind == "u":
-        return _U64.pack(_u64(value))
-    return _F64.pack(float(value))
+# A value the plain pack accepts packs to the same bytes as its wire
+# conversion (int64/uint64 wrapping, ``float``), so the conversions run
+# only when the plain pack rejects a value.
+def _pack_port(d: StimulusDescriptor) -> bytes:
+    values = _PORT_VALUES(d)
+    try:
+        return _PORT_FIELDS.pack(*values, len(d.table))
+    except struct.error:
+        return _PORT_FIELDS.pack(
+            *[convert(v) for convert, v in zip(_PORT_CONVERT, values)],
+            len(d.table),
+        )
+
+
+def _pack_table(table, is_float: bool) -> bytes:
+    fmt = f"<{len(table)}{'d' if is_float else 'q'}"
+    try:
+        return struct.pack(fmt, *table)
+    except struct.error:
+        return struct.pack(fmt, *map(float if is_float else _i64, table))
 
 
 def encode_case_binary(
@@ -87,30 +113,21 @@ def encode_case_binary(
     deadline: Optional[float] = None,
 ) -> bytes:
     """One packed case record for ``acc_lib_run_case``: the case header,
-    then every port's DESCRIPTOR_FIELDS slots and table."""
+    then every port's DESCRIPTOR_FIELDS slots and table, one ``pack``
+    each."""
     parts: list[bytes] = [
-        _I64.pack(int(steps)),
-        _F64.pack(-1.0 if time_budget is None else float(time_budget)),
-        _F64.pack(-1.0 if deadline is None else float(deadline)),
-        _I64.pack(len(descriptors)),
+        _CASE_HEADER.pack(
+            int(steps),
+            -1.0 if time_budget is None else float(time_budget),
+            -1.0 if deadline is None else float(deadline),
+            len(descriptors),
+        )
     ]
     for d in descriptors:
-        for attr, _member, kind in DESCRIPTOR_FIELDS:
-            parts.append(_pack_slot(kind, getattr(d, attr)))
-        parts.append(_I64.pack(len(d.table)))
-        if d.table_is_float:
-            parts.extend(_F64.pack(float(v)) for v in d.table)
-        else:
-            parts.extend(_I64.pack(_i64(v)) for v in d.table)
+        parts.append(_pack_port(d))
+        if d.table:
+            parts.append(_pack_table(d.table, d.table_is_float))
     return b"".join(parts)
-
-
-#: struct code per DESCRIPTOR_FIELDS kind.
-_SLOT_CODES = {"i": "q", "u": "Q", "f": "d"}
-_PORT_FIELDS = struct.Struct(
-    "<" + "".join(_SLOT_CODES[kind] for _a, _m, kind in DESCRIPTOR_FIELDS)
-)
-_CASE_HEADER = struct.Struct("<qddq")
 
 
 def decode_case_binary(data: bytes) -> dict:
@@ -133,13 +150,11 @@ def decode_case_binary(data: bytes) -> dict:
         "ports": [],
     }
     for _ in range(n_ports):
+        *slots, tab_len = take(_PORT_FIELDS)
         port = {
             attr: value
-            for (attr, _member, _kind), value in zip(
-                DESCRIPTOR_FIELDS, take(_PORT_FIELDS)
-            )
+            for (attr, _member, _kind), value in zip(DESCRIPTOR_FIELDS, slots)
         }
-        (tab_len,) = take(_I64)
         if tab_len < 0:
             raise SimulationError(f"negative table length {tab_len}")
         code = "d" if port["table_is_float"] else "q"
@@ -196,7 +211,8 @@ class ResultDecoder:
         codes.extend(_value_code(dtype) for _name, dtype in layout.outports)
         self._out_names = [name for name, _dtype in layout.outports]
         self._outputs_end = self._checksum_end + n_out
-        # (metric, points, first word index, end word index) per metric.
+        # (metric, points, first byte, end byte) per metric: every word
+        # is 8 bytes, so word i starts at byte 8*i.
         self._coverage: "list[tuple[Metric, int, int, int]]" = []
         if plan.coverage_enabled:
             points = plan.points
@@ -208,7 +224,9 @@ class ResultDecoder:
                 (Metric.MCDC, points.n_mcdc),
             ):
                 n_words = (n + 63) // 64
-                self._coverage.append((metric, n, start, start + n_words))
+                self._coverage.append(
+                    (metric, n, 8 * start, 8 * (start + n_words))
+                )
                 start += n_words
             codes.append("Q" * (start - self._outputs_end))
         codes.append("qQ" * len(layout.diag_slots))
@@ -264,7 +282,7 @@ class ResultDecoder:
         coverage = None
         if self._coverage:
             bitmaps = {
-                metric: Bitmap.from_words(n, words[start:end])
+                metric: Bitmap.from_bytes(n, buf[start:end])
                 for metric, n, start, end in self._coverage
             }
             coverage = CoverageReport.from_bitmaps(self.plan.points, bitmaps)
@@ -273,11 +291,13 @@ class ResultDecoder:
         for event in self.plan.static_warnings:
             log.add_static(event.path, event.kind, event.message)
         base = len(words) - 2 * len(self._diag_slots)
-        for (path, kind, message), first, count in zip(
-            self._diag_slots, words[base::2], words[base + 1 :: 2]
-        ):
-            if first >= 0:
-                log.set_aggregate(path, kind, first, count, message)
+        firsts = words[base::2]
+        if firsts and max(firsts) >= 0:  # most cases fire no diagnosis
+            for (path, kind, message), first, count in zip(
+                self._diag_slots, firsts, words[base + 1 :: 2]
+            ):
+                if first >= 0:
+                    log.set_aggregate(path, kind, first, count, message)
 
         monitored: dict[str, list] = {}
         pos = self._prefix.size

@@ -41,20 +41,30 @@ if TYPE_CHECKING:
 # fan out.
 AUTO_BATCH_CAP = 8
 
+# Predicted C work of one case, in actor-steps (steps × flattened
+# actors), from which auto threads pay: below it a second thread's
+# executor and GIL hand-offs cost more than the C loop they overlap.
+# Crossover sweep (2 vCPUs, chunks of 16 cases, two threads against
+# one): SPV 0.92 at 264k, 1.08 at 176k; CPUT 0.96 at 197k; LEDLC 0.98
+# at 172k.
+AUTO_THREAD_WORK = 250_000
+
 
 def resolve_threads(
-    threads: Optional[int], *, engine: str
+    threads: Optional[int], *, engine: str, case_work: int = 0
 ) -> int:
     """Resolve the campaign ``threads`` knob to a concrete count.
 
-    ``None``/``0`` means auto: for the AccMoS engine with a C compiler,
-    the core count capped at 4 (the shard merge and decode are serial
-    Python, so returns diminish past a handful of C loops); 1 for
-    everything else.
+    ``None``/``0`` means auto, sized by the work: 1 unless the engine is
+    AccMoS, a C compiler is available and one case's predicted C work
+    ``case_work`` (steps × actors) reaches :data:`AUTO_THREAD_WORK`;
+    then the core count capped at 4 (the shard merge and decode are
+    serial Python, so returns diminish past a handful of C loops).  An
+    explicit count is returned as is.
     """
     if threads:
         return max(1, int(threads))
-    if engine != "accmos":
+    if engine != "accmos" or case_work < AUTO_THREAD_WORK:
         return 1
     from repro.codegen.driver import find_c_compiler
 
@@ -119,11 +129,9 @@ class _CampaignFold:
 
         if self.merged is None:
             self.merged = CoverageReport.empty(result.coverage.points)
-        before = {m: self.merged.bitmaps[m].count() for m in ALL_METRICS}
+        hits, merged = result.coverage.bitmaps, self.merged.bitmaps
+        by_metric = {m: hits[m].new_bits(merged[m]) for m in ALL_METRICS}
         self.merged.merge(result.coverage)
-        by_metric = {
-            m: self.merged.bitmaps[m].count() - before[m] for m in ALL_METRICS
-        }
         new_points = sum(by_metric.values())
 
         fresh = 0
@@ -182,7 +190,10 @@ class CampaignRun:
         self._prog = prog
         self._config = config
         self._cache = cache
-        self._threads = resolve_threads(config.threads, engine=config.engine)
+        self._threads = resolve_threads(
+            config.threads, engine=config.engine,
+            case_work=config.steps * len(prog.actors),
+        )
         self._batch_size = resolve_batch_size(
             config.batch_size, engine=config.engine,
             max_cases=config.max_cases, threads=self._threads,

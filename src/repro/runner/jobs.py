@@ -225,12 +225,48 @@ def batch_key(job: SimulationJob) -> Optional[tuple]:
     return (id(job.prog), _structural_fingerprint(job.resolved_options()))
 
 
+class GroupCompile:
+    """One key group's ``compile_model``, run on first use and shared by
+    every chunk of the group, so a campaign of any number of chunks
+    compiles (or cache-resolves) once."""
+
+    def __init__(
+        self,
+        job: SimulationJob,
+        *,
+        cache: "Union[ArtifactCache, None, bool]" = None,
+    ) -> None:
+        self._job = job
+        self._cache = cache
+        self._outcome: Optional[tuple] = None
+        # Whether a result already carries the compile cost.
+        self.charged = False
+
+    def resolve(self, **policy) -> tuple:
+        """``(model, attempts)`` — or ``(exception, attempts)`` once the
+        compile failed for good; retried on transient compiler failures
+        under ``policy`` the first time only."""
+        if self._outcome is None:
+            from repro.engines.accmos import compile_model
+
+            job = self._job
+            model, exc, attempts = _retry(
+                lambda: compile_model(
+                    job.prog, job.resolved_options(), cache=self._cache,
+                ),
+                catch=(CodegenError, OSError), **policy,
+            )
+            self._outcome = (model if exc is None else exc, attempts)
+        return self._outcome
+
+
 def run_job_batch(
     jobs: "list[SimulationJob]",
     *,
     threads: int = 1,
     cache: "Union[ArtifactCache, None, bool]" = None,
     timeout_seconds: Optional[float] = None,
+    compiled: Optional[GroupCompile] = None,
     retries: int = 1,
     backoff_seconds: float = 0.05,
     _sleep=time.sleep,
@@ -238,9 +274,10 @@ def run_job_batch(
     """Execute one same-key group of jobs on a single compiled library:
     the one AccMoS job path.
 
-    One ``compile_model`` (retried on transient compiler failures) serves
-    the whole group; if it still fails, every job is ``failed`` with the
-    compiler's error and nothing is recompiled.  The cases run
+    One ``compile_model`` (a :class:`GroupCompile`; ``compiled`` shares
+    one across the chunks of a group) serves the whole group; if it
+    failed, every job is ``failed`` with the compiler's error and
+    nothing is recompiled.  The cases run
     in-process on ``threads`` private library instances
     (:meth:`CompiledModel.run_inproc
     <repro.engines.accmos.CompiledModel.run_inproc>`; a library fault
@@ -252,8 +289,6 @@ def run_job_batch(
     without disturbing the other cases.  Non-AccMoS jobs take the
     per-job :func:`run_job` path.
     """
-    from repro.engines.accmos import compile_model
-
     policy = dict(
         retries=retries, backoff_seconds=backoff_seconds, _sleep=_sleep
     )
@@ -267,15 +302,12 @@ def run_job_batch(
         "runner.job_batch", jobs=len(jobs), threads=threads,
         seeds=[job.seed for job in jobs],
     ) as batch_span:
-        model, exc, attempts = _retry(
-            lambda: compile_model(
-                jobs[0].prog, jobs[0].resolved_options(), cache=cache,
-            ),
-            catch=(CodegenError, OSError), **policy,
-        )
-        if exc is not None:
+        if compiled is None:
+            compiled = GroupCompile(jobs[0], cache=cache)
+        model, attempts = compiled.resolve(**policy)
+        if isinstance(model, BaseException):
             batch_span.set(outcome="compile_failed")
-            return [_settle(_new_result(job), exc, attempts) for job in jobs]
+            return [_settle(_new_result(job), model, attempts) for job in jobs]
 
         case_list = [
             (job.resolved_stimuli(), job.resolved_options())
@@ -302,30 +334,30 @@ def run_job_batch(
         else:
             batch_span.set(outcome="ok", cache_hit=model.cache_hit)
 
-    return results_from_outcomes(jobs, outcomes, model, attempts)
+    return results_from_outcomes(jobs, outcomes, compiled, attempts)
 
 
 def results_from_outcomes(
-    jobs: "list[SimulationJob]", outcomes, model, attempts
+    jobs: "list[SimulationJob]", outcomes, compiled: GroupCompile, attempts
 ) -> "list[JobResult]":
-    """Convert one group's outcomes (a result or the exception that
+    """Convert one chunk's outcomes (a result or the exception that
     ended the case, each after ``attempts`` tries) into per-job
     :class:`JobResult`\\ s.  The group compiled (or cache-resolved)
-    exactly once, so the first successful case carries the codegen /
+    exactly once, so its first successful case carries the codegen /
     compile cost and the rest reuse the library — a cache hit by
     construction."""
+    model, _attempts = compiled.resolve()
     results: list[JobResult] = []
-    first_ok = True
     for job, outcome, tries in zip(jobs, outcomes, attempts):
         out = _settle(_new_result(job), outcome, tries)
         if out.ok:
-            if first_ok:
+            if not compiled.charged:
                 out.timings.update(
                     codegen=model.generate_seconds,
                     compile=model.compile_seconds,
                 )
                 out.cache_hit = model.cache_hit
-                first_ok = False
+                compiled.charged = True
             else:
                 out.timings.update(codegen=0.0, compile=0.0)
                 out.cache_hit = True

@@ -6,7 +6,9 @@ thread.  Jobs are grouped by :func:`~repro.runner.jobs.batch_key`, and
 each group is cut into chunks of ``threads × batch_size`` that run
 in-process on ``threads`` private library instances
 (:func:`~repro.runner.jobs.run_job_batch`), so the parallelism lives
-inside the chunk and no pool of worker threads is needed.  Jobs without
+inside the chunk and no pool of worker threads is needed.  A group
+compiles once (:class:`~repro.runner.jobs.GroupCompile`): its chunks
+share the compiled model, or the compile failure.  Jobs without
 a key (the interpreted engines) run one at a time: they hold the GIL.
 
 Byte-identity: chunk membership, thread count and batch size change
@@ -24,6 +26,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence, Union
 
 from repro import telemetry
 from repro.runner.jobs import (
+    GroupCompile,
     JobResult,
     SimulationJob,
     batch_key,
@@ -78,6 +81,8 @@ def run_chunks(
     size = threads * batch_size
     try:
         for group in groups.values():
+            # One compile per group, resolved by its first chunk.
+            compiled = GroupCompile(jobs[group[0]], cache=cache)
             for start in range(0, len(group), size):
                 if stop():
                     return
@@ -89,6 +94,7 @@ def run_chunks(
                     threads=threads,
                     cache=cache,
                     timeout_seconds=timeout_seconds,
+                    compiled=compiled,
                 )
                 for index, result in zip(chunk, results):
                     if stop():
@@ -122,16 +128,22 @@ def run_jobs(
     chunks of up to ``threads × batch_size``, each on one compiled
     library, in-process on ``threads`` threads.  ``threads=None`` picks
     the campaign's auto count
-    (:func:`~repro.runner.campaign.resolve_threads`).  Individual job
-    failures are *reported*, not raised — check ``JobResult.outcome``.
+    (:func:`~repro.runner.campaign.resolve_threads`) for the costliest
+    job.  Individual job failures are *reported*, not raised — check
+    ``JobResult.outcome``.
     ``stats_sink``, if given, receives :func:`run_chunks`' stats dict.
     """
     from repro.runner.campaign import resolve_threads
 
-    if threads is None:
-        # Only AccMoS chunks run threaded, so auto resolves as for AccMoS.
-        threads = resolve_threads(None, engine="accmos")
     jobs = list(jobs)
+    if threads is None:
+        # Only AccMoS chunks run threaded, so auto resolves as for AccMoS,
+        # sized by the costliest job.
+        threads = resolve_threads(None, engine="accmos", case_work=max(
+            (job.resolved_options().steps * len(job.prog.actors)
+             for job in jobs),
+            default=0,
+        ))
     results: "list[JobResult]" = [None] * len(jobs)  # type: ignore[list-item]
     stats: dict = {}
     with telemetry.span(

@@ -55,7 +55,7 @@ def _coverage_record(merged: "CoverageReport") -> dict:
         record[metric.value] = {
             "covered": bitmap.count(),
             "total": len(bitmap),
-            "digest": hashlib.sha256(bytes(bitmap._bits)).hexdigest()[:16],
+            "digest": hashlib.sha256(bitmap.to_bytes()).hexdigest()[:16],
         }
     return record
 

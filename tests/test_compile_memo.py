@@ -285,3 +285,55 @@ def test_campaign_derives_each_case_stimuli_once(tmp_path, monkeypatch):
     )
     assert outcome.n_cases == 24
     assert counts == {"stimuli": 24, "descriptors": 24}
+
+
+@requires_cc
+def test_campaign_compiles_once_across_its_chunks(tmp_path):
+    """One chunk per case (64 chunks), yet one ``compile`` span and one
+    cache miss: the group's compile is resolved once and shared."""
+    cache = ArtifactCache(tmp_path / "cache")
+    with telemetry.capture() as session:
+        outcome = run_campaign(
+            _gain_program(2.0), steps=32, max_cases=64, plateau_patience=64,
+            cache=cache, threads=1, batch_size=1,
+        )
+    assert outcome.n_cases == 64
+    assert outcome.scheduler_stats["chunks"] == 64
+    compiles = [s for s in session.tracer.finished() if s.name == "compile"]
+    assert len(compiles) == 1
+    assert cache.stats().misses == 1
+    # Only the first case carries the compile; the rest reuse it.
+    assert not outcome.cases[0].cache_hit
+    assert all(case.cache_hit for case in outcome.cases[1:])
+    assert all(
+        case.timings["compile"] == 0.0 for case in outcome.cases[1:]
+    )
+
+
+@requires_cc
+def test_compile_failure_is_retried_once_per_group(
+    tmp_path, monkeypatch, gcc_calls
+):
+    """A deterministic gcc failure over 4 chunks runs gcc ``retries + 1``
+    times in all, and every job reports the compiler's error."""
+    from repro.runner.jobs import SimulationJob
+    from repro.runner.pool import run_jobs
+
+    monkeypatch.setattr(
+        driver_mod, "CFLAGS", [*driver_mod.CFLAGS, "-fno-such-flag-anywhere"]
+    )
+    prog = _gain_program(2.0)
+    jobs = [
+        SimulationJob(prog=prog, seed=seed, options=SimulationOptions(steps=8))
+        for seed in range(16)
+    ]
+    stats: dict = {}
+    results = run_jobs(
+        jobs, threads=1, batch_size=4, stats_sink=stats,
+        cache=ArtifactCache(tmp_path / "cache"),
+    )
+    assert stats["chunks"] == 4
+    assert gcc_calls["n"] == 2
+    assert all(result.outcome == "failed" for result in results)
+    assert all(result.attempts == 2 for result in results)
+    assert all("CompilationError" in result.error for result in results)

@@ -13,6 +13,7 @@ round-robin.
 from __future__ import annotations
 
 import itertools
+import os
 import subprocess
 import sys
 
@@ -21,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import SimulationOptions, simulate, telemetry
+from repro.benchmarks import build_benchmark
 from repro.codegen import driver as driver_mod
 from repro.codegen.driver import find_c_compiler
 from repro.engines.accmos import compile_model
@@ -402,15 +404,34 @@ def test_threaded_campaign_matches_serial(zoo_programs):
 
 
 def test_resolve_threads_auto():
-    from repro.runner.campaign import resolve_threads
+    """Auto is sized by one case's predicted C work; explicit counts
+    pass through unchanged."""
+    from repro.runner.campaign import AUTO_THREAD_WORK, resolve_threads
 
-    assert resolve_threads(1, engine="accmos") == 1
-    assert resolve_threads(5, engine="accmos") == 5
-    assert resolve_threads(None, engine="sse") == 1
-    auto = resolve_threads(None, engine="accmos")
-    assert 1 <= auto <= 4
+    spv = preprocess(build_benchmark("SPV"))
+    short = 32 * len(spv.actors)  # the 32-step SPV campaign
+    for work in (0, short, AUTO_THREAD_WORK):
+        for threads in (1, 2, 5):
+            assert resolve_threads(
+                threads, engine="accmos", case_work=work
+            ) == threads
+        assert resolve_threads(None, engine="sse", case_work=work) == 1
+    assert resolve_threads(None, engine="accmos", case_work=short) == 1
+    assert resolve_threads(0, engine="accmos", case_work=short) == 1
+    assert resolve_threads(None, engine="accmos") == 1
+
+    cores = min(4, os.cpu_count() or 1)
+    auto = resolve_threads(None, engine="accmos", case_work=AUTO_THREAD_WORK)
     if find_c_compiler() is None:
         assert auto == 1
+        return
+    if cores == 1:
+        pytest.skip("one core: auto has no second thread to choose")
+    assert auto == cores
+    assert resolve_threads(0, engine="accmos", case_work=10**9) == cores
+    assert resolve_threads(
+        None, engine="accmos", case_work=AUTO_THREAD_WORK - 1
+    ) == 1
 
 
 def test_campaign_rejects_negative_threads(zoo_programs=None):

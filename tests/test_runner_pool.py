@@ -162,7 +162,8 @@ class TestRunJobs:
 
     @requires_cc
     def test_one_compile_serves_identical_jobs(self, tmp_path):
-        """Identical (source, flags) jobs across a wave: 1 miss, N-1 hits."""
+        """Identical (source, flags) jobs, one chunk each: the group's one
+        compile serves every chunk — 1 miss, no further lookups."""
         cache = ArtifactCache(tmp_path / "cache")
         prog = _prog()
         opts = SimulationOptions(steps=10)
@@ -173,7 +174,7 @@ class TestRunJobs:
         results = run_jobs(jobs, threads=1, cache=cache)
         assert all(r.ok for r in results)
         stats = cache.stats()
-        assert (stats.misses, stats.hits) == (1, 3)
+        assert (stats.misses, stats.hits) == (1, 0)
 
 
 @requires_cc

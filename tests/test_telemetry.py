@@ -247,10 +247,10 @@ class TestPipelineSpans:
         ]
         results = run_jobs(jobs, threads=1, cache=cache)
         assert all(r.ok for r in results)
-        # Every chunk (one per job at one thread, batch 1) looked the
-        # artifact up through this handle.
+        # Two chunks (one per job at one thread, batch 1) share the
+        # group's one compile, which went through this handle.
         stats = cache.stats()
-        assert (stats.misses, stats.hits) == (1, 1)
+        assert (stats.misses, stats.hits) == (1, 0)
 
 
 # ----------------------------------------------------------------------
