@@ -544,6 +544,11 @@ class _CodegenMemo:
     and the memo never holds more than the live programs, at most
     :attr:`PER_PROGRAM` option shapes each.  Only ``preprocess`` mutates
     a program, so an entry never goes stale.
+
+    ``preprocess`` gives content-equal models one program, so an entry
+    also hits across requests: a model rebuilt from the same reference
+    (each ``repro campaign`` run in a process, each service campaign)
+    reuses the codegen of the first build.
     """
 
     PER_PROGRAM = 8

@@ -130,12 +130,14 @@ class Actor:
         return self.params.get(key, default)
 
     def copy(self) -> "Actor":
-        """Deep-enough copy for flattening (ports and params duplicated)."""
+        """Deep-enough copy for flattening: ports and params duplicated,
+        down to nested lists, tuples and dicts, so a flattened program
+        never shares a mutable value with the model it came from."""
         return Actor(
             name=self.name,
             block_type=self.block_type,
             operator=self.operator,
-            params=dict(self.params),
+            params={k: _detached(v) for k, v in self.params.items()},
             inputs=[Port(p.index, p.name, p.dtype) for p in self.inputs],
             outputs=[Port(p.index, p.name, p.dtype) for p in self.outputs],
         )
@@ -143,3 +145,13 @@ class Actor:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         op = f", op={self.operator!r}" if self.operator else ""
         return f"Actor({self.name!r}, {self.block_type}{op})"
+
+
+def _detached(value: Any) -> Any:
+    """``value`` with every nested list, tuple and dict copied."""
+    kind = type(value)
+    if kind is list or kind is tuple:
+        return kind(_detached(item) for item in value)
+    if kind is dict:
+        return {key: _detached(item) for key, item in value.items()}
+    return value
