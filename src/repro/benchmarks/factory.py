@@ -209,15 +209,30 @@ TABLE1 = {
 }
 
 
+# Name -> the model its builder returned, built once per process.
+_TEMPLATES: dict[str, Model] = {}
+
+
 def build_benchmark(name: str) -> Model:
-    """Build one Table-1 benchmark model by name."""
-    try:
-        builder = BENCHMARKS[name.upper()]
-    except KeyError:
+    """One Table-1 benchmark model by name: a fresh structural copy
+    (:meth:`Model.copy`) of a template built once per process (the
+    builder validates it and checks its Table-1 counts,
+    :func:`build_from_core`).
+
+    The copy is not validated again: its content equals the template's.
+    Callers may mutate it freely; the template, and so every later
+    build, is unaffected, and ``preprocess`` validates a mutated model
+    as it would any model it has not seen.
+    """
+    key = name.upper()
+    if key not in BENCHMARKS:
         raise KeyError(
             f"unknown benchmark {name!r}; choose from {sorted(BENCHMARKS)}"
-        ) from None
-    return builder()
+        )
+    template = _TEMPLATES.get(key)
+    if template is None:
+        template = _TEMPLATES.setdefault(key, BENCHMARKS[key]())
+    return template.copy()
 
 
 def benchmark_stimuli(prog, *, seed: int = 1):

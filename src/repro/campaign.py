@@ -203,7 +203,10 @@ def iter_campaign(
     drain in-flight work into ``outcome.speculated_cases``.
 
     ``cache`` routes compiles through an artifact cache (default: the
-    process-wide one).
+    process-wide one).  Campaign cases collect coverage and diagnostics
+    but no monitor samples
+    (:func:`~repro.runner.campaign.campaign_options`); use
+    :func:`repro.simulate` for signal traces.
     """
     if config is None:
         config = CampaignConfig(**fields)

@@ -32,26 +32,20 @@ class DType(enum.Enum):
     BOOL = "bool"
 
     # ------------------------------------------------------------------
-    # classification
+    # classification: plain member attributes, set once per member (the
+    # stimulus and codec paths read them per port, per case)
     # ------------------------------------------------------------------
-    @property
-    def is_float(self) -> bool:
-        return self in (DType.F32, DType.F64)
+    is_float: bool
+    is_bool: bool
+    is_integer: bool
+    #: True for signed integers and floats (bool is unsigned).
+    is_signed: bool
 
-    @property
-    def is_bool(self) -> bool:
-        return self is DType.BOOL
-
-    @property
-    def is_integer(self) -> bool:
-        return not self.is_float and not self.is_bool
-
-    @property
-    def is_signed(self) -> bool:
-        """True for signed integers and floats (bool is unsigned)."""
-        if self.is_float:
-            return True
-        return self in (DType.I8, DType.I16, DType.I32, DType.I64)
+    def __init__(self, value: str) -> None:
+        self.is_float = value in ("f32", "f64")
+        self.is_bool = value == "bool"
+        self.is_integer = not self.is_float and not self.is_bool
+        self.is_signed = self.is_float or value in ("i8", "i16", "i32", "i64")
 
     @property
     def bits(self) -> int:

@@ -29,6 +29,13 @@ class Model:
         if self.root is None:
             self.root = Subsystem(self.name)
 
+    def copy(self) -> "Model":
+        """A structural copy (see :meth:`Subsystem.copy`) with its own
+        metadata dict: mutating the copy never reaches this model."""
+        return Model(
+            self.name, self.root.copy(), self.description, dict(self.metadata)
+        )
+
     # ------------------------------------------------------------------
     # interface ports
     # ------------------------------------------------------------------

@@ -52,6 +52,17 @@ class Subsystem:
     def connect(self, connection: Connection) -> None:
         self.connections.append(connection)
 
+    def copy(self) -> "Subsystem":
+        """A structural copy: every actor through :meth:`Actor.copy`,
+        every child scope copied the same way, and a new connection list
+        holding the same (frozen) :class:`Connection` objects."""
+        return Subsystem(
+            self.name,
+            {name: actor.copy() for name, actor in self.actors.items()},
+            {name: child.copy() for name, child in self.subsystems.items()},
+            list(self.connections),
+        )
+
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------

@@ -7,7 +7,6 @@ cannot reach simulation in a broken state.
 
 from __future__ import annotations
 
-from repro.model.actor import Actor
 from repro.model.errors import ConnectionError_, ValidationError
 from repro.model.model import Model
 from repro.model.subsystem import INPORT, OUTPORT, Subsystem
@@ -44,26 +43,35 @@ def _check_boundary_indices(scope: Subsystem, path: str, block_type: str) -> Non
         )
 
 
-def _endpoint_arity(scope: Subsystem, name: str) -> tuple[int, int]:
-    """(n_input_ports, n_output_ports) of an actor or child subsystem.
+def _scope_arities(scope: Subsystem) -> dict[str, tuple[int, int]]:
+    """``name -> (n_input_ports, n_output_ports)`` for every actor and
+    child subsystem of ``scope`` (an actor wins a name clash, as in
+    :meth:`Subsystem.resolve`).
 
     An enabled subsystem exposes one extra input slot (the enable signal)
     after its regular inports.
     """
-    target = scope.resolve(name)
-    if isinstance(target, Actor):
-        return target.n_inputs, target.n_outputs
-    return target.n_parent_inputs, target.n_boundary_outputs
+    arity = {
+        name: (child.n_parent_inputs, child.n_boundary_outputs)
+        for name, child in scope.subsystems.items()
+    }
+    for name, actor in scope.actors.items():
+        arity[name] = (actor.n_inputs, actor.n_outputs)
+    return arity
 
 
 def _check_connections(scope: Subsystem, path: str) -> None:
+    arity = _scope_arities(scope)
     driven: dict[tuple[str, int], int] = {}
     for conn in scope.connections:
         for end, kind in ((conn.src, "source"), (conn.dst, "destination")):
-            try:
-                n_in, n_out = _endpoint_arity(scope, end.actor)
-            except KeyError as exc:
-                raise ConnectionError_(f"{path}: {conn}: {exc}") from None
+            ends = arity.get(end.actor)
+            if ends is None:
+                try:
+                    scope.resolve(end.actor)  # raises the lookup's KeyError
+                except KeyError as exc:
+                    raise ConnectionError_(f"{path}: {conn}: {exc}") from None
+            n_in, n_out = ends
             limit = n_out if kind == "source" else n_in
             if end.port >= limit:
                 raise ConnectionError_(
@@ -80,8 +88,8 @@ def _check_connections(scope: Subsystem, path: str) -> None:
             )
 
     # Every input port of every actor / child subsystem must be driven.
-    for name, target in list(scope.actors.items()) + list(scope.subsystems.items()):
-        n_in, _ = _endpoint_arity(scope, name)
+    for name in list(scope.actors) + list(scope.subsystems):
+        n_in, _ = arity[name]
         for port in range(n_in):
             if (name, port) not in driven:
                 raise ConnectionError_(

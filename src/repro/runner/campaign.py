@@ -91,6 +91,15 @@ def resolve_batch_size(
     return max(1, min(AUTO_BATCH_CAP, per_thread))
 
 
+def campaign_options(steps: int) -> SimulationOptions:
+    """The options every campaign case runs with: the defaults at
+    ``steps``, but no monitored signals.  The fold reads coverage and
+    diagnostics only, so the generated step stores no monitor samples
+    and the decoder builds none (:func:`repro.simulate` still traces
+    signals)."""
+    return SimulationOptions(steps=steps, collect=())
+
+
 class _CampaignFold:
     """The seed-ordered merge.
 
@@ -176,6 +185,11 @@ class CampaignRun:
     ``cancel()`` is thread-safe and cooperative: the iterator ends after
     the current fold, and the discarded rest of the open chunk is
     reported in ``outcome.speculated_cases``.
+
+    Every case runs with :func:`campaign_options`: it collects coverage
+    and diagnostics but no monitor samples, so its results'
+    ``monitored`` is empty.  Use :func:`repro.simulate` for signal
+    traces.
     """
 
     def __init__(
@@ -247,7 +261,7 @@ class CampaignRun:
     # -- dispatch ---------------------------------------------------------
     def _jobs(self) -> "list[SimulationJob]":
         config = self._config
-        options = SimulationOptions(steps=config.steps)
+        options = campaign_options(config.steps)
         return [
             SimulationJob(
                 prog=self._prog, seed=config.base_seed + i,

@@ -15,8 +15,7 @@ are hex floats (``float.hex()``), which round trip exactly.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.dtypes import DType, coerce_float, wrap
 
@@ -84,13 +83,13 @@ def c_int_literal(value: int, dtype: DType) -> str:
     return f"{value}{dtype.c_literal_suffix}"
 
 
-@dataclass(frozen=True)
-class StimulusDescriptor:
+class StimulusDescriptor(NamedTuple):
     """A stimulus as runtime data for the stimulus-agnostic program.
 
     One fixed-width record per inport: a kind tag plus a small bag of
     typed parameter slots the generated C interpreter reads from each
-    packed case record.
+    packed case record.  A named tuple: immutable, and cheap to build
+    (every case builds one per inport).
     Integer and float value slots exist side by side (``iv*`` / ``fv*``)
     because the generated per-port switch is specialized on the port's
     dtype at codegen time and reads the matching slot — an int port never
@@ -112,7 +111,7 @@ class StimulusDescriptor:
     fv0: float = 0.0  # float value slots (constant / before / high)
     fv1: float = 0.0  # after / low
     table_is_float: bool = False
-    table: tuple = field(default_factory=tuple)  # sequence data
+    table: tuple = ()  # sequence data
 
 
 class Stimulus(ABC):

@@ -38,6 +38,18 @@ class TestDTypeProperties:
         assert F64.is_float and not F64.is_integer
         assert BOOL.is_bool and not BOOL.is_integer and not BOOL.is_float
 
+    def test_precomputed_classification_matches_the_definitions(self):
+        """Each member's stored flags equal the membership tests they
+        replace, for all 11 members."""
+        assert len(DType) == 11
+        for dt in DType:
+            is_float = dt in (F32, F64)
+            is_bool = dt is BOOL
+            assert dt.is_float is is_float
+            assert dt.is_bool is is_bool
+            assert dt.is_integer is (not is_float and not is_bool)
+            assert dt.is_signed is (is_float or dt in (I8, I16, I32, I64))
+
     def test_ranges(self):
         assert I8.min_value == -128 and I8.max_value == 127
         assert U8.min_value == 0 and U8.max_value == 255

@@ -153,3 +153,34 @@ def test_one_route_matches_sse(
     )
     assert outcome.scheduler_stats["threads"] == threads
     assert encode(outcome_record(outcome)) == sse_bytes(name, prog)
+
+
+@requires_cc
+def test_campaign_compiles_without_monitors(tmp_path):
+    """Campaign cases run with ``campaign_options``: the compiled model
+    has no monitors and a smaller result buffer than the defaults', the
+    campaign loads exactly that artifact, and its outcome bytes still
+    equal the SSE interpreter's."""
+    from repro import telemetry
+    from repro.engines.accmos import compile_model
+    from repro.engines.base import SimulationOptions
+    from repro.runner.campaign import campaign_options
+    from repro.stimuli import default_stimuli
+
+    cache = ArtifactCache(tmp_path / "cache")
+    prog = preprocess(build_benchmark("SPV"))
+    bare = compile_model(prog, campaign_options(32), cache=cache)
+    traced = compile_model(prog, SimulationOptions(steps=32), cache=cache)
+    assert not bare.layout.monitors and traced.layout.monitors
+    assert bare.decoder.size < traced.decoder.size
+    stimuli = default_stimuli(prog, seed=1)
+    assert bare.run(stimuli).monitored == {}
+    assert traced.run(stimuli).monitored
+
+    config = dict(steps=32, max_cases=12, plateau_patience=12)
+    with telemetry.capture() as session:
+        outcome = run_campaign(prog, cache=cache, **config)
+    assert not [s for s in session.tracer.finished() if s.name == "gcc"]
+    assert encode(outcome_record(outcome)) == encode(
+        outcome_record(run_campaign(prog, engine="sse", **config))
+    )

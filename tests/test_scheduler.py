@@ -32,7 +32,7 @@ from repro.campaign import CampaignOutcome, run_campaign
 from repro.engines.base import SimulationOptions
 from repro.model.errors import SimulationError
 from repro.runner.cache import ArtifactCache
-from repro.runner.campaign import _CampaignFold
+from repro.runner.campaign import _CampaignFold, campaign_options
 from repro.runner.jobs import SimulationJob, run_job
 from repro.runner.pool import run_chunks, run_jobs
 from repro.schedule import preprocess
@@ -169,7 +169,7 @@ def _serial_oracle(
     fold = _CampaignFold(
         outcome, engine="accmos", plateau_patience=plateau_patience
     )
-    options = SimulationOptions(steps=steps)
+    options = campaign_options(steps)
     for seed in range(1, max_cases + 1):
         job = SimulationJob(prog=prog, seed=seed, options=options)
         if fold.fold(run_job(job, cache=cache)):
