@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 from repro.dtypes import DType, I32
 from repro.model.builder import ModelBuilder, Ref
-from repro.model.model import Model
+from repro.model.model import Model, ModelTemplate
 from repro.benchmarks.patterns import (
     COMPUTE_KINDS,
     CONTROL_KINDS,
@@ -209,20 +209,27 @@ TABLE1 = {
 }
 
 
-# Name -> the model its builder returned, built once per process.
-_TEMPLATES: dict[str, Model] = {}
+# Name -> the template of the model its builder returned, built once per
+# process.
+_TEMPLATES: dict[str, ModelTemplate] = {}
 
 
 def build_benchmark(name: str) -> Model:
-    """One Table-1 benchmark model by name: a fresh structural copy
-    (:meth:`Model.copy`) of a template built once per process (the
-    builder validates it and checks its Table-1 counts,
+    """One Table-1 benchmark model by name: a lazy copy
+    (:meth:`ModelTemplate.copy`) of a template built once per process
+    (the builder validates it and checks its Table-1 counts,
     :func:`build_from_core`).
 
-    The copy is not validated again: its content equals the template's.
-    Callers may mutate it freely; the template, and so every later
-    build, is unaffected, and ``preprocess`` validates a mutated model
-    as it would any model it has not seen.
+    The returned model is a plain :class:`Model` equal to a direct
+    builder run.  It holds only its private template until its structure
+    is first read or written; then it becomes a structural copy
+    (:meth:`Model.copy`), made once.  Until that happens ``preprocess``
+    keys it by its template's content key, derived once per template,
+    so a warm request copies and walks nothing.  The copy is not
+    validated again: its content equals the template's.  Callers may
+    mutate it freely; the template, and so every later build, is
+    unaffected, and ``preprocess`` validates a mutated model as it would
+    any model it has not seen.
     """
     key = name.upper()
     if key not in BENCHMARKS:
@@ -231,7 +238,9 @@ def build_benchmark(name: str) -> Model:
         )
     template = _TEMPLATES.get(key)
     if template is None:
-        template = _TEMPLATES.setdefault(key, BENCHMARKS[key]())
+        template = _TEMPLATES.setdefault(
+            key, ModelTemplate(BENCHMARKS[key]())
+        )
     return template.copy()
 
 

@@ -25,6 +25,7 @@ itself compiled once per compiler and cache, on first use.
 
 from __future__ import annotations
 
+import os
 import queue
 import struct
 import subprocess
@@ -55,13 +56,19 @@ PROGRAM_NAME = "simulation.so"
 HOST_NAME = "simulation"
 
 
+# PATH value -> the compiler found on it.
+_compilers: "dict[Optional[str], Optional[str]]" = {}
+
+
 def find_c_compiler() -> Optional[str]:
-    """The first available C compiler, or None."""
-    for candidate in ("gcc", "cc", "clang"):
-        path = which(candidate)
-        if path:
-            return path
-    return None
+    """The first available C compiler, or None; looked up once per
+    value of ``PATH``."""
+    search = os.environ.get("PATH")
+    if search not in _compilers:
+        _compilers[search] = next(
+            filter(None, map(which, ("gcc", "cc", "clang"))), None
+        )
+    return _compilers[search]
 
 
 def _require_compiler(compiler: Optional[str]) -> str:

@@ -50,8 +50,14 @@ class Bitmap:
     def from_bytes(cls, size: int, data: bytes) -> "Bitmap":
         """From the little-endian bytes of the 64-bit words
         :meth:`from_words` takes (a result buffer's coverage tables)."""
+        return cls.from_int(size, int.from_bytes(data, "little"))
+
+    @classmethod
+    def from_int(cls, size: int, bits: int) -> "Bitmap":
+        """From an int whose bit ``i`` is point ``i``; bits past
+        ``size`` are dropped."""
         bm = cls(size)
-        bm._bits = int.from_bytes(data, "little") & ((1 << size) - 1)
+        bm._bits = bits & ((1 << size) - 1)
         return bm
 
     def __len__(self) -> int:

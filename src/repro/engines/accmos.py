@@ -20,7 +20,9 @@ under a faulted library.  Either way each case gets a full state/coverage/
 diagnostic reset.  Every :class:`Stimulus` reaches C through
 :func:`~repro.codegen.descriptor.descriptors_for`: built-in generators
 as closed-form descriptors, custom subclasses materialized into
-sequence tables.
+sequence tables.  A case given as an int seed stands for
+``default_stimuli(prog, seed=seed)`` and is packed straight from the
+seed (:class:`~repro.inproc.abi.SeedRecords`), to the same bytes.
 
 Every rung is bit-for-bit equivalent to the SSE reference — the
 repository's core invariant.
@@ -49,7 +51,7 @@ from repro.codegen.driver import (
     compile_c_program,
 )
 from repro.engines.base import SimulationOptions, SimulationResult
-from repro.inproc.abi import ResultDecoder, encode_case_binary
+from repro.inproc.abi import ResultDecoder, SeedRecords, encode_case_binary
 from repro.inproc.library import LibraryFault, LoadedModel
 from repro.inproc.parallel import (
     InstancePool,
@@ -65,6 +67,7 @@ from repro.model.errors import (
 )
 from repro.schedule.program import FlatProgram
 from repro.stimuli.base import Stimulus
+from repro.stimuli.generators import default_port_plan
 
 if TYPE_CHECKING:
     from repro.runner.cache import ArtifactCache
@@ -73,11 +76,15 @@ if TYPE_CHECKING:
 # one it is decoding, so the host always has work queued.
 STREAM_WINDOW = 4
 
-# One batch case: a stimuli mapping, or (stimuli, options) to override
-# the per-case runtime options (steps / time_budget).
+# One batch case's stimuli: a mapping of inport name to stimulus, or an
+# int seed, which stands for ``default_stimuli(prog, seed=seed)`` and is
+# packed straight from the seed (SeedRecords), building no stimulus.
+CaseStimuli = Union[Mapping[str, Stimulus], int]
+
+# One batch case: its stimuli, or (stimuli, options) to override the
+# per-case runtime options (steps / time_budget).
 BatchCase = Union[
-    Mapping[str, Stimulus],
-    "tuple[Mapping[str, Stimulus], Optional[SimulationOptions]]",
+    CaseStimuli, "tuple[CaseStimuli, Optional[SimulationOptions]]"
 ]
 
 
@@ -89,30 +96,6 @@ def _resolve_cache(cache):
     if cache is False:
         return None
     return cache
-
-
-def _structural_fingerprint(options: SimulationOptions) -> tuple:
-    """The option fields that shape the generated source (and therefore
-    the compiled library).  ``steps`` and ``time_budget`` are runtime
-    inputs of the reusable program and deliberately excluded.  Custom
-    diagnoses enter by the fields the C side sees (their Python
-    predicates only serve the interpreted engines), which keeps the
-    fingerprint hashable."""
-    collect = options.collect
-    diagnose = options.diagnose
-    return (
-        options.coverage,
-        options.diagnostics,
-        collect if isinstance(collect, str) else tuple(collect),
-        diagnose if isinstance(diagnose, str) else tuple(diagnose),
-        tuple(
-            (diag.actor_path, diag.message, diag.c_predicate)
-            for diag in options.custom
-        ),
-        options.halt_on,
-        options.monitor_limit,
-        options.checksum,
-    )
 
 
 @dataclass
@@ -133,6 +116,7 @@ class CompiledModel:
     generate_seconds: float
     source_lines: int
     decoder: ResultDecoder = field(repr=False, compare=False)
+    seed_records: SeedRecords = field(repr=False, compare=False)
     _fingerprint: tuple = field(repr=False)
     _inproc_fault: Optional[str] = field(
         default=None, repr=False, compare=False
@@ -152,13 +136,14 @@ class CompiledModel:
     # ------------------------------------------------------------------
     def run(
         self,
-        stimuli: Mapping[str, Stimulus],
+        stimuli: CaseStimuli,
         options: Optional[SimulationOptions] = None,
         *,
         timeout_seconds: Optional[float] = None,
     ) -> SimulationResult:
         """Run one case through :meth:`run_inproc`; raises
-        :class:`SimulationTimeout` when ``timeout_seconds`` is exceeded."""
+        :class:`SimulationTimeout` when ``timeout_seconds`` is exceeded.
+        ``stimuli`` may be an int seed (see :data:`CaseStimuli`)."""
         (outcome,) = self.run_inproc(
             [(stimuli, options)], timeout_seconds=timeout_seconds
         )
@@ -193,7 +178,7 @@ class CompiledModel:
         cases = list(cases)
         if not cases:
             return
-        normalized, records = self._encode(cases, timeout_seconds)
+        case_options, records = self._encode(cases, timeout_seconds)
         # The in-library deadline does the real limiting (flagging the
         # case in its result); the read deadline is a backstop against a
         # wedged host.
@@ -236,10 +221,10 @@ class CompiledModel:
                                 "runner.server.submit_to_result_seconds",
                                 latency,
                             )
-                            options = normalized[done][0]
                             t0 = time.perf_counter()
                             result = self.decoder.decode(
-                                buf, self.prog, options, engine="accmos"
+                                buf, self.prog, case_options[done],
+                                engine="accmos",
                             )
                             outcome = self._finalize(
                                 result,
@@ -319,6 +304,8 @@ class CompiledModel:
         one way a compiled model runs cases — single runs, campaign
         chunks and guided-corpus replay alike.
 
+        Each case is a stimuli mapping or an int seed
+        (:data:`CaseStimuli`), optionally paired with per-case options.
         Same contract as :meth:`run_stream` — one outcome per case in
         order, per-case deadlines (enforced *inside* the library via the
         record's deadline field) surfacing as
@@ -347,9 +334,9 @@ class CompiledModel:
         cases = list(cases)
         if not cases:
             return []
-        normalized, records = self._encode(cases, timeout_seconds)
+        case_options, records = self._encode(cases, timeout_seconds)
         shards = pack_shards(
-            [options.steps for options, _ in normalized],
+            [options.steps for options in case_options],
             1 if library is not None else max(1, int(threads)),
         )
         results: list = [None] * len(cases)
@@ -384,7 +371,7 @@ class CompiledModel:
                     execute_seconds = time.perf_counter() - t1
                     t1 = time.perf_counter()
                     result = self.decoder.decode(
-                        buf, self.prog, normalized[index][0], engine="accmos"
+                        buf, self.prog, case_options[index], engine="accmos"
                     )
                     results[index] = self._finalize(
                         result,
@@ -449,38 +436,42 @@ class CompiledModel:
         return results
 
     # ------------------------------------------------------------------
-    def _normalize(self, case: BatchCase):
-        if isinstance(case, tuple):
-            stimuli, options = case
-        else:
-            stimuli, options = case, None
-        options = options if options is not None else self.options
-        if _structural_fingerprint(options) != self._fingerprint:
-            raise SimulationError(
-                "case options change the instrumentation or program "
-                "structure (only steps/time_budget may vary per case); "
-                "compile a new model for them"
-            )
-        return options, descriptors_for(
-            self.prog, stimuli, steps=options.steps
-        )
-
     def _encode(
         self, cases: "list[BatchCase]", timeout_seconds: Optional[float]
-    ) -> "tuple[list, list[bytes]]":
-        """Normalize every case and pack its record; the per-case
-        ``(options, descriptors)`` pairs and the records, in order."""
-        normalized = [self._normalize(case) for case in cases]
-        records = [
-            encode_case_binary(
-                descriptors,
-                steps=options.steps,
-                time_budget=options.time_budget,
-                deadline=timeout_seconds,
-            )
-            for options, descriptors in normalized
-        ]
-        return normalized, records
+    ) -> "tuple[list[SimulationOptions], list[bytes]]":
+        """Each case's options and packed record, in order.  A seed
+        packs straight into its record (:class:`SeedRecords`); a
+        stimuli mapping goes through :func:`descriptors_for`."""
+        own = self.options
+        all_options, records = [], []
+        for case in cases:
+            stimuli, options = case if isinstance(case, tuple) else (case, None)
+            if options is None:
+                options = own
+            elif (
+                options is not own
+                and options.structural_fingerprint() != self._fingerprint
+            ):
+                raise SimulationError(
+                    "case options change the instrumentation or program "
+                    "structure (only steps/time_budget may vary per case); "
+                    "compile a new model for them"
+                )
+            if isinstance(stimuli, int):
+                record = self.seed_records.pack(
+                    stimuli, steps=options.steps,
+                    time_budget=options.time_budget, deadline=timeout_seconds,
+                )
+            else:
+                record = encode_case_binary(
+                    descriptors_for(self.prog, stimuli, steps=options.steps),
+                    steps=options.steps,
+                    time_budget=options.time_budget,
+                    deadline=timeout_seconds,
+                )
+            all_options.append(options)
+            records.append(record)
+        return all_options, records
 
     def _finalize(
         self,
@@ -532,6 +523,7 @@ class _Codegen:
     source: str
     source_lines: int
     decoder: ResultDecoder
+    seed_records: SeedRecords
 
 
 class _CodegenMemo:
@@ -608,6 +600,7 @@ def _codegen(prog: FlatProgram, options: SimulationOptions) -> _Codegen:
             source=source,
             source_lines=source.count("\n") + 1,
             decoder=ResultDecoder(layout, plan, options),
+            seed_records=SeedRecords(default_port_plan(prog)),
         )
 
 
@@ -638,7 +631,7 @@ def compile_model(
     """
     options = options if options is not None else SimulationOptions()
     cache = _resolve_cache(cache)
-    fingerprint = _structural_fingerprint(options)
+    fingerprint = options.structural_fingerprint()
     t0 = time.perf_counter()
     hit = False
     if cache is None:
@@ -661,6 +654,7 @@ def compile_model(
         generate_seconds=generate_seconds,
         source_lines=product.source_lines,
         decoder=product.decoder,
+        seed_records=product.seed_records,
         _fingerprint=fingerprint,
     )
 

@@ -71,6 +71,41 @@ class SimulationOptions:
             self.halt_on = frozenset(self.halt_on)
         self.custom = tuple(self.custom)
 
+    def __setattr__(self, name: str, value) -> None:
+        # A field write may change the structure: drop its fingerprint.
+        self.__dict__.pop("_fingerprint", None)
+        object.__setattr__(self, name, value)
+
+    def structural_fingerprint(self) -> tuple:
+        """The option fields that shape the generated source (and
+        therefore the compiled library).  ``steps`` and ``time_budget``
+        are runtime inputs of the reusable program and deliberately
+        excluded.  Custom diagnoses enter by the fields the C side sees
+        (their Python predicates only serve the interpreted engines),
+        which keeps the fingerprint hashable.
+
+        Computed once per options object, since every job of a campaign
+        shares one: assigning a field drops it, but a list or a
+        :class:`CustomDiagnosis` edited in place is not seen.
+        """
+        fingerprint = self.__dict__.get("_fingerprint")
+        if fingerprint is None:
+            collect, diagnose = self.collect, self.diagnose
+            fingerprint = self.__dict__["_fingerprint"] = (
+                self.coverage,
+                self.diagnostics,
+                collect if isinstance(collect, str) else tuple(collect),
+                diagnose if isinstance(diagnose, str) else tuple(diagnose),
+                tuple(
+                    (diag.actor_path, diag.message, diag.c_predicate)
+                    for diag in self.custom
+                ),
+                self.halt_on,
+                self.monitor_limit,
+                self.checksum,
+            )
+        return fingerprint
+
 
 @dataclass
 class SimulationResult:

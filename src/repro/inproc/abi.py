@@ -105,6 +105,19 @@ def _pack_table(table, is_float: bool) -> bytes:
         return struct.pack(fmt, *map(float if is_float else _i64, table))
 
 
+def _header(
+    steps: int, time_budget: Optional[float], deadline: Optional[float],
+    n_ports: int,
+) -> tuple:
+    """The :data:`_CASE_HEADER` values of one case record."""
+    return (
+        int(steps),
+        -1.0 if time_budget is None else float(time_budget),
+        -1.0 if deadline is None else float(deadline),
+        n_ports,
+    )
+
+
 def encode_case_binary(
     descriptors: Sequence[StimulusDescriptor],
     *,
@@ -117,10 +130,7 @@ def encode_case_binary(
     each."""
     parts: list[bytes] = [
         _CASE_HEADER.pack(
-            int(steps),
-            -1.0 if time_budget is None else float(time_budget),
-            -1.0 if deadline is None else float(deadline),
-            len(descriptors),
+            *_header(steps, time_budget, deadline, len(descriptors))
         )
     ]
     for d in descriptors:
@@ -128,6 +138,62 @@ def encode_case_binary(
         if d.table:
             parts.append(_pack_table(d.table, d.table_is_float))
     return b"".join(parts)
+
+
+_STATE_SLOT = [attr for attr, _m, _kind in DESCRIPTOR_FIELDS].index("state")
+
+
+class SeedRecords:
+    """Case records of a program's default stimuli, packed straight from
+    the case seed.
+
+    Built once per program from its
+    :class:`~repro.stimuli.generators.DefaultPortPlan`: every slot of
+    every port's descriptor but the LCG ``state`` is the same for every
+    seed, so :meth:`pack` is one :class:`struct.Struct` pack of
+    :data:`_CASE_HEADER` followed by one :data:`_PORT_FIELDS` run per
+    port, with the header and each port's ``state`` filled in.  The
+    bytes equal :func:`encode_case_binary` of
+    ``descriptors_for(prog, default_stimuli(prog, seed=seed))``; no
+    stimulus or descriptor object is built.
+    """
+
+    __slots__ = ("_plan", "_struct", "_values", "_state_at")
+
+    def __init__(self, plan) -> None:
+        descriptors = plan.descriptors()
+        self._plan = plan
+        self._struct = struct.Struct(
+            _CASE_HEADER.format
+            + _PORT_FIELDS.format.lstrip("<") * len(descriptors)
+        )
+        values: list = list(_header(0, None, None, len(descriptors)))
+        self._state_at: list[int] = []
+        for d in descriptors:
+            if d.table:
+                raise ValueError("a seed record has no sequence tables")
+            self._state_at.append(len(values) + _STATE_SLOT)
+            values.extend(
+                convert(v) for convert, v in zip(_PORT_CONVERT, _PORT_VALUES(d))
+            )
+            values.append(0)  # tab_len
+        self._values = values
+
+    def pack(
+        self,
+        seed: int,
+        *,
+        steps: int,
+        time_budget: Optional[float] = None,
+        deadline: Optional[float] = None,
+    ) -> bytes:
+        """The record of the case ``seed`` (keywords as
+        :func:`encode_case_binary`)."""
+        values = self._values.copy()
+        values[:4] = _header(steps, time_budget, deadline, values[3])
+        for at, state in zip(self._state_at, self._plan.states(seed)):
+            values[at] = state
+        return self._struct.pack(*values)
 
 
 def decode_case_binary(data: bytes) -> dict:
@@ -197,6 +263,7 @@ class ResultDecoder:
         "_checksum_end",
         "_outputs_end",
         "_coverage",
+        "_coverage_bytes",
         "_diag_slots",
         "_monitors",
         "_monitor_limit",
@@ -211,9 +278,12 @@ class ResultDecoder:
         codes.extend(_value_code(dtype) for _name, dtype in layout.outports)
         self._out_names = [name for name, _dtype in layout.outports]
         self._outputs_end = self._checksum_end + n_out
-        # (metric, points, first byte, end byte) per metric: every word
-        # is 8 bytes, so word i starts at byte 8*i.
-        self._coverage: "list[tuple[Metric, int, int, int]]" = []
+        # The coverage words are read as one little-endian int, in which
+        # bit i of the region's word w is bit 64*w + i: (metric, points,
+        # bit shift) per metric, and the region's first and end byte
+        # (every word is 8 bytes, so word i starts at byte 8*i).
+        self._coverage: "list[tuple[Metric, int, int]]" = []
+        self._coverage_bytes = (0, 0)
         if plan.coverage_enabled:
             points = plan.points
             start = self._outputs_end
@@ -223,11 +293,11 @@ class ResultDecoder:
                 (Metric.DECISION, points.n_decision),
                 (Metric.MCDC, points.n_mcdc),
             ):
-                n_words = (n + 63) // 64
                 self._coverage.append(
-                    (metric, n, 8 * start, 8 * (start + n_words))
+                    (metric, n, 64 * (start - self._outputs_end))
                 )
-                start += n_words
+                start += (n + 63) // 64
+            self._coverage_bytes = (8 * self._outputs_end, 8 * start)
             codes.append("Q" * (start - self._outputs_end))
         codes.append("qQ" * len(layout.diag_slots))
         self._diag_slots = list(layout.diag_slots)
@@ -281,23 +351,31 @@ class ResultDecoder:
 
         coverage = None
         if self._coverage:
+            start, end = self._coverage_bytes
+            bits = int.from_bytes(buf[start:end], "little")
             bitmaps = {
-                metric: Bitmap.from_bytes(n, buf[start:end])
-                for metric, n, start, end in self._coverage
+                metric: Bitmap.from_int(n, bits >> shift)
+                for metric, n, shift in self._coverage
             }
             coverage = CoverageReport.from_bitmaps(self.plan.points, bitmaps)
 
-        log = DiagnosticLog()
-        for event in self.plan.static_warnings:
-            log.add_static(event.path, event.kind, event.message)
         base = len(words) - 2 * len(self._diag_slots)
         firsts = words[base::2]
-        if firsts and max(firsts) >= 0:  # most cases fire no diagnosis
-            for (path, kind, message), first, count in zip(
-                self._diag_slots, firsts, words[base + 1 :: 2]
-            ):
-                if first >= 0:
-                    log.set_aggregate(path, kind, first, count, message)
+        fired = bool(firsts) and max(firsts) >= 0
+        diagnostics: list = []
+        # Most cases fire no diagnosis, and most plans warn nothing
+        # statically: then there is no log to build.
+        if fired or self.plan.static_warnings:
+            log = DiagnosticLog()
+            for event in self.plan.static_warnings:
+                log.add_static(event.path, event.kind, event.message)
+            if fired:
+                for (path, kind, message), first, count in zip(
+                    self._diag_slots, firsts, words[base + 1 :: 2]
+                ):
+                    if first >= 0:
+                        log.set_aggregate(path, kind, first, count, message)
+            diagnostics = log.events()
 
         monitored: dict[str, list] = {}
         pos = self._prefix.size
@@ -322,7 +400,7 @@ class ResultDecoder:
             outputs=outputs,
             checksums=checksums,
             coverage=coverage,
-            diagnostics=log.events(),
+            diagnostics=diagnostics,
             halted_at=None if halt_step < 0 else halt_step,
             monitored=monitored,
         )

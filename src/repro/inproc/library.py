@@ -22,6 +22,7 @@ which serves the same library crash-isolated.
 
 from __future__ import annotations
 
+import _ctypes
 import ctypes
 import os
 import shutil
@@ -59,10 +60,8 @@ def check_handshake(abi: int, result_size: int, expected_size: int) -> None:
 
 def _dlclose(handle: int) -> None:
     try:
-        import _ctypes
-
         _ctypes.dlclose(handle)
-    except Exception:
+    except OSError:  # dlclose() failed: _ctypes raises with dlerror()
         # Leaking a mapping beats crashing the host, but a leak must be
         # observable: long campaigns that churn instances would otherwise
         # exhaust address space with no signal at all.
@@ -179,4 +178,7 @@ class LoadedModel:
         try:
             self.retire()
         except Exception:
+            # At interpreter shutdown module globals (telemetry, _ctypes)
+            # may already be torn down, so retiring can raise anything;
+            # a finalizer must not, and the process is exiting anyway.
             pass

@@ -1,9 +1,10 @@
-"""The top-level model container."""
+"""The top-level model container, and lazy copies of a private template."""
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator, Optional
 
 from repro.model.actor import Actor
 from repro.model.subsystem import INPORT, OUTPORT, Subsystem
@@ -35,6 +36,38 @@ class Model:
         return Model(
             self.name, self.root.copy(), self.description, dict(self.metadata)
         )
+
+    # ------------------------------------------------------------------
+    # lazy copies (see ModelTemplate)
+    # ------------------------------------------------------------------
+    def __getattr__(self, name: str):
+        # Reached only for attributes the instance lacks: the ``root``
+        # and ``metadata`` of a lazy copy whose structural copy is not
+        # made yet.  Another thread may have made it between the failed
+        # lookup and this call, so the instance is read again after.
+        if name in _LAZY_FIELDS:
+            state = self.__dict__
+            template = state.get("_template")
+            if template is not None:
+                template._materialize(self)
+            if name in state:
+                return state[name]
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
+
+    def __setattr__(self, name: str, value) -> None:
+        template = self.__dict__.get("_template")
+        if template is not None:
+            template._materialize(self)
+        object.__setattr__(self, name, value)
+
+    def __getstate__(self) -> dict:
+        # Pickle and deepcopy see a materialized model, never a template.
+        template = self.__dict__.get("_template")
+        if template is not None:
+            template._materialize(self)
+        return self.__dict__
 
     # ------------------------------------------------------------------
     # interface ports
@@ -76,3 +109,65 @@ class Model:
             f"Model({self.name!r}, actors={self.n_actors}, "
             f"subsystems={self.n_subsystems})"
         )
+
+
+# A lazy copy leaves these unset until it is materialized, so reads reach
+# ``Model.__getattr__``.  The dataclass keeps ``root``'s default in
+# ``__init__``; the class attribute would shadow the unset instance one.
+_LAZY_FIELDS = ("root", "metadata")
+del Model.root
+
+
+class ModelTemplate:
+    """A model kept private as the source of lazy copies.
+
+    :meth:`copy` returns a plain :class:`Model` holding only this
+    template: its structural copy (:meth:`Model.copy`) is made on the
+    first read of ``root`` or ``metadata``, or on any attribute write,
+    at most once even when threads race to read.  Until then the copy's
+    content is the template's, so a fact derived from the content can be
+    derived once, from the template, for every untouched copy
+    (:meth:`shared`; ``preprocess`` keys copies this way).  The template
+    model itself is never handed out.
+    """
+
+    __slots__ = ("_model", "_lock", "_shared")
+
+    def __init__(self, model: Model) -> None:
+        self._model = model
+        self._lock = threading.Lock()
+        self._shared: dict = {}
+
+    def copy(self) -> Model:
+        """A lazy copy of the template model."""
+        model = object.__new__(Model)
+        state = model.__dict__
+        state["name"] = self._model.name
+        state["description"] = self._model.description
+        state["_template"] = self
+        return model
+
+    def shared(self, name: str, derive: Callable[[Model], object]):
+        """``derive(template model)``, computed once per ``name``: what
+        every untouched copy shares with the template.  ``derive`` must
+        not mutate the model."""
+        with self._lock:
+            if name not in self._shared:
+                self._shared[name] = derive(self._model)
+            return self._shared[name]
+
+    def _materialize(self, model: Model) -> None:
+        with self._lock:
+            state = model.__dict__
+            if state.get("_template") is not self:
+                return  # another thread made the copy first
+            copy = self._model.copy()
+            state["root"] = copy.root
+            state["metadata"] = copy.metadata
+            del state["_template"]
+
+
+def untouched_template(model: Model) -> Optional[ModelTemplate]:
+    """The template ``model`` is a lazy copy of, while that copy is not
+    yet made (so its content is the template's); else None."""
+    return model.__dict__.get("_template")

@@ -45,12 +45,21 @@ BINARY_NAME = "simulation"
 SHARED_NAME = "simulation.so"
 
 _compiler_versions: dict[str, str] = {}
+# An absolute compiler path as given -> the path it resolves to, so a
+# warm key skips the symlink walk.
+_resolved_compilers: dict[str, str] = {}
 _versions_lock = threading.Lock()
 
 
 def compiler_fingerprint(compiler: str) -> str:
     """``<abspath> <first --version line>`` — memoized per compiler path."""
-    path = str(Path(compiler).resolve()) if os.sep in compiler else compiler
+    with _versions_lock:
+        path = _resolved_compilers.get(compiler)
+    if path is None:
+        path = str(Path(compiler).resolve()) if os.sep in compiler else compiler
+        if os.path.isabs(compiler):
+            with _versions_lock:
+                _resolved_compilers[compiler] = path
     with _versions_lock:
         cached = _compiler_versions.get(path)
     if cached is not None:
@@ -68,15 +77,33 @@ def compiler_fingerprint(compiler: str) -> str:
     return fingerprint
 
 
+# (compiler fingerprint, flags, source) -> key, for the latest
+# _KEYS_BOUND sources: a warm request keys the same generated source
+# again on every compile.
+_keys: "dict[tuple[str, str, str], str]" = {}
+_KEYS_BOUND = 16
+
+
 def cache_key(source: str, compiler: str, cflags: Sequence[str]) -> str:
     """SHA-256 over (source, compiler path+version, flags)."""
-    h = hashlib.sha256()
-    h.update(compiler_fingerprint(compiler).encode())
-    h.update(b"\x00")
-    h.update(" ".join(cflags).encode())
-    h.update(b"\x00")
-    h.update(source.encode())
-    return h.hexdigest()
+    fingerprint = compiler_fingerprint(compiler)
+    flags = " ".join(cflags)
+    inputs = (fingerprint, flags, source)
+    with _versions_lock:
+        key = _keys.get(inputs)
+    if key is None:
+        h = hashlib.sha256()
+        h.update(fingerprint.encode())
+        h.update(b"\x00")
+        h.update(flags.encode())
+        h.update(b"\x00")
+        h.update(source.encode())
+        key = h.hexdigest()
+        with _versions_lock:
+            if len(_keys) >= _KEYS_BOUND:
+                del _keys[next(iter(_keys))]
+            _keys[inputs] = key
+    return key
 
 
 @dataclass

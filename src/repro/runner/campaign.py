@@ -139,8 +139,7 @@ class _CampaignFold:
         if self.merged is None:
             self.merged = CoverageReport.empty(result.coverage.points)
         hits, merged = result.coverage.bitmaps, self.merged.bitmaps
-        by_metric = {m: hits[m].new_bits(merged[m]) for m in ALL_METRICS}
-        self.merged.merge(result.coverage)
+        by_metric = {m: hits[m].or_into(merged[m]) for m in ALL_METRICS}
         new_points = sum(by_metric.values())
 
         fresh = 0

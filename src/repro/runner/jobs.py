@@ -67,6 +67,11 @@ class SimulationJob:
     label: str = ""
 
     def resolved_stimuli(self) -> Mapping[str, Stimulus]:
+        """The stimulus objects this job runs: ``stimuli``, else
+        ``default_stimuli(prog, seed=seed)``.  The interpreted engines
+        run these; an AccMoS job without ``stimuli`` hands the compiled
+        model its seed instead (:func:`run_job_batch`), which packs the
+        same case record without building them."""
         if self.stimuli is not None:
             return self.stimuli
         from repro.stimuli.generators import default_stimuli
@@ -220,9 +225,7 @@ def batch_key(job: SimulationJob) -> Optional[tuple]:
     """
     if job.engine != "accmos":
         return None
-    from repro.engines.accmos import _structural_fingerprint
-
-    return (id(job.prog), _structural_fingerprint(job.resolved_options()))
+    return (id(job.prog), job.resolved_options().structural_fingerprint())
 
 
 class GroupCompile:
@@ -309,8 +312,11 @@ def run_job_batch(
             batch_span.set(outcome="compile_failed")
             return [_settle(_new_result(job), model, attempts) for job in jobs]
 
+        # A job without explicit stimuli runs as its seed: the compiled
+        # model packs its record straight from it.
         case_list = [
-            (job.resolved_stimuli(), job.resolved_options())
+            (job.seed if job.stimuli is None else job.stimuli,
+             job.resolved_options())
             for job in jobs
         ]
         try:

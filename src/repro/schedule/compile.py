@@ -9,7 +9,7 @@ from typing import Optional
 
 from repro import telemetry
 from repro.dtypes import DType
-from repro.model.model import Model
+from repro.model.model import Model, untouched_template
 from repro.model.subsystem import Subsystem
 from repro.model.validate import validate_model
 from repro.schedule.flatten import flatten
@@ -33,6 +33,12 @@ def preprocess(model: Model, *, dt: float = 1.0) -> FlatProgram:
     the process saw.  A model holding a value the key cannot describe
     is preprocessed afresh on every call, and only a successful
     preprocess is remembered, so an invalid model raises on every call.
+
+    An untouched lazy copy from :func:`~repro.benchmarks.build_benchmark`
+    skips the key walk too: it is keyed by its template's content key,
+    derived once per template, so a memo hit neither copies nor walks
+    the model.  A miss materializes the copy (validation reads it) and
+    runs the pipeline on it.
     """
     with telemetry.span("preprocess", model=model.name) as sp:
         key = _model_key(model, dt)
@@ -129,15 +135,33 @@ def _add_scope(add, scope: Subsystem) -> None:
 
 def _model_key(model: Model, dt: float) -> Optional[tuple]:
     """Everything preprocessing reads from ``model`` and ``dt``, as an
-    exact, immutable tuple of type-tagged tokens: the model's name,
-    description, metadata and ``dt``, then each scope's actors (name,
-    block type, operator, params, ports) in insertion order, its child
-    scopes, and its connections in list order.  ``None`` when the model
-    cannot be keyed (it is then preprocessed uncached)."""
+    exact, immutable pair of type-tagged token tuples: ``dt``'s, then
+    the model's content (:func:`_content_key`).  ``None`` when either
+    cannot be keyed (the model is then preprocessed uncached).  An
+    untouched lazy copy takes its template's content key, derived once
+    (:meth:`~repro.model.model.ModelTemplate.shared`)."""
+    tokens: list = []
+    try:
+        _add_value(tokens.append, dt)
+    except _Unkeyable:
+        return None
+    template = untouched_template(model)
+    if template is None:
+        content = _content_key(model)
+    else:
+        content = template.shared("preprocess.content_key", _content_key)
+    return None if content is None else (tuple(tokens), content)
+
+
+def _content_key(model: Model) -> Optional[tuple]:
+    """The model's name, description and metadata, then each scope's
+    actors (name, block type, operator, params, ports) in insertion
+    order, its child scopes, and its connections in list order; ``None``
+    when a value cannot be keyed."""
     tokens: list = []
     add = tokens.append
     try:
-        for value in (model.name, model.description, model.metadata, dt):
+        for value in (model.name, model.description, model.metadata):
             _add_value(add, value)
         _add_scope(add, model.root)
     except _Unkeyable:

@@ -105,6 +105,9 @@ class FlatProgram:
     outports: list[PortBinding] = field(default_factory=list)
     order: list[Node] = field(default_factory=list)  # topologically sorted
     dt: float = 1.0
+    # Facts other layers derive from the finished program, each built
+    # on first use (e.g. the default-stimuli port plan); never compared.
+    derived: dict = field(default_factory=dict, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     # conveniences

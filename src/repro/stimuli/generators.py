@@ -240,24 +240,75 @@ class IntRandomStimulus(_LcgStimulus):
         )
 
 
-def default_stimuli(prog, *, seed: int = 1) -> dict[str, Stimulus]:
-    """Reasonable random stimuli for every root inport of a program.
+class DefaultPortPlan:
+    """:func:`default_stimuli`'s rule applied to one program's root
+    inports, once: per port its name, its generator class and range.
 
-    Integer ports get ints in [-100, 100] (unsigned: [0, 200]), bool ports
-    coin flips, float ports uniforms in [0, 1) — each port seeded
-    distinctly but deterministically from ``seed``.
+    Integer ports get ints in [-100, 100] (unsigned: [0, 200]), clamped
+    to the dtype's range; bool ports coin flips; float ports (and ports
+    without a dtype) uniforms in [0, 1).  Port ``i`` is seeded with
+    ``seed * 1_000_003 + i``, so each port is seeded distinctly but
+    deterministically from the case seed.  Besides the stimulus objects
+    (:meth:`stimuli`) the plan gives each port's descriptor at seed 0
+    (:meth:`descriptors`) and its LCG ``state`` slot for a seed
+    (:meth:`states`), the one slot a seed changes: together they let a
+    case record be packed straight from the seed
+    (:class:`repro.inproc.abi.SeedRecords`).
     """
-    stimuli: dict[str, Stimulus] = {}
-    for i, binding in enumerate(prog.inports):
-        port_seed = seed * 1_000_003 + i
-        dtype = binding.dtype or F64
-        if dtype.is_bool:
-            stimuli[binding.name] = IntRandomStimulus(port_seed, 0, 1)
-        elif dtype.is_integer:
-            lo, hi = (-100, 100) if dtype.is_signed else (0, 200)
-            lo = max(lo, dtype.min_value)
-            hi = min(hi, dtype.max_value)
-            stimuli[binding.name] = IntRandomStimulus(port_seed, lo, hi)
-        else:
-            stimuli[binding.name] = UniformRandomStimulus(port_seed, 0.0, 1.0)
-    return stimuli
+
+    __slots__ = ("ports",)
+
+    def __init__(self, inports) -> None:
+        ports = []
+        for binding in inports:
+            dtype = binding.dtype or F64
+            if dtype.is_bool:
+                port = (binding.name, IntRandomStimulus, 0, 1)
+            elif dtype.is_integer:
+                lo, hi = (-100, 100) if dtype.is_signed else (0, 200)
+                port = (
+                    binding.name, IntRandomStimulus,
+                    max(lo, dtype.min_value), min(hi, dtype.max_value),
+                )
+            else:
+                port = (binding.name, UniformRandomStimulus, 0.0, 1.0)
+            ports.append(port)
+        self.ports: "tuple[tuple, ...]" = tuple(ports)
+
+    def stimuli(self, seed: int) -> dict[str, Stimulus]:
+        """Each port's stimulus object for the case ``seed``."""
+        return {
+            name: make(seed * 1_000_003 + i, lo, hi)
+            for i, (name, make, lo, hi) in enumerate(self.ports)
+        }
+
+    def descriptors(self) -> list[StimulusDescriptor]:
+        """Each port's runtime descriptor at seed 0."""
+        return [
+            make(0, lo, hi).runtime_descriptor()
+            for _name, make, lo, hi in self.ports
+        ]
+
+    def states(self, seed: int) -> list[int]:
+        """Each port's descriptor ``state`` slot for the case ``seed``:
+        ``lcg_next`` of the port seed, as :class:`_LcgStimulus` sets it."""
+        return [
+            lcg_next(int(seed * 1_000_003 + i) & 0xFFFFFFFFFFFFFFFF)
+            for i in range(len(self.ports))
+        ]
+
+
+def default_port_plan(prog) -> DefaultPortPlan:
+    """The :class:`DefaultPortPlan` of a preprocessed program, built on
+    first use and kept in ``prog.derived``."""
+    plan = prog.derived.get("default_ports")
+    if plan is None:
+        plan = prog.derived["default_ports"] = DefaultPortPlan(prog.inports)
+    return plan
+
+
+def default_stimuli(prog, *, seed: int = 1) -> dict[str, Stimulus]:
+    """Reasonable random stimuli for every root inport of a program,
+    built from its :class:`DefaultPortPlan` (the rule is stated there).
+    """
+    return default_port_plan(prog).stimuli(seed)

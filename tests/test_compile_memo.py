@@ -254,11 +254,9 @@ def test_memo_hit_results_match_a_fresh_codegen(tmp_path):
     )
 
 
-@requires_cc
-def test_campaign_derives_each_case_stimuli_once(tmp_path, monkeypatch):
-    """Keying a job never builds its stimuli, and the scheduler's keys
-    travel down to the threaded dispatcher: one stimulus build and one
-    descriptor derivation per case."""
+@pytest.fixture
+def derivations(monkeypatch):
+    """Counts of default-stimuli builds and descriptor derivations."""
     import repro.codegen.descriptor as descriptor_mod
     import repro.stimuli.generators as generators_mod
 
@@ -279,12 +277,46 @@ def test_campaign_derives_each_case_stimuli_once(tmp_path, monkeypatch):
         descriptor_mod, "descriptors_for", counting_descriptors
     )
     monkeypatch.setattr(accmos_mod, "descriptors_for", counting_descriptors)
+    return counts
+
+
+@requires_cc
+def test_campaign_derives_each_case_stimuli_once(tmp_path, derivations):
+    """Keying a job never builds its stimuli, and a campaign case never
+    does either: each job hands the compiled model its seed, whose
+    record is packed straight from the seed, so no stimulus is built
+    and no descriptor derived."""
     outcome = run_campaign(
         _gain_program(2.0), steps=16, max_cases=24, plateau_patience=24,
         cache=ArtifactCache(tmp_path / "cache"), threads=2,
     )
     assert outcome.n_cases == 24
-    assert counts == {"stimuli": 24, "descriptors": 24}
+    assert derivations == {"stimuli": 0, "descriptors": 0}
+
+
+@requires_cc
+def test_explicit_stimuli_derive_descriptors_once_per_case(
+    tmp_path, derivations
+):
+    """Jobs with explicit ``stimuli=`` keep the descriptor path: one
+    derivation per case, and no default stimuli built."""
+    from repro.runner.jobs import SimulationJob
+    from repro.runner.pool import run_jobs
+
+    prog = _gain_program(2.0)
+    options = SimulationOptions(steps=16)
+    # Not counted: the fixture patches the generators module's
+    # attribute, not this module's import.
+    stimuli = [default_stimuli(prog, seed=seed) for seed in range(12)]
+    jobs = [
+        SimulationJob(prog=prog, seed=seed, options=options, stimuli=stim)
+        for seed, stim in enumerate(stimuli)
+    ]
+    results = run_jobs(
+        jobs, threads=2, batch_size=3, cache=ArtifactCache(tmp_path / "c")
+    )
+    assert all(result.ok for result in results)
+    assert derivations == {"stimuli": 0, "descriptors": 12}
 
 
 @requires_cc

@@ -370,6 +370,39 @@ def test_probe_fault_quarantines_and_falls_back(zoo_programs, monkeypatch):
 
 
 @requires_cc
+def test_failed_dlclose_is_counted(zoo_programs, monkeypatch):
+    """Retiring an instance whose ``dlclose`` fails leaks the mapping
+    but must not raise, and the leak is counted; anything but the
+    ``OSError`` a failed ``dlclose`` raises is a bug and propagates."""
+    import _ctypes
+
+    from repro.inproc.library import _dlclose
+
+    prog, _stimuli = zoo_programs[sorted(ZOO)[0]]
+    model = compile_model(prog, SimulationOptions(steps=STEPS), cache=False)
+    lib = model.load()
+    real_dlclose = _ctypes.dlclose
+
+    def failing_dlclose(handle):
+        real_dlclose(handle)  # unload for real, then report failure
+        raise OSError("induced dlclose failure")
+
+    monkeypatch.setattr(_ctypes, "dlclose", failing_dlclose)
+    with telemetry.capture() as session:
+        lib.retire()
+    assert not lib.healthy
+    counters = session.metrics.snapshot()["counters"]
+    assert counters["engine.inproc.dlclose_errors"] == 1
+
+    def broken_dlclose(handle):
+        raise TypeError("not a handle")
+
+    monkeypatch.setattr(_ctypes, "dlclose", broken_dlclose)
+    with pytest.raises(TypeError):
+        _dlclose(0)
+
+
+@requires_cc
 def test_load_failure_quarantines(zoo_programs, monkeypatch):
     prog, stimuli = zoo_programs[sorted(ZOO)[0]]
     opts = SimulationOptions(steps=STEPS)

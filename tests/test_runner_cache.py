@@ -95,6 +95,30 @@ class TestCacheKey:
             "int main(){}", new, CFLAGS
         )
 
+    def test_remembered_key_follows_a_new_banner(self):
+        """Keys are remembered per (compiler fingerprint, flags, source):
+        a compiler whose banner changes gets a new key, and the
+        remembered key equals a fresh digest."""
+        cc = self._fake_compiler("gcc-up", "gcc 12.1.0")
+        before = cache_key("int main(){}", cc, CFLAGS)
+        assert cache_key("int main(){}", cc, CFLAGS) == before
+        self._fake_compiler("gcc-up", "gcc 13.2.0")
+        after = cache_key("int main(){}", cc, CFLAGS)
+        assert after != before
+        cache_mod._keys.clear()
+        assert cache_key("int main(){}", cc, CFLAGS) == after
+
+
+def test_compiler_lookup_follows_path(tmp_path, monkeypatch):
+    """``find_c_compiler`` is looked up once per ``PATH`` value: a PATH
+    without a compiler finds none, and the original PATH finds the
+    compiler again."""
+    found = find_c_compiler()
+    monkeypatch.setenv("PATH", str(tmp_path))
+    assert find_c_compiler() is None
+    monkeypatch.undo()
+    assert find_c_compiler() == found
+
 
 @requires_cc
 class TestCacheCompile:
