@@ -15,8 +15,8 @@ per-case freight) in two regimes:
   same cases sharded across N pooled instances.
 
 Asserted claims: the threaded regime's results are byte-identical to the
-sequential rung's, it spawns **zero** simulation processes (enforced by
-poisoning the spawn paths for the whole bench), and — on machines with
+sequential rung's, it spawns **zero** processes (enforced by poisoning
+``subprocess.Popen`` once the library is compiled), and — on machines with
 at least ``N`` cores — its throughput is at least
 ``ACCMOS_BENCH_INPROC_MT_MIN_SPEEDUP`` times the sequential rung's
 (default 2.0 at 4 threads; CI smoke relaxes it to 1.5 — shared runners
@@ -37,13 +37,13 @@ Knobs: ``ACCMOS_BENCH_INPROC_MT_CASES`` (default 16),
 from __future__ import annotations
 
 import os
+import subprocess
 import time
 
 import pytest
 
 from repro import SimulationOptions
 from repro.benchmarks import build_benchmark
-from repro.codegen import driver as driver_mod
 from repro.engines.accmos import compile_model
 from repro.schedule import preprocess
 from repro.stimuli import default_stimuli
@@ -82,12 +82,12 @@ def test_inproc_threads_throughput(monkeypatch):
     options = SimulationOptions(steps=steps)
     model = compile_model(prog, options)
 
-    # Poison every process-spawning path: the whole bench must stay
-    # in-process or fail loudly.
+    # Poison process creation itself (the library is compiled): the
+    # whole bench must stay in-process or fail loudly.
     def no_spawn(*args, **kwargs):
-        raise AssertionError("simulation process spawned on the inproc path")
+        raise AssertionError("a process was spawned on the inproc path")
 
-    monkeypatch.setattr(driver_mod.SimulationServer, "__init__", no_spawn)
+    monkeypatch.setattr(subprocess, "Popen", no_spawn)
 
     cases = [
         (default_stimuli(prog, seed=1 + i), options) for i in range(n_cases)
@@ -111,10 +111,9 @@ def test_inproc_threads_throughput(monkeypatch):
         lambda: model.run_inproc(cases, threads=threads)
     )
 
-    # Byte-identity between the regimes, and no fallback ever engaged.
+    # Byte-identity between the regimes.
     for seq_result, par_result in zip(sequential_ref, threaded_ref):
         assert_results_agree(seq_result, par_result)
-    assert model.inproc_available
 
     speedup = threaded_rate / sequential_rate
     cores = os.cpu_count() or 1

@@ -96,7 +96,7 @@ def test_service_overhead():
             plateau_patience=cases,
         )
 
-    def run_streamed():
+    def stream_once():
         """Full round trip; returns (total_s, submit_to_first_case_s,
         terminal_event)."""
         begin = time.perf_counter()
@@ -115,7 +115,7 @@ def test_service_overhead():
     try:
         # Warmup both sides (imports, allocator)...
         reference = run_direct()
-        _, _, warm_final = run_streamed()
+        _, _, warm_final = stream_once()
         # ...and pin byte-identity before timing anything.
         assert encode(warm_final["outcome"]) == encode(
             outcome_record(reference)
@@ -124,7 +124,7 @@ def test_service_overhead():
         direct_best = min(
             _timed(run_direct) for _ in range(max(1, repeats))
         )
-        streamed_samples = [run_streamed() for _ in range(max(1, repeats))]
+        streamed_samples = [stream_once() for _ in range(max(1, repeats))]
         streamed_best = min(sample[0] for sample in streamed_samples)
         ttfr_best = min(sample[1] for sample in streamed_samples)
     finally:

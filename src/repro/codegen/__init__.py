@@ -5,8 +5,7 @@ self-contained simulation program:
 
 * :mod:`~repro.codegen.runtime` — the generated C runtime prelude: wrap
   arithmetic with flag reporting (the C mirror of :mod:`repro.dtypes`),
-  the packed case-record reader, and the generic host that serves a
-  compiled program out of process;
+  and the packed case-record reader;
 * :mod:`~repro.codegen.templates` — the actor code template library: one C
   emitter per block type, each mirroring the actor's Python reference
   semantics bit for bit;
@@ -15,8 +14,7 @@ self-contained simulation program:
   test-case import, the simulation loop and the library entry points;
 * :mod:`~repro.codegen.descriptor` — test-case import: each stimulus as
   runtime descriptor data;
-* :mod:`~repro.codegen.driver` — gcc compilation and the host process
-  handle;
+* :mod:`~repro.codegen.driver` — gcc compilation into a shared library;
 * :mod:`~repro.codegen.pybackend` — a generated-Python backend with the
   same semantics (used by the Rapid-Accelerator analog engine and as a
   no-compiler fallback).

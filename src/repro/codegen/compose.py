@@ -14,9 +14,8 @@ options.  Test cases are imported at run time as packed stimulus
 descriptor records plus per-case step counts (see
 :mod:`repro.codegen.descriptor` and :mod:`repro.inproc.abi`); each
 ``acc_lib_run_case`` call runs one case after a full state, coverage and
-diagnostic reset, and fills a fixed-layout result buffer.  The same
-library is loaded in-process (:mod:`repro.inproc.library`) or served out
-of process by the generic host (:data:`repro.codegen.runtime.HOST_SOURCE`).
+diagnostic reset, and fills a fixed-layout result buffer.  The library
+is loaded in-process (:mod:`repro.inproc.library`).
 Slot/monitor indices are resolved back to actor paths by the
 :class:`ProgramLayout` the generator returns alongside the source text.
 """
@@ -510,7 +509,7 @@ def _emit_lib_exports(
     result_size: int,
 ) -> str:
     """The library entry points (``repro.inproc``), called in-process
-    through ``ctypes`` or by the generic host.
+    through ``ctypes``.
 
     ``acc_lib_run_case`` reads one packed binary case record and fills a
     caller-provided result buffer — no stdio on either side.  Returns
@@ -518,8 +517,8 @@ def _emit_lib_exports(
     -2 for a port-count mismatch, -3 when the result buffer is smaller
     than ``acc_lib_result_size()``.  A tripped per-case deadline is a
     *success* with result flag bit 0 set.  ``acc_lib_init`` returns 0 on
-    success — the loader and the host treat any non-zero init status as a
-    fatal fault (the ABI version travels via ``acc_lib_abi_version``).
+    success — the loader treats any non-zero init status as a fatal
+    fault (the ABI version travels via ``acc_lib_abi_version``).
     """
     lines: list[str] = []
     lines.append("/* ---- shared-library ABI (repro.inproc) ---- */")

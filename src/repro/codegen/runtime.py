@@ -381,75 +381,3 @@ def runtime_header() -> str:
     # bool sources behave as u8 in conversions.
     parts.append("/* bool participates in conversions as u8 */")
     return "\n".join(parts) + "\n"
-
-
-#: The generic simulation host: one fixed executable that loads a
-#: program's shared library with ``dlopen`` and serves it over
-#: stdin/stdout, so every
-#: program is compiled once, as a ``.so``, for both the in-process and the
-#: out-of-process rungs.  Wire format (every word a native int64):
-#:
-#: * handshake, once: ``acc_lib_abi_version()``, ``acc_lib_result_size()``;
-#: * per case in: the record length, then the packed record
-#:   (:func:`repro.inproc.abi.encode_case_binary`);
-#: * per case out: the case index, the ``acc_lib_run_case`` status, then
-#:   the result buffer (result-size bytes), flushed.
-#:
-#: Exits 0 at a clean end of input, non-zero with a message on stderr when
-#: the library cannot be loaded or initialized or the input is malformed.
-HOST_SOURCE = r"""/* AccMoS simulation host. Generated by the AccMoS reproduction. */
-#include <dlfcn.h>
-#include <stdint.h>
-#include <stdio.h>
-#include <stdlib.h>
-
-typedef int (*acc_int_fn)(void);
-typedef long long (*acc_size_fn)(void);
-typedef int (*acc_run_fn)(const unsigned char *, long long,
-                          unsigned char *, long long);
-
-static void *acc_sym(void *lib, const char *name) {
-    void *p = dlsym(lib, name);
-    if (!p) { fprintf(stderr, "accmos host: missing export %s\n", name); exit(3); }
-    return p;
-}
-
-int main(int argc, char **argv) {
-    if (argc != 2) { fprintf(stderr, "usage: %s PROGRAM.so\n", argv[0]); return 2; }
-    void *lib = dlopen(argv[1], RTLD_NOW | RTLD_LOCAL);
-    if (!lib) { fprintf(stderr, "accmos host: %s\n", dlerror()); return 3; }
-    acc_int_fn abi = (acc_int_fn)acc_sym(lib, "acc_lib_abi_version");
-    acc_size_fn size = (acc_size_fn)acc_sym(lib, "acc_lib_result_size");
-    acc_int_fn init = (acc_int_fn)acc_sym(lib, "acc_lib_init");
-    acc_run_fn run = (acc_run_fn)acc_sym(lib, "acc_lib_run_case");
-    int64_t hello[2] = { abi(), size() };
-    if (hello[1] < 0 || init() != 0) {
-        fprintf(stderr, "accmos host: acc_lib_init failed\n");
-        return 4;
-    }
-    unsigned char *result = malloc(hello[1] > 0 ? (size_t)hello[1] : 1);
-    unsigned char *record = NULL;
-    int64_t cap = 0, len, index = 0;
-    if (!result) return 4;
-    if (fwrite(hello, 8, 2, stdout) != 2 || fflush(stdout) != 0) return 5;
-    while (fread(&len, 8, 1, stdin) == 1) {
-        if (len < 0) { fprintf(stderr, "accmos host: bad record length\n"); return 5; }
-        if (len > cap) {
-            unsigned char *grown = realloc(record, (size_t)len);
-            if (!grown) return 4;
-            record = grown;
-            cap = len;
-        }
-        if (fread(record, 1, (size_t)len, stdin) != (size_t)len) {
-            fprintf(stderr, "accmos host: truncated record\n");
-            return 5;
-        }
-        int64_t head[2] = { index++, run(record, len, result, hello[1]) };
-        if (fwrite(head, 8, 2, stdout) != 2
-            || fwrite(result, 1, (size_t)hello[1], stdout) != (size_t)hello[1]
-            || fflush(stdout) != 0)
-            return 5;
-    }
-    return 0;
-}
-"""

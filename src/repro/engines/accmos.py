@@ -14,18 +14,19 @@ with caching off, each compile goes into a private cache that lives as
 long as the model.  :func:`compile_model` returns a :class:`CompiledModel` whose
 one case path is :meth:`~CompiledModel.run_inproc`: every case runs
 in-process there (:meth:`~CompiledModel.run` is its one-case call,
-guided-corpus replay reads its coverage).  A host process serving the
-same library (:meth:`~CompiledModel.run_stream`) is the quarantine rung
-under a faulted library.  Either way each case gets a full state/coverage/
-diagnostic reset.  Every :class:`Stimulus` reaches C through
+guided-corpus replay reads its coverage), after a full state/coverage/
+diagnostic reset.  A library fault is the outcome of the case it hit, a
+typed :class:`~repro.inproc.library.LibraryFault` in that case's slot,
+as a tripped deadline is a :class:`SimulationTimeout`; the other cases
+run on.  Every :class:`Stimulus` reaches C through
 :func:`~repro.codegen.descriptor.descriptors_for`: built-in generators
 as closed-form descriptors, custom subclasses materialized into
 sequence tables.  A case given as an int seed stands for
 ``default_stimuli(prog, seed=seed)`` and is packed straight from the
 seed (:class:`~repro.inproc.abi.SeedRecords`), to the same bytes.
 
-Every rung is bit-for-bit equivalent to the SSE reference — the
-repository's core invariant.
+Every compiled case is bit-for-bit equivalent to the SSE reference —
+the repository's core invariant.
 
 ``wall_time`` is the library's own measurement of its simulation loop —
 the quantity the paper's Table 2 reports.  Code generation and compilation
@@ -39,17 +40,12 @@ import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 
 from repro import telemetry
 from repro.codegen.compose import ProgramLayout, generate_reusable_c_program
 from repro.codegen.descriptor import descriptors_for
-from repro.codegen.driver import (
-    CompiledSimulation,
-    ServerError,
-    SimulationServer,
-    compile_c_program,
-)
+from repro.codegen.driver import CompiledSimulation, compile_c_program
 from repro.engines.base import SimulationOptions, SimulationResult
 from repro.inproc.abi import ResultDecoder, SeedRecords, encode_case_binary
 from repro.inproc.library import LibraryFault, LoadedModel
@@ -60,21 +56,13 @@ from repro.inproc.parallel import (
 )
 from repro.instrument import build_plan
 from repro.instrument.plan import InstrumentationPlan
-from repro.model.errors import (
-    CompilationError,
-    SimulationError,
-    SimulationTimeout,
-)
+from repro.model.errors import SimulationError, SimulationTimeout
 from repro.schedule.program import FlatProgram
 from repro.stimuli.base import Stimulus
 from repro.stimuli.generators import default_port_plan
 
 if TYPE_CHECKING:
     from repro.runner.cache import ArtifactCache
-
-# Cases :meth:`CompiledModel.run_stream` keeps submitted ahead of the
-# one it is decoding, so the host always has work queued.
-STREAM_WINDOW = 4
 
 # One batch case's stimuli: a mapping of inport name to stimulus, or an
 # int seed, which stands for ``default_stimuli(prog, seed=seed)`` and is
@@ -118,12 +106,6 @@ class CompiledModel:
     decoder: ResultDecoder = field(repr=False, compare=False)
     seed_records: SeedRecords = field(repr=False, compare=False)
     _fingerprint: tuple = field(repr=False)
-    _inproc_fault: Optional[str] = field(
-        default=None, repr=False, compare=False
-    )
-    _inproc_lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
 
     @property
     def cache_hit(self) -> bool:
@@ -141,123 +123,19 @@ class CompiledModel:
         *,
         timeout_seconds: Optional[float] = None,
     ) -> SimulationResult:
-        """Run one case through :meth:`run_inproc`; raises
-        :class:`SimulationTimeout` when ``timeout_seconds`` is exceeded.
-        ``stimuli`` may be an int seed (see :data:`CaseStimuli`)."""
+        """Run one case through :meth:`run_inproc`; raises the case's
+        exception outcome (:class:`SimulationTimeout` when
+        ``timeout_seconds`` is exceeded, :class:`LibraryFault` on a
+        library fault).  ``stimuli`` may be an int seed (see
+        :data:`CaseStimuli`)."""
         (outcome,) = self.run_inproc(
             [(stimuli, options)], timeout_seconds=timeout_seconds
         )
-        if isinstance(outcome, SimulationTimeout):
+        if isinstance(outcome, Exception):
             raise outcome
         return outcome
 
-    def run_stream(
-        self,
-        cases: Sequence[BatchCase],
-        *,
-        timeout_seconds: Optional[float] = None,
-    ) -> Iterator[Union[SimulationResult, SimulationTimeout]]:
-        """Stream M cases through a private host process, yielding
-        results as each case's frame completes.
-
-        This is the quarantine rung: :meth:`run_inproc` finishes its
-        cases here once a library fault has retired the in-process
-        library.  Submission runs :data:`STREAM_WINDOW` cases ahead of
-        decoding so the host always has work queued while Python
-        decodes earlier frames.  Outcomes arrive in submit order, one
-        per case: a result, or a :class:`SimulationTimeout` instance for
-        a case that blew the per-case deadline (state is fully reset
-        before the next case either way).
-
-        On a crash, protocol desync, or a host that goes quiet past its
-        read deadline, the host is killed and respawned once and the
-        unfinished cases are resubmitted; a second consecutive failure
-        raises :class:`ServerError` (the runner then retries each job on
-        its own).
-        """
-        cases = list(cases)
-        if not cases:
-            return
-        case_options, records = self._encode(cases, timeout_seconds)
-        # The in-library deadline does the real limiting (flagging the
-        # case in its result); the read deadline is a backstop against a
-        # wedged host.
-        read_timeout = (
-            None if timeout_seconds is None else timeout_seconds + 5.0
-        )
-
-        def spawn() -> SimulationServer:
-            with telemetry.span("server.spawn", model=self.prog.model.name):
-                host = SimulationServer(
-                    self.compiled.ensure_host(),
-                    self.compiled.shared,
-                    result_size=self.decoder.size,
-                )
-            telemetry.counter_inc("runner.server.spawns")
-            return host
-
-        server = spawn()
-        n = len(cases)
-        done = 0
-        failures = 0
-        try:
-            with telemetry.span(
-                "accmos.stream", model=self.prog.model.name, cases=n
-            ):
-                while done < n:
-                    try:
-                        sub = done
-                        submit_times: dict[int, float] = {}
-                        while sub < min(done + STREAM_WINDOW, n):
-                            server.submit(records[sub])
-                            submit_times[sub] = time.perf_counter()
-                            sub += 1
-                        while done < n:
-                            buf = server.read_frame(timeout=read_timeout)
-                            latency = (
-                                time.perf_counter() - submit_times[done]
-                            )
-                            telemetry.observe(
-                                "runner.server.submit_to_result_seconds",
-                                latency,
-                            )
-                            t0 = time.perf_counter()
-                            result = self.decoder.decode(
-                                buf, self.prog, case_options[done],
-                                engine="accmos",
-                            )
-                            outcome = self._finalize(
-                                result,
-                                index=done,
-                                batch_size=n,
-                                timeout_seconds=timeout_seconds,
-                                execute_seconds=latency,
-                                parse_seconds=time.perf_counter() - t0,
-                            )
-                            done += 1
-                            failures = 0
-                            if sub < n:
-                                server.submit(records[sub])
-                                submit_times[sub] = time.perf_counter()
-                                sub += 1
-                            yield outcome
-                    except ServerError:
-                        failures += 1
-                        if failures >= 2:
-                            raise
-                        # Respawn, then resubmit from `done`.
-                        server.kill()
-                        server = spawn()
-                        telemetry.counter_inc("runner.server.restarts")
-        finally:
-            server.close()
-
     # ------------------------------------------------------------------
-    @property
-    def inproc_available(self) -> bool:
-        """False once a fault has quarantined the in-process rung."""
-        return self._inproc_fault is None
-
     def load(self) -> LoadedModel:
         """A fresh private in-process instance of this model's library,
         past the ABI handshake.  Each instance has its own copy of the C
@@ -280,18 +158,6 @@ class CompiledModel:
         key = self._instance_key()
         return key, default_instance_pool().acquire(key, self.load)
 
-    def _quarantine_inproc(self, reason: Exception) -> None:
-        """Retire the in-process rung for this model: all subsequent
-        ``run_inproc`` calls drop straight to the host process rung.
-        Idempotent and thread-safe — with N shard threads, the first
-        fault wins (its text is kept as the fallback's reason) and the
-        rest observe the flag."""
-        with self._inproc_lock:
-            if self._inproc_fault is not None:
-                return
-            self._inproc_fault = f"{type(reason).__name__}: {reason}"
-        telemetry.counter_inc("engine.inproc.fallbacks")
-
     def run_inproc(
         self,
         cases: Sequence[BatchCase],
@@ -299,22 +165,21 @@ class CompiledModel:
         timeout_seconds: Optional[float] = None,
         library: Optional[LoadedModel] = None,
         threads: int = 1,
-    ) -> list[Union[SimulationResult, SimulationTimeout]]:
+    ) -> list[Union[SimulationResult, SimulationTimeout, LibraryFault]]:
         """Run M cases in-process: zero spawns, zero pipes.  This is the
         one way a compiled model runs cases — single runs, campaign
         chunks and guided-corpus replay alike.
 
         Each case is a stimuli mapping or an int seed
         (:data:`CaseStimuli`), optionally paired with per-case options.
-        Same contract as :meth:`run_stream` — one outcome per case in
-        order, per-case deadlines (enforced *inside* the library via the
-        record's deadline field) surfacing as
-        :class:`SimulationTimeout` entries.  Any library fault — load
-        failure, ABI mismatch, non-zero run status — quarantines the
-        in-process rung for this model and transparently finishes the
-        affected cases on a crash-isolated host process serving the same
-        library (:meth:`run_stream`).  Results are byte-identical either
-        way.
+        One outcome per case, in order: a result, a
+        :class:`SimulationTimeout` for a case past its deadline (enforced
+        *inside* the library via the record's deadline field), or the
+        :class:`~repro.inproc.library.LibraryFault` that ended the case.
+        A fault retires only its instance: the shard acquires a fresh one
+        and runs on, and an instance that cannot be acquired is the
+        outcome of every case its shard still holds.  A case's outcome
+        thus depends on its own record only.
 
         ``threads=N`` partitions the cases across N shards, each run on
         its own thread holding a *private* pooled instance (private
@@ -327,7 +192,7 @@ class CompiledModel:
         :func:`~repro.inproc.parallel.pack_shards`: LPT on their step
         counts, a round-robin stride when they are equal.
 
-        ``library`` runs the batch as one shard on an explicit
+        ``library`` runs the batch as one shard, starting on an explicit
         :class:`~repro.inproc.library.LoadedModel` instead of a pooled
         instance (tests use it to induce faults).
         """
@@ -340,34 +205,33 @@ class CompiledModel:
             1 if library is not None else max(1, int(threads)),
         )
         results: list = [None] * len(cases)
-        tails: "list[list[int]]" = [[] for _ in shards]
+        faulted: "list[int]" = []  # indices whose outcome is a fault
         walls = [0.0] * len(shards)
 
         def run_shard(slot: int, shard: "list[int]") -> None:
-            """Each case of ``shard`` on one instance — ``library``, or a
-            private one from the instance pool — into its slot.  A load
-            failure or :class:`~repro.inproc.library.LibraryFault`
-            quarantines the model and leaves the rest of the shard in
-            ``tails`` for the host."""
+            """Each case of ``shard`` into its slot, on ``library`` or a
+            private instance from the pool."""
             t0 = time.perf_counter()
-            lib, pool_key, done = library, None, 0
+            lib, pool_key = library, None
             try:
-                if lib is None and self._inproc_fault is None:
-                    try:
-                        pool_key, lib = self._acquire_instance()
-                    except (CompilationError, LibraryFault, OSError) as exc:
-                        self._quarantine_inproc(exc)
-                while lib is not None and done < len(shard):
-                    index = shard[done]
+                for n, index in enumerate(shard):
+                    if lib is None:
+                        try:
+                            pool_key, lib = self._acquire_instance()
+                        except LibraryFault as exc:
+                            for rest in shard[n:]:
+                                results[rest] = exc
+                            faulted.extend(shard[n:])
+                            break
                     t1 = time.perf_counter()
                     try:
                         buf = lib.run_case(records[index])
                     except LibraryFault as exc:
-                        # run_case retired the instance already; one
-                        # fault quarantines the whole model.
-                        self._quarantine_inproc(exc)
-                        lib = None
-                        break
+                        # run_case retired the instance already.
+                        results[index] = exc
+                        faulted.append(index)
+                        lib = pool_key = None
+                        continue
                     execute_seconds = time.perf_counter() - t1
                     t1 = time.perf_counter()
                     result = self.decoder.decode(
@@ -382,12 +246,10 @@ class CompiledModel:
                         parse_seconds=time.perf_counter() - t1,
                     )
                     telemetry.counter_inc("engine.inproc.cases")
-                    done += 1
             finally:
-                if pool_key is not None and lib is not None:
+                if pool_key is not None:
                     default_instance_pool().release(pool_key, lib)
                 walls[slot] = time.perf_counter() - t0
-            tails[slot] = shard[done:]
 
         with telemetry.span(
             "accmos.inproc",
@@ -417,21 +279,13 @@ class CompiledModel:
                         "engine.inproc.pack_efficiency",
                         sum(walls) / (len(walls) * max(walls)),
                     )
-            # Every pending case finishes on the host in index order:
-            # the same ladder, the same bytes, whichever shard faulted.
-            pending = sorted(index for tail in tails for index in tail)
-            if pending:
+            if faulted:
+                # The lowest faulted index: the same at every thread count.
+                first = results[min(faulted)]
                 span.set(
-                    fallback=True,
-                    pending=len(pending),
-                    reason=self._inproc_fault,
+                    faults=len(faulted),
+                    reason=f"{type(first).__name__}: {first}",
                 )
-                fallback = self.run_stream(
-                    [cases[index] for index in pending],
-                    timeout_seconds=timeout_seconds,
-                )
-                for index, outcome in zip(pending, fallback):
-                    results[index] = outcome
         telemetry.counter_inc("engine.inproc.runs")
         return results
 
@@ -483,7 +337,8 @@ class CompiledModel:
         execute_seconds: float,
         parse_seconds: float,
     ) -> Union[SimulationResult, SimulationTimeout]:
-        """Per-case telemetry + extra fields; shared by every rung."""
+        """A decoded case's outcome, with its telemetry and extra
+        fields."""
         if result.extra.pop("deadline_exceeded", False):
             telemetry.counter_inc("engine.accmos.timeouts")
             return SimulationTimeout(
@@ -624,8 +479,7 @@ def compile_model(
     structural options: later calls reuse the generated source, layout
     and result decoder (``generate_seconds`` is then 0).  They still go
     through the cache lookup, so an evicted or damaged entry recompiles,
-    and each call returns a fresh :class:`CompiledModel` whose
-    in-process quarantine is its own.  Without a cache (``cache=False``,
+    and each call returns a fresh :class:`CompiledModel`.  Without a cache (``cache=False``,
     or the default cache disabled) codegen and gcc run on every call,
     into a private cache that lives as long as the model.
     """

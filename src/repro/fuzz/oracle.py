@@ -8,9 +8,6 @@ rung must reproduce it exactly:
 * ``accmos`` — the compiled program run for one case, in-process through
   the packed binary ABI (compile once, run via the packed descriptor
   record; exercises ``repro.inproc``);
-* ``accmos_stream`` — the same library on a private host process,
-  streaming several copies of the case back to back (exercises the
-  quarantine rung's frame stream and the per-case reset);
 * ``accmos_inproc_mt`` — the same library driven thread-parallel: the
   case runs as several copies sharded across private instances
   (exercises the instance pool and the deterministic threaded merge).
@@ -36,11 +33,9 @@ from repro.schedule import preprocess
 
 #: Comparison rungs in execution order.  ``sse`` is the reference and is
 #: always run; it is not itself a rung.
-ALL_RUNGS = (
-    "sse_ac", "sse_rac", "accmos", "accmos_stream", "accmos_inproc_mt",
-)
+ALL_RUNGS = ("sse_ac", "sse_rac", "accmos", "accmos_inproc_mt")
 PYTHON_RUNGS = ("sse_ac", "sse_rac")
-C_RUNGS = ("accmos", "accmos_stream", "accmos_inproc_mt")
+C_RUNGS = ("accmos", "accmos_inproc_mt")
 
 
 def available_rungs() -> tuple[str, ...]:
@@ -242,18 +237,12 @@ def run_case(
                     raise AssertionError("copies of one case disagree")
             return first
 
-        def copies(n: int) -> list:
-            return [(build_stimuli(case), options) for _ in range(n)]
-
-        if "accmos_stream" in rungs:
-            record("accmos_stream", lambda: first_of(list(compiled.run_stream(
-                copies(3), timeout_seconds=timeout_seconds,
-            ))))
         if "accmos_inproc_mt" in rungs:
             # Three copies across three private instances: exercises the
             # pool, the shard merge, and inter-instance isolation.
             record("accmos_inproc_mt", lambda: first_of(compiled.run_inproc(
-                copies(3), timeout_seconds=timeout_seconds, threads=3,
+                [(build_stimuli(case), options) for _ in range(3)],
+                timeout_seconds=timeout_seconds, threads=3,
             )))
 
     return report

@@ -366,7 +366,8 @@ def replay_corpus(
 
     Each seed is simulated afresh — in-process
     (:meth:`CompiledModel.run_inproc`) when a C compiler is available,
-    through the SSE reference otherwise or when the C run times out (the
+    through the SSE reference otherwise or when the C run ends in a
+    :class:`SimulationError` outcome, a timeout or a library fault (the
     bitmaps are identical by the oracle invariant) — and folded into a
     fresh :class:`CoverageMap`.  ``matched`` is True iff the rebuilt map
     equals the persisted one bit for bit: the corpus is exactly its
@@ -376,7 +377,7 @@ def replay_corpus(
     from repro.engines import SimulationOptions, simulate
     from repro.engines.accmos import compile_model
     from repro.fuzz.generate import build_model, build_stimuli
-    from repro.model.errors import SimulationTimeout
+    from repro.model.errors import SimulationError
     from repro.schedule import preprocess
 
     corpus = SeedCorpus.load(corpus_dir)
@@ -399,7 +400,7 @@ def replay_corpus(
                         [(stimuli, options)],
                         timeout_seconds=timeout_seconds,
                     )
-                    if not isinstance(outcome, SimulationTimeout) and (
+                    if not isinstance(outcome, SimulationError) and (
                         outcome.coverage is not None
                     ):
                         bitmaps = outcome.coverage.bitmaps

@@ -1,11 +1,11 @@
 """In-process shared-library engine: where every AccMoS case runs.
 
 ``repro.inproc`` loads the reusable compiled program (built once with
-``-shared -fPIC``, content-addressed next to the executable) via
+``-shared -fPIC``, content-addressed in the artifact cache) via
 ``ctypes`` and exchanges packed binary structs with it — zero process
 spawns, zero text formatting or parsing.  See :mod:`repro.inproc.abi`
 for the wire layouts, :mod:`repro.inproc.library` for loading,
-isolation, and fault quarantine, and :mod:`repro.inproc.parallel` for
+isolation, and typed library faults, and :mod:`repro.inproc.parallel` for
 the instance pool behind thread-parallel execution (``ctypes`` releases
 the GIL around ``acc_lib_run_case``, so N instances run on N cores).
 """

@@ -3,10 +3,8 @@
 This is the Python half of the contract ``codegen.compose`` emits into
 every reusable program as ``acc_lib_*`` exports: a case travels as one
 packed binary record, and the library fills a caller-provided result
-buffer of fixed layout.  It is the one wire format of every compiled
-rung: ``ctypes`` passes the bytes in-process, and the generic host
-(:data:`repro.codegen.runtime.HOST_SOURCE`) relays the very same bytes
-over a pipe.  Both sides derive the per-port slot sequence from
+buffer of fixed layout; ``ctypes`` passes the bytes in-process.
+Both sides derive the per-port slot sequence from
 :data:`repro.stimuli.base.DESCRIPTOR_FIELDS`, so the Python encoder and
 the C reader cannot drift apart.
 
@@ -46,7 +44,7 @@ makes the record bytes deterministic for content-addressed tests.
 
 Bumping :data:`ABI_VERSION` invalidates every previously built library:
 :func:`repro.inproc.library.check_handshake` refuses a mismatched
-``acc_lib_abi_version()`` or ``acc_lib_result_size()`` on every rung.
+``acc_lib_abi_version()`` or ``acc_lib_result_size()`` at load time.
 """
 
 from __future__ import annotations
@@ -313,7 +311,7 @@ class ResultDecoder:
 
     def _unpack_prefix(self, buf: bytes) -> tuple:
         """The fixed-offset words of a buffer of exactly :attr:`size`
-        bytes (both rungs hand over the whole buffer)."""
+        bytes (the library hands over the whole buffer)."""
         if len(buf) < self.size:
             raise SimulationError(
                 f"result buffer truncated: {len(buf)} bytes for a "

@@ -13,11 +13,12 @@ loading; the mapping keeps it alive.  One instance is single-threaded
 (guarded by a lock); callers that want parallelism load one instance per
 thread — ``ctypes`` releases the GIL around the call.
 
-Faults: any non-zero return from the library, a failed handshake, or use
-after :meth:`retire` raises :class:`LibraryFault`.  The engine layer
-treats a fault as a quarantine signal — the instance is retired (best
-effort ``dlclose``) and the caller drops down to the quarantine host,
-which serves the same library crash-isolated.
+Faults: a library that cannot be loaded, a failed handshake, any
+non-zero return from the library, or use after :meth:`retire` raises
+:class:`LibraryFault`, whose text names the in-process library and the
+cause.  A faulting instance is retired (best effort ``dlclose``); the
+engine layer records the fault as that case's outcome and carries on
+with a fresh instance.
 """
 
 from __future__ import annotations
@@ -36,17 +37,26 @@ from repro.inproc.abi import ABI_VERSION
 
 
 class LibraryFault(SimulationError):
-    """The in-process library misbehaved (bad handshake, non-zero run
-    status, or use after retirement).  The owning engine quarantines the
-    instance and falls back to the process-isolated quarantine host."""
+    """The in-process library misbehaved: it could not be loaded, failed
+    its handshake, returned a non-zero status, or was used after
+    retirement.  The engine makes it the outcome of the case it hit."""
+
+    def __str__(self) -> str:
+        return f"in-process library: {super().__str__()}"
+
+
+# acc_lib_run_case's non-zero statuses (codegen.compose._emit_lib_exports).
+_RUN_STATUS = {
+    -1: "malformed case record",
+    -2: "port count mismatch",
+    -3: "result buffer too short",
+}
 
 
 def check_handshake(abi: int, result_size: int, expected_size: int) -> None:
-    """The load-time handshake every rung applies to a compiled program:
-    its ``acc_lib_abi_version()`` and ``acc_lib_result_size()`` must match
-    what this Python side encodes and decodes.  Shared by
-    :class:`LoadedModel` and the out-of-process host, so a mismatch
-    raises the same :class:`LibraryFault`, word for word, on both."""
+    """The load-time handshake: a compiled program's
+    ``acc_lib_abi_version()`` and ``acc_lib_result_size()`` must match
+    what this Python side encodes and decodes."""
     if abi != ABI_VERSION:
         raise LibraryFault(
             f"library ABI version {abi} != expected {ABI_VERSION}"
@@ -79,24 +89,36 @@ class LoadedModel:
         self.result_size = int(result_size)
 
         # Private globals: copy to a unique inode, load, unlink.
-        fd, copy_path = tempfile.mkstemp(prefix="accmos-lib-", suffix=".so")
+        copy_path = None
+
+        def cause(exc: Exception) -> str:
+            # Name the library, not its private copy: the same text on
+            # every load.
+            text = str(exc)
+            return text if copy_path is None else text.replace(
+                copy_path, os.fspath(shared_path)
+            )
+
         try:
+            fd, copy_path = tempfile.mkstemp(prefix="accmos-lib-", suffix=".so")
             with os.fdopen(fd, "wb") as out, open(shared_path, "rb") as src:
                 shutil.copyfileobj(src, out)
             lib = ctypes.CDLL(copy_path)
         except OSError as exc:
-            raise LibraryFault(f"cannot load shared library: {exc}") from exc
+            raise LibraryFault(
+                f"cannot load shared library: {cause(exc)}"
+            ) from exc
         finally:
-            try:
-                os.unlink(copy_path)
-            except OSError:
-                pass
+            if copy_path is not None:
+                try:
+                    os.unlink(copy_path)
+                except OSError:
+                    pass
 
         try:
             lib.acc_lib_abi_version.restype = ctypes.c_int
             lib.acc_lib_result_size.restype = ctypes.c_longlong
             lib.acc_lib_init.restype = ctypes.c_int
-            lib.acc_lib_reset.restype = None
             lib.acc_lib_run_case.restype = ctypes.c_int
             lib.acc_lib_run_case.argtypes = [
                 ctypes.c_char_p,
@@ -118,7 +140,7 @@ class LoadedModel:
         except AttributeError as exc:
             _dlclose(lib._handle)
             raise LibraryFault(
-                f"shared library missing acc_lib_* exports: {exc}"
+                f"shared library missing acc_lib_* exports: {cause(exc)}"
             ) from exc
         except LibraryFault:
             _dlclose(lib._handle)
@@ -140,8 +162,8 @@ class LoadedModel:
         """Run one packed case record; the filled result buffer's bytes.
 
         Any non-zero status retires the instance and raises
-        :class:`LibraryFault` — a library that rejects a record we
-        encoded ourselves can no longer be trusted.
+        :class:`LibraryFault` naming the status — a library that rejects
+        a record we encoded ourselves can no longer be trusted.
         """
         with self._lock:
             if not self.healthy:
@@ -150,14 +172,9 @@ class LoadedModel:
             if rc != 0:
                 telemetry.counter_inc("engine.inproc.faults")
                 self._retire_locked()
-                raise LibraryFault(f"acc_lib_run_case returned {rc}")
+                cause = _RUN_STATUS.get(rc, "unknown status")
+                raise LibraryFault(f"acc_lib_run_case returned {rc} ({cause})")
             return self._buffer.raw
-
-    def reset(self) -> None:
-        with self._lock:
-            if not self.healthy:
-                raise LibraryFault("library instance is retired")
-            self._lib.acc_lib_reset()
 
     def _retire_locked(self) -> None:
         self.healthy = False

@@ -9,14 +9,13 @@ upgrade invalidates), and the flag vector — so a repeated simulation of
 an unchanged model performs zero compiler invocations.
 
 Layout: one directory per entry, ``<root>/<key[:2]>/<key>/`` holding
-``simulation.c`` plus its compiled artifact — a program's
-``simulation.so`` shared library, or the ``simulation`` executable of
-the generic simulation host (one entry per compiler, keyed by the host
-source like any program).  Writes are atomic: the artifacts are staged
-into a scratch directory under the root and ``os.rename``d into place;
-when the entry already exists (a racing writer) the staged files are
-merged in one ``os.replace`` per file — content-addressing makes the
-copies identical, so either write order leaves a valid entry.  Reads
+``simulation.c`` plus the program's compiled ``simulation.so`` shared
+library.  Writes are atomic: both files are staged into a scratch
+directory under the root and ``os.rename``d into place; when the entry
+already exists (a racing writer, or a damaged entry being rebuilt) the
+staged files are merged in one ``os.replace`` per file —
+content-addressing makes the copies identical, so either write order
+leaves a valid entry.  Reads
 bump the entry's mtime; eviction removes least-recently-used entries
 whole.
 
@@ -41,7 +40,6 @@ from typing import Optional, Sequence, Union
 DEFAULT_MAX_BYTES = 512 * 1024 * 1024  # plenty for ~10k typical binaries
 
 SOURCE_NAME = "simulation.c"
-BINARY_NAME = "simulation"
 SHARED_NAME = "simulation.so"
 
 _compiler_versions: dict[str, str] = {}
@@ -126,13 +124,11 @@ class CacheStats:
 
 @dataclass
 class CacheEntry:
-    """A resolved cache entry: the source plus whichever compiled
-    artifacts the entry holds (``None`` for an absent one)."""
+    """A resolved cache entry: the source and its shared library."""
 
     key: str
     source: Path
-    binary: Optional[Path] = None
-    shared: Optional[Path] = None
+    shared: Path
 
 
 class ArtifactCache:
@@ -171,62 +167,38 @@ class ArtifactCache:
 
     # -- lookup/store ----------------------------------------------------
     def _resolve(self, key: str, entry_dir: Path) -> CacheEntry:
-        binary = entry_dir / BINARY_NAME
-        shared = entry_dir / SHARED_NAME
         return CacheEntry(
             key=key,
             source=entry_dir / SOURCE_NAME,
-            binary=binary if binary.is_file() else None,
-            shared=shared if shared.is_file() else None,
+            shared=entry_dir / SHARED_NAME,
         )
 
-    def lookup(
-        self, key: str, names: Sequence[str] = (BINARY_NAME,)
-    ) -> Optional[CacheEntry]:
-        """The entry for ``key`` if the source and every artifact in
-        ``names`` exist; bumps its LRU clock on hit.
-
-        ``names`` selects which compiled artifacts the caller needs —
-        the executable by default, ``(SHARED_NAME,)`` for a program's
-        library.  The returned entry still reports whatever else the
-        entry happens to hold.
-        """
-        entry = self.peek(key, names)
+    def lookup(self, key: str) -> Optional[CacheEntry]:
+        """The entry for ``key`` if its source and its library both
+        exist; counts a hit or a miss and bumps the entry's LRU clock on
+        a hit."""
+        entry = self._resolve(key, self._entry_dir(key))
+        hit = entry.source.is_file() and entry.shared.is_file()
         with self._lock:
-            if entry is None:
-                self._misses += 1
-            else:
+            if hit:
                 self._hits += 1
-        return entry
-
-    def peek(
-        self, key: str, names: Sequence[str] = (BINARY_NAME,)
-    ) -> Optional[CacheEntry]:
-        """:meth:`lookup` without counting a hit or a miss — for support
-        artifacts (the simulation host) that would otherwise blur the
-        per-program statistics.  Still bumps the LRU clock on a hit."""
-        entry_dir = self._entry_dir(key)
-        source = entry_dir / SOURCE_NAME
-        wanted = [entry_dir / name for name in names]
-        if not (source.is_file() and all(p.is_file() for p in wanted)):
+            else:
+                self._misses += 1
+        if not hit:
             return None
         try:
-            os.utime(entry_dir)
+            os.utime(entry.source.parent)
         except OSError:
             pass  # read-only cache is still a usable cache
-        return self._resolve(key, entry_dir)
+        return entry
 
     def store(
-        self,
-        key: str,
-        source_path: Path,
-        binary_path: Optional[Path] = None,
-        *,
-        shared_path: Optional[Path] = None,
+        self, key: str, source_path: Path, shared_path: Path
     ) -> CacheEntry:
-        """Move compiled artifacts into the cache atomically.
+        """Move a source and its compiled library into the cache
+        atomically.
 
-        The artifacts are staged into a scratch dir on the same
+        Both files are staged into a scratch dir on the same
         filesystem and renamed into the final entry path in one step.
         When the entry already exists — a racing writer — the staged
         files are merged in with one atomic ``os.replace`` per file;
@@ -240,10 +212,7 @@ class ArtifactCache:
         )
         try:
             shutil.move(str(source_path), stage / SOURCE_NAME)
-            if binary_path is not None:
-                shutil.move(str(binary_path), stage / BINARY_NAME)
-            if shared_path is not None:
-                shutil.move(str(shared_path), stage / SHARED_NAME)
+            shutil.move(str(shared_path), stage / SHARED_NAME)
             try:
                 os.rename(stage, entry_dir)
             except OSError:

@@ -8,22 +8,23 @@ of attempts it took, and per-phase wall timings (codegen / compile /
 execute / parse for the AccMoS engine) — instead of letting exceptions
 tear down a whole campaign.
 
-Retry policy: transient failures (a compiler race on a shared tmpfs, an
-OOM-killed child — anything raising ``CompilationError`` or
-``SimulationError``) are retried up to ``retries`` times with
-exponential backoff, by one loop (``_retry``) that every attempt —
-an interpreted run, a group's compile, a per-job AccMoS retry — goes
-through.  A wall-clock timeout is *not* transient — the next attempt
-would burn the same budget — so it is reported immediately as
-``timeout``.
+Retry policy: transient failures (a compiler race on a shared tmpfs —
+anything raising ``CompilationError``, ``SimulationError`` or
+``OSError``) are retried up to ``retries`` times with exponential
+backoff, by one loop (``_retry``) that every attempt — an interpreted
+run, a group's compile, a per-job AccMoS retry — goes through.  A
+wall-clock timeout is *not* transient — the next attempt would burn the
+same budget — so it is reported immediately as ``timeout``.
 
 AccMoS jobs that share a program and structural options run *many
 cases* on one reused library (the compile-once / run-many path).
 :func:`batch_key` names the group a job may share (the chunk loop forms
 chunks from it) and :func:`run_job_batch` executes one group — one
 ``compile_model`` + one in-process run of every case on N threads —
-still returning one :class:`JobResult` per job.  It is the one AccMoS
-job path: :func:`run_job` on an AccMoS job is a one-job group.
+still returning one :class:`JobResult` per job.  A library fault is the
+``failed`` outcome of the case it hit, never of its neighbours.  It is
+the one AccMoS job path: :func:`run_job` on an AccMoS job is a one-job
+group.
 """
 
 from __future__ import annotations
@@ -283,14 +284,15 @@ def run_job_batch(
     nothing is recompiled.  The cases run
     in-process on ``threads`` private library instances
     (:meth:`CompiledModel.run_inproc
-    <repro.engines.accmos.CompiledModel.run_inproc>`; a library fault
-    finishes the affected cases on a host process).  If that run raises
-    — the host failed twice, would not build or spawn, or a case input
-    was rejected — each job is retried on its own on the same compiled
-    model, so one bad case fails alone and batching never changes
-    results.  Per-case deadline trips become ``timeout`` outcomes
-    without disturbing the other cases.  Non-AccMoS jobs take the
-    per-job :func:`run_job` path.
+    <repro.engines.accmos.CompiledModel.run_inproc>`).  Per-case
+    deadline trips and library faults come back as that case's
+    ``timeout`` or ``failed`` outcome without disturbing the other
+    cases.  The run raises only when a case input is rejected before
+    any case runs (options that change the program structure, a
+    stimulus missing or failing to materialize); then each job is
+    retried on its own on the same compiled model, so the bad case
+    fails alone and batching never changes results.  Non-AccMoS jobs
+    take the per-job :func:`run_job` path.
     """
     policy = dict(
         retries=retries, backoff_seconds=backoff_seconds, _sleep=_sleep
@@ -325,6 +327,7 @@ def run_job_batch(
             )
             attempts = [1] * len(jobs)
         except (CompilationError, SimulationError, OSError):
+            # A rejected case input: find it by running each job alone.
             batch_span.set(outcome="fallback")
             telemetry.counter_inc("runner.batch_fallbacks")
             outcomes, attempts = [], []

@@ -49,6 +49,11 @@ class UnknownCampaignError(KeyError):
     """No campaign with that id (maps to HTTP 404)."""
 
 
+class ServiceClosedError(RuntimeError):
+    """A submission after :meth:`CampaignService.close` (maps to HTTP
+    503)."""
+
+
 class CampaignRecord:
     """One submitted campaign: spec, state machine, event log.
 
@@ -195,7 +200,7 @@ class CampaignService:
         program = spec.load_program()
         with self._lock:
             if self._closed:
-                raise RuntimeError("service is shutting down")
+                raise ServiceClosedError("service is shutting down")
             campaign_id = f"c{next(self._ids):04d}"
             record = CampaignRecord(campaign_id, spec, program)
             self._campaigns[campaign_id] = record

@@ -29,7 +29,12 @@ import asyncio
 import json
 from typing import Optional
 
-from repro.service.app import CampaignService, UnknownCampaignError
+from repro.model.errors import ModelError
+from repro.service.app import (
+    CampaignService,
+    ServiceClosedError,
+    UnknownCampaignError,
+)
 from repro.service.codec import encode
 from repro.service.spec import SpecError
 from repro.service.wire import (
@@ -43,6 +48,14 @@ from repro.service.wire import (
     ws_encode_frame,
     ws_handshake_response,
 )
+
+# What CampaignSpec.load_program raises for a bad model reference (HTTP
+# 400): OSError for a missing or unreadable file, KeyError for an unknown
+# ``bench:`` name, ValueError for an unreadable value in a model (an
+# unknown dtype spelling, bytes that are not UTF-8), and ModelError for a
+# malformed file (ParseError) or a model that fails validation,
+# scheduling or type inference.
+_BAD_MODEL = (OSError, KeyError, ValueError, ModelError)
 
 # How long one executor-side wait_events call blocks before the asyncio
 # side gets control back (and can notice a dead socket / cancellation).
@@ -145,12 +158,16 @@ class CampaignServer:
                 writer.write(json_response(400, {"error": str(exc)}))
                 await writer.drain()
                 return
-            except Exception as exc:  # model load failures etc.
+            except _BAD_MODEL as exc:
                 writer.write(
                     json_response(
                         400, {"error": f"{type(exc).__name__}: {exc}"}
                     )
                 )
+                await writer.drain()
+                return
+            except ServiceClosedError as exc:
+                writer.write(json_response(503, {"error": str(exc)}))
                 await writer.drain()
                 return
             writer.write(

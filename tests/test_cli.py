@@ -189,3 +189,16 @@ class TestCacheCli:
         # the reusable (stimulus-agnostic) program maps every case of the
         # campaign to one cache key: a single compiled entry serves all 4
         assert "entries   : 1" in out
+
+
+def test_cli_serve_flag():
+    """There is no warm-host pool, and no ``--serve``/``--no-serve``:
+    argparse rejects them (exit 2) instead of ignoring them."""
+    from repro.cli import build_parser
+
+    parser = build_parser()
+    assert not hasattr(parser.parse_args(["campaign", "m.xml"]), "serve")
+    for flag in ("--serve", "--no-serve"):
+        with pytest.raises(SystemExit) as excinfo:
+            parser.parse_args(["campaign", "m.xml", flag])
+        assert excinfo.value.code == 2

@@ -13,12 +13,8 @@ from repro.codegen import (
     generate_py_step,
     generate_reusable_c_program,
 )
-from repro.codegen.driver import (
-    SimulationServer,
-    compile_c_program,
-    find_c_compiler,
-)
-from repro.inproc import ResultDecoder, encode_case_binary
+from repro.codegen.driver import compile_c_program, find_c_compiler
+from repro.inproc import LoadedModel, ResultDecoder, encode_case_binary
 from repro.diagnosis import CustomDiagnosis, DiagnosticKind
 from repro.dtypes import F64, I16, I32
 from repro.instrument import build_plan
@@ -49,20 +45,19 @@ def _generate(prog=None, options=None, **plan_kwargs):
 
 
 def _execute(compiled, prog, plan, layout, options):
-    """One default-stimuli case on a host serving ``compiled``; the
+    """One default-stimuli case on an instance of ``compiled``; the
     decoder and the case's result buffer."""
     decoder = ResultDecoder(layout, plan, options)
     descriptors = descriptors_for(
         prog, default_stimuli(prog), steps=options.steps
     )
-    server = SimulationServer(
-        compiled.ensure_host(), compiled.shared, result_size=decoder.size
-    )
+    lib = LoadedModel(compiled.shared, result_size=decoder.size)
     try:
-        server.submit(encode_case_binary(descriptors, steps=options.steps))
-        return decoder, bytes(server.read_frame(timeout=10.0))
+        return decoder, lib.run_case(
+            encode_case_binary(descriptors, steps=options.steps)
+        )
     finally:
-        server.close()
+        lib.retire()
 
 
 class TestGeneratedSource:

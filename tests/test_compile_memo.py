@@ -90,10 +90,13 @@ def test_each_call_returns_a_fresh_handle(tmp_path):
     assert second.generate_seconds == 0.0
     assert second.cache_hit
 
-    first._quarantine_inproc(LibraryFault("induced"))
-    assert not first.inproc_available
-    assert second.inproc_available
-    assert compile_model(prog, opts, cache=cache).inproc_available
+    # A library fault is the outcome of its case, not a state of either
+    # handle: both run on.
+    lib = first.load()
+    lib._invoke = lambda record: -1
+    (fault,) = first.run_inproc([4], library=lib)
+    assert isinstance(fault, LibraryFault)
+    assert first.run(4).outputs == second.run(4).outputs
 
 
 @requires_cc

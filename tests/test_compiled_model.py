@@ -69,8 +69,7 @@ def zoo_programs():
 def test_reusable_matches_sse_and_baked(zoo_programs, name):
     """Byte identity on every zoo model between SSE, the descriptor path,
     and the same streams baked into materialized tables (opaque custom
-    stimuli) on every rung: ``run_accmos``, a host-process stream, and
-    the in-process library."""
+    stimuli), through ``run_accmos`` and a batch on the library."""
     prog, stimuli = zoo_programs[name]
     opts = SimulationOptions(steps=STEPS, coverage=True, diagnostics=True)
     sse = simulate(prog, stimuli(), engine="sse", options=opts)
@@ -80,23 +79,23 @@ def test_reusable_matches_sse_and_baked(zoo_programs, name):
     )
     model = compile_model(prog, opts, cache=False)
     cases = [_opaque(stimuli()), stimuli(), _opaque(stimuli())]
-    for rung in (model.run_stream, model.run_inproc):
-        outcomes = list(rung(cases))
-        assert len(outcomes) == len(cases)
-        for got in outcomes:
-            assert_results_agree(sse, got)
+    outcomes = model.run_inproc(cases)
+    assert len(outcomes) == len(cases)
+    for got in outcomes:
+        assert_results_agree(sse, got)
 
 
 @requires_cc
 @pytest.mark.parametrize("name", ["mixed_types", "stateful", "guarded"])
 def test_batch_matches_individual_runs(zoo_programs, name):
-    """M cases through one process == M single-case runs, including the
-    per-case reset of actor state, coverage, and diagnostics."""
+    """M cases through one library instance == M single-case runs,
+    including the per-case reset of actor state, coverage, and
+    diagnostics."""
     prog, _ = zoo_programs[name]
     opts = SimulationOptions(steps=STEPS, coverage=True, diagnostics=True)
     model = compile_model(prog, opts, cache=False)
     cases = [default_stimuli(prog, seed=s) for s in (3, 1, 9, 1)]
-    batch = list(model.run_stream([(c, None) for c in cases]))
+    batch = model.run_inproc([(c, None) for c in cases])
     for stimuli, got in zip(cases, batch):
         assert_results_agree(model.run(stimuli), got)
         assert_results_agree(
@@ -121,7 +120,7 @@ def test_source_is_stimulus_and_steps_agnostic(zoo_programs, tmp_path):
 
 @requires_cc
 def test_every_stimulus_kind_roundtrips(zoo_programs):
-    """Each descriptor kind streams the same values from stdin as SSE
+    """Each descriptor kind reads the same values from its record as SSE
     consumes — including int sequences above 2^53, which would corrupt
     if the interpreter unified the table through double.
 
@@ -167,7 +166,7 @@ def test_mixed_step_counts_in_one_batch(zoo_programs):
         SimulationOptions(steps=n) for n in (10, 250, 1, 100)
     ]
     stimuli = default_stimuli(prog, seed=4)
-    batch = list(model.run_stream([(stimuli, o) for o in per_case]))
+    batch = model.run_inproc([(stimuli, o) for o in per_case])
     for opts, got in zip(per_case, batch):
         ref = simulate(prog, stimuli, engine="sse", options=opts)
         assert_results_agree(ref, got)
@@ -199,7 +198,7 @@ def test_mid_batch_halt_resets_state():
         {"X": ConstantStimulus(6), "Y": SequenceStimulus([0])},
         {"X": ConstantStimulus(6), "Y": ConstantStimulus(3)},
     ]
-    batch = list(model.run_stream([(c, None) for c in cases]))
+    batch = model.run_inproc([(c, None) for c in cases])
     halts = [r.halted_at for r in batch]
     assert halts == [2, None, 0, None]
     for stimuli, got in zip(cases, batch):
@@ -210,18 +209,18 @@ def test_mid_batch_halt_resets_state():
 @requires_cc
 def test_mid_batch_timeout_recovers(zoo_programs):
     """A case blowing its deadline yields a SimulationTimeout entry; the
-    binary resets and the following case is still byte-correct."""
+    library resets and the following case is still byte-correct."""
     prog, _ = zoo_programs["stateful"]
     opts = SimulationOptions(steps=100)
     model = compile_model(prog, opts, cache=False)
     huge = SimulationOptions(steps=2_000_000_000)
-    out = list(model.run_stream(
+    out = model.run_inproc(
         [
             (default_stimuli(prog, seed=1), huge),
             (default_stimuli(prog, seed=2), None),
         ],
         timeout_seconds=0.2,
-    ))
+    )
     assert isinstance(out[0], SimulationTimeout)
     assert "wall-clock" in str(out[0])
     ref = simulate(
@@ -240,27 +239,6 @@ def test_single_run_timeout_raises(zoo_programs):
             SimulationOptions(steps=2_000_000_000),
             timeout_seconds=0.2,
         )
-
-
-def test_execute_timeout_captures_stderr_and_counts(tmp_path):
-    """A host that goes quiet past its wall-clock deadline is reported
-    with its stderr, and the expiry bumps engine.accmos.timeouts."""
-    from repro import telemetry
-    from repro.codegen.driver import ServerError, SimulationServer
-
-    script = tmp_path / "slow.sh"
-    script.write_text("#!/bin/sh\necho boom-detail >&2\nsleep 30\n")
-    script.chmod(0o755)
-    with telemetry.capture() as session:
-        with pytest.raises(ServerError) as excinfo:
-            SimulationServer(
-                script, tmp_path / "unused.so", result_size=32,
-                handshake_timeout=0.5,
-            )
-    assert "wall-clock" in str(excinfo.value)
-    assert "boom-detail" in str(excinfo.value)
-    snap = session.metrics.snapshot()
-    assert snap["counters"]["engine.accmos.timeouts"] == 1
 
 
 @requires_cc
@@ -287,7 +265,7 @@ def test_opaque_stimulus_materialized_by_compiled_model(zoo_programs):
     model = compile_model(prog, SimulationOptions(steps=50), cache=False)
     stimuli = default_stimuli(prog, seed=1)
     per_case = [SimulationOptions(steps=n) for n in (50, 7, 0, 130)]
-    batch = list(model.run_stream([(_opaque(stimuli), o) for o in per_case]))
+    batch = model.run_inproc([(_opaque(stimuli), o) for o in per_case])
     for opts, got in zip(per_case, batch):
         assert got.steps_run == opts.steps
         assert_results_agree(

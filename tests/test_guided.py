@@ -434,9 +434,11 @@ class TestGuidedCampaign:
 
     @requires_cc
     def test_replay_falls_back_to_sse_on_timeout(self, tmp_path, monkeypatch):
-        """A seed whose C run times out replays through SSE instead, and
-        the rebuilt map still matches."""
+        """A seed whose C run times out, or ends in a library fault,
+        replays through SSE instead, and the rebuilt map still
+        matches."""
         from repro.engines.accmos import CompiledModel
+        from repro.inproc import LibraryFault
         from repro.model.errors import SimulationTimeout
 
         corpus_dir = tmp_path / "corpus"
@@ -444,16 +446,17 @@ class TestGuidedCampaign:
             cases=10, seed=1, rungs=("sse_ac",), round_size=10,
             corpus_dir=corpus_dir, shrink=False, timeout_seconds=30.0,
         ))
-        runs = {"n": 0}
+        for error in (SimulationTimeout, LibraryFault):
+            runs = {"n": 0}
 
-        def timed_out(self, cases, **kwargs):
-            runs["n"] += 1
-            return [SimulationTimeout("induced") for _ in cases]
+            def failed(self, cases, **kwargs):
+                runs["n"] += 1
+                return [error("induced") for _ in cases]
 
-        monkeypatch.setattr(CompiledModel, "run_inproc", timed_out)
-        report = replay_corpus(corpus_dir, timeout_seconds=30.0)
-        assert report.matched and not report.errors
-        assert report.replayed == report.seeds == runs["n"] > 0
+            monkeypatch.setattr(CompiledModel, "run_inproc", failed)
+            report = replay_corpus(corpus_dir, timeout_seconds=30.0)
+            assert report.matched and not report.errors, error
+            assert report.replayed == report.seeds == runs["n"] > 0
 
     def test_resume_extends_existing_corpus(self, tmp_path):
         corpus_dir = tmp_path / "corpus"

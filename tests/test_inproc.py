@@ -1,11 +1,10 @@
-"""The in-process shared-library rung: packed ABI, identity, quarantine.
+"""The in-process shared-library rung: packed ABI, identity, faults.
 
 Pins the in-process rung's core invariant: loading the program's shared
-library and driving it through the packed binary case/result protocol is
-a pure throughput lever — byte-identical results to the SSE reference
-and the host-process rung across the zoo and every stimulus kind, with a
-fault-quarantine ladder that drops back to a host process without
-changing a single bit.
+library and driving it through the packed binary case/result protocol
+gives byte-identical results to the SSE reference across the zoo and
+every stimulus kind, and a library fault is the typed outcome of the
+case it hit without changing a single bit of the others.
 """
 
 from __future__ import annotations
@@ -62,26 +61,24 @@ def zoo_programs():
 
 
 # ----------------------------------------------------------------------
-# byte identity: SSE vs the in-process library (vs a private host batch)
+# byte identity: SSE vs the in-process library, one case and a batch
 # ----------------------------------------------------------------------
 @requires_cc
 @pytest.mark.parametrize("name", sorted(ZOO))
 def test_inproc_matches_sse_and_batch(zoo_programs, name):
-    """Every in-process case is byte-identical to SSE, and to the same
-    batch run on a private host process."""
+    """Every in-process case is byte-identical to SSE, whether it runs
+    alone or in a batch."""
     prog, stimuli = zoo_programs[name]
     opts = SimulationOptions(steps=STEPS, coverage=True, diagnostics=True)
     model = compile_model(prog, opts, cache=False)
     sse = simulate(prog, stimuli(), engine="sse", options=opts)
-    batch = list(model.run_stream([(stimuli(), None) for _ in range(3)]))
+    single = model.run(stimuli())
     inproc = model.run_inproc([(stimuli(), None) for _ in range(3)])
     assert len(inproc) == 3
-    for via_batch, via_inproc in zip(batch, inproc):
-        assert_results_agree(sse, via_inproc)
-        assert_results_agree(via_batch, via_inproc)
-    # The whole batch ran in-process (no fallback kicked in).
-    assert model.inproc_available
     assert all(isinstance(r, SimulationResult) for r in inproc)
+    for via_inproc in inproc:
+        assert_results_agree(sse, via_inproc)
+        assert_results_agree(single, via_inproc)
 
 
 def _kinds_model():
@@ -271,15 +268,18 @@ def test_inproc_deadline_trips_as_timeout():
     )
     assert len(outcomes) == 2
     assert all(isinstance(o, SimulationTimeout) for o in outcomes)
-    # A deadline trip is not a fault: the library stays in service.
-    assert model.inproc_available
+    # A deadline trip is not a fault: the instance stays in service.
+    with telemetry.capture() as session:
+        model.run_inproc([(make(), None)], timeout_seconds=1e-6)
+    counters = session.metrics.snapshot()["counters"]
+    assert "engine.inproc.loads" not in counters
 
 
 # ----------------------------------------------------------------------
-# fault quarantine: induced library fault falls back to a host process
+# library faults: the typed outcome of the case they hit
 # ----------------------------------------------------------------------
 @requires_cc
-def test_induced_fault_quarantines_and_falls_back(zoo_programs):
+def test_induced_fault_is_its_cases_outcome(zoo_programs):
     prog, stimuli = zoo_programs[sorted(ZOO)[0]]
     opts = SimulationOptions(steps=STEPS, coverage=True, diagnostics=True)
     model = compile_model(prog, opts, cache=False)
@@ -301,20 +301,23 @@ def test_induced_fault_quarantines_and_falls_back(zoo_programs):
             [(stimuli(), None) for _ in range(3)], library=lib
         )
     assert len(outcomes) == 3
-    # The fallback is on the record, with the fault that caused it.
+    # The fault is on the record, with its text.
     (span,) = [
         s for s in session.tracer.finished() if s.name == "accmos.inproc"
     ]
-    assert span.attrs["fallback"] is True
-    assert span.attrs["reason"].startswith("LibraryFault: ")
-    # Every case — before and after the fault — is byte-identical to SSE.
-    for outcome in outcomes:
+    assert span.attrs["faults"] == 1
+    assert span.attrs["reason"] == (
+        "LibraryFault: in-process library: acc_lib_run_case returned -1 "
+        "(malformed case record)"
+    )
+    # The faulted case holds the fault; the cases around it — the third
+    # on a fresh pooled instance — are byte-identical to SSE.
+    assert isinstance(outcomes[1], LibraryFault)
+    for outcome in (outcomes[0], outcomes[2]):
         assert isinstance(outcome, SimulationResult)
         assert_results_agree(sse, outcome)
-    # The fault quarantined the in-process rung for this model…
     assert not lib.healthy
-    assert not model.inproc_available
-    # …and later batches go straight to the process rungs, still equal.
+    # Later batches run in-process as before.
     again = model.run_inproc([(stimuli(), None)])
     assert_results_agree(sse, again[0])
 
@@ -340,14 +343,13 @@ def test_probe_coverage_matches_run_inproc(zoo_programs, name):
     expected = [r.coverage.bitmaps for r in model.run_inproc(cases)]
     probes = [model.run_inproc([case])[0].coverage.bitmaps for case in cases]
     assert probes == expected
-    assert model.inproc_available
 
 
 @requires_cc
-def test_probe_fault_quarantines_and_falls_back(zoo_programs, monkeypatch):
-    """A fault on the second case of a coverage run quarantines the
-    model; the cases left over finish on a host process with the same
-    bitmaps."""
+def test_probe_fault_is_its_cases_outcome(zoo_programs, monkeypatch):
+    """A fault on the second case of a coverage run is that case's
+    outcome; the third case runs on a fresh instance with the same
+    bitmaps as before."""
     prog, stimuli = zoo_programs[sorted(ZOO)[0]]
     opts = SimulationOptions(steps=STEPS, coverage=True)
     model = compile_model(prog, opts, cache=False)
@@ -364,9 +366,12 @@ def test_probe_fault_quarantines_and_falls_back(zoo_programs, monkeypatch):
         return real_invoke(self, record)
 
     monkeypatch.setattr(LoadedModel, "_invoke", flaky_invoke)
-    assert [r.coverage.bitmaps for r in model.run_inproc(cases)] == expected
-    assert calls["n"] == 2  # the third case never reached the library
-    assert not model.inproc_available
+    first, fault, third = model.run_inproc(cases)
+    assert calls["n"] == 3
+    assert isinstance(fault, LibraryFault)
+    assert [first.coverage.bitmaps, third.coverage.bitmaps] == [
+        expected[0], expected[2]
+    ]
 
 
 @requires_cc
@@ -403,11 +408,10 @@ def test_failed_dlclose_is_counted(zoo_programs, monkeypatch):
 
 
 @requires_cc
-def test_load_failure_quarantines(zoo_programs, monkeypatch):
+def test_load_failure_is_every_cases_outcome(zoo_programs, monkeypatch):
     prog, stimuli = zoo_programs[sorted(ZOO)[0]]
     opts = SimulationOptions(steps=STEPS)
     model = compile_model(prog, opts, cache=False)
-    sse = simulate(prog, stimuli(), engine="sse", options=opts)
 
     def broken_load():
         raise LibraryFault("induced load failure")
@@ -416,8 +420,10 @@ def test_load_failure_quarantines(zoo_programs, monkeypatch):
     outcomes = model.run_inproc([(stimuli(), None) for _ in range(2)])
     assert len(outcomes) == 2
     for outcome in outcomes:
-        assert_results_agree(sse, outcome, coverage=False, diagnostics=False)
-    assert not model.inproc_available
+        assert isinstance(outcome, LibraryFault)
+        assert str(outcome) == "in-process library: induced load failure"
+    with pytest.raises(LibraryFault, match="induced load failure"):
+        model.run(stimuli())
 
 
 # ----------------------------------------------------------------------
@@ -441,11 +447,6 @@ def test_campaign_inproc_one_gcc_zero_spawns(zoo_programs, tmp_path, monkeypatch
 
     monkeypatch.setattr(driver_mod, "_run_compiler", counting_compiler)
 
-    def no_spawn(*args, **kwargs):
-        raise AssertionError("simulation process spawned on the inproc path")
-
-    monkeypatch.setattr(driver_mod.SimulationServer, "__init__", no_spawn)
-
     outcome = run_campaign(
         prog, steps=STEPS, max_cases=6, batch_size=3, cache=cache, threads=1,
     )
@@ -455,20 +456,58 @@ def test_campaign_inproc_one_gcc_zero_spawns(zoo_programs, tmp_path, monkeypatch
 
 
 @requires_cc
-def test_campaign_inproc_matches_host_path(zoo_programs):
-    """A batched in-process campaign folds exactly like one private host
-    run per seed (the per-job path)."""
+def test_single_runs_spawn_no_process(zoo_programs, tmp_path, monkeypatch):
+    """With a warm cache, ``simulate(engine="accmos")`` and ``run_job``
+    on an AccMoS job run in-process: process creation is poisoned, and
+    both still equal SSE."""
+    import subprocess
+
+    from repro.runner import SimulationJob, run_job, set_default_cache
+
+    prog, stimuli = zoo_programs["guarded"]
+    opts = SimulationOptions(steps=STEPS, coverage=True, diagnostics=True)
+    cache = ArtifactCache(tmp_path / "cache")
+
+    def single_runs():
+        via_simulate = simulate(prog, stimuli(), engine="accmos", options=opts)
+        job = run_job(
+            SimulationJob(prog=prog, options=opts, stimuli=stimuli()),
+            cache=cache,
+        )
+        assert job.ok, job.error
+        return via_simulate, job.result
+
+    previous = set_default_cache(cache)
+    try:
+        single_runs()  # warm the cache
+
+        def no_spawn(*args, **kwargs):
+            raise AssertionError("a single run spawned a process")
+
+        monkeypatch.setattr(subprocess, "Popen", no_spawn)
+        via_simulate, via_job = single_runs()
+    finally:
+        set_default_cache(previous)
+    sse = simulate(prog, stimuli(), engine="sse", options=opts)
+    assert_results_agree(sse, via_simulate)
+    assert_results_agree(sse, via_job)
+
+
+@requires_cc
+def test_campaign_inproc_matches_per_job_path(zoo_programs):
+    """A batched in-process campaign folds exactly like one run per
+    seed (the per-job path)."""
     from repro.campaign import run_campaign
     from test_scheduler import _serial_oracle
 
     prog, _ = zoo_programs[sorted(ZOO)[0]]
     kwargs = dict(steps=STEPS, max_cases=4, plateau_patience=3, cache=False)
     via_inproc = run_campaign(prog, batch_size=2, threads=1, **kwargs)
-    via_spawn = _serial_oracle(prog, **kwargs)
-    assert via_inproc.n_cases == via_spawn.n_cases
-    assert via_inproc.saturated == via_spawn.saturated
-    assert via_inproc.merged.bitmaps == via_spawn.merged.bitmaps
-    for a, b in zip(via_inproc.cases, via_spawn.cases):
+    per_job = _serial_oracle(prog, **kwargs)
+    assert via_inproc.n_cases == per_job.n_cases
+    assert via_inproc.saturated == per_job.saturated
+    assert via_inproc.merged.bitmaps == per_job.merged.bitmaps
+    for a, b in zip(via_inproc.cases, per_job.cases):
         assert (a.seed, a.steps_run, a.new_points) == (
             b.seed, b.steps_run, b.new_points
         )
@@ -526,47 +565,45 @@ def test_available_rungs_gates_inproc(monkeypatch):
 @requires_cc
 def test_fuzz_oracle_inproc_rung_agrees():
     """The ``accmos`` rung runs its case in-process; it agrees with the
-    host stream rung."""
+    threaded rung and the reference."""
     from repro.fuzz.generate import generate_case
     from repro.fuzz.oracle import run_case
 
     for index in range(3):
         case = generate_case(1000 + index, max_actors=6, steps=24)
-        report = run_case(case, rungs=("accmos", "accmos_stream"))
+        report = run_case(case, rungs=("accmos", "accmos_inproc_mt"))
         assert report.agreed, report.divergences
 
 
 # ----------------------------------------------------------------------
-# one artifact: one cache entry and one gcc per program, every rung
+# one artifact: one cache entry and one gcc per program
 # ----------------------------------------------------------------------
 @requires_cc
 def test_one_cache_entry_one_gcc_per_program(tmp_path, monkeypatch):
-    """The in-process and the host rungs run the same library: one
-    cache entry, one program gcc, plus one host build for the cache."""
+    """A program builds one library: one cache entry and one gcc, and a
+    second handle on the same program hits it."""
     prog = _kinds_model()
     opts = SimulationOptions(steps=20)
     cache = ArtifactCache(tmp_path / "cache")
     builds = []
     real_run_compiler = driver_mod._run_compiler
 
-    def counting_compiler(compiler, c_path, out_path, artifact):
-        builds.append(artifact)
-        return real_run_compiler(compiler, c_path, out_path, artifact)
+    def counting_compiler(compiler, c_path, out_path):
+        builds.append(out_path.name)
+        return real_run_compiler(compiler, c_path, out_path)
 
     monkeypatch.setattr(driver_mod, "_run_compiler", counting_compiler)
 
     model = compile_model(prog, opts, cache=cache)
     (inproc,) = model.run_inproc([(KIND_CASES["ramp"](), None)])
-    (via_host,) = model.run_stream([(KIND_CASES["ramp"](), None)])
-    assert_results_agree(inproc, via_host)
     again = compile_model(prog, opts, cache=cache)
     assert again.compiled.cache_hit
     assert again.compiled.shared == model.compiled.shared
-    (via_host,) = again.run_stream([(KIND_CASES["ramp"](), None)])
-    assert_results_agree(inproc, via_host)
-    assert builds == ["shared", "host"]
+    (via_again,) = again.run_inproc([(KIND_CASES["ramp"](), None)])
+    assert_results_agree(inproc, via_again)
+    assert builds == ["simulation.so"]
     stats = cache.stats()
-    assert (stats.misses, stats.hits, stats.entries) == (1, 1, 2)
+    assert (stats.misses, stats.hits, stats.entries) == (1, 1, 1)
 
 
 # ----------------------------------------------------------------------
@@ -657,7 +694,7 @@ def test_coverage_probe_matches_full_decode(decoded_case, zoo_programs):
 
 
 # ----------------------------------------------------------------------
-# property: both rungs' binary decode equals the SSE reference
+# property: the binary decode equals the SSE reference
 # ----------------------------------------------------------------------
 def _canonical(result) -> tuple:
     """Every decoded field, NaN- and sign-exact (``repr`` of floats)."""
@@ -696,18 +733,17 @@ def test_binary_decode_equals_sse(
     zoo_programs, property_cache, name, checksum, coverage, diagnostics,
     monitor_limit, steps,
 ):
-    """Across option shapes, the in-process and the host decodes agree
-    field for field, and both agree with SSE."""
+    """Across option shapes, a one-case and a batched decode agree field
+    for field, and both agree with SSE."""
     prog, stimuli = zoo_programs[name]
     opts = SimulationOptions(
         steps=steps, checksum=checksum, coverage=coverage,
         diagnostics=diagnostics, monitor_limit=monitor_limit,
     )
     model = compile_model(prog, opts, cache=property_cache)
-    (via_host,) = model.run_stream([(stimuli(), None)])
     (via_inproc,) = model.run_inproc([(stimuli(), None)])
-    assert model.inproc_available
-    assert _canonical(via_inproc) == _canonical(via_host)
+    _, in_batch = model.run_inproc([(stimuli(), None), (stimuli(), None)])
+    assert _canonical(via_inproc) == _canonical(in_batch)
     sse = simulate(prog, stimuli(), engine="sse", options=opts)
     assert_results_agree(sse, via_inproc, coverage=coverage,
                          diagnostics=diagnostics)

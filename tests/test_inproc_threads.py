@@ -4,10 +4,9 @@ Pins the contract: running N private library instances on N threads
 (``run_inproc(threads=N)``, ``run_jobs(threads=N)``,
 ``run_campaign(threads=N)``) is a pure throughput lever — byte-identical
 to ``threads=1`` and to the SSE reference on every zoo model, zero
-process spawns, with a mid-batch fault on one thread falling down the
-existing ladder without changing a single bit.  The shard packer (LPT on
-step counts) is pinned to never predict a worse makespan than naive
-round-robin.
+process spawns, with a mid-batch fault on one thread the typed outcome
+of its case alone.  The shard packer (LPT on step counts) is pinned to
+never predict a worse makespan than naive round-robin.
 """
 
 from __future__ import annotations
@@ -82,7 +81,6 @@ def test_threaded_matches_sequential_and_sse(zoo_programs, name):
         assert_results_agree(seq, par)
         sse = simulate(prog, case[0], engine="sse", options=case[1])
         assert_results_agree(sse, par)
-    assert model.inproc_available
 
 
 @requires_cc
@@ -103,10 +101,10 @@ def test_explicit_shards_identity(zoo_programs):
 
 
 # ----------------------------------------------------------------------
-# induced mid-batch fault on one thread: byte-identical ladder fallback
+# induced mid-batch fault on one thread: the typed outcome of its case
 # ----------------------------------------------------------------------
 @requires_cc
-def test_threaded_fault_falls_back_byte_identical(zoo_programs, monkeypatch):
+def test_threaded_fault_is_its_cases_outcome(zoo_programs, monkeypatch):
     prog, stimuli = zoo_programs[sorted(ZOO)[0]]
     opts = SimulationOptions(steps=STEPS, coverage=True, diagnostics=True)
     model = compile_model(prog, opts, cache=False)
@@ -136,23 +134,24 @@ def test_threaded_fault_falls_back_byte_identical(zoo_programs, monkeypatch):
     monkeypatch.setattr(model, "load", load_with_fault)
     outcomes = model.run_inproc([(stimuli(), None) for _ in range(9)], threads=3)
     assert len(outcomes) == 9
+    faults = [o for o in outcomes if isinstance(o, LibraryFault)]
+    assert len(faults) == 1
+    assert "acc_lib_run_case returned -1" in str(faults[0])
     for outcome in outcomes:
-        assert isinstance(outcome, SimulationResult)
-        assert_results_agree(sse, outcome)
-    # The fault quarantined the in-process rung for this model…
-    assert not model.inproc_available
-    # …and later batches (threaded or not) still agree bit-for-bit.
+        if outcome is not faults[0]:
+            assert isinstance(outcome, SimulationResult)
+            assert_results_agree(sse, outcome)
+    # Later batches (threaded or not) still agree bit-for-bit.
     again = model.run_inproc([(stimuli(), None) for _ in range(2)], threads=2)
     for outcome in again:
         assert_results_agree(sse, outcome)
 
 
 @requires_cc
-def test_threaded_load_failure_falls_back(zoo_programs, monkeypatch):
+def test_threaded_load_failure_is_every_cases_outcome(zoo_programs, monkeypatch):
     prog, stimuli = zoo_programs[sorted(ZOO)[0]]
     opts = SimulationOptions(steps=STEPS)
     model = compile_model(prog, opts, cache=False)
-    sse = simulate(prog, stimuli(), engine="sse", options=opts)
 
     def broken_load():
         raise LibraryFault("induced load failure")
@@ -161,15 +160,16 @@ def test_threaded_load_failure_falls_back(zoo_programs, monkeypatch):
     outcomes = model.run_inproc([(stimuli(), None) for _ in range(4)], threads=2)
     assert len(outcomes) == 4
     for outcome in outcomes:
-        assert_results_agree(sse, outcome, coverage=False, diagnostics=False)
-    assert not model.inproc_available
+        assert isinstance(outcome, LibraryFault)
+        assert "induced load failure" in str(outcome)
 
 
 @requires_cc
 def test_threaded_fault_under_thread_churn(zoo_programs, monkeypatch):
     """More shard threads than cores, a tiny switch interval and a
-    fault mid-run: every slot still ends up holding the sequential
-    run's bytes, so no write was lost or misplaced."""
+    fault mid-run: the faulted case holds its fault and every other
+    slot holds the sequential run's bytes, so no write was lost or
+    misplaced."""
     prog, stimuli = zoo_programs[sorted(ZOO)[0]]
     opts = SimulationOptions(steps=STEPS, coverage=True, diagnostics=True)
     model = compile_model(prog, opts, cache=False)
@@ -194,10 +194,12 @@ def test_threaded_fault_under_thread_churn(zoo_programs, monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert len(outcomes) == len(cases)
+    faults = [o for o in outcomes if isinstance(o, LibraryFault)]
+    assert len(faults) == 1
     for expected, outcome in zip(reference, outcomes):
-        assert isinstance(outcome, SimulationResult)
-        assert_results_agree(expected, outcome)
-    assert not model.inproc_available
+        if outcome is not faults[0]:
+            assert isinstance(outcome, SimulationResult)
+            assert_results_agree(expected, outcome)
 
 
 # ----------------------------------------------------------------------
@@ -372,11 +374,6 @@ def test_threaded_campaign_one_gcc_zero_spawns(
         return real_run_compiler(*args, **kwargs)
 
     monkeypatch.setattr(driver_mod, "_run_compiler", counting_compiler)
-
-    def no_spawn(*args, **kwargs):
-        raise AssertionError("simulation process spawned on the threaded path")
-
-    monkeypatch.setattr(driver_mod.SimulationServer, "__init__", no_spawn)
 
     outcome = run_campaign(
         prog, steps=STEPS, max_cases=6, cache=cache, threads=3,

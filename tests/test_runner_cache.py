@@ -149,9 +149,9 @@ class TestCacheCompile:
         self, tmp_path, monkeypatch
     ):
         """``cache=False`` leaves the default cache alone and compiles
-        into a private one: the library and the host built for it share
-        one scratch directory, which goes with the model, and every
-        uncached compile runs gcc."""
+        into a private one: the library lives in a scratch directory,
+        which goes with the model, and every uncached compile runs
+        gcc."""
         from repro.engines.accmos import compile_model
 
         shared_cache = ArtifactCache(tmp_path / "cache")
@@ -162,21 +162,19 @@ class TestCacheCompile:
         with telemetry.capture() as session:
             model = compile_model(prog, options, cache=False)
             again = compile_model(prog, options, cache=False)
-            host = model.compiled.ensure_host()
             model.run(default_stimuli(prog), options)
         stats = shared_cache.stats()
         assert (stats.hits, stats.misses, stats.entries) == (0, 0, 0)
         assert not model.cache_hit
         scratch = Path(model.compiled.scratch.name)
         assert scratch in model.compiled.shared.parents
-        assert scratch in host.parents
         assert scratch not in again.compiled.shared.parents
         gcc = [
             span.attrs["artifact"]
             for span in session.tracer.finished()
             if span.name == "gcc"
         ]
-        assert sorted(gcc) == ["host", "shared", "shared"]
+        assert gcc == ["shared", "shared"]
         del model
         gc.collect()
         assert not scratch.exists()
@@ -250,51 +248,48 @@ class TestCacheCompile:
 
 
 class TestMultiArtifact:
-    """One cache entry can hold an executable and a shared object under
-    one key: the cache stays agnostic of which artifact a source makes
-    (a program's library, the host's executable)."""
+    """One cache entry holds a pair of artifacts under one key: the
+    generated source and the shared library compiled from it."""
 
     KEY = "dd" + "3" * 62
 
-    def _pair(self, tmp_path, tag, src=10, binary=1000, shared=500):
+    def _pair(self, tmp_path, tag, src=10, shared=500):
         d = tmp_path / f"pair-{tag}"
         d.mkdir()
         (d / "src.c").write_bytes(b"s" * src)
-        (d / "bin").write_bytes(b"b" * binary)
         (d / "so").write_bytes(b"l" * shared)
-        return d / "src.c", d / "bin", d / "so"
+        return d / "src.c", d / "so"
 
     def test_store_pair_and_lookup_by_names(self, tmp_path):
         cache = ArtifactCache(tmp_path / "cache")
-        src, binary, shared = self._pair(tmp_path, "a")
-        entry = cache.store(self.KEY, src, binary, shared_path=shared)
-        assert entry.binary is not None and entry.binary.is_file()
-        assert entry.shared is not None and entry.shared.is_file()
-        assert entry.binary.parent == entry.shared.parent
-        # Lookup by either artifact (or both) hits the same entry.
-        assert cache.lookup(self.KEY) is not None
-        assert cache.lookup(self.KEY, names=(cache_mod.SHARED_NAME,)) is not None
-        hit = cache.lookup(
-            self.KEY, names=(cache_mod.BINARY_NAME, cache_mod.SHARED_NAME)
-        )
-        assert hit is not None and hit.binary and hit.shared
+        src, shared = self._pair(tmp_path, "a")
+        entry = cache.store(self.KEY, src, shared)
+        assert entry.source.name == cache_mod.SOURCE_NAME
+        assert entry.shared.name == cache_mod.SHARED_NAME
+        assert entry.source.parent == entry.shared.parent
+        hit = cache.lookup(self.KEY)
+        assert hit == entry
+        assert hit.shared.read_bytes() == b"l" * 500
 
     def test_lookup_misses_on_absent_artifact(self, tmp_path):
         cache = ArtifactCache(tmp_path / "cache")
-        src, binary, _ = self._pair(tmp_path, "a")
-        cache.store(self.KEY, src, binary)  # executable only
-        assert cache.lookup(self.KEY) is not None
-        assert cache.lookup(self.KEY, names=(cache_mod.SHARED_NAME,)) is None
+        src, shared = self._pair(tmp_path, "a")
+        entry = cache.store(self.KEY, src, shared)
+        entry.shared.unlink()  # a damaged entry: source only
+        assert cache.lookup(self.KEY) is None
+        stats = cache.stats()
+        assert (stats.hits, stats.misses) == (0, 1)
 
     def test_merge_adds_second_artifact_to_existing_entry(self, tmp_path):
+        """Storing into a damaged entry (its library gone) merges the
+        staged pair in: the entry is whole again."""
         cache = ArtifactCache(tmp_path / "cache")
-        src, binary, _ = self._pair(tmp_path, "a")
-        first = cache.store(self.KEY, src, binary)
-        assert first.shared is None
-        src2, _, shared2 = self._pair(tmp_path, "b")
-        merged = cache.store(self.KEY, src2, shared_path=shared2)
-        assert merged.binary is not None and merged.binary.is_file()
-        assert merged.shared is not None and merged.shared.is_file()
+        src, shared = self._pair(tmp_path, "a")
+        cache.store(self.KEY, src, shared).shared.unlink()
+        src2, shared2 = self._pair(tmp_path, "b")
+        merged = cache.store(self.KEY, src2, shared2)
+        assert merged.shared.is_file()
+        assert cache.lookup(self.KEY) is not None
         assert cache.stats().entries == 1
         # No stage debris from the merging writer.
         assert not [
@@ -303,25 +298,23 @@ class TestMultiArtifact:
 
     def test_stats_count_both_artifacts_bytes(self, tmp_path):
         cache = ArtifactCache(tmp_path / "cache")
-        src, binary, shared = self._pair(
-            tmp_path, "a", src=10, binary=1000, shared=500
-        )
-        cache.store(self.KEY, src, binary, shared_path=shared)
-        assert cache.stats().bytes == 10 + 1000 + 500
+        src, shared = self._pair(tmp_path, "a", src=10, shared=500)
+        cache.store(self.KEY, src, shared)
+        assert cache.stats().bytes == 10 + 500
 
     def test_eviction_removes_the_whole_pair(self, tmp_path):
-        cache = ArtifactCache(tmp_path / "cache", max_bytes=4000)
-        src, binary, shared = self._pair(tmp_path, "a")
-        old = cache.store("aa" + "0" * 62, src, binary, shared_path=shared)
-        old_dir = old.binary.parent
+        cache = ArtifactCache(tmp_path / "cache", max_bytes=1200)
+        src, shared = self._pair(tmp_path, "a")
+        old = cache.store("aa" + "0" * 62, src, shared)
+        old_dir = old.shared.parent
         os.utime(old_dir, (1_000, 1_000))
-        src, binary, shared = self._pair(tmp_path, "b")
-        cache.store("bb" + "1" * 62, src, binary, shared_path=shared)
-        src, binary, shared = self._pair(tmp_path, "c")
-        cache.store("cc" + "2" * 62, src, binary, shared_path=shared)
+        src, shared = self._pair(tmp_path, "b")
+        cache.store("bb" + "1" * 62, src, shared)
+        src, shared = self._pair(tmp_path, "c")
+        cache.store("cc" + "2" * 62, src, shared)
         stats = cache.stats()
         assert stats.evictions >= 1
-        assert stats.bytes <= 4000
+        assert stats.bytes <= 1200
         # Entries are evicted whole: neither artifact survives.
         assert not old_dir.exists()
 
@@ -332,9 +325,9 @@ class TestMultiArtifact:
 
         def compete(tag):
             try:
-                src, binary, shared = self._pair(tmp_path, tag)
+                src, shared = self._pair(tmp_path, tag)
                 barrier.wait()
-                cache.store(self.KEY, src, binary, shared_path=shared)
+                cache.store(self.KEY, src, shared)
             except BaseException as exc:  # surfaced below
                 errors.append(exc)
 
@@ -346,11 +339,9 @@ class TestMultiArtifact:
         for t in threads:
             t.join()
         assert not errors
-        entry = cache.lookup(
-            self.KEY, names=(cache_mod.BINARY_NAME, cache_mod.SHARED_NAME)
-        )
+        entry = cache.lookup(self.KEY)
         assert entry is not None
-        assert entry.binary.read_bytes() == b"b" * 1000
+        assert entry.source.read_bytes() == b"s" * 10
         assert entry.shared.read_bytes() == b"l" * 500
         assert cache.stats().entries == 1
         assert not [
@@ -361,11 +352,11 @@ class TestMultiArtifact:
 class TestEvictionAndAdmin:
     def _seed_entry(self, tmp_path, cache, key, mtime, size=1000):
         src = tmp_path / f"{key}.c"
-        binary = tmp_path / key
+        shared = tmp_path / key
         src.write_bytes(b"s" * 10)
-        binary.write_bytes(b"b" * size)
-        entry = cache.store(key, src, binary)
-        entry_dir = entry.binary.parent
+        shared.write_bytes(b"l" * size)
+        entry = cache.store(key, src, shared)
+        entry_dir = entry.shared.parent
         os.utime(entry_dir, (mtime, mtime))
         return entry_dir
 

@@ -6,7 +6,7 @@ without building a stimulus or a descriptor.  These tests pin that the
 bytes are exactly those of the descriptor path,
 ``encode_case_binary(descriptors_for(prog, default_stimuli(prog, seed)))``,
 on every Table-1 model and on hand-built models covering the port
-plan's dtype branches, and that the quarantine rung gets them too.
+plan's dtype branches.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from repro.inproc.library import LoadedModel
 from repro.model.builder import ModelBuilder
 from repro.runner.cache import ArtifactCache
 from repro.schedule import preprocess
-from repro.service.codec import encode, outcome_record
 from repro.stimuli import default_stimuli
 from repro.stimuli.generators import default_port_plan
 
@@ -101,10 +100,13 @@ def test_seed_case_runs_like_its_stimuli():
 
 
 @requires_cc
-def test_faulted_campaign_finishes_on_the_host_like_sse(tmp_path, monkeypatch):
-    """A library that faults mid-chunk quarantines the model; the rest
-    of the chunk runs on the host from the same seed records, and the
-    campaign's outcome bytes equal the SSE reference's."""
+def test_faulted_campaign_fails_on_its_seed(tmp_path, monkeypatch):
+    """A library that faults on one seed record mid-chunk makes that
+    case's outcome a typed fault: the chunk's other cases still run from
+    their seed records, and the campaign fails naming the faulted
+    seed."""
+    from repro.model.errors import SimulationError
+
     prog = preprocess(build_benchmark("SPV"))
     config = dict(steps=24, max_cases=12, plateau_patience=12, base_seed=5)
     calls = {"n": 0}
@@ -117,11 +119,13 @@ def test_faulted_campaign_finishes_on_the_host_like_sse(tmp_path, monkeypatch):
         return real_invoke(self, record)
 
     monkeypatch.setattr(LoadedModel, "_invoke", flaky_invoke)
-    outcome = run_campaign(
-        prog, cache=ArtifactCache(tmp_path / "cache"), threads=1,
-        batch_size=6, **config,
-    )
-    assert calls["n"] == 3  # every later case ran on the host
-    assert encode(outcome_record(outcome)) == encode(
-        outcome_record(run_campaign(prog, engine="sse", **config))
+    with pytest.raises(SimulationError) as excinfo:
+        run_campaign(
+            prog, cache=ArtifactCache(tmp_path / "cache"), threads=1,
+            batch_size=6, **config,
+        )
+    assert calls["n"] == 6  # the whole first chunk ran
+    assert str(excinfo.value).startswith(
+        "campaign case seed=7 failed: LibraryFault: in-process library: "
+        "acc_lib_run_case returned -1"
     )

@@ -189,6 +189,49 @@ class TestLifecycle:
             assert excinfo.value.status == 400
             assert f"'{key}'" in str(excinfo.value.body)
 
+    @pytest.mark.parametrize(
+        "reference, error",
+        [
+            ("missing_file", "FileNotFoundError"),
+            ("malformed_xml", "ParseError"),
+            ("malformed_json", "ParseError"),
+            ("unknown_bench", "KeyError"),
+            ("fails_validation", "ConnectionError_"),  # a ValidationError
+        ],
+    )
+    def test_bad_model_reference_is_400(
+        self, server, tmp_path, reference, error
+    ):
+        """Each way ``CampaignSpec.load_program`` rejects a model
+        reference is a 400 naming the error, never a 500."""
+        broken = model_to_generic(ZOO["int_arith"]()[0])
+        broken["wires"] = []  # every actor input left unconnected
+        (tmp_path / "bad.xml").write_text("<model name='x'><actors>")
+        (tmp_path / "bad.json").write_text("{not json")
+        model = {
+            "missing_file": str(tmp_path / "missing.xml"),
+            "malformed_xml": str(tmp_path / "bad.xml"),
+            "malformed_json": str(tmp_path / "bad.json"),
+            "unknown_bench": "bench:NOPE",
+            "fails_validation": broken,
+        }[reference]
+        with pytest.raises(ServiceError) as excinfo:
+            server.client.submit({"model": model})
+        assert excinfo.value.status == 400
+        assert str(excinfo.value.body["error"]).startswith(f"{error}: ")
+
+    def test_submit_after_close_is_503(self):
+        service = CampaignService()
+        running = ServiceThread(service)
+        try:
+            service.close()
+            with pytest.raises(ServiceError) as excinfo:
+                running.client.submit(_spec())
+            assert excinfo.value.status == 503
+            assert "shutting down" in str(excinfo.value.body)
+        finally:
+            running.close()
+
     def test_cancel_running_campaign_drains_and_reports(self, server):
         client = server.client
         campaign_id = client.submit(
